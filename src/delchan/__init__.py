@@ -6,11 +6,13 @@ blows runs up to channel-matched lengths, and separates blocks with zero
 buffers. Submodules:
 
   strings  — run-length utilities, LCS/edit distance, the constrained family
-  inner    — greedy inner codebook, rate formula, insertion/deletion balls
+  inner    — greedy inner codebook, inner rate formula, insertion/deletion balls
   outer    — q-ary outer code with symbol-level edit-distance decoding
   channels — seeded deletion and Poisson-repeat channel simulators
-  scheme   — full encoder, threshold decoder, error-classifying traces
-  analysis — transition probabilities, rate formulas, reference presets
+  scheme   — the one run blow-up/buffer layout builder, threshold decoder,
+             error-classifying traces, the key=value descriptor format
+  analysis — transition probabilities, the overall rate in terms of the mean
+             survivors per bit mu (1 - p or lambda), reference presets
   harness  — Monte Carlo experiments with deterministic reports
   cli      — command-line front end
 """
@@ -23,22 +25,22 @@ from .analysis import (
     probs_bdc_exact,
     probs_bdc_from_counts,
     probs_prc,
-    rate_bdc,
-    rate_prc,
+    probs_prc_from_counts,
+    rate_mu,
     verify_preset,
 )
-from .channels import ChannelModel, RngStream, bdc_transmit, prc_transmit
+from .channels import ChannelModel, RngStream
 from .inner import InnerCodebook, InnerParams, construct_inner, inner_rate_formula
 from .outer import OuterCode, OuterSpec, construct_outer
 from .scheme import (
     Scheme,
     SchemeParams,
-    blow_up,
-    build_scheme,
-    identify_buffers,
+    assemble_scheme,
+    lay_out,
     load_scheme,
     save_scheme,
     threshold_decode,
+    window_spans,
 )
 from .strings import SProfile, edit_distance, enumerate_S, in_S, lcs_len
 
@@ -54,29 +56,27 @@ __all__ = [
     "SProfile",
     "Scheme",
     "SchemeParams",
-    "bdc_transmit",
-    "blow_up",
-    "build_scheme",
+    "assemble_scheme",
     "construct_inner",
     "construct_outer",
     "edit_distance",
     "enumerate_S",
-    "identify_buffers",
     "in_S",
     "inner_rate_formula",
+    "lay_out",
     "lcs_len",
     "load_scheme",
-    "prc_transmit",
     "presets",
     "probs_bdc_bounds",
     "probs_bdc_exact",
     "probs_bdc_from_counts",
     "probs_prc",
-    "rate_bdc",
-    "rate_prc",
+    "probs_prc_from_counts",
+    "rate_mu",
     "save_scheme",
     "threshold_decode",
     "verify_preset",
+    "window_spans",
 ]
 
 __version__ = "0.1.0"

@@ -12,16 +12,10 @@ formulas and ships the reference parameter sets with a verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, lgamma, log, log2
+from math import exp, fsum, lgamma, log
 
 from .inner import inner_rate_formula
 from .scheme import ceil_snapped
-
-
-def binary_entropy(x: float) -> float:
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"entropy argument {x} outside (0, 1)")
-    return -x * log2(x) - (1.0 - x) * log2(1.0 - x)
 
 
 def _log_binom_pmf(n: int, p: float, k: int) -> float:
@@ -163,12 +157,22 @@ def probs_bdc_bounds(
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q = {q} outside (0, 1)")
+    return _uniform_bounds(M1, M2, T, q, beta1, p_eval, one_to_two_zero)
+
+
+def _uniform_bounds(
+    M1: float, M2: float, T: int, width: float, beta1: float,
+    p_eval: float | None = None, one_to_two_zero: bool = False,
+) -> ProbReport:
+    """Bounds uniform over every channel with at most `width` expected
+    survivors per bit (1 - p <= q, or lambda' <= lambda); see probs_bdc_bounds.
+    """
     if one_to_two_zero:
         p12 = 0.0
     else:
-        if T < M1 + q:
-            raise ValueError(f"T = {T} below M1 + q = {M1 + q}; bound invalid")
-        p12 = poisson_sf(M1 + q, T)
+        if T < M1 + width:
+            raise ValueError(f"T = {T} below M1 + {width} = {M1 + width}; bound invalid")
+        p12 = poisson_sf(M1 + width, T)
     if p_eval is None:
         if T > M2 - 1:
             raise ValueError(f"T = {T} above M2 - 1 = {M2 - 1}; bound invalid")
@@ -176,15 +180,28 @@ def probs_bdc_bounds(
         p21 = exp(-M2) * fsum(exp(k * log(M2) - lgamma(k + 1)) for k in range(T + 1))
         p20 = exp(-M2)
     else:
-        if 1.0 - p_eval > q + 1e-12:
+        if 1.0 - p_eval > width + 1e-12:
             raise ValueError("p_eval outside the regime {p : 1 - p <= q}")
-        keep = 1.0 - p_eval
-        N1 = ceil_snapped(M1 / keep)
-        N2 = ceil_snapped(M2 / keep)
-        p10 = p_eval**N1
-        p21 = binom_cdf(N2, keep, T)
-        p20 = p_eval**N2
+        exact = probs_bdc_exact(M1, M2, T, p_eval, beta1)
+        p10, p21, p20 = exact.p10, exact.p21, exact.p20
     return ProbReport(p12=p12, p10=p10, p21=p21, p20=p20, beta1=beta1, mode="bound")
+
+
+def probs_prc_from_counts(N1: int, N2: int, T: int, lam: float, beta1: float) -> ProbReport:
+    """Exact transition probabilities for given integer blow-up factors: a
+    run of N bits arrives as Poisson(lam * N) copies."""
+    if lam <= 0.0:
+        raise ValueError(f"repeat mean {lam} must be positive")
+    mu1 = lam * N1
+    mu2 = lam * N2
+    return ProbReport(
+        p12=poisson_sf(mu1, T),
+        p10=exp(-mu1),
+        p21=poisson_cdf(mu2, T),
+        p20=exp(-mu2),
+        beta1=beta1,
+        mode="exact",
+    )
 
 
 def probs_prc(
@@ -199,66 +216,32 @@ def probs_prc(
     if lam <= 0.0:
         raise ValueError(f"repeat mean {lam} must be positive")
     if mode == "exact":
-        mu1 = lam * ceil_snapped(M1 / lam)
-        mu2 = lam * ceil_snapped(M2 / lam)
-        return ProbReport(
-            p12=poisson_sf(mu1, T),
-            p10=exp(-mu1),
-            p21=poisson_cdf(mu2, T),
-            p20=exp(-mu2),
-            beta1=beta1,
-            mode="exact",
+        return probs_prc_from_counts(
+            ceil_snapped(M1 / lam), ceil_snapped(M2 / lam), T, lam, beta1
         )
     if mode != "bound":
         raise ValueError(f"unknown mode {mode!r}")
-    if T < M1 + lam:
-        raise ValueError(f"T = {T} below M1 + lam = {M1 + lam}; bound invalid")
-    if T > M2 - 1:
-        raise ValueError(f"T = {T} above M2 - 1 = {M2 - 1}; bound invalid")
-    return ProbReport(
-        p12=poisson_sf(M1 + lam, T),
-        p10=exp(-M1),
-        p21=exp(-M2) * fsum(exp(k * log(M2) - lgamma(k + 1)) for k in range(T + 1)),
-        p20=exp(-M2),
-        beta1=beta1,
-        mode="bound",
-    )
+    return _uniform_bounds(M1, M2, T, lam, beta1)
 
 
-def rate_bdc_from_counts(
-    N1: int, N2: int, M_B: float, beta1: float, p: float, R_in: float,
-    R_out: float, m: float,
+def rate_mu(
+    M1: float, M2: float, M_B: float, beta1: float, mu: float, R_in: float,
+    R_out: float, m: float, *, ceiling: bool = True,
 ) -> float:
-    """Rate with the integer blow-up factors given directly."""
+    """Overall rate R_in * R_out over the expected transmitted bits per inner
+    bit, for mu expected survivors per transmitted bit (1 - p on the deletion
+    channel, lambda on the repeat channel).
+
+    With ceiling, runs take N = ceil(M/mu) bits and a buffer at most
+    M_B*m/mu + 1 bits, so an inner bit costs beta1*N1 + beta2*N2 + M_B/mu + 1/m;
+    ceiling-free takes N = M/mu and B = M_B*m/mu exactly.
+    """
     beta2 = (1.0 - beta1) / 2.0
-    return R_in * R_out / (beta1 * N1 + beta2 * N2 + M_B / (1.0 - p) + 1.0 / m)
-
-
-def rate_bdc(
-    M1: float, M2: float, M_B: float, beta1: float, p: float, R_in: float,
-    R_out: float, m: float,
-) -> tuple[float, float]:
-    """(rate with ceilinged blow-up factors, ceiling-free lower bound)."""
-    keep = 1.0 - p
-    beta2 = (1.0 - beta1) / 2.0
-    with_ceil = rate_bdc_from_counts(
-        ceil_snapped(M1 / keep), ceil_snapped(M2 / keep), M_B, beta1, p, R_in, R_out, m
-    )
-    no_ceil = R_in * R_out * keep / (beta1 * M1 + beta2 * M2 + M_B)
-    return with_ceil, no_ceil
-
-
-def rate_prc(
-    M1: float, M2: float, M_B: float, beta1: float, lam: float, R_in: float,
-    R_out: float, m: float,
-) -> tuple[float, float]:
-    """(rate with ceilinged blow-up factors, ceiling-free lower bound)."""
-    beta2 = (1.0 - beta1) / 2.0
-    N1 = ceil_snapped(M1 / lam)
-    N2 = ceil_snapped(M2 / lam)
-    with_ceil = R_in * R_out / (beta1 * N1 + beta2 * N2 + M_B / lam + 1.0 / m)
-    no_ceil = R_in * R_out * lam / (beta1 * M1 + beta2 * M2 + M_B)
-    return with_ceil, no_ceil
+    if not ceiling:
+        return R_in * R_out * mu / (beta1 * M1 + beta2 * M2 + M_B)
+    N1 = ceil_snapped(M1 / mu)
+    N2 = ceil_snapped(M2 / mu)
+    return R_in * R_out / (beta1 * N1 + beta2 * N2 + M_B / mu + 1.0 / m)
 
 
 # Reference evaluation context for reproducing printed rates: an outer code
@@ -307,20 +290,15 @@ class Preset:
 
     def computed_rate(self) -> float:
         """Rate in the reference context (printed R_in, reference R_out/m)."""
+        mu = self.p_or_lam if self.kind == "prc_regime" else 1.0 - self.p_or_lam
         if self.kind == "bdc_row":
-            return rate_bdc_from_counts(
-                self.N1, self.N2, self.M_B, self.beta1, self.p_or_lam,
-                self.expected_R_in, REF_R_OUT, REF_M,
-            )
-        if self.kind == "bdc_regime":
-            return rate_bdc(
-                self.M1, self.M2, self.M_B, self.beta1, self.p_or_lam,
-                self.expected_R_in, REF_R_OUT, REF_M,
-            )[0]
-        return rate_prc(
-            self.M1, self.M2, self.M_B, self.beta1, self.p_or_lam,
-            self.expected_R_in, REF_R_OUT, REF_M,
-        )[0]
+            # ceil(N * mu / mu) snaps back to the row's own N
+            M1, M2 = self.N1 * mu, self.N2 * mu
+        else:
+            M1, M2 = self.M1, self.M2
+        return rate_mu(
+            M1, M2, self.M_B, self.beta1, mu, self.expected_R_in, REF_R_OUT, REF_M
+        )
 
 
 def presets() -> list[Preset]:

@@ -87,17 +87,6 @@ def apply_copy_counts(bits: str, counts: np.ndarray) -> str:
     return "".join(b * int(k) for b, k in zip(bits, counts))
 
 
-def bdc_transmit(bits: str, p: float, rng: np.random.Generator) -> str:
-    """Send bits through the deletion channel: each bit is dropped w.p. p."""
-    return apply_copy_counts(bits, bdc_copy_counts(bits, p, rng))
-
-
-def prc_transmit(bits: str, lam: float, rng: np.random.Generator) -> str:
-    """Send bits through the Poisson repeat channel: each bit becomes
-    Poisson(lam) copies of itself."""
-    return apply_copy_counts(bits, poisson_copy_counts(bits, lam, rng))
-
-
 @dataclass(frozen=True)
 class ChannelModel:
     """A configured channel: kind is "bdc" (parameter = deletion probability)

@@ -9,54 +9,29 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from math import log2
+from dataclasses import replace
 from pathlib import Path
 
-from .channels import ChannelModel
 from .harness import (
-    DESK_M1,
-    DESK_M2,
-    DESK_M_B,
-    DESK_T,
+    DESK_SEED,
     ExperimentConfig,
     analyze_csv,
+    desk_params,
     load_config,
     report_json,
     run_experiment,
     sweep_csv,
 )
-from .inner import InnerParams, construct_inner
-from .outer import OuterSpec, construct_outer
-from .scheme import SchemeParams, assemble_scheme, load_scheme, save_scheme
-from .strings import SProfile
-
-_CONSTRUCT_DEFAULTS = {
-    "channel": "bdc",
-    "param": "0.3",
-    "M1": str(DESK_M1),
-    "M2": str(DESK_M2),
-    "M_B": str(DESK_M_B),
-    "T": str(DESK_T),
-    "m": "25",
-    "r1": "13",
-    "r2": "6",
-    "d": "2",
-    "q": "4",
-    "n": "32",
-    "k": "4",
-    "dout": "0.125",
-    "seed": "2024",
-}
-
-
-def _read_kv(path: str) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
-    return fields
+from .inner import construct_inner
+from .outer import construct_outer
+from .scheme import (
+    assemble_scheme,
+    load_scheme,
+    params_from_fields,
+    params_to_fields,
+    read_fields,
+    save_scheme,
+)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -67,24 +42,11 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    fields = dict(_CONSTRUCT_DEFAULTS)
+    fields = {**params_to_fields(desk_params("bdc")), "seed": str(DESK_SEED)}
     if args.config:
-        fields.update(_read_kv(args.config))
+        fields.update(read_fields(args.config))
     seed = args.seed if args.seed is not None else int(fields["seed"])
-    params = SchemeParams(
-        channel=ChannelModel(fields["channel"], float(fields["param"])),
-        M1=float(fields["M1"]),
-        M2=float(fields["M2"]),
-        M_B=float(fields["M_B"]),
-        T=int(fields["T"]),
-        inner=InnerParams(
-            SProfile(int(fields["m"]), int(fields["r1"]), int(fields["r2"])),
-            int(fields["d"]),
-        ),
-        outer=OuterSpec(
-            int(fields["q"]), int(fields["n"]), int(fields["k"]), float(fields["dout"])
-        ),
-    )
+    params = params_from_fields(fields)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     inner_cb = construct_inner(params.inner, force=args.force)
@@ -101,8 +63,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     outer.save(out_dir / "outercode.txt")
     save_scheme(scheme, out_dir / "scheme.txt", "codebook.txt", "outercode.txt", seed)
     print(f"|C| = {len(inner_cb)}")
-    print(f"log2|C|/m = {log2(len(inner_cb)) / params.inner.m:.6f}")
-    print(f"R_out = {params.outer.k / params.outer.n:.6f}")
+    print(f"log2|C|/m = {inner_cb.rate:.6f}")
+    print(f"R_out = {params.outer.rate:.6f}")
     return 0
 
 
@@ -124,19 +86,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = ExperimentConfig(mode="end_to_end", trials=100, master_seed=0)
-    if args.trials is not None or args.seed is not None:
-        config = ExperimentConfig(
-            mode=config.mode,
-            trials=args.trials if args.trials is not None else config.trials,
-            master_seed=args.seed if args.seed is not None else config.master_seed,
-            scheme_path=config.scheme_path,
-            desk=config.desk,
-            M_B=config.M_B,
-        )
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    if args.trials is not None:
+        config = replace(config, trials=args.trials)
+    if args.seed is not None:
+        config = replace(config, master_seed=args.seed)
     start = time.perf_counter()
     report = run_experiment(config)
     elapsed = time.perf_counter() - start

@@ -14,8 +14,6 @@ seeds produce byte-identical files. Wall-clock time is printed, never stored.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, sqrt
@@ -27,40 +25,25 @@ from .analysis import (
     REF_M,
     REF_R_OUT,
     ProbReport,
-    poisson_cdf,
-    poisson_sf,
     presets,
     probs_bdc_from_counts,
-    rate_bdc,
+    probs_prc_from_counts,
+    rate_mu,
     verify_preset,
 )
 from .channels import ChannelModel, RngStream, apply_copy_counts, poisson_copy_counts
 from .inner import InnerParams, construct_inner
 from .outer import OuterSpec, construct_outer
 from .scheme import (
-    Layout,
-    RunSpan,
     Scheme,
     SchemeParams,
     TransmitRecord,
     assemble_scheme,
+    lay_out,
+    load_scheme,
+    read_fields,
 )
-from .strings import SProfile, runs_of
-
-
-def worker_count() -> int:
-    """Worker cap from DELCHAN_THREADS (default 1: sequential)."""
-    return max(1, int(os.environ.get("DELCHAN_THREADS", "1")))
-
-
-def _map_trials(fn, trials: int):
-    """Run fn(0..trials-1); results ordered by trial index regardless of
-    scheduling, since each trial owns an independent RNG stream."""
-    threads = worker_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(t) for t in range(trials)]
+from .strings import SProfile
 
 
 @lru_cache(maxsize=None)
@@ -74,13 +57,7 @@ def cached_inner_codebook(params: InnerParams):
 # reliably. The buffer scale M_B is deliberately generous; the tighter
 # M_B = 0.5 variant below exists to measure buffer-loss frequency against
 # its analytic bound, which is only meaningful when losses are observable.
-DESK_PROFILE = SProfile(25, 13, 6)
-DESK_D = 2
-DESK_M1 = 4.0
-DESK_M2 = 13.5
-DESK_T = 8
 DESK_M_B = 2.5
-DESK_OUTER = OuterSpec(q=4, n=32, k=4, delta_out=0.125)
 DESK_SEED = 2024
 
 
@@ -88,12 +65,12 @@ def desk_params(kind: str, *, M_B: float = DESK_M_B) -> SchemeParams:
     channel = ChannelModel("bdc", 0.3) if kind == "bdc" else ChannelModel("prc", 0.5)
     return SchemeParams(
         channel=channel,
-        M1=DESK_M1,
-        M2=DESK_M2,
+        M1=4.0,
+        M2=13.5,
         M_B=M_B,
-        T=DESK_T,
-        inner=InnerParams(DESK_PROFILE, DESK_D),
-        outer=DESK_OUTER,
+        T=8,
+        inner=InnerParams(SProfile(25, 13, 6), 2),
+        outer=OuterSpec(q=4, n=32, k=4, delta_out=0.125),
     )
 
 
@@ -104,41 +81,12 @@ def desk_scheme(kind: str, *, M_B: float = DESK_M_B) -> Scheme:
     return assemble_scheme(params, inner_cb, outer)
 
 
-def scheme_exact_probs(scheme: Scheme) -> ProbReport:
-    """Exact run-transition probabilities for a built scheme."""
+def exact_probs(scheme: Scheme) -> ProbReport:
+    """Exact run-transition probabilities at a built scheme's N1, N2 and T."""
     p = scheme.params
     prof = p.inner.profile
-    beta1 = prof.r1 / prof.m
-    ch = p.channel
-    if ch.kind == "bdc":
-        return probs_bdc_from_counts(scheme.N1, scheme.N2, p.T, ch.parameter, beta1)
-    lam = ch.parameter
-    return ProbReport(
-        p12=poisson_sf(lam * scheme.N1, p.T),
-        p10=exp(-lam * scheme.N1),
-        p21=poisson_cdf(lam * scheme.N2, p.T),
-        p20=exp(-lam * scheme.N2),
-        beta1=beta1,
-        mode="exact",
-    )
-
-
-def single_codeword_layout(scheme: Scheme, symbol: int) -> tuple[str, Layout]:
-    """One blown-up inner codeword with a buffer on each side."""
-    cw = scheme.inner_cb.encode(symbol)
-    B = scheme.B
-    pieces = ["0" * B]
-    buffer_spans = [(0, B)]
-    pos = B
-    spans: list[RunSpan] = []
-    for b, ln in runs_of(cw):
-        blown = scheme.N1 if ln == 1 else scheme.N2
-        pieces.append(str(b) * blown)
-        spans.append(RunSpan(pos, pos + blown, b, ln))
-        pos += blown
-    pieces.append("0" * B)
-    buffer_spans.append((pos, pos + B))
-    return "".join(pieces), Layout((symbol,), [spans], buffer_spans)
+    from_counts = probs_bdc_from_counts if p.channel.kind == "bdc" else probs_prc_from_counts
+    return from_counts(scheme.N1, scheme.N2, p.T, p.channel.parameter, prof.r1 / prof.m)
 
 
 def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
@@ -148,7 +96,9 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
     def one(t: int) -> tuple[int, int, int, int, int]:
         rng = RngStream(master_seed, t).generator()
         symbol = int(rng.integers(0, q))
-        bits, layout = single_codeword_layout(scheme, symbol)
+        bits, layout = lay_out(
+            (symbol,), scheme.inner_cb, scheme.N1, scheme.N2, scheme.B, edge_buffers=True
+        )
         counts = scheme.params.channel.copy_counts(bits, rng)
         received = apply_copy_counts(bits, counts)
         _, trace = scheme.decode_with_trace(received, TransmitRecord(layout, counts))
@@ -161,11 +111,11 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
             len(layout.buffer_spans),
         )
 
-    rows = _map_trials(one, trials)
+    rows = [one(t) for t in range(trials)]
     xs = np.array([r[0] for r in rows], dtype=np.float64)
     deleted = sum(r[1] for r in rows)
     buffers = sum(r[4] for r in rows)
-    probs = scheme_exact_probs(scheme)
+    probs = exact_probs(scheme)
     m = scheme.params.inner.m
     return {
         "mode": "single_codeword",
@@ -200,7 +150,7 @@ def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
         received = scheme.params.channel.transmit(encoded, rng)
         return int(scheme.decode(received) == message)
 
-    successes = sum(_map_trials(one, trials))
+    successes = sum(one(t) for t in range(trials))
     return {
         "mode": "end_to_end",
         "trials": trials,
@@ -229,7 +179,7 @@ def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
 
     z1 = survivor_counts(scheme.N1)
     z2 = survivor_counts(scheme.N2)
-    probs = scheme_exact_probs(scheme)
+    probs = exact_probs(scheme)
     empirical = {
         "p12": float((z1 > T).mean()),
         "p10": float((z1 == 0).mean()),
@@ -259,9 +209,9 @@ class ExperimentConfig:
     """What to run: a scheme (by descriptor path or desk default), a mode,
     a trial count, and a master seed."""
 
-    mode: str
-    trials: int
-    master_seed: int
+    mode: str = "end_to_end"
+    trials: int = 100
+    master_seed: int = 0
     scheme_path: str | None = None
     desk: str = "bdc"
     M_B: float = DESK_M_B
@@ -274,26 +224,20 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    fields: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
+    fields = read_fields(path)
+    default = ExperimentConfig()
     return ExperimentConfig(
-        mode=fields.get("mode", "end_to_end"),
-        trials=int(fields.get("trials", "100")),
-        master_seed=int(fields.get("seed", "0")),
+        mode=fields.get("mode", default.mode),
+        trials=int(fields.get("trials", default.trials)),
+        master_seed=int(fields.get("seed", default.master_seed)),
         scheme_path=fields.get("scheme"),
-        desk=fields.get("desk", "bdc"),
-        M_B=float(fields.get("M_B", str(DESK_M_B))),
+        desk=fields.get("desk", default.desk),
+        M_B=float(fields.get("M_B", default.M_B)),
     )
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     if config.scheme_path is not None:
-        from .scheme import load_scheme
-
         scheme = load_scheme(config.scheme_path)
     else:
         scheme = desk_scheme(config.desk, M_B=config.M_B)
@@ -377,7 +321,8 @@ def sweep_csv(grid_step: float = 0.01) -> str:
     while p < 0.995:
         for lo, hi, beta1, M1, M2, r_in in _SWEEP_REGIMES:
             if lo < p <= hi:
-                rate = rate_bdc(M1, M2, 1e-5, beta1, p, r_in, REF_R_OUT, REF_M)[1]
+                rate = rate_mu(M1, M2, 1e-5, beta1, 1 - p, r_in, REF_R_OUT, REF_M,
+                               ceiling=False)
                 lines.append(
                     f"grid,{p:.2f},{rate:.6e},{(1 - p) / 15.71:.6e},"
                     f"{(1 - p) / 16:.6e}"

@@ -88,6 +88,8 @@ class InnerCodebook:
     @classmethod
     def load(cls, path: str | Path) -> "InnerCodebook":
         lines = Path(path).read_text().splitlines()
+        if not lines:
+            raise ValueError(f"{path}: empty codebook file")
         fields = dict(kv.split("=") for kv in lines[0].split()[2:])
         params = InnerParams(
             SProfile(int(fields["m"]), int(fields["r1"]), int(fields["r2"])),
@@ -129,7 +131,7 @@ def construct_inner(params: InnerParams, *, force: bool = False) -> InnerCodeboo
     return InnerCodebook(params, tuple(accepted))
 
 
-def _h(x: float) -> float:
+def binary_entropy(x: float) -> float:
     if not 0.0 < x < 1.0:
         raise ValueError(f"entropy argument {x} outside (0, 1)")
     return -x * log2(x) - (1.0 - x) * log2(1.0 - x)
@@ -145,9 +147,9 @@ def inner_rate_formula(beta1: float, delta: float) -> float:
         raise ValueError("beta1 and delta must lie in (0, 1)")
     beta = (1.0 + beta1) / 2.0
     return (
-        beta * _h(beta1 / beta)
-        - (delta + beta) * _h(delta / (delta + beta))
-        - beta * _h(delta / beta)
+        beta * binary_entropy(beta1 / beta)
+        - (delta + beta) * binary_entropy(delta / (delta + beta))
+        - beta * binary_entropy(delta / beta)
     )
 
 
@@ -218,11 +220,3 @@ def insertion_ball_bruteforce(s_sub: str, target: SProfile) -> set[str]:
     if not in_S(s_sub):
         raise ValueError(f"{s_sub!r} is not in S")
     return {s for s in enumerate_S(target) if is_subsequence(s_sub, s)}
-
-
-def inner_encode(cb: InnerCodebook, symbol: int) -> str:
-    return cb.encode(symbol)
-
-
-def inner_decode(cb: InnerCodebook, window: str) -> int:
-    return cb.decode(window)

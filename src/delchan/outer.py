@@ -112,7 +112,11 @@ class OuterCode:
     @classmethod
     def load(cls, path: str | Path) -> "OuterCode":
         lines = Path(path).read_text().splitlines()
+        if not lines:
+            raise ValueError(f"{path}: empty outer code file")
         fields = dict(kv.split("=") for kv in lines[0].split()[2:])
+        if int(fields["dout_den"]) == 0:
+            raise ValueError(f"{path}: dout_den must be nonzero")
         spec = OuterSpec(
             int(fields["q"]),
             int(fields["n"]),

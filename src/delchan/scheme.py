@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ChannelModel
-from .inner import InnerCodebook, InnerParams, construct_inner
-from .outer import OuterCode, OuterSpec, construct_outer
-from .strings import runs_of
+from .inner import InnerCodebook, InnerParams
+from .outer import OuterCode, OuterSpec
+from .strings import SProfile, runs_of
 
 # Tolerance for snapping near-integer ratios before applying ceil/floor, so
 # that e.g. 20.21/0.43 = 46.999999... rounds to 47, not 48.
@@ -110,38 +110,12 @@ class Scheme:
         prof = self.params.inner.profile
         return prof.r1 * self.N1 + prof.r2 * self.N2
 
-    @property
-    def encoded_length(self) -> int:
-        n = self.outer.spec.n
-        return n * self.block_length + (n - 1) * self.B
-
     def encode(self, message: int) -> str:
         bits, _ = self.encode_with_layout(message)
         return bits
 
     def encode_with_layout(self, message: int) -> tuple[str, "Layout"]:
-        symbols = self.outer.encode(message)
-        return self._assemble(symbols)
-
-    def _assemble(self, symbols: tuple[int, ...]) -> tuple[str, "Layout"]:
-        pieces: list[str] = []
-        codeword_runs: list[list[RunSpan]] = []
-        buffer_spans: list[tuple[int, int]] = []
-        pos = 0
-        for idx, sym in enumerate(symbols):
-            if idx > 0:
-                pieces.append("0" * self.B)
-                buffer_spans.append((pos, pos + self.B))
-                pos += self.B
-            cw = self.inner_cb.encode(sym)
-            spans: list[RunSpan] = []
-            for b, ln in runs_of(cw):
-                blown = self.N1 if ln == 1 else self.N2
-                pieces.append(str(b) * blown)
-                spans.append(RunSpan(pos, pos + blown, b, ln))
-                pos += blown
-            codeword_runs.append(spans)
-        return "".join(pieces), Layout(symbols, codeword_runs, buffer_spans)
+        return lay_out(self.outer.encode(message), self.inner_cb, self.N1, self.N2, self.B)
 
     def decode(self, received: str) -> int:
         message, _ = self.decode_with_trace(received)
@@ -207,14 +181,33 @@ class DecodeTrace:
     notes: list[str] = field(default_factory=list)
 
 
-def blow_up(codeword: str, N1: int, N2: int) -> str:
-    """Each 1-run becomes N1 copies of its bit, each 2-run N2 copies."""
-    pieces = []
-    for b, ln in runs_of(codeword):
-        if ln > 2:
-            raise ValueError(f"run of length {ln} not allowed")
-        pieces.append(str(b) * (N1 if ln == 1 else N2))
-    return "".join(pieces)
+def lay_out(
+    symbols: tuple[int, ...], inner_cb: InnerCodebook, N1: int, N2: int, B: int,
+    *, edge_buffers: bool = False,
+) -> tuple[str, Layout]:
+    """Blow up each symbol's inner codeword (1-runs to N1 bits, 2-runs to N2)
+    and join the blocks with zero buffers of B bits; edge_buffers adds one
+    more buffer before the first block and after the last."""
+    pieces: list[str] = []
+    codeword_runs: list[list[RunSpan]] = []
+    buffer_spans: list[tuple[int, int]] = []
+    pos = 0
+    for idx, sym in enumerate(symbols):
+        if idx > 0 or edge_buffers:
+            pieces.append("0" * B)
+            buffer_spans.append((pos, pos + B))
+            pos += B
+        spans: list[RunSpan] = []
+        for b, ln in runs_of(inner_cb.encode(sym)):
+            blown = N1 if ln == 1 else N2
+            pieces.append(str(b) * blown)
+            spans.append(RunSpan(pos, pos + blown, b, ln))
+            pos += blown
+        codeword_runs.append(spans)
+    if edge_buffers:
+        pieces.append("0" * B)
+        buffer_spans.append((pos, pos + B))
+    return "".join(pieces), Layout(tuple(symbols), codeword_runs, buffer_spans)
 
 
 def window_spans(bits: str, threshold: int) -> list[tuple[int, int]]:
@@ -244,30 +237,11 @@ def window_spans(bits: str, threshold: int) -> list[tuple[int, int]]:
     return spans
 
 
-def identify_buffers(bits: str, m: int, M_B: float) -> list[str]:
-    """Windows left after removing buffer zero-runs (length > M_B*m/2)."""
-    threshold = floor_snapped(M_B * m / 2.0)
-    return [bits[a:b] for a, b in window_spans(bits, threshold)]
-
-
 def threshold_decode(window: str, T: int) -> str:
     """Map each run to a 2-run if longer than T, else a 1-run."""
     if T < 1:
         raise ValueError("threshold T must be at least 1")
     return "".join(str(b) * (2 if ln > T else 1) for b, ln in runs_of(window))
-
-
-def build_scheme(params: SchemeParams, seed: int) -> Scheme:
-    """Construct both codebooks and derive the blow-up factors."""
-    inner_cb = construct_inner(params.inner)
-    q = params.outer.q
-    if q > len(inner_cb):
-        raise ValueError(
-            f"inner codebook has {len(inner_cb)} codewords; need at least {q}"
-        )
-    inner_cb = inner_cb.truncate(q)
-    outer = construct_outer(params.outer, seed)
-    return assemble_scheme(params, inner_cb, outer)
 
 
 def assemble_scheme(
@@ -340,42 +314,46 @@ def _classify(scheme: Scheme, record: TransmitRecord, trace: DecodeTrace) -> Non
         trace.notes.append("buffer structure corrupted; per-codeword stats from provenance")
 
 
-def save_scheme(scheme: Scheme, path: str | Path, codebook_path: str, outer_path: str,
-                seed: int) -> None:
-    p = scheme.params
-    prof = p.inner.profile
-    lines = [
-        f"channel={p.channel.kind}",
-        f"param={p.channel.parameter!r}",
-        f"M1={p.M1!r}",
-        f"M2={p.M2!r}",
-        f"M_B={p.M_B!r}",
-        f"T={p.T}",
-        f"m={prof.m}",
-        f"r1={prof.r1}",
-        f"r2={prof.r2}",
-        f"d={p.inner.d}",
-        f"q={p.outer.q}",
-        f"n={p.outer.n}",
-        f"k={p.outer.k}",
-        f"dout={p.outer.delta_out!r}",
-        f"seed={seed}",
-        f"codebook={codebook_path}",
-        f"outercode={outer_path}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+def read_fields(path: str | Path) -> dict[str, str]:
+    """The key=value lines of a scheme descriptor or experiment config.
 
-
-def load_scheme(path: str | Path) -> Scheme:
-    from .strings import SProfile
-
-    base = Path(path).parent
+    Blank lines and lines starting with # are skipped; whitespace around
+    keys and values is dropped. A later line overrides an earlier key.
+    """
     fields: dict[str, str] = {}
     for line in Path(path).read_text().splitlines():
-        if line.strip():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            if "=" not in line:
+                raise ValueError(f"{path}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            fields[key] = value
-    params = SchemeParams(
+            fields[key.strip()] = value.strip()
+    return fields
+
+
+def params_to_fields(params: SchemeParams) -> dict[str, str]:
+    prof = params.inner.profile
+    return {
+        "channel": params.channel.kind,
+        "param": repr(params.channel.parameter),
+        "M1": repr(params.M1),
+        "M2": repr(params.M2),
+        "M_B": repr(params.M_B),
+        "T": str(params.T),
+        "m": str(prof.m),
+        "r1": str(prof.r1),
+        "r2": str(prof.r2),
+        "d": str(params.inner.d),
+        "q": str(params.outer.q),
+        "n": str(params.outer.n),
+        "k": str(params.outer.k),
+        "dout": repr(params.outer.delta_out),
+    }
+
+
+def params_from_fields(fields: dict[str, str]) -> SchemeParams:
+    """Inverse of params_to_fields; keys it does not use are ignored."""
+    return SchemeParams(
         channel=ChannelModel(fields["channel"], float(fields["param"])),
         M1=float(fields["M1"]),
         M2=float(fields["M2"]),
@@ -389,6 +367,19 @@ def load_scheme(path: str | Path) -> Scheme:
             int(fields["q"]), int(fields["n"]), int(fields["k"]), float(fields["dout"])
         ),
     )
+
+
+def save_scheme(scheme: Scheme, path: str | Path, codebook_path: str, outer_path: str,
+                seed: int) -> None:
+    fields = params_to_fields(scheme.params)
+    fields.update(seed=str(seed), codebook=codebook_path, outercode=outer_path)
+    Path(path).write_text("".join(f"{key}={value}\n" for key, value in fields.items()))
+
+
+def load_scheme(path: str | Path) -> Scheme:
+    base = Path(path).parent
+    fields = read_fields(path)
+    params = params_from_fields(fields)
     inner_cb = InnerCodebook.load(base / fields["codebook"]).truncate(params.outer.q)
     outer = OuterCode.load(base / fields["outercode"])
     return assemble_scheme(params, inner_cb, outer)

@@ -9,7 +9,6 @@ import pytest
 
 from delchan.analysis import (
     ProbReport,
-    binary_entropy,
     binom_cdf,
     binom_sf,
     poisson_cdf,
@@ -19,11 +18,12 @@ from delchan.analysis import (
     probs_bdc_exact,
     probs_bdc_from_counts,
     probs_prc,
-    rate_bdc,
-    rate_bdc_from_counts,
-    rate_prc,
+    probs_prc_from_counts,
+    rate_mu,
     verify_preset,
 )
+from delchan.inner import binary_entropy
+from delchan.scheme import ceil_snapped
 
 
 def binom_cdf_oracle(n, p_num, p_den, t):
@@ -171,19 +171,39 @@ def test_probs_prc():
         probs_prc(5.49, 24.2, 13, -0.5, 0.532)
     with pytest.raises(ValueError):
         probs_prc(5.49, 24.2, 13, 0.5, 0.532, "fuzzy")
+    # the desk PRC scheme's integer factors (N1 = 8, N2 = 27 at lambda = 0.5)
+    desk = probs_prc_from_counts(8, 27, 8, 0.5, 13 / 25)
+    assert desk == probs_prc(4.0, 13.5, 8, 0.5, 13 / 25, "exact")
+    assert desk.p10 == exp(-4.0) and desk.p20 == exp(-13.5)
+    assert isclose(desk.p12 + poisson_cdf(4.0, 8), 1.0, rel_tol=1e-12)
+    assert desk.p21 == poisson_cdf(13.5, 8)
+    with pytest.raises(ValueError):
+        probs_prc_from_counts(8, 27, 8, 0.0, 13 / 25)
 
 
 def test_rate_formulas():
-    with_ceil, no_ceil = rate_bdc(4.0, 13.5, 1e-5, 0.497, 0.5, 0.5456, 1 - 2**-20, 1e6)
-    from_counts = rate_bdc_from_counts(8, 27, 1e-5, 0.497, 0.5, 0.5456, 1 - 2**-20, 1e6)
+    # deletion channel at p = 0.5: mu = 1 - p
+    with_ceil = rate_mu(4.0, 13.5, 1e-5, 0.497, 0.5, 0.5456, 1 - 2**-20, 1e6)
+    no_ceil = rate_mu(4.0, 13.5, 1e-5, 0.497, 0.5, 0.5456, 1 - 2**-20, 1e6, ceiling=False)
+    # ceil(4.0 / 0.5) = 8 and ceil(13.5 / 0.5) = 27 bits per 1-/2-run
+    from_counts = 0.5456 * (1 - 2**-20) / (
+        0.497 * 8 + (1 - 0.497) / 2 * 27 + 1e-5 / 0.5 + 1 / 1e6
+    )
     assert isclose(with_ceil, from_counts, rel_tol=1e-12)
     assert no_ceil <= with_ceil * 1.05  # same scale
     # the ceiling-free form is exact when the M/lambda ratios are integers
-    prc_ceil, prc_floor = rate_prc(4.0, 13.5, 1e-5, 0.532, 0.5, 0.53186, 1.0, 1e6)
+    prc_ceil = rate_mu(4.0, 13.5, 1e-5, 0.532, 0.5, 0.53186, 1.0, 1e6)
+    prc_floor = rate_mu(4.0, 13.5, 1e-5, 0.532, 0.5, 0.53186, 1.0, 1e6, ceiling=False)
     assert isclose(prc_ceil, prc_floor, rel_tol=1e-3)
     # rate vanishes with the repeat mean
-    tiny = rate_prc(5.49, 24.2, 1e-5, 0.532, 1e-4, 0.53186, 1.0, 1e6)[1]
+    tiny = rate_mu(5.49, 24.2, 1e-5, 0.532, 1e-4, 0.53186, 1.0, 1e6, ceiling=False)
     assert tiny < 1e-5
+    # a fixed-p row's targets N * mu snap back to the row's own N
+    for preset in presets():
+        if preset.kind == "bdc_row":
+            mu = 1.0 - preset.p_or_lam
+            assert ceil_snapped(preset.N1 * mu / mu) == preset.N1
+            assert ceil_snapped(preset.N2 * mu / mu) == preset.N2
 
 
 def test_presets_structure():

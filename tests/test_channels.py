@@ -8,10 +8,8 @@ from delchan.channels import (
     RngStream,
     apply_copy_counts,
     bdc_copy_counts,
-    bdc_transmit,
     poisson_copy_counts,
     poisson_sample,
-    prc_transmit,
 )
 
 
@@ -28,19 +26,20 @@ def test_stream_reproducibility_and_independence():
 def test_bdc_output_is_subsequence():
     rng = RngStream(1, 0).generator()
     bits = "1100101110"
+    channel = ChannelModel("bdc", 0.4)
     for _ in range(50):
-        out = bdc_transmit(bits, 0.4, rng)
+        out = channel.transmit(bits, rng)
         it = iter(bits)
         assert all(ch in it for ch in out)
 
 
 def test_bdc_edge_probabilities():
     rng = RngStream(2, 0).generator()
-    assert bdc_transmit("10101", 0.0, rng) == "10101"
+    assert ChannelModel("bdc", 0.0).transmit("10101", rng) == "10101"
     with pytest.raises(ValueError):
-        bdc_transmit("1", 1.0, rng)
+        ChannelModel("bdc", 1.0).transmit("1", rng)
     with pytest.raises(ValueError):
-        bdc_transmit("1", -0.1, rng)
+        ChannelModel("bdc", -0.1).transmit("1", rng)
 
 
 def test_bdc_keep_rate():
@@ -77,7 +76,7 @@ def test_vectorized_poisson_moments():
 
 def test_prc_transmit_expands_copies():
     rng = RngStream(7, 0).generator()
-    out = prc_transmit("10", 3.0, rng)
+    out = ChannelModel("prc", 3.0).transmit("10", rng)
     # output is a block of 1s followed by a block of 0s
     assert out == "1" * out.count("1") + "0" * out.count("0")
 

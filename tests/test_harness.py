@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from math import exp
 
 import pytest
 
@@ -11,23 +12,16 @@ from delchan.harness import (
     ExperimentConfig,
     analyze_csv,
     desk_scheme,
+    exact_probs,
     load_config,
     report_json,
     run_end_to_end,
     run_experiment,
     run_single_codeword,
     run_transition,
-    scheme_exact_probs,
     sweep_csv,
-    worker_count,
 )
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("DELCHAN_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("DELCHAN_THREADS", "4")
-    assert worker_count() == 4
+from delchan.scheme import load_scheme, save_scheme
 
 
 def test_config_validation():
@@ -70,23 +64,16 @@ def test_transition_report(bdc_desk):
         assert 0.0 <= entry["exact"] <= 1.0
 
 
-def test_threaded_trials_match_sequential(bdc_desk, monkeypatch):
-    monkeypatch.delenv("DELCHAN_THREADS", raising=False)
-    seq = run_end_to_end(bdc_desk, 20, 6)
-    monkeypatch.setenv("DELCHAN_THREADS", "4")
-    par = run_end_to_end(bdc_desk, 20, 6)
-    assert seq == par
-
-
 def test_report_json_deterministic():
     cfg = ExperimentConfig(mode="end_to_end", trials=15, master_seed=42)
     assert report_json(run_experiment(cfg)) == report_json(run_experiment(cfg))
 
 
 def test_scheme_exact_probs_channels(bdc_desk, prc_desk):
-    b = scheme_exact_probs(bdc_desk)
-    p = scheme_exact_probs(prc_desk)
+    b = exact_probs(bdc_desk)
+    p = exact_probs(prc_desk)
     assert b.p10 == 0.3**bdc_desk.N1
+    assert p.p10 == exp(-0.5 * prc_desk.N1)
     assert p.mode == b.mode == "exact"
 
 
@@ -131,11 +118,20 @@ def test_cli_analyze_and_sweep(tmp_path, capsys, monkeypatch):
     assert len(out2.read_text().strip().splitlines()) == 111
 
 
-def test_cli_construct_encode_decode(tmp_path, capsys):
+def _saved_scheme(directory, scheme):
+    scheme.inner_cb.save(directory / "codebook.txt")
+    scheme.outer.save(directory / "outercode.txt")
+    save_scheme(scheme, directory / "scheme.txt", "codebook.txt", "outercode.txt", 2024)
+    return directory / "scheme.txt"
+
+
+def test_cli_construct_encode_decode(tmp_path, capsys, bdc_desk):
     out_dir = tmp_path / "sch"
     assert main(["construct", "--out", str(out_dir)]) == 0
     printed = capsys.readouterr().out
     assert "|C| = 77" in printed
+    # the defaults are the desk BDC scheme
+    assert load_scheme(out_dir / "scheme.txt") == bdc_desk
     scheme_path = str(out_dir / "scheme.txt")
     bits_path = tmp_path / "msg.bits"
     assert main(["encode", "--config", scheme_path, "42", "--out", str(bits_path)]) == 0
@@ -157,10 +153,38 @@ def test_cli_simulate_deterministic(tmp_path):
     assert report["config"]["trials"] == 15
 
 
-def test_cli_error_exit_codes(tmp_path):
+def test_cli_error_exit_codes(tmp_path, bdc_desk):
     assert main(["decode", "--config", str(tmp_path / "missing.txt"), "1"]) == 2
     assert main(["decode", "--config", str(tmp_path / "missing.txt"), "abc"]) == 2
     assert main(["bogus-subcommand"]) == 2
+    # hostile code files behind a valid descriptor
+    scheme_path = str(_saved_scheme(tmp_path, bdc_desk))
+    outer_text = (tmp_path / "outercode.txt").read_text()
+    assert "dout_den=8" in outer_text
+    for name, text in [
+        ("codebook.txt", ""),
+        ("outercode.txt", ""),
+        ("outercode.txt", outer_text.replace("dout_den=8", "dout_den=0")),
+    ]:
+        _saved_scheme(tmp_path, bdc_desk)
+        (tmp_path / name).write_text(text)
+        assert main(["encode", "--config", scheme_path, "1"]) == 2, (name, text[:40])
+
+
+def test_descriptor_format(tmp_path, capsys, bdc_desk):
+    path = _saved_scheme(tmp_path, bdc_desk)
+    lines = path.read_text().splitlines()
+    # comments, blank lines and spaces around "=" are allowed
+    spaced = ["# desk BDC scheme", ""] + [line.replace("=", " = ", 1) for line in lines]
+    path.write_text("\n".join(spaced) + "\n")
+    assert load_scheme(path) == bdc_desk
+    # a line without "=" and a missing key are configuration errors
+    path.write_text("\n".join(lines + ["M1 4.0"]) + "\n")
+    assert main(["encode", "--config", str(path), "1"]) == 2
+    assert "expected key=value" in capsys.readouterr().err
+    path.write_text("\n".join(line for line in lines if not line.startswith("M1=")) + "\n")
+    assert main(["encode", "--config", str(path), "1"]) == 2
+    assert "M1" in capsys.readouterr().err
 
 
 def test_desk_scheme_buffer_variant():

@@ -7,6 +7,7 @@ import pytest
 from delchan.inner import (
     InnerCodebook,
     InnerParams,
+    binary_entropy,
     construct_inner,
     deletion_ball_bound,
     embed_all,
@@ -64,8 +65,6 @@ def test_rate_formula_values():
     # delta -> 0 leaves only the family-counting term
     beta1 = 0.52
     beta = (1 + beta1) / 2
-    from delchan.analysis import binary_entropy
-
     tiny = inner_rate_formula(beta1, 1e-9)
     assert isclose(tiny, beta * binary_entropy(beta1 / beta), rel_tol=1e-4)
     with pytest.raises(ValueError):

@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 from delchan.channels import ChannelModel, RngStream, apply_copy_counts
-from delchan.harness import cached_inner_codebook, desk_params, single_codeword_layout
-from delchan.inner import InnerParams
+from delchan.harness import cached_inner_codebook, desk_params
+from delchan.inner import InnerCodebook, InnerParams
 from delchan.outer import OuterSpec, construct_outer
 from delchan.scheme import (
     SchemeParams,
     TransmitRecord,
     assemble_scheme,
-    blow_up,
     ceil_snapped,
     floor_snapped,
-    identify_buffers,
+    lay_out,
     load_scheme,
     save_scheme,
     threshold_decode,
@@ -38,24 +37,48 @@ def test_snapped_rounding():
     assert floor_snapped(0.5 * 25 / 2) == 6
 
 
+def _blow_up(codeword, N1, N2):
+    """A one-codeword layout without buffers: just the blown-up runs."""
+    cb = InnerCodebook(InnerParams(SProfile.of(codeword), 0), (codeword,))
+    bits, layout = lay_out((0,), cb, N1, N2, B=7)
+    assert layout.buffer_spans == []
+    return bits
+
+
 def test_blow_up_examples():
-    assert blow_up("1101", 3, 5) == "11111000111"
-    assert blow_up("1", 2, 2) == "11"
-    assert blow_up("10011", 3, 5) == "111" + "00000" + "11111"
+    assert _blow_up("1101", 3, 5) == "11111000111"
+    assert _blow_up("1", 2, 2) == "11"
+    assert _blow_up("10011", 3, 5) == "111" + "00000" + "11111"
+    # runs of 3 never reach the builder: codebook validation rejects them
     with pytest.raises(ValueError):
-        blow_up("1110", 3, 5)
+        InnerCodebook(InnerParams(SProfile(5, 1, 2), 0), ("11101",)).validate()
+    # two blocks: spans of every run and buffer, with and without edge buffers
+    cb = InnerCodebook(InnerParams(SProfile(4, 2, 1), 0), ("1011", "1101"))
+    bits, layout = lay_out((1, 0), cb, 1, 3, B=2)
+    assert bits == "11101" + "00" + "10111"
+    assert layout.symbols == (1, 0)
+    assert layout.buffer_spans == [(5, 7)]
+    assert [(r.start, r.end, r.bit, r.orig_len) for r in layout.codeword_runs[1]] == [
+        (7, 8, 1, 1), (8, 9, 0, 1), (9, 12, 1, 2),
+    ]
+    edged, edged_layout = lay_out((1, 0), cb, 1, 3, B=2, edge_buffers=True)
+    assert edged == "00" + bits + "00"
+    assert edged_layout.buffer_spans == [(0, 2), (7, 9), (14, 16)]
 
 
 def test_identify_buffers_examples():
     # threshold floor(0.5 * 25 / 2) = 6; the 10-zero run is a buffer
-    assert identify_buffers("101" + "0" * 10 + "11", 25, 0.5) == ["101", "11"]
+    def windows(bits):
+        return [bits[a:b] for a, b in window_spans(bits, 6)]
+
+    assert windows("101" + "0" * 10 + "11") == ["101", "11"]
     # trailing 0 of the first segment is absorbed into the buffer zero-run
-    assert identify_buffers("10" + "0" * 10 + "11", 25, 0.5) == ["1", "11"]
-    assert identify_buffers("1" * 9, 25, 0.5) == ["1" * 9]
-    assert identify_buffers("", 25, 0.5) == []
+    assert windows("10" + "0" * 10 + "11") == ["1", "11"]
+    assert windows("1" * 9) == ["1" * 9]
+    assert windows("") == []
     # zero-run of exactly threshold length is NOT a buffer (strict compare)
-    assert identify_buffers("1" + "0" * 6 + "1", 25, 0.5) == ["1" + "0" * 6 + "1"]
-    assert identify_buffers("1" + "0" * 7 + "1", 25, 0.5) == ["1", "1"]
+    assert windows("1" + "0" * 6 + "1") == ["1" + "0" * 6 + "1"]
+    assert windows("1" + "0" * 7 + "1") == ["1", "1"]
 
 
 def test_window_spans_cover_segments():
@@ -79,6 +102,10 @@ def test_params_invariants():
         SchemeParams(ChannelModel("bdc", 0.3), 10.0, 13.5, 2.5, 8, inner, outer)
     with pytest.raises(ValueError):
         SchemeParams(ChannelModel("prc", 0.5), 0.1, 0.4, 2.5, 8, inner, outer)  # M2 <= lam
+
+
+def _single_codeword(s, symbol):
+    return lay_out((symbol,), s.inner_cb, s.N1, s.N2, s.B, edge_buffers=True)
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +159,7 @@ def test_composition_identity(bdc_scheme):
     # threshold in [N1, N2) maps each window back to its codeword exactly
     s = bdc_scheme
     bits = s.encode(201)
-    windows = identify_buffers(bits, s.params.inner.m, s.params.M_B)
+    windows = [bits[a:b] for a, b in window_spans(bits, s.params.buffer_threshold)]
     symbols = s.outer.encode(201)
     assert len(windows) == len(symbols)
     for T in (s.N1, (s.N1 + s.N2) // 2, s.N2 - 1):
@@ -179,7 +206,7 @@ def test_trace_clean_channel(bdc_scheme):
 def test_trace_x_for_vanished_run(bdc_scheme):
     # wipe out a blown-up 1-run that precedes a 2-run: X = 1 + 2 = 3
     s = bdc_scheme
-    bits, layout = single_codeword_layout(s, 2)
+    bits, layout = _single_codeword(s, 2)
     spans = layout.codeword_runs[0]
     j = next(
         i for i in range(len(spans) - 1)
@@ -195,7 +222,7 @@ def test_trace_x_for_vanished_run(bdc_scheme):
 def test_trace_x_for_vanished_last_run(bdc_scheme):
     # the final run vanishing costs its own length plus 2
     s = bdc_scheme
-    bits, layout = single_codeword_layout(s, 1)
+    bits, layout = _single_codeword(s, 1)
     last = layout.codeword_runs[0][-1]
     counts = np.ones(len(bits), dtype=np.int64)
     counts[last.start:last.end] = 0
@@ -207,7 +234,7 @@ def test_trace_x_for_vanished_last_run(bdc_scheme):
 
 def test_trace_deleted_buffer_flagged(bdc_scheme):
     s = bdc_scheme
-    bits, layout = single_codeword_layout(s, 0)
+    bits, layout = _single_codeword(s, 0)
     counts = np.ones(len(bits), dtype=np.int64)
     a, b = layout.buffer_spans[0]
     counts[a:b] = 0
