@@ -84,7 +84,7 @@ def apply_copy_counts(bits: str, counts: np.ndarray) -> str:
     """Expand each bit into counts[i] copies of itself."""
     if len(bits) != len(counts):
         raise ValueError("counts length does not match input length")
-    return "".join(b * int(k) for b, k in zip(bits, counts))
+    return np.repeat(np.frombuffer(bits.encode(), np.uint8), counts).tobytes().decode()
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,28 @@ from itertools import combinations
 from math import comb, log2
 from pathlib import Path
 
+import numpy as np
+
 from .strings import (
     Run,
     SProfile,
     bits_of,
-    edit_distance,
     enumerate_S,
     in_S,
     is_subsequence,
+    lane_masks,
+    lcs_lanes,
     lcs_len,
     runs_of,
 )
 
 # Greedy construction refuses larger candidate sets unless forced.
 MAX_CANDIDATES = 10**7
+
+
+def _string_of(ones: np.ndarray, m: int) -> str:
+    """The length-m binary string whose "1" mask is the word row ones."""
+    return format(sum(int(w) << 64 * i for i, w in enumerate(ones)), f"0{m}b")[::-1]
 
 
 @dataclass(frozen=True)
@@ -63,13 +71,10 @@ class InnerCodebook:
         return self.codewords[symbol]
 
     def decode(self, window: str) -> int:
-        """Index of a nearest codeword in edit distance; ties take the smallest index."""
-        best, best_d = 0, None
-        for i, c in enumerate(self.codewords):
-            d = edit_distance(c, window)
-            if best_d is None or d < best_d:
-                best, best_d = i, d
-        return best
+        """Index of a nearest codeword in edit distance (all codewords have length
+        m, so the longest LCS); ties take the smallest index."""
+        lcs = [lcs_len(c, window) for c in self.codewords]
+        return lcs.index(max(lcs))
 
     def truncate(self, q: int) -> "InnerCodebook":
         """Keep the first q codewords (used to embed a q-ary outer alphabet)."""
@@ -108,10 +113,12 @@ class InnerCodebook:
                 raise ValueError(f"codeword {c} has wrong profile")
         if list(self.codewords) != sorted(self.codewords):
             raise ValueError("codewords not in lexicographic order")
+        masks = lane_masks(self.codewords, 2, p.m)
         for i, c in enumerate(self.codewords):
-            for c2 in self.codewords[i + 1 :]:
-                if lcs_len(c, c2) >= threshold:
-                    raise ValueError(f"codewords too close: {c} {c2}")
+            close = lcs_lanes(map(int, c), masks[:, i + 1 :], p.m) >= threshold
+            if close.any():
+                c2 = self.codewords[i + 1 + close.argmax()]
+                raise ValueError(f"codewords too close: {c} {c2}")
 
 
 def construct_inner(params: InnerParams, *, force: bool = False) -> InnerCodebook:
@@ -124,10 +131,14 @@ def construct_inner(params: InnerParams, *, force: bool = False) -> InnerCodeboo
             " pass force=True to override"
         )
     threshold = params.m - params.d
+    # Candidates live only as masks; accepting the first survivor drops every
+    # later one within the radius, which is what the one-by-one greedy pass does.
+    masks = lane_masks(enumerate_S(profile), 2, params.m)
     accepted: list[str] = []
-    for s in enumerate_S(profile):
-        if all(lcs_len(s, c) < threshold for c in accepted):
-            accepted.append(s)
+    while masks.shape[1]:
+        accepted.append(_string_of(masks[1, 0], params.m))
+        lcs = lcs_lanes(map(int, accepted[-1]), masks[:, 1:], params.m)
+        masks = masks[:, 1:][:, lcs < threshold]
     return InnerCodebook(params, tuple(accepted))
 
 

@@ -11,11 +11,12 @@ construction one might drop in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .strings import sequence_edit_distance
+from .strings import lane_masks, lcs_lanes
 
 # Candidates examined per message slot before giving up on the greedy pass.
 _CANDIDATE_FACTOR = 200
@@ -56,6 +57,10 @@ class OuterSpec:
         return int(self.delta_out * self.n)
 
 
+def _digits(row: tuple[int, ...]) -> str:  # a codeword as a lane_masks row
+    return "".join(chr(48 + s) for s in row)
+
+
 @dataclass(frozen=True)
 class OuterCode:
     """Messages are integers in [0, q**k); codeword i is codewords[i]."""
@@ -74,16 +79,16 @@ class OuterCode:
             )
         return self.codewords[message]
 
+    @cached_property
+    def _masks(self) -> np.ndarray:
+        return lane_masks([_digits(c) for c in self.codewords], self.spec.q, self.spec.n)
+
     def decode(self, received: tuple[int, ...] | list[int]) -> int:
         """Nearest codeword in symbol edit distance; ties take the smallest
         message. Accepts sequences of any length."""
         received = tuple(received)
-        best, best_d = 0, None
-        for i, c in enumerate(self.codewords):
-            d = sequence_edit_distance(c, received)
-            if best_d is None or d < best_d:
-                best, best_d = i, d
-        return best
+        lcs = lcs_lanes(received, self._masks, self.spec.n)
+        return int(np.argmin(self.spec.n + len(received) - 2 * lcs))
 
     def validate(self) -> None:
         spec = self.spec
@@ -95,9 +100,10 @@ class OuterCode:
         for i, c in enumerate(self.codewords):
             if len(c) != spec.n or any(not 0 <= s < spec.q for s in c):
                 raise ValueError(f"codeword {i} malformed")
-            for j in range(i + 1, len(self.codewords)):
-                if sequence_edit_distance(c, self.codewords[j]) <= threshold:
-                    raise ValueError(f"codewords {i} and {j} too close")
+        for i, c in enumerate(self.codewords):
+            close = 2 * (spec.n - lcs_lanes(c, self._masks[:, i + 1 :], spec.n)) <= threshold
+            if close.any():
+                raise ValueError(f"codewords {i} and {i + 1 + close.argmax()} too close")
 
     def save(self, path: str | Path) -> None:
         spec = self.spec
@@ -143,10 +149,13 @@ def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
     needed = spec.num_messages
     threshold = 2.0 * spec.delta_out * spec.n
     accepted: list[tuple[int, ...]] = []
+    masks = np.zeros((spec.q, needed, -(-spec.n // 64)), np.uint64)
     budget = _CANDIDATE_FACTOR * needed
     for _ in range(budget):
         cand = tuple(int(s) for s in rng.integers(0, spec.q, size=spec.n))
-        if all(sequence_edit_distance(cand, c) > threshold for c in accepted):
+        lcs = lcs_lanes(cand, masks[:, : len(accepted)], spec.n)
+        if (2 * (spec.n - lcs) > threshold).all():
+            masks[:, len(accepted)] = lane_masks([_digits(cand)], spec.q, spec.n)[:, 0]
             accepted.append(cand)
             if len(accepted) == needed:
                 return OuterCode(spec, tuple(accepted), seed)

@@ -14,6 +14,7 @@ its length) to the outer decoder.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from math import ceil, floor
 from pathlib import Path
@@ -218,22 +219,12 @@ def window_spans(bits: str, threshold: int) -> list[tuple[int, int]]:
     """
     spans: list[tuple[int, int]] = []
     start = 0
-    i = 0
-    n = len(bits)
-    while i < n:
-        if bits[i] == "0":
-            j = i
-            while j < n and bits[j] == "0":
-                j += 1
-            if j - i > threshold:
-                if i > start:
-                    spans.append((start, i))
-                start = j
-            i = j
-        else:
-            i += 1
-    if n > start:
-        spans.append((start, n))
+    for buffer in re.finditer(f"0{{{threshold + 1},}}", bits):
+        if buffer.start() > start:
+            spans.append((start, buffer.start()))
+        start = buffer.end()
+    if len(bits) > start:
+        spans.append((start, len(bits)))
     return spans
 
 
@@ -379,7 +370,11 @@ def save_scheme(scheme: Scheme, path: str | Path, codebook_path: str, outer_path
 def load_scheme(path: str | Path) -> Scheme:
     base = Path(path).parent
     fields = read_fields(path)
-    params = params_from_fields(fields)
-    inner_cb = InnerCodebook.load(base / fields["codebook"]).truncate(params.outer.q)
-    outer = OuterCode.load(base / fields["outercode"])
+    try:
+        params = params_from_fields(fields)
+        codebook, outercode = fields["codebook"], fields["outercode"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    inner_cb = InnerCodebook.load(base / codebook).truncate(params.outer.q)
+    outer = OuterCode.load(base / outercode)
     return assemble_scheme(params, inner_cb, outer)

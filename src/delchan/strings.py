@@ -6,6 +6,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
+_WORD = (1 << 64) - 1
+
 # A run is a (bit, length) pair; adjacent runs alternate bits, length >= 1.
 Run = tuple[int, int]
 
@@ -27,23 +31,14 @@ def bits_of(runs: list[Run]) -> str:
     return "".join(str(b) * ln for b, ln in runs)
 
 
-def _match_masks(b: str) -> tuple[int, int]:
-    m0 = m1 = 0
-    for i, c in enumerate(b):
-        if c == "1":
-            m1 |= 1 << i
-        else:
-            m0 |= 1 << i
-    return m0, m1
-
-
 def lcs_len(a: str, b: str) -> int:
-    """Length of a longest common subsequence, via bit-parallel DP."""
+    """LCS length of two binary strings, via bit-parallel DP."""
     if not a or not b:
         return 0
     n = len(b)
     mask = (1 << n) - 1
-    m0, m1 = _match_masks(b)
+    m1 = int(b[::-1], 2)
+    m0 = m1 ^ mask
     v = mask
     for c in a:
         p = (m1 if c == "1" else m0) & v
@@ -67,14 +62,44 @@ def sequence_lcs_len(a, b) -> int:
     return n - bin(v).count("1")
 
 
+def lane_masks(rows, q: int, n: int) -> np.ndarray:
+    """Match masks for lcs_lanes. Each row is a length-n string of the digits
+    chr(48) .. chr(47 + q); bit i of masks[s, j] is set iff rows[j][i] is digit
+    s. Masks are split into 64-bit words, lowest word first."""
+    words = max(1, -(-n // 64))
+    tables = [{48 + t: "01"[t == s] for t in range(q)} for s in range(q)]
+    patterns = (int(row[::-1].translate(table), 2) for table in tables for row in rows)
+    flat = ((x >> 64 * w) & _WORD for x in patterns for w in range(words))
+    return np.fromiter(flat, np.uint64, q * len(rows) * words).reshape(q, len(rows), words)
+
+
+def lcs_lanes(a, masks: np.ndarray, n: int) -> np.ndarray:
+    """LCS length of the symbol sequence a with each length-n lane of masks
+    (built by lane_masks), in one pass over a; symbols outside [0, len(masks))
+    match nothing. As p is a subset of v, v - p is v ^ p, so only v + p carries
+    between words, and carries past bit n never reach a lower bit."""
+    words = masks.shape[2]
+    full = np.fromiter((((1 << n) - 1 >> 64 * w) & _WORD for w in range(words)), np.uint64)
+    v = np.tile(full, (masks.shape[1], 1))
+    p, s = np.empty_like(v), np.empty_like(v)
+    for sym in a:
+        if not 0 <= sym < len(masks):
+            continue
+        np.bitwise_and(masks[sym], v, out=p)
+        np.add(v, p, out=s)
+        if words > 1:  # ripple the carries of v + p up the words
+            carry = s < v
+            for w in range(1, words):
+                s[:, w] += carry[:, w - 1]
+                carry[:, w] |= carry[:, w - 1] & (s[:, w] == 0)
+        v ^= p
+        v |= s
+    return n - np.bitwise_count(v & full).sum(axis=1, dtype=np.int64)
+
+
 def edit_distance(a: str, b: str) -> int:
     """Insertion/deletion edit distance: |a| + |b| - 2*LCS(a, b)."""
     return len(a) + len(b) - 2 * lcs_len(a, b)
-
-
-def sequence_edit_distance(a, b) -> int:
-    """Symbol-level insertion/deletion edit distance between two sequences."""
-    return len(a) + len(b) - 2 * sequence_lcs_len(a, b)
 
 
 def is_subsequence(sub: str, s: str) -> bool:

@@ -1,5 +1,6 @@
 """Experiment runner and CLI: reproducibility, report structure, exit codes."""
 
+import hashlib
 import json
 from dataclasses import replace
 from math import exp
@@ -143,6 +144,16 @@ def test_cli_construct_encode_decode(tmp_path, capsys, bdc_desk):
     assert decoded.read_text().strip() == "42"
 
 
+def test_default_construct_output_is_pinned(tmp_path, capsys):
+    assert main(["construct", "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("codebook.txt", "outercode.txt")}
+    assert digests == {
+        "codebook.txt": "d5dc217beb8fc54f0c0c721283032e7469bba3669c2e1756846c5cd94543c03d",
+        "outercode.txt": "ec24694990146500c331ebd369a5492950c1f797bda6bd79b4b24c0db30c56bf",
+    }
+
+
 def test_cli_simulate_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -184,7 +195,10 @@ def test_descriptor_format(tmp_path, capsys, bdc_desk):
     assert "expected key=value" in capsys.readouterr().err
     path.write_text("\n".join(line for line in lines if not line.startswith("M1=")) + "\n")
     assert main(["encode", "--config", str(path), "1"]) == 2
-    assert "M1" in capsys.readouterr().err
+    assert f"error: {path}: missing key 'M1'" in capsys.readouterr().err
+    path.write_text("\n".join(line for line in lines if not line.startswith("codebook=")))
+    with pytest.raises(ValueError, match="missing key 'codebook'"):
+        load_scheme(path)
 
 
 def test_desk_scheme_buffer_variant():

@@ -14,7 +14,7 @@ from delchan.inner import (
     inner_rate_formula,
     insertion_ball_bruteforce,
 )
-from delchan.strings import SProfile, edit_distance, lcs_len
+from delchan.strings import SProfile, edit_distance, enumerate_S, lcs_len
 
 
 M7 = InnerParams(SProfile(7, 3, 2), 2)
@@ -33,6 +33,47 @@ def test_pairwise_separation_m7_exhaustive():
     for i, a in enumerate(cb.codewords):
         for b in cb.codewords[i + 1:]:
             assert edit_distance(a, b) > 2 * cb.params.d
+
+
+def scalar_greedy(params):
+    """The one-pair-at-a-time greedy loop the bit-parallel pass replaced."""
+    threshold = params.m - params.d
+    accepted = []
+    for s in enumerate_S(params.profile):
+        if all(lcs_len(s, c) < threshold for c in accepted):
+            accepted.append(s)
+    return tuple(accepted)
+
+
+@pytest.mark.parametrize("profile, d", [
+    (SProfile(7, 3, 2), 2),
+    (SProfile(11, 3, 4), 1),
+    (SProfile(15, 7, 4), 2),
+    (SProfile(17, 9, 4), 1),
+    (SProfile(66, 64, 1), 0),
+    (SProfile(66, 64, 1), 1),
+    (SProfile(67, 63, 2), 1),
+    (SProfile(132, 130, 1), 0),
+])
+def test_construct_matches_scalar_greedy(profile, d):
+    params = InnerParams(profile, d)
+    cb = construct_inner(params)
+    assert cb.codewords == scalar_greedy(params)
+    cb.validate()
+
+
+def test_validate_reports_first_close_pair(m25_codebook):
+    cb = m25_codebook
+    kept = cb.codewords[:41]
+    threshold = cb.params.m - cb.params.d
+    # two strings that sort after codeword 40 and are too close to codeword 5 only
+    near = [s for s in enumerate_S(cb.params.profile)
+            if s > kept[-1] and edit_distance(s, kept[5]) == 2
+            and sum(lcs_len(s, c) >= threshold for c in kept) == 1][:2]
+    assert len(near) == 2
+    bad = InnerCodebook(cb.params, tuple(sorted(kept + tuple(near))))
+    with pytest.raises(ValueError, match=f"^codewords too close: {kept[5]} {near[0]}$"):
+        bad.validate()
 
 
 def test_construct_m25(m25_codebook):

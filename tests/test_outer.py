@@ -1,11 +1,16 @@
 """Outer code: greedy construction, distance guarantee, decoding."""
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delchan.outer import OuterCode, OuterSpec, construct_outer
-from delchan.strings import sequence_edit_distance
+import delchan.outer
+from delchan.outer import _CANDIDATE_FACTOR, OuterCode, OuterSpec, construct_outer
+from delchan.strings import sequence_lcs_len
 
 
 SPEC = OuterSpec(q=4, n=32, k=4, delta_out=0.125)
@@ -14,6 +19,106 @@ SPEC = OuterSpec(q=4, n=32, k=4, delta_out=0.125)
 @pytest.fixture(scope="module")
 def code():
     return construct_outer(SPEC, 2024)
+
+
+# The one-pair-at-a-time loops the bit-parallel code replaced, kept as oracles.
+
+
+def sequence_edit_distance(a, b):
+    return len(a) + len(b) - 2 * sequence_lcs_len(a, b)
+
+
+def scalar_decode(code, received):
+    best, best_d = 0, None
+    for i, c in enumerate(code.codewords):
+        d = sequence_edit_distance(c, tuple(received))
+        if best_d is None or d < best_d:
+            best, best_d = i, d
+    return best
+
+
+def scalar_construct(spec, seed):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    threshold = 2.0 * spec.delta_out * spec.n
+    accepted = []
+    for _ in range(_CANDIDATE_FACTOR * spec.num_messages):
+        cand = tuple(int(s) for s in rng.integers(0, spec.q, size=spec.n))
+        if all(sequence_edit_distance(cand, c) > threshold for c in accepted):
+            accepted.append(cand)
+            if len(accepted) == spec.num_messages:
+                return tuple(accepted)
+    return None
+
+
+def scalar_validate_error(code):
+    threshold = 2.0 * code.spec.delta_out * code.spec.n
+    for i, c in enumerate(code.codewords):
+        for j in range(i + 1, len(code.codewords)):
+            if sequence_edit_distance(c, code.codewords[j]) <= threshold:
+                return f"codewords {i} and {j} too close"
+    return None
+
+
+# q = 2, n = 6: many codewords sit at the same distance from a reception
+TIES = construct_outer(OuterSpec(q=2, n=6, k=2, delta_out=0.1), 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decode_matches_scalar_loop(code, data):
+    target = data.draw(st.sampled_from([code, TIES]))
+    q, n = target.spec.q, target.spec.n
+    received = data.draw(st.one_of(
+        st.lists(st.integers(0, q - 1), max_size=2 * n),
+        st.lists(st.integers(-1, q), max_size=3),
+        st.builds(lambda i, sym: [s for s in target.codewords[i] if s != sym],
+                  st.integers(0, len(target) - 1), st.integers(0, q - 1)),
+    ))
+    assert target.decode(received) == scalar_decode(target, received)
+
+
+def test_decode_ties_and_degenerate_receptions(code):
+    for target in (code, TIES):
+        q = target.spec.q
+        for received in ([], [0], [q - 1], [q], [-1], [q, q, 0]):
+            assert target.decode(received) == scalar_decode(target, received)
+    assert code.decode([]) == 0
+    # the checks above meet ties: several codewords are nearest to [1]
+    dists = [sequence_edit_distance(c, (1,)) for c in TIES.codewords]
+    assert dists.count(min(dists)) > 1
+
+
+@pytest.mark.parametrize("spec, seed", [
+    (OuterSpec(q=4, n=16, k=2, delta_out=0.125), 1),
+    (OuterSpec(q=2, n=8, k=3, delta_out=0.2), 2),
+    (OuterSpec(q=3, n=70, k=2, delta_out=0.1), 3),
+    (OuterSpec(q=2, n=130, k=2, delta_out=0.15), 4),
+])
+def test_construct_matches_scalar_greedy(spec, seed):
+    code = construct_outer(spec, seed)
+    assert code.codewords == scalar_construct(spec, seed)
+    code.validate()
+
+
+def test_validate_reports_first_close_pair(code):
+    words = list(code.codewords)
+    words[100] = words[7][:-1] + ((words[7][-1] + 1) % 4,)
+    words[200] = words[7]
+    bad = replace(code, codewords=tuple(words))
+    assert scalar_validate_error(bad) == "codewords 7 and 100 too close"
+    with pytest.raises(ValueError, match=r"^codewords 7 and 100 too close$"):
+        bad.validate()
+
+
+def test_validate_rejects_malformed_row_before_building_masks(code, monkeypatch):
+    def no_masks(*args):
+        raise AssertionError("masks built for a malformed code")
+
+    monkeypatch.setattr(delchan.outer, "lane_masks", no_masks)
+    for row in [(4,) * 32, (0,) * 31, (0,) * 33, (-1,) * 32]:
+        bad = replace(code, codewords=code.codewords[:3] + (row,) + code.codewords[4:])
+        with pytest.raises(ValueError, match=r"^codeword 3 malformed$"):
+            bad.validate()
 
 
 def test_spec_validation():

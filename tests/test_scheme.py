@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delchan.channels import ChannelModel, RngStream, apply_copy_counts
 from delchan.harness import cached_inner_codebook, desk_params
@@ -85,6 +87,32 @@ def test_window_spans_cover_segments():
     bits = "0" * 8 + "101" + "0" * 8 + "11" + "0" * 8
     spans = window_spans(bits, 6)
     assert [bits[a:b] for a, b in spans] == ["101", "11"]
+
+
+def scan_window_spans(bits, threshold):
+    """The character-by-character scan that window_spans replaced, kept as an oracle."""
+    spans, start, i, n = [], 0, 0, len(bits)
+    while i < n:
+        if bits[i] == "0":
+            j = i
+            while j < n and bits[j] == "0":
+                j += 1
+            if j - i > threshold:
+                if i > start:
+                    spans.append((start, i))
+                start = j
+            i = j
+        else:
+            i += 1
+    if n > start:
+        spans.append((start, n))
+    return spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("01", max_size=80), st.integers(0, 10))
+def test_window_spans_matches_scan(bits, threshold):
+    assert window_spans(bits, threshold) == scan_window_spans(bits, threshold)
 
 
 def test_threshold_decode_examples():

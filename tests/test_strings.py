@@ -6,6 +6,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delchan.strings import (
     SProfile,
@@ -14,10 +16,11 @@ from delchan.strings import (
     enumerate_S,
     in_S,
     is_subsequence,
+    lcs_lanes,
     lcs_len,
+    lane_masks,
     runs_of,
     s_normalize,
-    sequence_edit_distance,
     sequence_lcs_len,
 )
 
@@ -63,7 +66,58 @@ def test_sequence_lcs_matches_dp_oracle():
         a = [rnd.randrange(5) for _ in range(rnd.randrange(0, 25))]
         b = [rnd.randrange(5) for _ in range(rnd.randrange(0, 25))]
         assert sequence_lcs_len(a, b) == lcs_dp(a, b)
-        assert sequence_edit_distance(a, b) == len(a) + len(b) - 2 * lcs_dp(a, b)
+
+
+def int_lane_masks(lanes, q, n):
+    """lane_masks of lanes given as lists of ints."""
+    return lane_masks(["".join(chr(48 + x) for x in lane) for lane in lanes], q, n)
+
+
+@st.composite
+def lane_cases(draw):
+    """Equal-length lanes over [0, q) and a sequence that may hold symbols
+    outside [0, q), around the 64-bit word boundaries."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 128, 130]))
+    q = draw(st.integers(2, 4))
+    symbols = st.integers(0, q - 1)
+    lanes = draw(st.lists(st.lists(symbols, min_size=n, max_size=n), min_size=1, max_size=4))
+    if draw(st.booleans()):  # one symbol per 64-bit word: carries run across words
+        blocks = draw(st.lists(symbols, min_size=3, max_size=3))
+        lanes.append([blocks[i // 64] for i in range(n)])
+    a = draw(st.lists(st.integers(-2, q + 1), max_size=2 * n + 2))
+    return n, q, lanes, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(lane_cases())
+def test_lcs_lanes_matches_scalar_oracles(case):
+    n, q, lanes, a = case
+    got = lcs_lanes(a, int_lane_masks(lanes, q, n), n)
+    assert got.tolist() == [lcs_dp(a, lane) for lane in lanes]
+    assert got.tolist() == [sequence_lcs_len(a, lane) for lane in lanes]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 130])
+def test_lcs_lanes_edge_cases(n):
+    rnd = random.Random(n)
+    lane = [rnd.randrange(2) for _ in range(n)]
+    masks = int_lane_masks([lane], 2, n)
+    assert masks.shape == (2, 1, -(-n // 64))
+    assert lcs_lanes([], masks, n).tolist() == [0]
+    assert lcs_lanes([2, -1, 7] * n, masks, n).tolist() == [0]
+    assert lcs_lanes(lane, masks, n).tolist() == [n]
+    assert lcs_lanes([1] * (n + 3), masks, n).tolist() == [sum(lane)]
+    # bit i of word w stands for position 64 * w + i
+    ones = int("".join(map(str, lane))[::-1], 2)
+    for sym, pattern in enumerate([ones ^ ((1 << n) - 1), ones]):
+        words = [(pattern >> 64 * w) & (2**64 - 1) for w in range(masks.shape[2])]
+        assert masks[sym, 0].tolist() == words
+    # a carry out of word 0 passes through an all-ones word 1 into word 2
+    block = [0] * 64 + [1] * 64 + [0] * (n - 128)
+    if n > 128:
+        assert lcs_lanes([0], int_lane_masks([block], 2, n), n).tolist() == [1]
+    # no lanes: an empty answer
+    assert lcs_lanes(lane, lane_masks([], 2, n), n).shape == (0,)
 
 
 def test_edit_distance_is_a_metric_on_samples():
