@@ -10,7 +10,8 @@ buffers. Submodules:
   outer    — q-ary outer code with symbol-level edit-distance decoding
   channels — seeded deletion and Poisson-repeat channel simulators
   scheme   — the one run blow-up/buffer layout builder, threshold decoder,
-             error-classifying traces, the key=value descriptor format
+             classify (error events and X from a layout and copy counts,
+             apart from decoding), the key=value descriptor format
   analysis — transition probabilities, the overall rate in terms of the mean
              survivors per bit mu (1 - p or lambda), reference presets
   harness  — Monte Carlo experiments with deterministic reports
@@ -36,6 +37,7 @@ from .scheme import (
     Scheme,
     SchemeParams,
     assemble_scheme,
+    classify,
     lay_out,
     load_scheme,
     save_scheme,
@@ -57,6 +59,7 @@ __all__ = [
     "Scheme",
     "SchemeParams",
     "assemble_scheme",
+    "classify",
     "construct_inner",
     "construct_outer",
     "edit_distance",

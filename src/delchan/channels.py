@@ -35,11 +35,10 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def bdc_copy_counts(bits: str, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Per-bit survivor counts for the deletion channel: 0 w.p. p, else 1."""
+def bdc_copy_counts(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Survivor counts of n bits on the deletion channel: 0 w.p. p, else 1."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"deletion probability {p} outside [0, 1)")
-    n = len(bits)
     return (rng.random(n) >= p).astype(np.int64)
 
 
@@ -58,8 +57,8 @@ def poisson_sample(lam: float, rng: np.random.Generator) -> int:
     return k
 
 
-def poisson_copy_counts(bits: str, lam: float, rng: np.random.Generator) -> np.ndarray:
-    """Per-bit survivor counts for the repeat channel: independent Poisson(lam).
+def poisson_copy_counts(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
+    """Survivor counts of n bits on the repeat channel: independent Poisson(lam).
 
     Vectorized equivalent of calling poisson_sample per bit: draw uniforms in
     blocks and keep multiplying into the not-yet-finished positions.
@@ -68,7 +67,6 @@ def poisson_copy_counts(bits: str, lam: float, rng: np.random.Generator) -> np.n
         raise ValueError(f"Poisson mean {lam} is negative")
     if lam > _POISSON_MEAN_LIMIT:
         raise ValueError(f"Poisson mean {lam} exceeds {_POISSON_MEAN_LIMIT}")
-    n = len(bits)
     counts = np.zeros(n, dtype=np.int64)
     prod = rng.random(n)
     threshold = exp(-lam)
@@ -105,8 +103,8 @@ class ChannelModel:
 
     def copy_counts(self, bits: str, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "bdc":
-            return bdc_copy_counts(bits, self.parameter, rng)
-        return poisson_copy_counts(bits, self.parameter, rng)
+            return bdc_copy_counts(len(bits), self.parameter, rng)
+        return poisson_copy_counts(len(bits), self.parameter, rng)
 
     def transmit(self, bits: str, rng: np.random.Generator) -> str:
         return apply_copy_counts(bits, self.copy_counts(bits, rng))

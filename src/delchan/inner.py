@@ -19,6 +19,7 @@ from .strings import (
     lane_masks,
     lcs_lanes,
     lcs_len,
+    read_code_file,
     runs_of,
 )
 
@@ -92,16 +93,10 @@ class InnerCodebook:
 
     @classmethod
     def load(cls, path: str | Path) -> "InnerCodebook":
-        lines = Path(path).read_text().splitlines()
-        if not lines:
-            raise ValueError(f"{path}: empty codebook file")
-        fields = dict(kv.split("=") for kv in lines[0].split()[2:])
-        params = InnerParams(
-            SProfile(int(fields["m"]), int(fields["r1"]), int(fields["r2"])),
-            int(fields["d"]),
-        )
-        codewords = tuple(lines[1 : 1 + int(fields["count"])])
-        cb = cls(params, codewords)
+        f, lines = read_code_file(path, ("m", "r1", "r2", "d", "count"))
+        if len(lines) != f["count"]:
+            raise ValueError(f"{path}: header says count={f['count']}, found {len(lines)} lines")
+        cb = cls(InnerParams(SProfile(f["m"], f["r1"], f["r2"]), f["d"]), tuple(lines))
         cb.validate()
         return cb
 

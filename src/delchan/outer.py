@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .strings import lane_masks, lcs_lanes
+from .strings import lane_masks, lcs_lanes, read_code_file
 
 # Candidates examined per message slot before giving up on the greedy pass.
 _CANDIDATE_FACTOR = 200
@@ -117,23 +117,14 @@ class OuterCode:
 
     @classmethod
     def load(cls, path: str | Path) -> "OuterCode":
-        lines = Path(path).read_text().splitlines()
-        if not lines:
-            raise ValueError(f"{path}: empty outer code file")
-        fields = dict(kv.split("=") for kv in lines[0].split()[2:])
-        if int(fields["dout_den"]) == 0:
+        f, lines = read_code_file(path, ("q", "n", "k", "dout_num", "dout_den", "seed"))
+        if f["dout_den"] == 0:
             raise ValueError(f"{path}: dout_den must be nonzero")
-        spec = OuterSpec(
-            int(fields["q"]),
-            int(fields["n"]),
-            int(fields["k"]),
-            int(fields["dout_num"]) / int(fields["dout_den"]),
-        )
+        spec = OuterSpec(f["q"], f["n"], f["k"], f["dout_num"] / f["dout_den"])
         codewords = tuple(
-            tuple(int(s) for s in line.split())
-            for line in lines[1 : 1 + spec.num_messages]
+            tuple(int(s) for s in line.split()) for line in lines[: spec.num_messages]
         )
-        code = cls(spec, codewords, int(fields["seed"]))
+        code = cls(spec, codewords, f["seed"])
         code.validate()
         return code
 

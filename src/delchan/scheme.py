@@ -10,12 +10,16 @@ Decoding: split the received string on long zero runs (buffers), map each
 window's runs back to 1-/2-runs with the survivor threshold T, decode each
 window with the inner code, and hand the resulting symbol sequence (whatever
 its length) to the outer decoder.
+
+Classification is separate from decoding: classify() reads a transmission's
+layout and per-bit copy counts (the ground truth a decoder never sees) and
+returns each codeword's distortion X and the error-event counts.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, floor
 from pathlib import Path
 
@@ -122,18 +126,12 @@ class Scheme:
         message, _ = self.decode_with_trace(received)
         return message
 
-    def decode_with_trace(
-        self, received: str, record: "TransmitRecord | None" = None
-    ) -> tuple[int, "DecodeTrace"]:
+    def decode_with_trace(self, received: str) -> tuple[int, "DecodeTrace"]:
         p = self.params
         spans = window_spans(received, p.buffer_threshold)
         outputs = [threshold_decode(received[a:b], p.T) for a, b in spans]
         symbols = [self.inner_cb.decode(w) for w in outputs]
-        message = self.outer.decode(symbols)
-        trace = DecodeTrace(spans, outputs, symbols)
-        if record is not None:
-            _classify(self, record, trace)
-        return message, trace
+        return self.outer.decode(symbols), DecodeTrace(spans, outputs, symbols)
 
 
 @dataclass(frozen=True)
@@ -156,30 +154,56 @@ class Layout:
     buffer_spans: list[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class TransmitRecord:
-    """One channel realization with per-bit provenance: copy_counts[i] is how
-    many copies of transmitted bit i the receiver saw."""
-
-    layout: Layout
-    copy_counts: np.ndarray
-
-    def survivors(self, start: int, end: int) -> int:
-        return int(self.copy_counts[start:end].sum())
-
-
 @dataclass
 class DecodeTrace:
-    """Decoder internals, plus error classification when ground truth is
-    available."""
+    """Decoder internals: each window's span, thresholded string and inner symbol."""
 
     window_boundaries: list[tuple[int, int]]
     per_window_threshold_outputs: list[str]
     per_window_inner_symbols: list[int]
-    per_codeword_X: list[int] | None = None
-    error_events: dict[str, int] | None = None
-    alignment_ok: bool = True
-    notes: list[str] = field(default_factory=list)
+
+
+def classify(
+    scheme: Scheme, layout: Layout, counts: np.ndarray
+) -> tuple[list[int], dict[str, int]]:
+    """Per-codeword distortion X and error-event counts of one transmission,
+    from the survivor count of each blown-up run and buffer (counts[i] copies
+    of transmitted bit i reached the receiver).
+
+    X for a codeword sums, over its runs: 0 if the thresholded run matches
+    the original length; 1 if survivors > 0 but it does not; the original
+    length plus the next run's (or plus 2 for the last run) if the run
+    vanished entirely. A buffer is deleted when at most buffer_threshold of
+    its zeros survive; a spurious buffer is a longer zero run inside one
+    codeword's received bits; an inner decode is wrong when those bits, edge
+    zeros stripped, are empty or decode to another symbol.
+    """
+    p = scheme.params
+    threshold = p.buffer_threshold
+    before = [0, *np.cumsum(counts).tolist()]  # survivors of bits [0, i)
+    events = {"deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0}
+    for a, b in layout.buffer_spans:
+        events["deleted_buffer"] += before[b] - before[a] <= threshold
+
+    xs: list[int] = []
+    for symbol, spans in zip(layout.symbols, layout.codeword_runs):
+        survivors = [before[span.end] - before[span.start] for span in spans]
+        next_len = [span.orig_len for span in spans[1:]] + [2]
+        x = 0
+        for span, z, after in zip(spans, survivors, next_len):
+            if z == 0:
+                x += span.orig_len + after
+            elif (2 if z > p.T else 1) != span.orig_len:
+                x += 1
+        xs.append(x)
+        window = "".join(str(span.bit) * z for span, z in zip(spans, survivors)).strip("0")
+        events["spurious_buffer"] += sum(
+            bit == 0 and ln > threshold for bit, ln in runs_of(window)
+        )
+        events["wrong_inner_decode"] += (
+            not window or scheme.inner_cb.decode(threshold_decode(window, p.T)) != symbol
+        )
+    return xs, events
 
 
 def lay_out(
@@ -248,61 +272,6 @@ def assemble_scheme(
         N2=ceil_snapped(params.M2 / mu),
         B=ceil_snapped(params.M_B * params.inner.m / mu),
     )
-
-
-def _classify(scheme: Scheme, record: TransmitRecord, trace: DecodeTrace) -> None:
-    """Fill in X statistics and error-event counts from channel provenance.
-
-    X for a codeword sums, over its runs: 0 if the thresholded run matches
-    the original length; 1 if survivors > 0 but it does not; the original
-    length plus the next run's (or plus 2 for the last run) if the run
-    vanished entirely.
-    """
-    p = scheme.params
-    threshold = p.buffer_threshold
-    events = {"deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0}
-
-    for a, b in record.layout.buffer_spans:
-        if record.survivors(a, b) <= threshold:
-            events["deleted_buffer"] += 1
-
-    xs: list[int] = []
-    for cw_idx, spans in enumerate(record.layout.codeword_runs):
-        x = 0
-        last = len(spans) - 1
-        for j, span in enumerate(spans):
-            z = record.survivors(span.start, span.end)
-            if z == 0:
-                x += span.orig_len + (spans[j + 1].orig_len if j < last else 2)
-            else:
-                decoded_len = 2 if z > p.T else 1
-                if decoded_len != span.orig_len:
-                    x += 1
-        xs.append(x)
-
-        received_piece = "".join(
-            str(span.bit) * record.survivors(span.start, span.end) for span in spans
-        )
-        window = received_piece.strip("0")
-        interior = [
-            ln for bit, ln in runs_of(window) if bit == 0 and ln > threshold
-        ]
-        if interior:
-            events["spurious_buffer"] += len(interior)
-        if window:
-            decoded = scheme.inner_cb.decode(threshold_decode(window, p.T))
-        else:
-            decoded = None
-        if decoded != record.layout.symbols[cw_idx]:
-            events["wrong_inner_decode"] += 1
-
-    trace.per_codeword_X = xs
-    trace.error_events = events
-    if events["deleted_buffer"] or events["spurious_buffer"]:
-        # Window boundaries no longer line up one-to-one with codewords; the
-        # per-codeword counts above are computed from provenance instead.
-        trace.alignment_ok = False
-        trace.notes.append("buffer structure corrupted; per-codeword stats from provenance")
 
 
 def read_fields(path: str | Path) -> dict[str, str]:

@@ -1,10 +1,12 @@
-"""Run-length utilities for binary strings and the constrained 1-/2-run family."""
+"""Run-length utilities for binary strings and the constrained 1-/2-run family,
+LCS kernels, and the header reader shared by the inner and outer code files."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
@@ -187,3 +189,21 @@ def s_normalize(s: str) -> str:
         else:
             i += 1
     return "".join(bits)
+
+
+def read_code_file(path: str | Path, keys: tuple[str, ...]) -> tuple[dict[str, int], list[str]]:
+    """The integer key=value fields named by keys from a code file's header
+    line (after its two-word tag, e.g. "innercode v1"), and the lines after it."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty code file")
+    fields: dict[str, str] = {}
+    for token in lines[0].split()[2:]:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ValueError(f"{path}: expected key=value, got {token!r}")
+        fields[key] = value
+    try:
+        return {key: int(fields[key]) for key in keys}, lines[1:]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None

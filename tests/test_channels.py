@@ -44,7 +44,7 @@ def test_bdc_edge_probabilities():
 
 def test_bdc_keep_rate():
     rng = RngStream(3, 0).generator()
-    counts = bdc_copy_counts("1" * 200000, 0.3, rng)
+    counts = bdc_copy_counts(200000, 0.3, rng)
     # 3-sigma band around the Binomial mean
     se = (0.3 * 0.7 / 200000) ** 0.5
     assert abs(counts.mean() - 0.7) < 3 * se
@@ -69,7 +69,7 @@ def test_poisson_sample_guards():
 
 def test_vectorized_poisson_moments():
     rng = RngStream(6, 0).generator()
-    counts = poisson_copy_counts("1" * 100000, 0.5, rng)
+    counts = poisson_copy_counts(100000, 0.5, rng)
     assert abs(counts.mean() - 0.5) < 3 * (0.5 / 100000) ** 0.5
     assert abs(counts.var() - 0.5) < 0.02
 

@@ -70,6 +70,34 @@ def test_report_json_deterministic():
     assert report_json(run_experiment(cfg)) == report_json(run_experiment(cfg))
 
 
+# sha256 of report_json(run_experiment(...)) at seed 7; M_B = 0.5 loses buffers
+PINNED_REPORTS = [
+    ("end_to_end", "bdc", 2.5, 12,
+     "8ce50b9487eb480c28633fbc775d2fc0602d5d7d990a0001d8db2c337ad73a03"),
+    ("end_to_end", "prc", 2.5, 12,
+     "3f35a271dc30e15bc85bcd5a902c77b6047a02d396601f90a120f09d2eb3ca3c"),
+    ("single_codeword", "bdc", 2.5, 300,
+     "62f958fea3d27e5bc595ee5030dd5e9e4529d58faa4ea2e4668450e431ecbfff"),
+    ("single_codeword", "prc", 2.5, 300,
+     "84083bef8c7c8679fa5defa9ab85b6e8ed53ed06a2f1de7e14d5b162cbffe4c7"),
+    ("single_codeword", "bdc", 0.5, 300,
+     "0dc8a9f1e3c0a8520eada8dc38edec5035ef78182afe6ebf38986c881bc5d87f"),
+    ("transition", "bdc", 2.5, 2000,
+     "7883411ee1a8d2388163bcc917b186f50a79ca49ecf567f16cd3c27aca42da15"),
+    ("transition", "prc", 2.5, 2000,
+     "0cbae8b9793bfcbf296eacf75c37eb1c93cd8c9f8766dfc1fff849ff1a21f064"),
+]
+
+
+@pytest.mark.parametrize("mode,desk,M_B,trials,digest", PINNED_REPORTS)
+def test_reports_are_pinned(mode, desk, M_B, trials, digest):
+    config = ExperimentConfig(mode=mode, trials=trials, master_seed=7, desk=desk, M_B=M_B)
+    text = report_json(run_experiment(config))
+    if M_B == 0.5:
+        assert json.loads(text)["error_events"]["deleted_buffer"] > 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_scheme_exact_probs_channels(bdc_desk, prc_desk):
     b = exact_probs(bdc_desk)
     p = exact_probs(prc_desk)
@@ -164,7 +192,7 @@ def test_cli_simulate_deterministic(tmp_path):
     assert report["config"]["trials"] == 15
 
 
-def test_cli_error_exit_codes(tmp_path, bdc_desk):
+def test_cli_error_exit_codes(tmp_path, capsys, bdc_desk):
     assert main(["decode", "--config", str(tmp_path / "missing.txt"), "1"]) == 2
     assert main(["decode", "--config", str(tmp_path / "missing.txt"), "abc"]) == 2
     assert main(["bogus-subcommand"]) == 2
@@ -180,6 +208,35 @@ def test_cli_error_exit_codes(tmp_path, bdc_desk):
         _saved_scheme(tmp_path, bdc_desk)
         (tmp_path / name).write_text(text)
         assert main(["encode", "--config", scheme_path, "1"]) == 2, (name, text[:40])
+    # malformed code-file headers, and a codebook shorter than its count,
+    # name the file and the fault
+    _saved_scheme(tmp_path, bdc_desk)
+    header, *codewords = (tmp_path / "codebook.txt").read_text().splitlines()
+    assert header == "innercode v1 m=25 r1=13 r2=6 d=2 count=4"
+    for name, text, message in [
+        ("codebook.txt", "\n".join([header.replace(" d=2", ""), *codewords]),
+         "missing key 'd'"),
+        ("codebook.txt", "\n".join([header.replace("d=2", "d2"), *codewords]),
+         "expected key=value, got 'd2'"),
+        ("codebook.txt", "\n".join([header, *codewords[:2]]),
+         "header says count=4, found 2 lines"),
+        ("outercode.txt", outer_text.replace(" seed=2024", ""), "missing key 'seed'"),
+    ]:
+        _saved_scheme(tmp_path, bdc_desk)
+        (tmp_path / name).write_text(text)
+        assert main(["encode", "--config", scheme_path, "1"]) == 2, message
+        assert f"error: {tmp_path / name}: {message}\n" in capsys.readouterr().err
+
+
+def test_single_codeword_needs_two_trials(tmp_path, bdc_desk):
+    # one trial has no sample variance; reports never hold NaN
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        run_single_codeword(bdc_desk, 1, 0)
+    config = tmp_path / "exp.cfg"
+    config.write_text("mode=single_codeword\n")
+    assert main(["simulate", "--config", str(config), "--trials", "1"]) == 2
+    with pytest.raises(ValueError):
+        report_json({"x_var": float("nan")})
 
 
 def test_descriptor_format(tmp_path, capsys, bdc_desk):

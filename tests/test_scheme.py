@@ -1,4 +1,5 @@
-"""Encoding pipeline, buffer identification, threshold decoding, traces."""
+"""Encoding pipeline, buffer identification, threshold decoding, traces and
+classification."""
 
 import random
 from dataclasses import replace
@@ -8,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delchan.channels import ChannelModel, RngStream, apply_copy_counts
+from delchan.channels import ChannelModel
 from delchan.harness import cached_inner_codebook, desk_params
 from delchan.inner import InnerCodebook, InnerParams
 from delchan.outer import OuterSpec, construct_outer
 from delchan.scheme import (
     SchemeParams,
-    TransmitRecord,
     assemble_scheme,
     ceil_snapped,
+    classify,
     floor_snapped,
     lay_out,
     load_scheme,
@@ -220,15 +221,19 @@ def test_decode_survives_one_deleted_buffer(bdc_scheme):
 
 
 def test_trace_clean_channel(bdc_scheme):
-    enc, layout = bdc_scheme.encode_with_layout(42)
-    counts = np.ones(len(enc), dtype=np.int64)
-    msg, trace = bdc_scheme.decode_with_trace(enc, TransmitRecord(layout, counts))
+    s = bdc_scheme
+    enc, layout = s.encode_with_layout(42)
+    msg, trace = s.decode_with_trace(enc)
     assert msg == 42
-    assert trace.error_events == {
+    assert len(trace.window_boundaries) == 32
+    symbols = list(s.outer.encode(42))
+    assert trace.per_window_threshold_outputs == [s.inner_cb.encode(c) for c in symbols]
+    assert trace.per_window_inner_symbols == symbols
+    xs, events = classify(s, layout, np.ones(len(enc), dtype=np.int64))
+    assert events == {
         "deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0,
     }
-    assert trace.per_codeword_X == [0] * 32
-    assert trace.alignment_ok
+    assert xs == [0] * 32
 
 
 def test_trace_x_for_vanished_run(bdc_scheme):
@@ -242,9 +247,8 @@ def test_trace_x_for_vanished_run(bdc_scheme):
     )
     counts = np.ones(len(bits), dtype=np.int64)
     counts[spans[j].start:spans[j].end] = 0
-    received = apply_copy_counts(bits, counts)
-    _, trace = s.decode_with_trace(received, TransmitRecord(layout, counts))
-    assert trace.per_codeword_X == [3]
+    xs, _ = classify(s, layout, counts)
+    assert xs == [3]
 
 
 def test_trace_x_for_vanished_last_run(bdc_scheme):
@@ -254,10 +258,8 @@ def test_trace_x_for_vanished_last_run(bdc_scheme):
     last = layout.codeword_runs[0][-1]
     counts = np.ones(len(bits), dtype=np.int64)
     counts[last.start:last.end] = 0
-    _, trace = s.decode_with_trace(
-        apply_copy_counts(bits, counts), TransmitRecord(layout, counts)
-    )
-    assert trace.per_codeword_X == [last.orig_len + 2]
+    xs, _ = classify(s, layout, counts)
+    assert xs == [last.orig_len + 2]
 
 
 def test_trace_deleted_buffer_flagged(bdc_scheme):
@@ -266,11 +268,8 @@ def test_trace_deleted_buffer_flagged(bdc_scheme):
     counts = np.ones(len(bits), dtype=np.int64)
     a, b = layout.buffer_spans[0]
     counts[a:b] = 0
-    _, trace = s.decode_with_trace(
-        apply_copy_counts(bits, counts), TransmitRecord(layout, counts)
-    )
-    assert trace.error_events["deleted_buffer"] == 1
-    assert not trace.alignment_ok
+    _, events = classify(s, layout, counts)
+    assert events["deleted_buffer"] == 1
 
 
 def test_scheme_serialization_roundtrip(tmp_path, bdc_scheme):
