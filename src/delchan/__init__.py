@@ -9,9 +9,9 @@ buffers. Submodules:
   inner    — greedy inner codebook, inner rate formula, insertion/deletion balls
   outer    — q-ary outer code with symbol-level edit-distance decoding
   channels — seeded deletion and Poisson-repeat channel simulators
-  scheme   — the one run blow-up/buffer layout builder, threshold decoder,
-             classify (error events and X from a layout and copy counts,
-             apart from decoding), the key=value descriptor format
+  scheme   — transmissions as run arrays (one layout builder), the
+             run-level threshold decoder, classify (error events and X from
+             a layout and copy counts, apart from decoding), the descriptors
   analysis — transition probabilities, the overall rate in terms of the mean
              survivors per bit mu (1 - p or lambda), reference presets
   harness  — Monte Carlo experiments with deterministic reports

@@ -9,6 +9,7 @@ and streams are independent of call order.
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass
 from math import exp
 
@@ -16,6 +17,8 @@ import numpy as np
 
 # Above this mean the Knuth product-of-uniforms sampler underflows.
 _POISSON_MEAN_LIMIT = 700.0
+# Transmissions per block of bulk deletion draws: 256 x 2,280 float64 is 4.7 MB.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -42,26 +45,22 @@ def bdc_copy_counts(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(n) >= p).astype(np.int64)
 
 
-def poisson_sample(lam: float, rng: np.random.Generator) -> int:
-    """One Poisson draw via Knuth's product-of-uniforms method."""
-    if lam < 0.0:
-        raise ValueError(f"Poisson mean {lam} is negative")
-    if lam > _POISSON_MEAN_LIMIT:
-        raise ValueError(f"Poisson mean {lam} exceeds {_POISSON_MEAN_LIMIT}")
-    threshold = exp(-lam)
-    k = 0
-    prod = rng.random()
-    while prod > threshold:
-        k += 1
-        prod *= rng.random()
-    return k
+def bdc_run_survivors(trials: int, run_len: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Survivors of one run of run_len bits in each of trials transmissions on
+    the deletion channel. Draws one uniform per bit, _BLOCK_ROWS transmissions
+    at a time so that memory stays bounded; the stream and its order are
+    those of a single (trials, run_len) draw."""
+    return np.concatenate([
+        (rng.random((min(_BLOCK_ROWS, trials - t), run_len)) >= p).sum(axis=1)
+        for t in range(0, trials, _BLOCK_ROWS)
+    ])
 
 
 def poisson_copy_counts(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
     """Survivor counts of n bits on the repeat channel: independent Poisson(lam).
 
-    Vectorized equivalent of calling poisson_sample per bit: draw uniforms in
-    blocks and keep multiplying into the not-yet-finished positions.
+    Knuth's product-of-uniforms method, vectorized: draw uniforms in blocks
+    and keep multiplying into the not-yet-finished positions.
     """
     if lam < 0.0:
         raise ValueError(f"Poisson mean {lam} is negative")
@@ -101,7 +100,8 @@ class ChannelModel:
         if self.kind == "prc" and self.parameter <= 0.0:
             raise ValueError(f"repeat mean {self.parameter} must be positive")
 
-    def copy_counts(self, bits: str, rng: np.random.Generator) -> np.ndarray:
+    def copy_counts(self, bits: Sized, rng: np.random.Generator) -> np.ndarray:
+        """Copies of each transmitted bit; bits is the string or its Layout."""
         if self.kind == "bdc":
             return bdc_copy_counts(len(bits), self.parameter, rng)
         return poisson_copy_counts(len(bits), self.parameter, rng)

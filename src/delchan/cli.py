@@ -70,17 +70,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     scheme = load_scheme(args.config)
-    bits = scheme.encode(int(args.message))
-    _write_out(bits + "\n", args.out)
+    _write_out(scheme.encode(int(args.message)) + "\n", args.out)
     return 0
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     received = args.bits if args.bits is not None else sys.stdin.read().strip()
-    if received and set(received) - {"0", "1"}:
-        print("error: received string must be binary", file=sys.stderr)
-        return 2
-    scheme = load_scheme(args.config)
+    scheme = load_scheme(args.config)  # its decode refuses a non-binary string
     _write_out(f"{scheme.decode(received)}\n", args.out)
     return 0
 

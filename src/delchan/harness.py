@@ -33,7 +33,7 @@ from .analysis import (
     rate_mu,
     verify_preset,
 )
-from .channels import ChannelModel, RngStream, poisson_copy_counts
+from .channels import ChannelModel, RngStream, bdc_run_survivors, poisson_copy_counts
 from .channels import apply_copy_counts  # noqa: F401  (the benchmark's tracer wraps it here)
 from .inner import InnerParams, construct_inner
 from .outer import OuterSpec, construct_outer
@@ -104,14 +104,12 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
     for t in range(trials):
         rng = RngStream(master_seed, t).generator()
         symbol = int(rng.integers(0, q))
-        bits, layout = lay_out(
-            (symbol,), scheme.inner_cb, scheme.N1, scheme.N2, scheme.B, edge_buffers=True
-        )
-        counts = scheme.params.channel.copy_counts(bits, rng)
+        layout = lay_out((symbol,), scheme.blocks, scheme.B, edge_buffers=True)
+        counts = scheme.params.channel.copy_counts(layout, rng)
         (x,), trial_events = classify(scheme, layout, counts)
         xs.append(x)
         events.update(trial_events)  # keeps the keys of zero counts
-        buffers += len(layout.buffer_spans)
+        buffers += len(layout.buffers)
     x_arr = np.array(xs, dtype=np.float64)
     probs = exact_probs(scheme)
     m = scheme.params.inner.m
@@ -140,9 +138,10 @@ def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
     def one(t: int) -> int:
         rng = RngStream(master_seed, t).generator()
         message = int(rng.integers(0, num_messages))
-        encoded = scheme.encode(message)
-        received = scheme.params.channel.transmit(encoded, rng)
-        return int(scheme.decode(received) == message)
+        layout = scheme.encode_with_layout(message)
+        counts = scheme.params.channel.copy_counts(layout, rng)
+        decoded, _ = scheme.decode_runs(layout.run_bits, layout.survivors(counts))
+        return int(decoded == message)
 
     successes = sum(one(t) for t in range(trials))
     return {
@@ -157,8 +156,8 @@ def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
 def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
     """Bulk-transmit bare blown-up runs; compare frequencies to exact values.
 
-    Survivor counts for all trials are drawn in one vectorized channel pass
-    per run length.
+    Survivor counts for all trials are drawn per bit, in vectorized channel
+    passes per run length.
     """
     ch = scheme.params.channel
     T = scheme.params.T
@@ -166,8 +165,7 @@ def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
 
     def survivor_counts(run_len: int) -> np.ndarray:
         if ch.kind == "bdc":
-            keep = rng.random((trials, run_len)) >= ch.parameter
-            return keep.sum(axis=1)
+            return bdc_run_survivors(trials, run_len, ch.parameter, rng)
         flat = poisson_copy_counts(trials * run_len, ch.parameter, rng)
         return flat.reshape(trials, run_len).sum(axis=1)
 
@@ -180,16 +178,11 @@ def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
         "p21": float((z2 <= T).mean()),
         "p20": float((z2 == 0).mean()),
     }
-    exact = {"p12": probs.p12, "p10": probs.p10, "p21": probs.p21, "p20": probs.p20}
-    table = {
-        name: {
-            "empirical": empirical[name],
-            "exact": exact[name],
-            # binomial standard error at the exact probability
-            "stderr": sqrt(exact[name] * (1.0 - exact[name]) / trials),
-        }
-        for name in ("p12", "p10", "p21", "p20")
-    }
+    table = {}
+    for name, freq in empirical.items():
+        exact = getattr(probs, name)  # binomial standard error at the exact probability:
+        table[name] = {"empirical": freq, "exact": exact,
+                       "stderr": sqrt(exact * (1.0 - exact) / trials)}
     return {
         "mode": "transition",
         "trials": trials,
@@ -291,17 +284,10 @@ def analyze_csv() -> tuple[str, int]:
     return "\n".join(lines) + "\n", failures
 
 
-# Regime constants for the dense sweep: (p_low, p_high, beta1, M1, M2,
-# R_in) per validity interval of the uniform bounds.
-_SWEEP_REGIMES = (
-    (0.0, 0.57, 0.530, 5.59, 20.21, 0.577475),
-    (0.57, 0.9, 0.530, 5.59, 23.5, 0.55224),
-    (0.9, 1.0, 0.522, 5.41, 22.8, 0.5229),
-)
-
-
 def sweep_csv(grid_step: float = 0.01) -> str:
-    """Fixed-p reference rates plus a dense ceiling-free rate curve."""
+    """Fixed-p reference rates plus a dense ceiling-free rate curve. Each
+    deletion regime preset covers the p above the previous one's worst p, up
+    to its own (the last one up to 1)."""
     lines = ["kind,p,rate,curve_15_71,lower_16"]
     for preset in presets():
         if preset.kind != "bdc_row":
@@ -311,16 +297,14 @@ def sweep_csv(grid_step: float = 0.01) -> str:
         lines.append(
             f"table,{p},{v.rate:.6e},{(1 - p) / 15.71:.6e},{(1 - p) / 16:.6e}"
         )
+    regimes = sorted((r for r in presets() if r.kind == "bdc_regime"), key=lambda r: r.p_or_lam)
     p = grid_step
     while p < 0.995:
-        for lo, hi, beta1, M1, M2, r_in in _SWEEP_REGIMES:
-            if lo < p <= hi:
-                rate = rate_mu(M1, M2, 1e-5, beta1, 1 - p, r_in, REF_R_OUT, REF_M,
-                               ceiling=False)
-                lines.append(
-                    f"grid,{p:.2f},{rate:.6e},{(1 - p) / 15.71:.6e},"
-                    f"{(1 - p) / 16:.6e}"
-                )
-                break
+        r = next((r for r in regimes if p <= r.p_or_lam), regimes[-1])
+        rate = rate_mu(r.M1, r.M2, 1e-5, r.beta1, 1 - p, r.expected_R_in, REF_R_OUT, REF_M,
+                       ceiling=False)
+        lines.append(
+            f"grid,{p:.2f},{rate:.6e},{(1 - p) / 15.71:.6e},{(1 - p) / 16:.6e}"
+        )
         p = round(p + grid_step, 10)
     return "\n".join(lines) + "\n"

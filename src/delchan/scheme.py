@@ -1,15 +1,20 @@
-"""Concatenated encoding pipeline and threshold decoder.
+"""Concatenated encoding pipeline and threshold decoder, on run arrays.
 
 Encoding: outer encode a message to n symbols, map each symbol to an inner
 codeword, blow each 1-run up to N1 bits and each 2-run up to N2 bits, and
 join the n blocks with zero buffers of length B. The blow-up factors are
 sized so that, after the channel, a 1-run's expected survivor count is M1, a
-2-run's is M2, and a buffer's is M_B * m.
+2-run's is M2, and a buffer's is M_B * m. A Layout holds the transmission as
+run lengths only: codewords start and end with 1 and buffers are 0, so runs
+alternate. The channel draws a copy count per bit, summed per run; drawing
+one count per run would change every seeded report, so it is deferred.
 
-Decoding: split the received string on long zero runs (buffers), map each
+Decoding (decode_runs): drop vanished runs and merge the neighbours they
+leave, split on zero runs longer than the buffer threshold, map each
 window's runs back to 1-/2-runs with the survivor threshold T, decode each
-window with the inner code, and hand the resulting symbol sequence (whatever
-its length) to the outer decoder.
+window with the inner code, and hand the symbols (however many) to the outer
+decoder. decode() reads a string into runs for the same core; window_spans
+and threshold_decode are the string reference of its first steps.
 
 Classification is separate from decoding: classify() reads a transmission's
 layout and per-bit copy counts (the ground truth a decoder never sees) and
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, floor
 from pathlib import Path
 
@@ -28,7 +34,7 @@ import numpy as np
 from .channels import ChannelModel
 from .inner import InnerCodebook, InnerParams
 from .outer import OuterCode, OuterSpec
-from .strings import SProfile, runs_of
+from .strings import SProfile, in_S, runs_of
 
 # Tolerance for snapping near-integer ratios before applying ceil/floor, so
 # that e.g. 20.21/0.43 = 46.999999... rounds to 47, not 48.
@@ -37,18 +43,12 @@ _SNAP = 1e-9
 
 def ceil_snapped(x: float) -> int:
     """Ceiling that forgives float error just above an integer."""
-    r = round(x)
-    if abs(x - r) < _SNAP:
-        return int(r)
-    return int(ceil(x))
+    return int(round(x)) if abs(x - round(x)) < _SNAP else int(ceil(x))
 
 
 def floor_snapped(x: float) -> int:
     """Floor that forgives float error just below an integer."""
-    r = round(x)
-    if abs(x - r) < _SNAP:
-        return int(r)
-    return int(floor(x))
+    return int(round(x)) if abs(x - round(x)) < _SNAP else int(floor(x))
 
 
 @dataclass(frozen=True)
@@ -115,43 +115,86 @@ class Scheme:
         prof = self.params.inner.profile
         return prof.r1 * self.N1 + prof.r2 * self.N2
 
-    def encode(self, message: int) -> str:
-        bits, _ = self.encode_with_layout(message)
-        return bits
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Each symbol's blown-up block (see blow_up)."""
+        return tuple(blow_up(c, self.N1, self.N2) for c in self.inner_cb.codewords)
 
-    def encode_with_layout(self, message: int) -> tuple[str, "Layout"]:
-        return lay_out(self.outer.encode(message), self.inner_cb, self.N1, self.N2, self.B)
+    @cached_property
+    def _symbol_of(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.inner_cb.codewords)}
+
+    def encode(self, message: int) -> str:
+        return self.encode_with_layout(message).bits()
+
+    def encode_with_layout(self, message: int) -> "Layout":
+        return lay_out(self.outer.encode(message), self.blocks, self.B)
 
     def decode(self, received: str) -> int:
-        message, _ = self.decode_with_trace(received)
-        return message
+        return self.decode_with_trace(received)[0]
 
     def decode_with_trace(self, received: str) -> tuple[int, "DecodeTrace"]:
+        bits = np.frombuffer(received.encode("ascii", "replace"), np.uint8) - 48
+        if (bits > 1).any():
+            raise ValueError("received string must be binary")
+        return self.decode_runs(bits, np.ones(bits.size, np.int64))  # runs of one bit
+
+    def decode_runs(self, bits: np.ndarray, lengths: np.ndarray) -> tuple[int, "DecodeTrace"]:
+        """Decode a reception of lengths[i] copies of bits[i] for each run i;
+        runs of length 0 and same-bit neighbours may occur."""
         p = self.params
-        spans = window_spans(received, p.buffer_threshold)
-        outputs = [threshold_decode(received[a:b], p.T) for a, b in spans]
-        symbols = [self.inner_cb.decode(w) for w in outputs]
+        bits, lengths = merge_runs(bits, lengths)
+        first, last = segments((bits == 1) | (lengths <= p.buffer_threshold))
+        text, offsets = threshold_text(bits, lengths, p.T)
+        pos = np.concatenate(([0], np.cumsum(lengths)))
+        spans = list(zip(pos[first].tolist(), pos[last].tolist()))
+        outputs = [text[a:b] for a, b in zip(offsets[first].tolist(), offsets[last].tolist())]
+        symbols = [self.inner_decode(w) for w in outputs]
         return self.outer.decode(symbols), DecodeTrace(spans, outputs, symbols)
 
-
-@dataclass(frozen=True)
-class RunSpan:
-    """One blown-up run: [start, end) in the transmitted string, its bit, and
-    the original run length (1 or 2)."""
-
-    start: int
-    end: int
-    bit: int
-    orig_len: int
+    def inner_decode(self, window: str) -> int:
+        """inner_cb.decode of a thresholded window. A window equal to a codeword
+        is looked up: codewords are distinct and all have length m, so no
+        other codeword reaches its LCS of m."""
+        symbol = self._symbol_of.get(window)
+        return self.inner_cb.decode(window) if symbol is None else symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layout:
-    """Ground-truth positions of every blown-up run and buffer."""
+    """A transmission as run arrays: run i covers the bits [starts[i],
+    starts[i] + lengths[i]) and was a run of orig[i] (1 or 2) bits before the
+    blow-up, or is a buffer if orig[i] is 0. Runs alternate in bit, starting
+    from first_bit."""
 
     symbols: tuple[int, ...]
-    codeword_runs: list[list[RunSpan]]
-    buffer_spans: list[tuple[int, int]]
+    starts: np.ndarray
+    lengths: np.ndarray
+    orig: np.ndarray
+    first_bit: int
+
+    def __len__(self) -> int:
+        """Transmitted bits."""
+        return int(self.lengths.sum())
+
+    @property
+    def run_bits(self) -> np.ndarray:
+        return ((np.arange(self.lengths.size) & 1) ^ self.first_bit).astype(np.uint8)
+
+    @property
+    def buffers(self) -> np.ndarray:
+        """Run indices of the buffers."""
+        return np.flatnonzero(self.orig == 0)
+
+    def bits(self) -> str:
+        """The transmitted string."""
+        return np.repeat(self.run_bits + 48, self.lengths).tobytes().decode()
+
+    def survivors(self, counts: np.ndarray) -> np.ndarray:
+        """Survivors of each run, given counts[i] copies of transmitted bit i."""
+        if len(counts) != len(self):
+            raise ValueError("counts length does not match input length")
+        return np.add.reduceat(counts, self.starts)
 
 
 @dataclass
@@ -179,60 +222,70 @@ def classify(
     zeros stripped, are empty or decode to another symbol.
     """
     p = scheme.params
-    threshold = p.buffer_threshold
-    before = [0, *np.cumsum(counts).tolist()]  # survivors of bits [0, i)
-    events = {"deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0}
-    for a, b in layout.buffer_spans:
-        events["deleted_buffer"] += before[b] - before[a] <= threshold
-
+    z = layout.survivors(counts)
+    orig, bits = layout.orig, layout.run_bits
+    after = np.append(orig[1:], 0)
+    after[after == 0] = 2  # a codeword's last run is followed by a buffer or nothing
+    cost = np.where(z == 0, orig + after, 1 + (z > p.T) != orig)
+    events = {
+        "deleted_buffer": int((z[orig == 0] <= p.buffer_threshold).sum()),
+        "spurious_buffer": 0,
+        "wrong_inner_decode": 0,
+    }
     xs: list[int] = []
-    for symbol, spans in zip(layout.symbols, layout.codeword_runs):
-        survivors = [before[span.end] - before[span.start] for span in spans]
-        next_len = [span.orig_len for span in spans[1:]] + [2]
-        x = 0
-        for span, z, after in zip(spans, survivors, next_len):
-            if z == 0:
-                x += span.orig_len + after
-            elif (2 if z > p.T else 1) != span.orig_len:
-                x += 1
-        xs.append(x)
-        window = "".join(str(span.bit) * z for span, z in zip(spans, survivors)).strip("0")
-        events["spurious_buffer"] += sum(
-            bit == 0 and ln > threshold for bit, ln in runs_of(window)
-        )
-        events["wrong_inner_decode"] += (
-            not window or scheme.inner_cb.decode(threshold_decode(window, p.T)) != symbol
-        )
+    for symbol, a, b in zip(layout.symbols, *segments(orig > 0)):
+        xs.append(int(cost[a:b].sum()))
+        w_bits, w_lengths = merge_runs(bits[a:b], z[a:b])
+        ones = np.flatnonzero(w_bits)
+        edges = slice(ones[0], ones[-1] + 1) if ones.size else slice(0)  # zeros stripped
+        w_bits, w_lengths = w_bits[edges], w_lengths[edges]
+        events["spurious_buffer"] += int((w_lengths[w_bits == 0] > p.buffer_threshold).sum())
+        window, _ = threshold_text(w_bits, w_lengths, p.T)
+        events["wrong_inner_decode"] += not window or scheme.inner_decode(window) != symbol
     return xs, events
 
 
-def lay_out(
-    symbols: tuple[int, ...], inner_cb: InnerCodebook, N1: int, N2: int, B: int,
-    *, edge_buffers: bool = False,
-) -> tuple[str, Layout]:
-    """Blow up each symbol's inner codeword (1-runs to N1 bits, 2-runs to N2)
-    and join the blocks with zero buffers of B bits; edge_buffers adds one
-    more buffer before the first block and after the last."""
-    pieces: list[str] = []
-    codeword_runs: list[list[RunSpan]] = []
-    buffer_spans: list[tuple[int, int]] = []
-    pos = 0
-    for idx, sym in enumerate(symbols):
-        if idx > 0 or edge_buffers:
-            pieces.append("0" * B)
-            buffer_spans.append((pos, pos + B))
-            pos += B
-        spans: list[RunSpan] = []
-        for b, ln in runs_of(inner_cb.encode(sym)):
-            blown = N1 if ln == 1 else N2
-            pieces.append(str(b) * blown)
-            spans.append(RunSpan(pos, pos + blown, b, ln))
-            pos += blown
-        codeword_runs.append(spans)
-    if edge_buffers:
-        pieces.append("0" * B)
-        buffer_spans.append((pos, pos + B))
-    return "".join(pieces), Layout(tuple(symbols), codeword_runs, buffer_spans)
+def blow_up(codeword: str, N1: int, N2: int) -> np.ndarray:
+    """A codeword's run lengths blown up (1-runs to N1 bits, 2-runs to N2) in
+    row 0, and its original run lengths in row 1."""
+    if not in_S(codeword):  # runs must alternate from 1 to 1 across buffers
+        raise ValueError(f"{codeword!r} is not in S")
+    orig = np.array([ln for _, ln in runs_of(codeword)], np.int64)
+    return np.stack((np.where(orig == 1, N1, N2), orig))
+
+
+def lay_out(symbols: tuple[int, ...], blocks, B: int, *, edge_buffers: bool = False) -> Layout:
+    """Join the blown-up blocks of the symbols (blocks[s] is blow_up of the
+    codeword of s) with zero buffers of B bits; edge_buffers adds one more
+    buffer before the first block and after the last."""
+    buffer = np.array([[B], [0]])
+    pieces = [piece for sym in symbols for piece in (buffer, blocks[sym])]
+    pieces = pieces + [buffer] if edge_buffers else pieces[1:]
+    lengths, orig = np.concatenate(pieces, axis=1)
+    starts = np.cumsum(lengths) - lengths
+    return Layout(tuple(symbols), starts, lengths, orig, 0 if edge_buffers else 1)
+
+
+def merge_runs(bits: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the runs of length 0 and merge the same-bit neighbours they leave."""
+    keep = lengths > 0
+    bits, lengths = bits[keep], lengths[keep]
+    starts = np.flatnonzero(np.diff(bits, prepend=2))
+    return bits[starts], np.add.reduceat(lengths, starts)
+
+
+def segments(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[first, last) of each maximal stretch of True in mask."""
+    edges = np.flatnonzero(np.concatenate(([False], mask)) != np.concatenate((mask, [False])))
+    return edges[::2], edges[1::2]
+
+
+def threshold_text(bits: np.ndarray, lengths: np.ndarray, T: int) -> tuple[str, np.ndarray]:
+    """Every run as a 2-run if longer than T, else a 1-run, as one string;
+    and the offset in it where each run starts, plus its length."""
+    doubled = 1 + (lengths > T)
+    text = np.repeat(bits + 48, doubled).tobytes().decode()
+    return text, np.concatenate(([0], np.cumsum(doubled)))
 
 
 def window_spans(bits: str, threshold: int) -> list[tuple[int, int]]:
@@ -241,15 +294,9 @@ def window_spans(bits: str, threshold: int) -> list[tuple[int, int]]:
     A maximal zero-run strictly longer than threshold is a buffer; segments
     between buffers (and the string ends) are returned in order.
     """
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for buffer in re.finditer(f"0{{{threshold + 1},}}", bits):
-        if buffer.start() > start:
-            spans.append((start, buffer.start()))
-        start = buffer.end()
-    if len(bits) > start:
-        spans.append((start, len(bits)))
-    return spans
+    buffers = re.finditer(f"0{{{threshold + 1},}}", bits)
+    bounds = [0, *(i for buffer in buffers for i in buffer.span()), len(bits)]
+    return [(a, b) for a, b in zip(bounds[::2], bounds[1::2]) if b > a]
 
 
 def threshold_decode(window: str, T: int) -> str:

@@ -4,7 +4,7 @@ LCS kernels, and the header reader shared by the inner and outer code files."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 from pathlib import Path
 
@@ -18,14 +18,7 @@ Run = tuple[int, int]
 
 def runs_of(s: str) -> list[Run]:
     """Decompose a binary string into its maximal runs of equal bits."""
-    runs: list[Run] = []
-    for c in s:
-        b = int(c)
-        if runs and runs[-1][0] == b:
-            runs[-1] = (b, runs[-1][1] + 1)
-        else:
-            runs.append((b, 1))
-    return runs
+    return [(int(c), len(list(group))) for c, group in groupby(s)]
 
 
 def bits_of(runs: list[Run]) -> str:
@@ -112,9 +105,7 @@ def is_subsequence(sub: str, s: str) -> bool:
 
 def in_S(s: str) -> bool:
     """Membership in S: starts and ends with 1, runs of length 1 or 2 only."""
-    if not s or s[0] != "1" or s[-1] != "1":
-        return False
-    return all(ln <= 2 for _, ln in runs_of(s))
+    return s[:1] == s[-1:] == "1" and all(ln <= 2 for _, ln in runs_of(s))
 
 
 @dataclass(frozen=True)
@@ -169,26 +160,6 @@ def enumerate_S(profile: SProfile) -> list[str]:
         out.append(bits_of(runs))
     out.sort()
     return out
-
-
-def s_normalize(s: str) -> str:
-    """Flatten runs of length >= 3 by flipping middle bits, yielding a string
-    in S of the same length.
-
-    Preserves the property of being a common subsequence of any pair of
-    strings whose runs are all of length <= 2.
-    """
-    if not s or s[0] != "1" or s[-1] != "1":
-        raise ValueError("input must start and end with 1")
-    bits = list(s)
-    i = 0
-    while i + 2 < len(bits):
-        if bits[i] == bits[i + 1] == bits[i + 2]:
-            bits[i + 1] = "1" if bits[i + 1] == "0" else "0"
-            i += 2
-        else:
-            i += 1
-    return "".join(bits)
 
 
 def read_code_file(path: str | Path, keys: tuple[str, ...]) -> tuple[dict[str, int], list[str]]:

@@ -8,8 +8,8 @@ from delchan.channels import (
     RngStream,
     apply_copy_counts,
     bdc_copy_counts,
+    bdc_run_survivors,
     poisson_copy_counts,
-    poisson_sample,
 )
 
 
@@ -51,27 +51,28 @@ def test_bdc_keep_rate():
     assert set(np.unique(counts)) <= {0, 1}
 
 
-def test_poisson_sample_moments():
-    rng = RngStream(4, 0).generator()
-    draws = np.array([poisson_sample(2.5, rng) for _ in range(20000)])
-    assert abs(draws.mean() - 2.5) < 3 * (2.5 / 20000) ** 0.5
-    assert abs(draws.var() - 2.5) < 0.15
-
-
-def test_poisson_sample_guards():
-    rng = RngStream(5, 0).generator()
-    assert poisson_sample(0.0, rng) == 0
-    with pytest.raises(ValueError):
-        poisson_sample(-1.0, rng)
-    with pytest.raises(ValueError):
-        poisson_sample(1000.0, rng)
-
-
 def test_vectorized_poisson_moments():
     rng = RngStream(6, 0).generator()
     counts = poisson_copy_counts(100000, 0.5, rng)
     assert abs(counts.mean() - 0.5) < 3 * (0.5 / 100000) ** 0.5
     assert abs(counts.var() - 0.5) < 0.02
+
+
+def test_poisson_copy_counts_guards():
+    rng = RngStream(5, 0).generator()
+    assert not poisson_copy_counts(10, 0.0, rng).any()
+    with pytest.raises(ValueError):
+        poisson_copy_counts(1, -1.0, rng)
+    with pytest.raises(ValueError):
+        poisson_copy_counts(1, 1000.0, rng)
+
+
+@pytest.mark.parametrize("trials", [1, 255, 256, 257, 2000])
+def test_bdc_run_survivors_blocks_match_one_draw(trials):
+    # blocks of rows read the same uniforms, in the same order, as one draw
+    blocked = bdc_run_survivors(trials, 541, 0.99, RngStream(9, 0).generator())
+    one = RngStream(9, 0).generator().random((trials, 541)) >= 0.99
+    assert np.array_equal(blocked, one.sum(axis=1))
 
 
 def test_prc_transmit_expands_copies():

@@ -1,0 +1,156 @@
+"""The run-level signal path against the bit-string path it replaced.
+
+The string oracles below expand a transmission bit by bit and walk the
+received string character by character: window_spans, threshold_decode, the
+scalar inner decode and the outer decode; and classify as it was written on
+strings. The run-level path must give the same answers on any per-bit copy
+counts, including all-zero and large ones.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from delchan.channels import apply_copy_counts
+from delchan.cli import main
+from delchan.harness import desk_scheme
+from delchan.scheme import (
+    DecodeTrace,
+    classify,
+    lay_out,
+    save_scheme,
+    threshold_decode,
+    window_spans,
+)
+from delchan.strings import runs_of
+
+
+@pytest.fixture(scope="module")
+def schemes(bdc_desk, prc_desk):
+    return {"bdc": bdc_desk, "prc": prc_desk, "bdc_M_B=0.5": desk_scheme("bdc", M_B=0.5)}
+
+
+SCHEMES = ["bdc", "prc", "bdc_M_B=0.5"]
+
+
+def string_encode(scheme, message):
+    blocks = [
+        "".join(str(b) * (scheme.N1 if ln == 1 else scheme.N2) for b, ln in runs_of(codeword))
+        for codeword in map(scheme.inner_cb.encode, scheme.outer.encode(message))
+    ]
+    return ("0" * scheme.B).join(blocks)
+
+
+def string_decode(scheme, received):
+    p = scheme.params
+    spans = window_spans(received, p.buffer_threshold)
+    outputs = [threshold_decode(received[a:b], p.T) for a, b in spans]
+    symbols = [scheme.inner_cb.decode(w) for w in outputs]
+    return scheme.outer.decode(symbols), DecodeTrace(spans, outputs, symbols)
+
+
+def string_classify(scheme, layout, counts):
+    """classify on bit strings: survivors from a per-bit cumulative sum, each
+    codeword's received bits as a string, and the scalar inner decode."""
+    p = scheme.params
+    threshold = p.buffer_threshold
+    before = [0, *np.cumsum(counts).tolist()]  # survivors of bits [0, i)
+    events = {"deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0}
+    codeword_runs = [[]]
+    ends = (layout.starts + layout.lengths).tolist()
+    for start, end, bit, orig in zip(layout.starts.tolist(), ends,
+                                     layout.run_bits.tolist(), layout.orig.tolist()):
+        if orig == 0:
+            events["deleted_buffer"] += before[end] - before[start] <= threshold
+            codeword_runs.append([])
+        else:
+            codeword_runs[-1].append((before[end] - before[start], bit, orig))
+    xs = []
+    for symbol, runs in zip(layout.symbols, [r for r in codeword_runs if r]):
+        next_len = [orig for _, _, orig in runs[1:]] + [2]
+        x = 0
+        for (z, _, orig), after in zip(runs, next_len):
+            if z == 0:
+                x += orig + after
+            elif (2 if z > p.T else 1) != orig:
+                x += 1
+        xs.append(x)
+        window = "".join(str(bit) * z for z, bit, _ in runs).strip("0")
+        events["spurious_buffer"] += sum(
+            bit == 0 and ln > threshold for bit, ln in runs_of(window)
+        )
+        events["wrong_inner_decode"] += (
+            not window or scheme.inner_cb.decode(threshold_decode(window, p.T)) != symbol
+        )
+    return xs, events
+
+
+def copy_counts(kind, seed, layout):
+    """Per-bit copy counts of one of several shapes, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    n = len(layout)
+    if kind == "deletion":
+        return (rng.random(n) >= rng.uniform(0.0, 0.95)).astype(np.int64)
+    if kind == "repeat":
+        return rng.poisson(rng.uniform(0.05, 3.0), n)
+    if kind == "zero":
+        return np.zeros(n, np.int64)
+    if kind == "large":
+        return rng.integers(0, 60, n)
+    # whole runs vanish or survive: buffers drop out and neighbours merge
+    keep = rng.random(layout.lengths.size) < rng.uniform(0.2, 1.0)
+    return np.repeat(keep * rng.integers(1, 4, keep.size), layout.lengths)
+
+
+KINDS = st.sampled_from(["deletion", "repeat", "zero", "large", "runs"])
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 255), KINDS, st.integers(0, 2**32 - 1))
+def test_run_decoder_matches_string_decoder(schemes, name, message, kind, seed):
+    s = schemes[name]
+    layout = s.encode_with_layout(message)
+    encoded = layout.bits()
+    assert encoded == string_encode(s, message)
+    counts = copy_counts(kind, seed, layout)
+    received = apply_copy_counts(encoded, counts)
+    expected = string_decode(s, received)
+    assert s.decode_runs(layout.run_bits, layout.survivors(counts)) == expected
+    assert s.decode_with_trace(received) == expected
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 255), st.booleans(), KINDS, st.integers(0, 2**32 - 1))
+def test_classify_matches_string_classify(schemes, name, message, single, kind, seed):
+    s = schemes[name]
+    if single:
+        layout = lay_out((message % len(s.inner_cb),), s.blocks, s.B, edge_buffers=True)
+    else:
+        layout = s.encode_with_layout(message)
+    counts = copy_counts(kind, seed, layout)
+    assert classify(s, layout, counts) == string_classify(s, layout, counts)
+
+
+@pytest.mark.parametrize("junk", ["2", "10a1", "1 0", "01\n", "é", "1١"])
+def test_decode_rejects_non_binary(bdc_desk, junk, tmp_path, capsys):
+    with pytest.raises(ValueError, match="^received string must be binary$"):
+        bdc_desk.decode(junk)
+    bdc_desk.inner_cb.save(tmp_path / "cb.txt")
+    bdc_desk.outer.save(tmp_path / "oc.txt")
+    save_scheme(bdc_desk, tmp_path / "scheme.txt", "cb.txt", "oc.txt", 2024)
+    assert main(["decode", "--config", str(tmp_path / "scheme.txt"), junk]) == 2
+    assert capsys.readouterr().err == "error: received string must be binary\n"
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+def test_degenerate_receptions_keep_their_answers(schemes, name):
+    # no window at all, one all-zero buffer, or buffer-free windows
+    s = schemes[name]
+    buffer_free = s.encode(77).replace("0" * s.B, "")
+    receptions = ["", "0", "1", "0" * 500, "0" * 5000, "1" * 500, "10" * 300,
+                  s.inner_cb.codewords[3], buffer_free]
+    assert [s.decode(r) for r in receptions] == [0] * len(receptions)
+    assert s.decode_with_trace("") == (0, DecodeTrace([], [], []))

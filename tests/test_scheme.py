@@ -19,6 +19,7 @@ from delchan.scheme import (
     ceil_snapped,
     classify,
     floor_snapped,
+    blow_up,
     lay_out,
     load_scheme,
     save_scheme,
@@ -42,10 +43,9 @@ def test_snapped_rounding():
 
 def _blow_up(codeword, N1, N2):
     """A one-codeword layout without buffers: just the blown-up runs."""
-    cb = InnerCodebook(InnerParams(SProfile.of(codeword), 0), (codeword,))
-    bits, layout = lay_out((0,), cb, N1, N2, B=7)
-    assert layout.buffer_spans == []
-    return bits
+    layout = lay_out((0,), [blow_up(codeword, N1, N2)], B=7)
+    assert layout.buffers.size == 0
+    return layout.bits()
 
 
 def test_blow_up_examples():
@@ -55,18 +55,22 @@ def test_blow_up_examples():
     # runs of 3 never reach the builder: codebook validation rejects them
     with pytest.raises(ValueError):
         InnerCodebook(InnerParams(SProfile(5, 1, 2), 0), ("11101",)).validate()
+    with pytest.raises(ValueError):
+        blow_up("11101", 3, 5)
     # two blocks: spans of every run and buffer, with and without edge buffers
-    cb = InnerCodebook(InnerParams(SProfile(4, 2, 1), 0), ("1011", "1101"))
-    bits, layout = lay_out((1, 0), cb, 1, 3, B=2)
-    assert bits == "11101" + "00" + "10111"
+    blocks = [blow_up(c, 1, 3) for c in ("1011", "1101")]
+    layout = lay_out((1, 0), blocks, B=2)
+    assert layout.bits() == "11101" + "00" + "10111"
+    assert len(layout) == 12
     assert layout.symbols == (1, 0)
-    assert layout.buffer_spans == [(5, 7)]
-    assert [(r.start, r.end, r.bit, r.orig_len) for r in layout.codeword_runs[1]] == [
-        (7, 8, 1, 1), (8, 9, 0, 1), (9, 12, 1, 2),
-    ]
-    edged, edged_layout = lay_out((1, 0), cb, 1, 3, B=2, edge_buffers=True)
-    assert edged == "00" + bits + "00"
-    assert edged_layout.buffer_spans == [(0, 2), (7, 9), (14, 16)]
+    assert layout.starts.tolist() == [0, 3, 4, 5, 7, 8, 9]
+    assert layout.lengths.tolist() == [3, 1, 1, 2, 1, 1, 3]
+    assert layout.orig.tolist() == [2, 1, 1, 0, 1, 1, 2]
+    assert layout.run_bits.tolist() == [1, 0, 1, 0, 1, 0, 1]
+    assert layout.buffers.tolist() == [3]
+    edged = lay_out((1, 0), blocks, B=2, edge_buffers=True)
+    assert edged.bits() == "00" + layout.bits() + "00"
+    assert edged.starts[edged.buffers].tolist() == [0, 7, 14]
 
 
 def test_identify_buffers_examples():
@@ -134,7 +138,14 @@ def test_params_invariants():
 
 
 def _single_codeword(s, symbol):
-    return lay_out((symbol,), s.inner_cb, s.N1, s.N2, s.B, edge_buffers=True)
+    return lay_out((symbol,), s.blocks, s.B, edge_buffers=True)
+
+
+def _delete_run(layout, i):
+    """Per-bit copy counts that delete run i of a layout and keep every other bit."""
+    counts = np.ones(len(layout), dtype=np.int64)
+    counts[layout.starts[i]:layout.starts[i] + layout.lengths[i]] = 0
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +233,9 @@ def test_decode_survives_one_deleted_buffer(bdc_scheme):
 
 def test_trace_clean_channel(bdc_scheme):
     s = bdc_scheme
-    enc, layout = s.encode_with_layout(42)
+    layout = s.encode_with_layout(42)
+    enc = layout.bits()
+    assert enc == s.encode(42)
     msg, trace = s.decode_with_trace(enc)
     assert msg == 42
     assert len(trace.window_boundaries) == 32
@@ -239,36 +252,26 @@ def test_trace_clean_channel(bdc_scheme):
 def test_trace_x_for_vanished_run(bdc_scheme):
     # wipe out a blown-up 1-run that precedes a 2-run: X = 1 + 2 = 3
     s = bdc_scheme
-    bits, layout = _single_codeword(s, 2)
-    spans = layout.codeword_runs[0]
-    j = next(
-        i for i in range(len(spans) - 1)
-        if spans[i].orig_len == 1 and spans[i + 1].orig_len == 2
-    )
-    counts = np.ones(len(bits), dtype=np.int64)
-    counts[spans[j].start:spans[j].end] = 0
-    xs, _ = classify(s, layout, counts)
+    layout = _single_codeword(s, 2)
+    orig = layout.orig.tolist()
+    j = next(i for i in range(len(orig) - 1) if orig[i] == 1 and orig[i + 1] == 2)
+    xs, _ = classify(s, layout, _delete_run(layout, j))
     assert xs == [3]
 
 
 def test_trace_x_for_vanished_last_run(bdc_scheme):
     # the final run vanishing costs its own length plus 2
     s = bdc_scheme
-    bits, layout = _single_codeword(s, 1)
-    last = layout.codeword_runs[0][-1]
-    counts = np.ones(len(bits), dtype=np.int64)
-    counts[last.start:last.end] = 0
-    xs, _ = classify(s, layout, counts)
-    assert xs == [last.orig_len + 2]
+    layout = _single_codeword(s, 1)
+    last = layout.buffers[-1] - 1
+    xs, _ = classify(s, layout, _delete_run(layout, last))
+    assert xs == [layout.orig[last] + 2]
 
 
 def test_trace_deleted_buffer_flagged(bdc_scheme):
     s = bdc_scheme
-    bits, layout = _single_codeword(s, 0)
-    counts = np.ones(len(bits), dtype=np.int64)
-    a, b = layout.buffer_spans[0]
-    counts[a:b] = 0
-    _, events = classify(s, layout, counts)
+    layout = _single_codeword(s, 0)
+    _, events = classify(s, layout, _delete_run(layout, layout.buffers[0]))
     assert events["deleted_buffer"] == 1
 
 

@@ -20,7 +20,6 @@ from delchan.strings import (
     lcs_len,
     lane_masks,
     runs_of,
-    s_normalize,
     sequence_lcs_len,
 )
 
@@ -184,12 +183,3 @@ def test_enumerate_S():
     # smallest profile: the single alternating string
     assert enumerate_S(SProfile(3, 3, 0)) == ["101"]
 
-
-def test_s_normalize():
-    assert in_S(s_normalize("1110101"))
-    assert len(s_normalize("1110101")) == 7
-    # already-normal strings are fixed points
-    for s in enumerate_S(SProfile(7, 3, 2)):
-        assert s_normalize(s) == s
-    with pytest.raises(ValueError):
-        s_normalize("0101")
