@@ -59,8 +59,8 @@ def bdc_run_survivors(trials: int, run_len: int, p: float, rng: np.random.Genera
 def poisson_copy_counts(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
     """Survivor counts of n bits on the repeat channel: independent Poisson(lam).
 
-    Knuth's product-of-uniforms method, vectorized: draw uniforms in blocks
-    and keep multiplying into the not-yet-finished positions.
+    Knuth's product-of-uniforms method, vectorized: each round multiplies one
+    uniform into the product of each unfinished position, kept in index order.
     """
     if lam < 0.0:
         raise ValueError(f"Poisson mean {lam} is negative")
@@ -69,11 +69,13 @@ def poisson_copy_counts(n: int, lam: float, rng: np.random.Generator) -> np.ndar
     counts = np.zeros(n, dtype=np.int64)
     prod = rng.random(n)
     threshold = exp(-lam)
-    active = prod > threshold
-    while active.any():
+    active = np.flatnonzero(prod > threshold)
+    prod = prod[active]
+    while active.size:
         counts[active] += 1
-        prod[active] *= rng.random(int(active.sum()))
-        active = prod > threshold
+        prod *= rng.random(active.size)
+        keep = prod > threshold
+        active, prod = active[keep], prod[keep]
     return counts
 
 

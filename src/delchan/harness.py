@@ -4,7 +4,7 @@ Three experiment modes:
   single_codeword — transmit one blown-up inner codeword flanked by buffers
     and classify it from its layout and copy counts (scheme.classify; nothing
     is decoded): error events and the per-codeword distortion statistic X;
-  end_to_end — encode random messages, transmit, decode, count successes;
+  end_to_end — encode random messages, transmit, decode in blocks, count successes;
   transition — transmit bare blown-up runs in bulk and compare empirical
     run-transition frequencies against the exact formulas.
 
@@ -62,6 +62,8 @@ def cached_inner_codebook(params: InnerParams):
 # its analytic bound, which is only meaningful when losses are observable.
 DESK_M_B = 2.5
 DESK_SEED = 2024
+# Trials whose receptions run_end_to_end decodes together; bounds a block's memory.
+_BLOCK_TRIALS = 256
 
 
 def desk_params(kind: str, *, M_B: float = DESK_M_B) -> SchemeParams:
@@ -132,18 +134,21 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
 
 
 def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
-    """Encode random messages, transmit, decode; count exact recoveries."""
+    """Encode random messages, transmit, decode; count exact recoveries. Each
+    trial has its own stream; one decode_block pass takes _BLOCK_TRIALS trials."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     num_messages = scheme.outer.spec.num_messages
-
-    def one(t: int) -> int:
-        rng = RngStream(master_seed, t).generator()
-        message = int(rng.integers(0, num_messages))
-        layout = scheme.encode_with_layout(message)
-        counts = scheme.params.channel.copy_counts(layout, rng)
-        decoded, _ = scheme.decode_runs(layout.run_bits, layout.survivors(counts))
-        return int(decoded == message)
-
-    successes = sum(one(t) for t in range(trials))
+    successes = 0
+    for block in range(0, trials, _BLOCK_TRIALS):
+        messages, receptions = [], []
+        for t in range(block, min(block + _BLOCK_TRIALS, trials)):
+            rng = RngStream(master_seed, t).generator()
+            messages.append(int(rng.integers(0, num_messages)))
+            layout = scheme.encode_with_layout(messages[-1])
+            counts = scheme.params.channel.copy_counts(layout, rng)
+            receptions.append((layout.run_bits, layout.survivors(counts)))
+        successes += sum(d == m for (d, _), m in zip(scheme.decode_block(receptions), messages))
     return {
         "mode": "end_to_end",
         "trials": trials,
@@ -159,6 +164,8 @@ def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
     Survivor counts for all trials are drawn per bit, in vectorized channel
     passes per run length.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     ch = scheme.params.channel
     T = scheme.params.T
     rng = RngStream(master_seed, 0).generator()

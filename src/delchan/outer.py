@@ -83,10 +83,17 @@ class OuterCode:
     def _masks(self) -> np.ndarray:
         return lane_masks([_digits(c) for c in self.codewords], self.spec.q, self.spec.n)
 
+    @cached_property
+    def _message_of(self) -> dict[tuple[int, ...], int]:
+        """Each codeword's smallest message."""
+        return {c: i for i, c in reversed(list(enumerate(self.codewords)))}
+
     def decode(self, received: tuple[int, ...] | list[int]) -> int:
         """Nearest codeword in symbol edit distance; ties take the smallest
         message. Accepts sequences of any length."""
         received = tuple(received)
+        if received in self._message_of:  # at distance 0 from that codeword alone
+            return self._message_of[received]
         lcs = lcs_lanes(received, self._masks, self.spec.n)
         return int(np.argmin(self.spec.n + len(received) - 2 * lcs))
 

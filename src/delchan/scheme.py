@@ -9,12 +9,13 @@ run lengths only: codewords start and end with 1 and buffers are 0, so runs
 alternate. The channel draws a copy count per bit, summed per run; drawing
 one count per run would change every seeded report, so it is deferred.
 
-Decoding (decode_runs): drop vanished runs and merge the neighbours they
-leave, split on zero runs longer than the buffer threshold, map each
-window's runs back to 1-/2-runs with the survivor threshold T, decode each
-window with the inner code, and hand the symbols (however many) to the outer
-decoder. decode() reads a string into runs for the same core; window_spans
-and threshold_decode are the string reference of its first steps.
+Decoding (decode_block, several receptions in one pass): drop vanished runs
+and merge the neighbours they leave, split on zero runs longer than the
+buffer threshold, map each window's runs back to 1-/2-runs with the survivor
+threshold T, decode each window with the memoised inner code, and hand the
+symbols (however many) to the outer decoder, which looks codewords up first.
+decode() and decode_with_trace() read a string into runs, a block of one;
+window_spans and threshold_decode are the string reference of its first steps.
 
 Classification is separate from decoding: classify() reads a transmission's
 layout and per-bit copy counts (the ground truth a decoder never sees) and
@@ -35,6 +36,9 @@ from .channels import ChannelModel
 from .inner import InnerCodebook, InnerParams
 from .outer import OuterCode, OuterSpec
 from .strings import SProfile, in_S, runs_of
+
+# Windows one scheme's inner-decode memo holds at most, to bound its memory.
+_MEMO_CAP = 1 << 12
 
 # Tolerance for snapping near-integer ratios before applying ceil/floor, so
 # that e.g. 20.21/0.43 = 46.999999... rounds to 47, not 48.
@@ -121,8 +125,9 @@ class Scheme:
         return tuple(blow_up(c, self.N1, self.N2) for c in self.inner_cb.codewords)
 
     @cached_property
-    def _symbol_of(self) -> dict[str, int]:
-        return {c: i for i, c in enumerate(self.inner_cb.codewords)}
+    def _memo(self) -> dict[str, int]:
+        """inner_decode's answers, seeded with each codeword's smallest index."""
+        return {c: i for i, c in reversed(list(enumerate(self.inner_cb.codewords)))}
 
     def encode(self, message: int) -> str:
         return self.encode_with_layout(message).bits()
@@ -137,27 +142,41 @@ class Scheme:
         bits = np.frombuffer(received.encode("ascii", "replace"), np.uint8) - 48
         if (bits > 1).any():
             raise ValueError("received string must be binary")
-        return self.decode_runs(bits, np.ones(bits.size, np.int64))  # runs of one bit
+        return self.decode_block([(bits, np.ones(bits.size, np.int64))])[0]  # runs of one bit
 
-    def decode_runs(self, bits: np.ndarray, lengths: np.ndarray) -> tuple[int, "DecodeTrace"]:
-        """Decode a reception of lengths[i] copies of bits[i] for each run i;
-        runs of length 0 and same-bit neighbours may occur."""
+    def decode_block(
+        self, receptions: list[tuple[np.ndarray, np.ndarray]]
+    ) -> list[tuple[int, "DecodeTrace"]]:
+        """Decode each reception of lengths[i] copies of bits[i] for each run i
+        (runs of length 0 and same-bit neighbours may occur), in one pass over
+        all their runs: runs of two receptions never merge, and no window spans two."""
         p = self.params
-        bits, lengths = merge_runs(bits, lengths)
-        first, last = segments((bits == 1) | (lengths <= p.buffer_threshold))
+        owner = np.repeat(np.arange(len(receptions)), [len(b) for b, _ in receptions])
+        bits, lengths, owner = merge_runs(np.concatenate([b for b, _ in receptions]),
+                                          np.concatenate([n for _, n in receptions]), owner)
+        first, last = segments((bits == 1) | (lengths <= p.buffer_threshold), owner)
         text, offsets = threshold_text(bits, lengths, p.T)
         pos = np.concatenate(([0], np.cumsum(lengths)))
-        spans = list(zip(pos[first].tolist(), pos[last].tolist()))
+        window_owner = owner[first]
+        base = pos[np.searchsorted(owner, window_owner)]  # where each window's reception starts
+        spans = list(zip((pos[first] - base).tolist(), (pos[last] - base).tolist()))
         outputs = [text[a:b] for a, b in zip(offsets[first].tolist(), offsets[last].tolist())]
         symbols = [self.inner_decode(w) for w in outputs]
-        return self.outer.decode(symbols), DecodeTrace(spans, outputs, symbols)
+        cuts = np.searchsorted(window_owner, np.arange(len(receptions) + 1)).tolist()
+        return [(self.outer.decode(symbols[a:b]),
+                 DecodeTrace(spans[a:b], outputs[a:b], symbols[a:b]))
+                for a, b in zip(cuts, cuts[1:])]
 
     def inner_decode(self, window: str) -> int:
-        """inner_cb.decode of a thresholded window. A window equal to a codeword
-        is looked up: codewords are distinct and all have length m, so no
-        other codeword reaches its LCS of m."""
-        symbol = self._symbol_of.get(window)
-        return self.inner_cb.decode(window) if symbol is None else symbol
+        """inner_cb.decode of a thresholded window, memoised (_MEMO_CAP windows
+        at most). The memo starts with each codeword at its smallest index,
+        decode's answer: no other codeword of length m reaches its LCS of m."""
+        symbol = self._memo.get(window)
+        if symbol is None:
+            symbol = self.inner_cb.decode(window)
+            if len(self._memo) < _MEMO_CAP:
+                self._memo[window] = symbol
+        return symbol
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +254,7 @@ def classify(
     xs: list[int] = []
     for symbol, a, b in zip(layout.symbols, *segments(orig > 0)):
         xs.append(int(cost[a:b].sum()))
-        w_bits, w_lengths = merge_runs(bits[a:b], z[a:b])
+        w_bits, w_lengths, _ = merge_runs(bits[a:b], z[a:b])
         ones = np.flatnonzero(w_bits)
         edges = slice(ones[0], ones[-1] + 1) if ones.size else slice(0)  # zeros stripped
         w_bits, w_lengths = w_bits[edges], w_lengths[edges]
@@ -266,18 +285,25 @@ def lay_out(symbols: tuple[int, ...], blocks, B: int, *, edge_buffers: bool = Fa
     return Layout(tuple(symbols), starts, lengths, orig, 0 if edge_buffers else 1)
 
 
-def merge_runs(bits: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the runs of length 0 and merge the same-bit neighbours they leave."""
+def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray | None = None):
+    """Drop the runs of length 0 and merge the same-bit neighbours they leave;
+    return the merged bits, lengths and owners. With owner (the reception
+    of each run), runs of two receptions never merge."""
     keep = lengths > 0
     bits, lengths = bits[keep], lengths[keep]
-    starts = np.flatnonzero(np.diff(bits, prepend=2))
-    return bits[starts], np.add.reduceat(lengths, starts)
+    owner = np.zeros_like(lengths) if owner is None else owner[keep]
+    starts = np.flatnonzero(np.diff(bits + 2 * owner, prepend=-1))
+    return bits[starts], np.add.reduceat(lengths, starts), owner[starts]
 
 
-def segments(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[first, last) of each maximal stretch of True in mask."""
-    edges = np.flatnonzero(np.concatenate(([False], mask)) != np.concatenate((mask, [False])))
-    return edges[::2], edges[1::2]
+def segments(mask: np.ndarray, owner: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """[first, last) of each maximal stretch of True in mask; with owner, a
+    stretch also ends where the owner changes."""
+    before, after = np.concatenate(([False], mask)), np.concatenate((mask, [False]))
+    joined = before & after  # element i - 1 and element i lie in one stretch
+    if owner is not None:
+        joined[1:-1] &= owner[1:] == owner[:-1]
+    return np.flatnonzero(after & ~joined), np.flatnonzero(before & ~joined)
 
 
 def threshold_text(bits: np.ndarray, lengths: np.ndarray, T: int) -> tuple[str, np.ndarray]:

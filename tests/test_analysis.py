@@ -134,6 +134,8 @@ def test_probs_bdc_bounds_validity_guards():
         probs_bdc_bounds(5.41, 22.8, 22, 0.1, 0.522)  # T above M2 - 1
     with pytest.raises(ValueError):
         probs_bdc_bounds(5.41, 22.8, 12, 0.1, 0.522, p_eval=0.8)  # outside regime
+    with pytest.raises(ValueError, match="outside"):
+        probs_bdc_bounds(5.41, 22.8, 12, 1.5, 0.522)  # no deletion regime has 1 - p > 1
 
 
 def test_bounds_dominate_exact():
@@ -167,6 +169,8 @@ def test_probs_prc():
         for name in ("p12", "p10", "p21", "p20"):
             assert getattr(e, name) <= getattr(bound, name) + 1e-12
     assert exact.gamma <= bound.gamma + 1e-12
+    # a repeat mean above 1 is a valid regime width
+    assert probs_prc(5.49, 24.2, 13, 1.5, 0.532, "bound").p21 == bound.p21
     with pytest.raises(ValueError):
         probs_prc(5.49, 24.2, 13, -0.5, 0.532)
     with pytest.raises(ValueError):

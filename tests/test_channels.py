@@ -1,5 +1,7 @@
 """Channel simulators: distributional sanity, reproducibility, edge cases."""
 
+from math import exp
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,28 @@ def test_poisson_copy_counts_guards():
         poisson_copy_counts(1, -1.0, rng)
     with pytest.raises(ValueError):
         poisson_copy_counts(1, 1000.0, rng)
+
+
+def masked_knuth(n, lam, rng):
+    """poisson_copy_counts as it was, masking all n positions every round."""
+    counts = np.zeros(n, dtype=np.int64)
+    prod = rng.random(n)
+    threshold = exp(-lam)
+    active = prod > threshold
+    while active.any():
+        counts[active] += 1
+        prod[active] *= rng.random(int(active.sum()))
+        active = prod > threshold
+    return counts
+
+
+@pytest.mark.parametrize("n, lam", [(0, 0.5), (1, 0.5), (766, 0.5), (300, 0.0), (5000, 3.0),
+                                    (40, 60.0)])
+def test_poisson_copy_counts_match_masked_loop(n, lam):
+    # same counts, and the generator is left at the same point
+    compact, masked = RngStream(4, n).generator(), RngStream(4, n).generator()
+    assert np.array_equal(poisson_copy_counts(n, lam, compact), masked_knuth(n, lam, masked))
+    assert compact.random() == masked.random()
 
 
 @pytest.mark.parametrize("trials", [1, 255, 256, 257, 2000])

@@ -239,6 +239,12 @@ def test_single_codeword_needs_two_trials(tmp_path, bdc_desk):
         report_json({"x_var": float("nan")})
 
 
+@pytest.mark.parametrize("runner", [run_end_to_end, run_transition])
+def test_runs_need_a_trial(bdc_desk, runner):
+    with pytest.raises(ValueError, match="^trials must be at least 1$"):
+        runner(bdc_desk, 0, 0)
+
+
 def test_descriptor_format(tmp_path, capsys, bdc_desk):
     path = _saved_scheme(tmp_path, bdc_desk)
     lines = path.read_text().splitlines()

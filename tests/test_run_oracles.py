@@ -4,26 +4,33 @@ The string oracles below expand a transmission bit by bit and walk the
 received string character by character: window_spans, threshold_decode, the
 scalar inner decode and the outer decode; and classify as it was written on
 strings. The run-level path must give the same answers on any per-bit copy
-counts, including all-zero and large ones.
+counts, including all-zero and large ones, also when several receptions are
+decoded in one block. The outer codeword lookup is checked against the bare
+lcs_lanes argmin, and the inner-decode memo against its cap.
 """
+
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delchan.channels import apply_copy_counts
+from delchan.channels import RngStream, apply_copy_counts
 from delchan.cli import main
-from delchan.harness import desk_scheme
+from delchan.harness import _BLOCK_TRIALS, desk_scheme, run_end_to_end
 from delchan.scheme import (
+    _MEMO_CAP,
     DecodeTrace,
+    Scheme,
     classify,
     lay_out,
     save_scheme,
     threshold_decode,
     window_spans,
 )
-from delchan.strings import runs_of
+from delchan.strings import lcs_lanes, runs_of
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +124,93 @@ def test_run_decoder_matches_string_decoder(schemes, name, message, kind, seed):
     counts = copy_counts(kind, seed, layout)
     received = apply_copy_counts(encoded, counts)
     expected = string_decode(s, received)
-    assert s.decode_runs(layout.run_bits, layout.survivors(counts)) == expected
+    assert s.decode_block([(layout.run_bits, layout.survivors(counts))])[0] == expected
     assert s.decode_with_trace(received) == expected
+
+
+RECEPTION = st.tuples(st.integers(0, 255), KINDS, st.integers(0, 2**32 - 1), st.booleans(),
+                      st.booleans())
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+@settings(max_examples=20, deadline=None)
+@given(receptions=st.lists(RECEPTION, min_size=1, max_size=5))
+@example(receptions=[(1, "zero", 0, False, False), (2, "deletion", 1, True, True),
+                     (3, "runs", 2, True, True), (4, "zero", 3, False, False)])
+def test_block_decoder_matches_string_decoder(schemes, name, receptions):
+    # each reception may also lose its first and its last run; runs of
+    # neighbouring receptions must neither merge nor share a window
+    s = schemes[name]
+    block, expected = [], []
+    for message, kind, seed, lose_first, lose_last in receptions:
+        layout = s.encode_with_layout(message)
+        counts = copy_counts(kind, seed, layout)
+        if lose_first:
+            counts[: layout.lengths[0]] = 0
+        if lose_last:
+            counts[layout.starts[-1]:] = 0
+        block.append((layout.run_bits, layout.survivors(counts)))
+        expected.append(string_decode(s, apply_copy_counts(layout.bits(), counts)))
+    assert s.decode_block(block) == expected
+
+
+@pytest.mark.parametrize("name", ["bdc", "prc"])
+def test_end_to_end_blocks_match_per_trial_string_decode(schemes, name, monkeypatch):
+    s = schemes[name]
+    expected = []  # (message, string_decode) of each trial, drawn as run_end_to_end draws
+    for t in range(_BLOCK_TRIALS + 1):
+        rng = RngStream(11, t).generator()
+        message = int(rng.integers(0, s.outer.spec.num_messages))
+        encoded = string_encode(s, message)
+        received = apply_copy_counts(encoded, s.params.channel.copy_counts(encoded, rng))
+        expected.append((message, string_decode(s, received)))
+    blocks = []
+    decode_block = Scheme.decode_block
+
+    def recording(self, receptions):
+        blocks.append(decode_block(self, receptions))
+        return blocks[-1]
+
+    monkeypatch.setattr(Scheme, "decode_block", recording)
+    n = _BLOCK_TRIALS
+    for trials, sizes in ((n - 1, [n - 1]), (n, [n]), (n + 1, [n, 1])):
+        blocks.clear()
+        report = run_end_to_end(s, trials, 11)
+        assert [len(b) for b in blocks] == sizes
+        assert [d for b in blocks for d in b] == [d for _, d in expected[:trials]]
+        assert report["successes"] == sum(m == d[0] for m, d in expected[:trials])
+
+
+def lane_argmin(code, received):
+    lcs = lcs_lanes(tuple(received), code._masks, code.spec.n)
+    return int(np.argmin(code.spec.n + len(received) - 2 * lcs))
+
+
+def test_outer_lookup_matches_lane_argmin(bdc_desk):
+    code = bdc_desk.outer
+    cw = code.codewords
+    duplicated = replace(code, codewords=cw[:3] + cw[1:2] + cw[4:])  # message 3 repeats 1
+    rnd = random.Random(8)
+    for target in (code, duplicated):
+        receptions = [()]
+        for c in target.codewords:
+            i, j = rnd.randrange(len(c)), rnd.randrange(len(c) + 1)
+            receptions += [c, c[:i] + c[i + 1:], c[:j] + (rnd.randrange(code.spec.q),) + c[j:]]
+        for received in receptions:
+            assert target.decode(received) == lane_argmin(target, received)
+    assert duplicated.decode(cw[1]) == 1
+
+
+def test_inner_memo_stops_at_its_cap(bdc_desk):
+    s = replace(bdc_desk)  # a fresh memo
+    rnd = random.Random(3)
+    windows = list(dict.fromkeys("".join(rnd.choices("01", k=rnd.randint(20, 40)))
+                                 for _ in range(_MEMO_CAP + 300)))
+    assert len(windows) > _MEMO_CAP
+    for w in windows:
+        assert s.inner_decode(w) == s.inner_cb.decode(w)
+        assert len(s._memo) <= _MEMO_CAP
+    assert len(s._memo) == _MEMO_CAP
 
 
 @pytest.mark.parametrize("name", SCHEMES)

@@ -285,3 +285,9 @@ def test_scheme_serialization_roundtrip(tmp_path, bdc_scheme):
     assert loaded.inner_cb.codewords == s.inner_cb.codewords
     assert loaded.outer.codewords == s.outer.codewords
     assert loaded.decode(s.encode(9)) == 9
+
+
+def test_inner_decode_takes_first_of_duplicate_codewords(bdc_desk):
+    c = bdc_desk.inner_cb.codewords
+    s = replace(bdc_desk, inner_cb=replace(bdc_desk.inner_cb, codewords=(c[0], c[1], c[1], c[3])))
+    assert s.inner_decode(c[1]) == s.inner_cb.decode(c[1]) == 1
