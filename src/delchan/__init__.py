@@ -10,8 +10,8 @@ buffers. Submodules:
   outer    — q-ary outer code with symbol-level edit-distance decoding
   channels — seeded deletion and Poisson-repeat channel simulators
   scheme   — transmissions as run arrays (one layout builder), the
-             run-level threshold decoder, classify (error events and X from
-             a layout and copy counts, apart from decoding), the descriptors
+             run-level threshold decoder, block classify (error events and X
+             from layouts and copy counts, no decoding), the descriptors
   analysis — transition probabilities, the overall rate in terms of the mean
              survivors per bit mu (1 - p or lambda), reference presets
   harness  — Monte Carlo experiments with deterministic reports

@@ -2,8 +2,9 @@
 
 Three experiment modes:
   single_codeword — transmit one blown-up inner codeword flanked by buffers
-    and classify it from its layout and copy counts (scheme.classify; nothing
-    is decoded): error events and the per-codeword distortion statistic X;
+    and classify a block of trials from their layouts and copy counts
+    (scheme.classify; nothing is decoded): error events and the per-codeword
+    distortion statistic X;
   end_to_end — encode random messages, transmit, decode in blocks, count successes;
   transition — transmit bare blown-up runs in bulk and compare empirical
     run-transition frequencies against the exact formulas.
@@ -62,14 +63,16 @@ def cached_inner_codebook(params: InnerParams):
 # its analytic bound, which is only meaningful when losses are observable.
 DESK_M_B = 2.5
 DESK_SEED = 2024
-# Trials whose receptions run_end_to_end decodes together; bounds a block's memory.
+# Trials that run_end_to_end decodes, and run_single_codeword classifies,
+# together; bounds a block's memory.
 _BLOCK_TRIALS = 256
 
 
 def desk_params(kind: str, *, M_B: float = DESK_M_B) -> SchemeParams:
-    channel = ChannelModel("bdc", 0.3) if kind == "bdc" else ChannelModel("prc", 0.5)
+    if kind not in ("bdc", "prc"):
+        raise ValueError(f"desk must be bdc or prc, got {kind!r}")
     return SchemeParams(
-        channel=channel,
+        channel=ChannelModel("bdc", 0.3) if kind == "bdc" else ChannelModel("prc", 0.5),
         M1=4.0,
         M2=13.5,
         M_B=M_B,
@@ -95,23 +98,25 @@ def exact_probs(scheme: Scheme) -> ProbReport:
 
 
 def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
-    """Transmit isolated codewords; classify each from its layout and copy
-    counts (no decoding) and collect X and error-event statistics."""
+    """Transmit isolated codewords; classify them from their layouts and copy
+    counts (no decoding) and collect X and error-event statistics. Each trial
+    has its own stream; one classify pass takes _BLOCK_TRIALS trials."""
     if trials < 2:
         raise ValueError("single_codeword needs at least 2 trials for a variance")
-    q = len(scheme.inner_cb)
+    layouts = [lay_out((symbol,), scheme.blocks, scheme.B, edge_buffers=True)
+               for symbol in range(len(scheme.inner_cb))]
     xs: list[int] = []
     events: Counter[str] = Counter()
-    buffers = 0
-    for t in range(trials):
-        rng = RngStream(master_seed, t).generator()
-        symbol = int(rng.integers(0, q))
-        layout = lay_out((symbol,), scheme.blocks, scheme.B, edge_buffers=True)
-        counts = scheme.params.channel.copy_counts(layout, rng)
-        (x,), trial_events = classify(scheme, layout, counts)
-        xs.append(x)
-        events.update(trial_events)  # keeps the keys of zero counts
-        buffers += len(layout.buffers)
+    for block in range(0, trials, _BLOCK_TRIALS):
+        transmissions = []
+        for t in range(block, min(block + _BLOCK_TRIALS, trials)):
+            rng = RngStream(master_seed, t).generator()
+            layout = layouts[int(rng.integers(0, len(layouts)))]
+            transmissions.append((layout, scheme.params.channel.copy_counts(layout, rng)))
+        block_xs, block_events = classify(scheme, transmissions)
+        xs += block_xs
+        events.update(block_events)  # keeps the keys of zero counts
+    buffers = trials * len(layouts[0].buffers)  # the same two in every layout
     x_arr = np.array(xs, dtype=np.float64)
     probs = exact_probs(scheme)
     m = scheme.params.inner.m
@@ -215,10 +220,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        desk_params(self.desk)  # rejects an unknown desk
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     fields = read_fields(path)
+    for key in ("desk", "M_B"):
+        if "scheme" in fields and key in fields:
+            raise ValueError(f"{path}: {key} is ignored when scheme is given")
     default = ExperimentConfig()
     return ExperimentConfig(
         mode=fields.get("mode", default.mode),

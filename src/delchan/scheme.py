@@ -17,9 +17,10 @@ symbols (however many) to the outer decoder, which looks codewords up first.
 decode() and decode_with_trace() read a string into runs, a block of one;
 window_spans and threshold_decode are the string reference of its first steps.
 
-Classification is separate from decoding: classify() reads a transmission's
-layout and per-bit copy counts (the ground truth a decoder never sees) and
-returns each codeword's distortion X and the error-event counts.
+Classification is separate from decoding: classify() reads the layouts and
+per-bit copy counts of a block of transmissions (the ground truth a decoder
+never sees) in one pass and returns each codeword's distortion X and the
+summed error-event counts.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ class Layout:
         """Transmitted bits."""
         return int(self.lengths.sum())
 
-    @property
+    @cached_property
     def run_bits(self) -> np.ndarray:
         return ((np.arange(self.lengths.size) & 1) ^ self.first_bit).astype(np.uint8)
 
@@ -226,11 +227,12 @@ class DecodeTrace:
 
 
 def classify(
-    scheme: Scheme, layout: Layout, counts: np.ndarray
+    scheme: Scheme, transmissions: list[tuple[Layout, np.ndarray]]
 ) -> tuple[list[int], dict[str, int]]:
-    """Per-codeword distortion X and error-event counts of one transmission,
-    from the survivor count of each blown-up run and buffer (counts[i] copies
-    of transmitted bit i reached the receiver).
+    """Every codeword's distortion X, in order, and the summed error-event
+    counts of a block of transmissions, in one pass over all their runs. A
+    transmission is a layout and its per-bit copy counts (counts[i] copies of
+    transmitted bit i reached the receiver), the ground truth a decoder never sees.
 
     X for a codeword sums, over its runs: 0 if the thresholded run matches
     the original length; 1 if survivors > 0 but it does not; the original
@@ -241,27 +243,37 @@ def classify(
     zeros stripped, are empty or decode to another symbol.
     """
     p = scheme.params
-    z = layout.survivors(counts)
-    orig, bits = layout.orig, layout.run_bits
+    events = {"deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0}
+    if not transmissions:
+        return [], events
+    layouts, counts = zip(*transmissions)
+    sizes = np.array([layout.lengths.size for layout in layouts])
+    tx = np.repeat(np.arange(sizes.size), sizes)  # each run's transmission
+    lengths = np.concatenate([layout.lengths for layout in layouts])
+    orig = np.concatenate([layout.orig for layout in layouts])
+    ends = np.cumsum(lengths)
+    if not np.array_equal(ends[np.cumsum(sizes) - 1], np.cumsum([c.size for c in counts])):
+        raise ValueError("counts length does not match input length")
+    z = np.add.reduceat(np.concatenate(counts), ends - lengths)  # survivors of each run
+    bits = np.concatenate([layout.run_bits for layout in layouts])
+    first, last = segments(orig > 0, tx)  # each codeword's runs
     after = np.append(orig[1:], 0)
-    after[after == 0] = 2  # a codeword's last run is followed by a buffer or nothing
-    cost = np.where(z == 0, orig + after, 1 + (z > p.T) != orig)
-    events = {
-        "deleted_buffer": int((z[orig == 0] <= p.buffer_threshold).sum()),
-        "spurious_buffer": 0,
-        "wrong_inner_decode": 0,
-    }
-    xs: list[int] = []
-    for symbol, a, b in zip(layout.symbols, *segments(orig > 0)):
-        xs.append(int(cost[a:b].sum()))
-        w_bits, w_lengths, _ = merge_runs(bits[a:b], z[a:b])
-        ones = np.flatnonzero(w_bits)
-        edges = slice(ones[0], ones[-1] + 1) if ones.size else slice(0)  # zeros stripped
-        w_bits, w_lengths = w_bits[edges], w_lengths[edges]
-        events["spurious_buffer"] += int((w_lengths[w_bits == 0] > p.buffer_threshold).sum())
-        window, _ = threshold_text(w_bits, w_lengths, p.T)
-        events["wrong_inner_decode"] += not window or scheme.inner_decode(window) != symbol
-    return xs, events
+    after[last - 1] = 2  # a codeword's last run is followed by a buffer or nothing
+    cost = np.concatenate(([0], np.cumsum(np.where(z == 0, orig + after, 1 + (z > p.T) != orig))))
+    events["deleted_buffer"] = int((z[orig == 0] <= p.buffer_threshold).sum())
+    w_bits, w_lengths, owner = merge_runs(bits[orig > 0], z[orig > 0],
+                                          np.repeat(np.arange(first.size), last - first))
+    edge = (np.diff(owner, prepend=-1) != 0) | (np.diff(owner, append=-1) != 0)
+    keep = (w_bits == 1) | ~edge  # each codeword's edge zeros stripped
+    w_bits, w_lengths, owner = w_bits[keep], w_lengths[keep], owner[keep]
+    events["spurious_buffer"] = int(((w_bits == 0) & (w_lengths > p.buffer_threshold)).sum())
+    text, offsets = threshold_text(w_bits, w_lengths, p.T)
+    cuts = offsets[np.searchsorted(owner, np.arange(first.size + 1))].tolist()
+    windows = [text[a:b] for a, b in zip(cuts, cuts[1:])]
+    symbols = [symbol for layout in layouts for symbol in layout.symbols]
+    events["wrong_inner_decode"] = sum(not w or scheme.inner_decode(w) != symbol
+                                       for w, symbol in zip(windows, symbols))
+    return (cost[last] - cost[first]).tolist(), events
 
 
 def blow_up(codeword: str, N1: int, N2: int) -> np.ndarray:
@@ -285,24 +297,22 @@ def lay_out(symbols: tuple[int, ...], blocks, B: int, *, edge_buffers: bool = Fa
     return Layout(tuple(symbols), starts, lengths, orig, 0 if edge_buffers else 1)
 
 
-def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray | None = None):
+def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray):
     """Drop the runs of length 0 and merge the same-bit neighbours they leave;
-    return the merged bits, lengths and owners. With owner (the reception
-    of each run), runs of two receptions never merge."""
+    return the merged bits, lengths and owners. Runs of two owners (two
+    receptions, say) never merge."""
     keep = lengths > 0
-    bits, lengths = bits[keep], lengths[keep]
-    owner = np.zeros_like(lengths) if owner is None else owner[keep]
+    bits, lengths, owner = bits[keep], lengths[keep], owner[keep]
     starts = np.flatnonzero(np.diff(bits + 2 * owner, prepend=-1))
     return bits[starts], np.add.reduceat(lengths, starts), owner[starts]
 
 
-def segments(mask: np.ndarray, owner: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """[first, last) of each maximal stretch of True in mask; with owner, a
-    stretch also ends where the owner changes."""
+def segments(mask: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[first, last) of each maximal stretch of True in mask; a stretch also
+    ends where the owner changes."""
     before, after = np.concatenate(([False], mask)), np.concatenate((mask, [False]))
     joined = before & after  # element i - 1 and element i lie in one stretch
-    if owner is not None:
-        joined[1:-1] &= owner[1:] == owner[:-1]
+    joined[1:-1] &= owner[1:] == owner[:-1]
     return np.flatnonzero(after & ~joined), np.flatnonzero(before & ~joined)
 
 

@@ -12,6 +12,7 @@ from delchan.cli import main
 from delchan.harness import (
     ExperimentConfig,
     analyze_csv,
+    desk_params,
     desk_scheme,
     exact_probs,
     load_config,
@@ -237,6 +238,32 @@ def test_single_codeword_needs_two_trials(tmp_path, bdc_desk):
     assert main(["simulate", "--config", str(config), "--trials", "1"]) == 2
     with pytest.raises(ValueError):
         report_json({"x_var": float("nan")})
+
+
+def test_simulate_rejects_an_unknown_desk(tmp_path, capsys):
+    # a mistyped desk must not fall back to the PRC scheme
+    with pytest.raises(ValueError, match="^desk must be bdc or prc, got 'bcd'$"):
+        desk_params("bcd")
+    with pytest.raises(ValueError, match="desk must be bdc or prc"):
+        ExperimentConfig(desk="BDC")
+    config = tmp_path / "exp.cfg"
+    config.write_text("mode=single_codeword\ntrials=5\ndesk=bcd\n")
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: desk must be bdc or prc, got 'bcd'\n"
+
+
+@pytest.mark.parametrize("key", ["desk=prc", "M_B=0.5"])
+def test_simulate_rejects_desk_keys_next_to_a_scheme(tmp_path, capsys, bdc_desk, key):
+    scheme_path = _saved_scheme(tmp_path, bdc_desk)
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"mode=end_to_end\ntrials=2\nscheme={scheme_path}\n{key}\n")
+    name = key.split("=")[0]
+    with pytest.raises(ValueError, match=f"{name} is ignored when scheme is given"):
+        load_config(config)
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: {name} is ignored when scheme is given\n"
+    config.write_text(f"mode=end_to_end\ntrials=2\nscheme={scheme_path}\n")
+    assert main(["simulate", "--config", str(config)]) == 0
 
 
 @pytest.mark.parametrize("runner", [run_end_to_end, run_transition])

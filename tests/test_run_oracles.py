@@ -5,12 +5,16 @@ received string character by character: window_spans, threshold_decode, the
 scalar inner decode and the outer decode; and classify as it was written on
 strings. The run-level path must give the same answers on any per-bit copy
 counts, including all-zero and large ones, also when several receptions are
-decoded in one block. The outer codeword lookup is checked against the bare
+decoded in one block, and classify on any block of transmissions. The
+single-codeword harness is checked, across block edges, against its frozen
+per-trial loop. The outer codeword lookup is checked against the bare
 lcs_lanes argmin, and the inner-decode memo against its cap.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
+from math import exp, sqrt
 
 import numpy as np
 import pytest
@@ -18,8 +22,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delchan.channels import RngStream, apply_copy_counts
+from delchan import harness
 from delchan.cli import main
-from delchan.harness import _BLOCK_TRIALS, desk_scheme, run_end_to_end
+from delchan.harness import (
+    _BLOCK_TRIALS,
+    desk_scheme,
+    exact_probs,
+    report_json,
+    run_end_to_end,
+    run_single_codeword,
+)
 from delchan.scheme import (
     _MEMO_CAP,
     DecodeTrace,
@@ -213,17 +225,110 @@ def test_inner_memo_stops_at_its_cap(bdc_desk):
     assert len(s._memo) == _MEMO_CAP
 
 
+def transmission(s, message, single, kind, seed):
+    """A single codeword between edge buffers, or a full message; and its counts."""
+    if single:
+        layout = lay_out((message % len(s.inner_cb),), s.blocks, s.B, edge_buffers=True)
+    else:
+        layout = s.encode_with_layout(message)
+    return layout, copy_counts(kind, seed, layout)
+
+
 @pytest.mark.parametrize("name", SCHEMES)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 255), st.booleans(), KINDS, st.integers(0, 2**32 - 1))
 def test_classify_matches_string_classify(schemes, name, message, single, kind, seed):
     s = schemes[name]
-    if single:
-        layout = lay_out((message % len(s.inner_cb),), s.blocks, s.B, edge_buffers=True)
-    else:
-        layout = s.encode_with_layout(message)
-    counts = copy_counts(kind, seed, layout)
-    assert classify(s, layout, counts) == string_classify(s, layout, counts)
+    layout, counts = transmission(s, message, single, kind, seed)
+    assert classify(s, [(layout, counts)]) == string_classify(s, layout, counts)
+
+
+TRANSMISSION = st.tuples(st.integers(0, 255), st.booleans(), KINDS, st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+@settings(max_examples=20, deadline=None)
+@given(specs=st.lists(TRANSMISSION, min_size=1, max_size=5))
+@example(specs=[(1, False, "zero", 0), (2, True, "zero", 1), (3, False, "runs", 2),
+                (4, True, "deletion", 3), (5, False, "zero", 4)])
+def test_block_classify_matches_string_classify(schemes, name, specs):
+    # codewords of neighbouring transmissions (two full messages abut with no
+    # buffer between them) must neither merge nor share a cost or a window
+    s = schemes[name]
+    block = [transmission(s, *spec) for spec in specs]
+    xs, events = [], dict.fromkeys(["deleted_buffer", "spurious_buffer", "wrong_inner_decode"], 0)
+    for layout, counts in block:
+        one_xs, one_events = string_classify(s, layout, counts)
+        xs += one_xs
+        events = {key: events[key] + one_events[key] for key in events}
+    assert classify(s, block) == (xs, events)
+
+
+def test_classify_of_no_transmissions(bdc_desk):
+    assert classify(bdc_desk, []) == (
+        [], {"deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0})
+
+
+def test_classify_rejects_misfit_counts(bdc_desk):
+    # the total matches, but each transmission's counts belong to the other
+    short = lay_out((0,), bdc_desk.blocks, bdc_desk.B)
+    long = lay_out((0,), bdc_desk.blocks, bdc_desk.B, edge_buffers=True)
+    block = [(short, np.ones(len(long), np.int64)), (long, np.ones(len(short), np.int64))]
+    with pytest.raises(ValueError, match="^counts length does not match input length$"):
+        classify(bdc_desk, block)
+
+
+def frozen_single_codeword_loop(scheme, trials, master_seed):
+    """run_single_codeword as it was before blocks: one lay_out and one
+    string_classify per trial, on the same per-trial streams and draws."""
+    q = len(scheme.inner_cb)
+    xs, events, buffers = [], Counter(), 0
+    for t in range(trials):
+        rng = RngStream(master_seed, t).generator()
+        symbol = int(rng.integers(0, q))
+        layout = lay_out((symbol,), scheme.blocks, scheme.B, edge_buffers=True)
+        counts = scheme.params.channel.copy_counts(layout, rng)
+        (x,), trial_events = string_classify(scheme, layout, counts)
+        xs.append(x)
+        events.update(trial_events)
+        buffers += len(layout.buffers)
+    x_arr = np.array(xs, dtype=np.float64)
+    probs = exact_probs(scheme)
+    m = scheme.params.inner.m
+    return {
+        "mode": "single_codeword",
+        "trials": trials,
+        "master_seed": master_seed,
+        "x_mean": float(x_arr.mean()),
+        "x_var": float(x_arr.var(ddof=1)),
+        "x_stderr": float(x_arr.std(ddof=1) / sqrt(trials)),
+        "error_events": dict(events),
+        "buffers_transmitted": buffers,
+        "deleted_buffer_frequency": events["deleted_buffer"] / buffers,
+        "analytic": {
+            "xi_m": probs.xi * m,
+            "gamma_m_plus_p10": probs.gamma * m + probs.p10,
+            "buffer_loss_bound": exp(-scheme.params.M_B * m / 8.0),
+        },
+    }
+
+
+@pytest.mark.parametrize("name", ["prc", "bdc_M_B=0.5"])
+def test_single_codeword_blocks_match_per_trial_loop(schemes, name, monkeypatch):
+    s = schemes[name]
+    sizes = []
+
+    def recording(scheme, transmissions):
+        sizes.append(len(transmissions))
+        return classify(scheme, transmissions)
+
+    monkeypatch.setattr(harness, "classify", recording)
+    n = _BLOCK_TRIALS
+    for trials, expected in ((n - 1, [n - 1]), (n, [n]), (n + 1, [n, 1])):
+        sizes.clear()
+        report = report_json(run_single_codeword(s, trials, 13))
+        assert sizes == expected
+        assert report == report_json(frozen_single_codeword_loop(s, trials, 13))
 
 
 @pytest.mark.parametrize("junk", ["2", "10a1", "1 0", "01\n", "é", "1١"])

@@ -242,7 +242,7 @@ def test_trace_clean_channel(bdc_scheme):
     symbols = list(s.outer.encode(42))
     assert trace.per_window_threshold_outputs == [s.inner_cb.encode(c) for c in symbols]
     assert trace.per_window_inner_symbols == symbols
-    xs, events = classify(s, layout, np.ones(len(enc), dtype=np.int64))
+    xs, events = classify(s, [(layout, np.ones(len(enc), dtype=np.int64))])
     assert events == {
         "deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0,
     }
@@ -255,7 +255,7 @@ def test_trace_x_for_vanished_run(bdc_scheme):
     layout = _single_codeword(s, 2)
     orig = layout.orig.tolist()
     j = next(i for i in range(len(orig) - 1) if orig[i] == 1 and orig[i + 1] == 2)
-    xs, _ = classify(s, layout, _delete_run(layout, j))
+    xs, _ = classify(s, [(layout, _delete_run(layout, j))])
     assert xs == [3]
 
 
@@ -264,14 +264,14 @@ def test_trace_x_for_vanished_last_run(bdc_scheme):
     s = bdc_scheme
     layout = _single_codeword(s, 1)
     last = layout.buffers[-1] - 1
-    xs, _ = classify(s, layout, _delete_run(layout, last))
+    xs, _ = classify(s, [(layout, _delete_run(layout, last))])
     assert xs == [layout.orig[last] + 2]
 
 
 def test_trace_deleted_buffer_flagged(bdc_scheme):
     s = bdc_scheme
     layout = _single_codeword(s, 0)
-    _, events = classify(s, layout, _delete_run(layout, layout.buffers[0]))
+    _, events = classify(s, [(layout, _delete_run(layout, layout.buffers[0]))])
     assert events["deleted_buffer"] == 1
 
 
