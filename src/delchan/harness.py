@@ -2,7 +2,7 @@
 
 Three experiment modes:
   single_codeword — transmit one blown-up inner codeword flanked by buffers
-    and classify a block of trials from their layouts and copy counts
+    and classify a block of trials from their layouts and per-run survivors
     (scheme.classify; nothing is decoded): error events and the per-codeword
     distortion statistic X;
   end_to_end — encode random messages, transmit, decode in blocks, count successes;
@@ -34,7 +34,7 @@ from .analysis import (
     rate_mu,
     verify_preset,
 )
-from .channels import ChannelModel, RngStream, bdc_run_survivors, poisson_copy_counts
+from .channels import ChannelModel, RngStream
 from .channels import apply_copy_counts  # noqa: F401  (the benchmark's tracer wraps it here)
 from .inner import InnerParams, construct_inner
 from .outer import OuterSpec, construct_outer
@@ -98,8 +98,8 @@ def exact_probs(scheme: Scheme) -> ProbReport:
 
 
 def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
-    """Transmit isolated codewords; classify them from their layouts and copy
-    counts (no decoding) and collect X and error-event statistics. Each trial
+    """Transmit isolated codewords; classify them from their layouts and
+    survivors (no decoding) and collect X and error-event statistics. Each trial
     has its own stream; one classify pass takes _BLOCK_TRIALS trials."""
     if trials < 2:
         raise ValueError("single_codeword needs at least 2 trials for a variance")
@@ -152,7 +152,7 @@ def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
             messages.append(int(rng.integers(0, num_messages)))
             layout = scheme.encode_with_layout(messages[-1])
             counts = scheme.params.channel.copy_counts(layout, rng)
-            receptions.append((layout.run_bits, layout.survivors(counts)))
+            receptions.append((layout.run_bits, counts))
         successes += sum(d == m for (d, _), m in zip(scheme.decode_block(receptions), messages))
     return {
         "mode": "end_to_end",
@@ -166,23 +166,15 @@ def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
 def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
     """Bulk-transmit bare blown-up runs; compare frequencies to exact values.
 
-    Survivor counts for all trials are drawn per bit, in vectorized channel
-    passes per run length.
+    The survivors of all trials' N1-runs are one draw, and those of their
+    N2-runs another.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    ch = scheme.params.channel
     T = scheme.params.T
     rng = RngStream(master_seed, 0).generator()
-
-    def survivor_counts(run_len: int) -> np.ndarray:
-        if ch.kind == "bdc":
-            return bdc_run_survivors(trials, run_len, ch.parameter, rng)
-        flat = poisson_copy_counts(trials * run_len, ch.parameter, rng)
-        return flat.reshape(trials, run_len).sum(axis=1)
-
-    z1 = survivor_counts(scheme.N1)
-    z2 = survivor_counts(scheme.N2)
+    z1 = scheme.params.channel.survivors(scheme.N1, trials, rng)
+    z2 = scheme.params.channel.survivors(scheme.N2, trials, rng)
     probs = exact_probs(scheme)
     empirical = {
         "p12": float((z1 > T).mean()),
@@ -223,20 +215,27 @@ class ExperimentConfig:
         desk_params(self.desk)  # rejects an unknown desk
 
 
+# Each key of an experiment config: its ExperimentConfig field and type.
+_CONFIG_KEYS = {"mode": ("mode", str), "trials": ("trials", int), "seed": ("master_seed", int),
+                "scheme": ("scheme_path", str), "desk": ("desk", str), "M_B": ("M_B", float)}
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
+    """An experiment config from a key=value file; absent keys keep their defaults."""
     fields = read_fields(path)
     for key in ("desk", "M_B"):
         if "scheme" in fields and key in fields:
             raise ValueError(f"{path}: {key} is ignored when scheme is given")
-    default = ExperimentConfig()
-    return ExperimentConfig(
-        mode=fields.get("mode", default.mode),
-        trials=int(fields.get("trials", default.trials)),
-        master_seed=int(fields.get("seed", default.master_seed)),
-        scheme_path=fields.get("scheme"),
-        desk=fields.get("desk", default.desk),
-        M_B=float(fields.get("M_B", default.M_B)),
-    )
+    values = {}
+    for key, text in fields.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown key {key!r}")
+        name, kind = _CONFIG_KEYS[key]
+        try:
+            values[name] = kind(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: key {key!r}: {exc}") from None
+    return ExperimentConfig(**values)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

@@ -6,8 +6,7 @@ join the n blocks with zero buffers of length B. The blow-up factors are
 sized so that, after the channel, a 1-run's expected survivor count is M1, a
 2-run's is M2, and a buffer's is M_B * m. A Layout holds the transmission as
 run lengths only: codewords start and end with 1 and buffers are 0, so runs
-alternate. The channel draws a copy count per bit, summed per run; drawing
-one count per run would change every seeded report, so it is deferred.
+alternate. The channel draws one survivor count per run of the Layout.
 
 Decoding (decode_block, several receptions in one pass): drop vanished runs
 and merge the neighbours they leave, split on zero runs longer than the
@@ -18,7 +17,7 @@ decode() and decode_with_trace() read a string into runs, a block of one;
 window_spans and threshold_decode are the string reference of its first steps.
 
 Classification is separate from decoding: classify() reads the layouts and
-per-bit copy counts of a block of transmissions (the ground truth a decoder
+per-run survivors of a block of transmissions (the ground truth a decoder
 never sees) in one pass and returns each codeword's distortion X and the
 summed error-event counts.
 """
@@ -188,7 +187,6 @@ class Layout:
     from first_bit."""
 
     symbols: tuple[int, ...]
-    starts: np.ndarray
     lengths: np.ndarray
     orig: np.ndarray
     first_bit: int
@@ -198,23 +196,26 @@ class Layout:
         return int(self.lengths.sum())
 
     @cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.lengths) - self.lengths
+
+    @cached_property
     def run_bits(self) -> np.ndarray:
         return ((np.arange(self.lengths.size) & 1) ^ self.first_bit).astype(np.uint8)
+
+    @cached_property
+    def runs_by_orig(self) -> tuple[np.ndarray, ...]:
+        """Run indices of the buffers, of the 1-runs and of the 2-runs."""
+        return tuple((self.orig == orig).nonzero()[0] for orig in range(3))
 
     @property
     def buffers(self) -> np.ndarray:
         """Run indices of the buffers."""
-        return np.flatnonzero(self.orig == 0)
+        return self.runs_by_orig[0]
 
     def bits(self) -> str:
         """The transmitted string."""
         return np.repeat(self.run_bits + 48, self.lengths).tobytes().decode()
-
-    def survivors(self, counts: np.ndarray) -> np.ndarray:
-        """Survivors of each run, given counts[i] copies of transmitted bit i."""
-        if len(counts) != len(self):
-            raise ValueError("counts length does not match input length")
-        return np.add.reduceat(counts, self.starts)
 
 
 @dataclass
@@ -231,8 +232,8 @@ def classify(
 ) -> tuple[list[int], dict[str, int]]:
     """Every codeword's distortion X, in order, and the summed error-event
     counts of a block of transmissions, in one pass over all their runs. A
-    transmission is a layout and its per-bit copy counts (counts[i] copies of
-    transmitted bit i reached the receiver), the ground truth a decoder never sees.
+    transmission is a layout and the survivors of each of its runs (counts[i]
+    bits of run i reached the receiver), the ground truth a decoder never sees.
 
     X for a codeword sums, over its runs: 0 if the thresholded run matches
     the original length; 1 if survivors > 0 but it does not; the original
@@ -248,13 +249,11 @@ def classify(
         return [], events
     layouts, counts = zip(*transmissions)
     sizes = np.array([layout.lengths.size for layout in layouts])
-    tx = np.repeat(np.arange(sizes.size), sizes)  # each run's transmission
-    lengths = np.concatenate([layout.lengths for layout in layouts])
-    orig = np.concatenate([layout.orig for layout in layouts])
-    ends = np.cumsum(lengths)
-    if not np.array_equal(ends[np.cumsum(sizes) - 1], np.cumsum([c.size for c in counts])):
+    if not np.array_equal(sizes, [c.size for c in counts]):
         raise ValueError("counts length does not match input length")
-    z = np.add.reduceat(np.concatenate(counts), ends - lengths)  # survivors of each run
+    tx = np.repeat(np.arange(sizes.size), sizes)  # each run's transmission
+    orig = np.concatenate([layout.orig for layout in layouts])
+    z = np.concatenate(counts)
     bits = np.concatenate([layout.run_bits for layout in layouts])
     first, last = segments(orig > 0, tx)  # each codeword's runs
     after = np.append(orig[1:], 0)
@@ -293,8 +292,7 @@ def lay_out(symbols: tuple[int, ...], blocks, B: int, *, edge_buffers: bool = Fa
     pieces = [piece for sym in symbols for piece in (buffer, blocks[sym])]
     pieces = pieces + [buffer] if edge_buffers else pieces[1:]
     lengths, orig = np.concatenate(pieces, axis=1)
-    starts = np.cumsum(lengths) - lengths
-    return Layout(tuple(symbols), starts, lengths, orig, 0 if edge_buffers else 1)
+    return Layout(tuple(symbols), lengths, orig, 0 if edge_buffers else 1)
 
 
 def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray):

@@ -13,7 +13,7 @@ from dataclasses import replace
 from itertools import combinations
 from math import comb, exp, sqrt
 
-from delchan.analysis import presets
+from delchan.analysis import binom_cdf, presets
 from delchan.channels import ChannelModel
 from delchan.cli import main
 from delchan.harness import (
@@ -234,6 +234,17 @@ def test_criterion_09_buffer_error_bound(announce):
         failures.append(f"deleted-buffer freq {freq:.5f} > {bound:.5f} + 3 sigma")
     _report(announce, 9, f"deleted-buffer frequency {freq:.2g} within analytic"
             f" bound {bound:.3g}", failures)
+
+
+def test_buffer_loss_matches_exact_probability():
+    # criterion 9 checks only a loose bound; a buffer of B bits is lost
+    # exactly when Bin(B, 1 - p) <= buffer_threshold of its zeros survive
+    scheme = desk_scheme("bdc", M_B=0.5)
+    rep = run_single_codeword(scheme, 50_000, 304)
+    exact = binom_cdf(scheme.B, 0.7, scheme.params.buffer_threshold)
+    assert abs(exact - 0.00143) < 5e-6
+    sigma = sqrt(exact * (1 - exact) / rep["buffers_transmitted"])
+    assert abs(rep["deleted_buffer_frequency"] - exact) <= 3 * sigma
 
 
 def test_criterion_10_end_to_end_decoding(announce, bdc_desk):

@@ -43,6 +43,20 @@ def test_load_config(tmp_path):
     assert cfg.desk == "prc"
 
 
+def test_load_config_rejects_unknown_keys_and_bad_numbers(tmp_path, capsys):
+    # a mistyped key must not fall back to a default; a bad number names its key
+    config = tmp_path / "exp.cfg"
+    for text, message in [
+        ("mode=transition\ntrails=50\n", "unknown key 'trails'"),
+        ("mode=transition\ntrials=abc\n",
+         "key 'trials': invalid literal for int() with base 10: 'abc'"),
+        ("seed=7\nM_B=wide\n", "key 'M_B': could not convert string to float: 'wide'"),
+    ]:
+        config.write_text(text)
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+
 def test_single_codeword_report(bdc_desk):
     rep = run_single_codeword(bdc_desk, 200, 3)
     assert rep["buffers_transmitted"] == 400
@@ -71,22 +85,24 @@ def test_report_json_deterministic():
     assert report_json(run_experiment(cfg)) == report_json(run_experiment(cfg))
 
 
-# sha256 of report_json(run_experiment(...)) at seed 7; M_B = 0.5 loses buffers
+# sha256 of report_json(run_experiment(...)) at seed 7. M_B = 0.5 loses a
+# buffer with the exact probability 0.00143, so its 3,000 trials (6,000
+# buffers) see no loss with probability about 2e-4; 300 trials miss it 42% of the time.
 PINNED_REPORTS = [
     ("end_to_end", "bdc", 2.5, 12,
      "8ce50b9487eb480c28633fbc775d2fc0602d5d7d990a0001d8db2c337ad73a03"),
     ("end_to_end", "prc", 2.5, 12,
      "3f35a271dc30e15bc85bcd5a902c77b6047a02d396601f90a120f09d2eb3ca3c"),
     ("single_codeword", "bdc", 2.5, 300,
-     "62f958fea3d27e5bc595ee5030dd5e9e4529d58faa4ea2e4668450e431ecbfff"),
+     "b4be0b559931a09bf4432bbc1fe8ee9ab71f2bb3d0b329463239152b8363de10"),
     ("single_codeword", "prc", 2.5, 300,
-     "84083bef8c7c8679fa5defa9ab85b6e8ed53ed06a2f1de7e14d5b162cbffe4c7"),
-    ("single_codeword", "bdc", 0.5, 300,
-     "0dc8a9f1e3c0a8520eada8dc38edec5035ef78182afe6ebf38986c881bc5d87f"),
+     "74c64bc89cd383e124bb26080601d405dfce6cc3b00a146d8e48db06f13e4ed0"),
+    ("single_codeword", "bdc", 0.5, 3000,
+     "7253fc0372bcf14a43e95115bf0b9cea6986b65c7628ce5f2270ad1c754feca3"),
     ("transition", "bdc", 2.5, 2000,
-     "7883411ee1a8d2388163bcc917b186f50a79ca49ecf567f16cd3c27aca42da15"),
+     "15175a3208c17367240704dc2aae44d5e5cc1d3adfd8e66ff859f8c5c8723b46"),
     ("transition", "prc", 2.5, 2000,
-     "0cbae8b9793bfcbf296eacf75c37eb1c93cd8c9f8766dfc1fff849ff1a21f064"),
+     "e780c76e811a4a1a8ce88fc64634cb3b86d8a81e6ff50d18777773e61210f98c"),
 ]
 
 

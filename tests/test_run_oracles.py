@@ -125,6 +125,18 @@ def copy_counts(kind, seed, layout):
 KINDS = st.sampled_from(["deletion", "repeat", "zero", "large", "runs"])
 
 
+def per_run(layout, counts):
+    """The survivors of each run, given per-bit copy counts."""
+    return np.add.reduceat(counts, layout.starts)
+
+
+def per_bit(layout, survivors):
+    """Per-bit copy counts that put each run's survivors on its first bit."""
+    counts = np.zeros(len(layout), np.int64)
+    counts[layout.starts] = survivors
+    return counts
+
+
 @pytest.mark.parametrize("name", SCHEMES)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 255), KINDS, st.integers(0, 2**32 - 1))
@@ -136,7 +148,7 @@ def test_run_decoder_matches_string_decoder(schemes, name, message, kind, seed):
     counts = copy_counts(kind, seed, layout)
     received = apply_copy_counts(encoded, counts)
     expected = string_decode(s, received)
-    assert s.decode_block([(layout.run_bits, layout.survivors(counts))])[0] == expected
+    assert s.decode_block([(layout.run_bits, per_run(layout, counts))])[0] == expected
     assert s.decode_with_trace(received) == expected
 
 
@@ -161,7 +173,7 @@ def test_block_decoder_matches_string_decoder(schemes, name, receptions):
             counts[: layout.lengths[0]] = 0
         if lose_last:
             counts[layout.starts[-1]:] = 0
-        block.append((layout.run_bits, layout.survivors(counts)))
+        block.append((layout.run_bits, per_run(layout, counts)))
         expected.append(string_decode(s, apply_copy_counts(layout.bits(), counts)))
     assert s.decode_block(block) == expected
 
@@ -173,8 +185,9 @@ def test_end_to_end_blocks_match_per_trial_string_decode(schemes, name, monkeypa
     for t in range(_BLOCK_TRIALS + 1):
         rng = RngStream(11, t).generator()
         message = int(rng.integers(0, s.outer.spec.num_messages))
-        encoded = string_encode(s, message)
-        received = apply_copy_counts(encoded, s.params.channel.copy_counts(encoded, rng))
+        counts = s.params.channel.copy_counts(s.encode_with_layout(message), rng)
+        run_bits = "".join(str(bit) for bit, _ in runs_of(string_encode(s, message)))
+        received = apply_copy_counts(run_bits, counts)
         expected.append((message, string_decode(s, received)))
     blocks = []
     decode_block = Scheme.decode_block
@@ -240,7 +253,7 @@ def transmission(s, message, single, kind, seed):
 def test_classify_matches_string_classify(schemes, name, message, single, kind, seed):
     s = schemes[name]
     layout, counts = transmission(s, message, single, kind, seed)
-    assert classify(s, [(layout, counts)]) == string_classify(s, layout, counts)
+    assert classify(s, [(layout, per_run(layout, counts))]) == string_classify(s, layout, counts)
 
 
 TRANSMISSION = st.tuples(st.integers(0, 255), st.booleans(), KINDS, st.integers(0, 2**32 - 1))
@@ -261,7 +274,8 @@ def test_block_classify_matches_string_classify(schemes, name, specs):
         one_xs, one_events = string_classify(s, layout, counts)
         xs += one_xs
         events = {key: events[key] + one_events[key] for key in events}
-    assert classify(s, block) == (xs, events)
+    survivors = [(layout, per_run(layout, counts)) for layout, counts in block]
+    assert classify(s, survivors) == (xs, events)
 
 
 def test_classify_of_no_transmissions(bdc_desk):
@@ -273,7 +287,8 @@ def test_classify_rejects_misfit_counts(bdc_desk):
     # the total matches, but each transmission's counts belong to the other
     short = lay_out((0,), bdc_desk.blocks, bdc_desk.B)
     long = lay_out((0,), bdc_desk.blocks, bdc_desk.B, edge_buffers=True)
-    block = [(short, np.ones(len(long), np.int64)), (long, np.ones(len(short), np.int64))]
+    block = [(short, np.ones(long.lengths.size, np.int64)),
+             (long, np.ones(short.lengths.size, np.int64))]
     with pytest.raises(ValueError, match="^counts length does not match input length$"):
         classify(bdc_desk, block)
 
@@ -287,7 +302,7 @@ def frozen_single_codeword_loop(scheme, trials, master_seed):
         rng = RngStream(master_seed, t).generator()
         symbol = int(rng.integers(0, q))
         layout = lay_out((symbol,), scheme.blocks, scheme.B, edge_buffers=True)
-        counts = scheme.params.channel.copy_counts(layout, rng)
+        counts = per_bit(layout, scheme.params.channel.copy_counts(layout, rng))
         (x,), trial_events = string_classify(scheme, layout, counts)
         xs.append(x)
         events.update(trial_events)

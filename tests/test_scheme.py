@@ -148,6 +148,11 @@ def _delete_run(layout, i):
     return counts
 
 
+def _per_run(layout, counts):
+    """The survivors of each run, given per-bit copy counts."""
+    return np.add.reduceat(counts, layout.starts)
+
+
 @pytest.fixture(scope="module")
 def bdc_scheme():
     params = desk_params("bdc")
@@ -175,6 +180,16 @@ def test_encode_length_formula(bdc_scheme):
     expected = n * (13 * s.N1 + 6 * s.N2) + (n - 1) * s.B
     for msg in (0, 1, 255):
         assert len(s.encode(msg)) == expected
+
+
+def test_layout_classes_have_one_length(bdc_scheme):
+    # the channel draws the survivors of each class of runs at one length
+    s = bdc_scheme
+    layouts = [s.encode_with_layout(msg) for msg in (0, 90, 255)]
+    layouts += [_single_codeword(s, symbol) for symbol in range(len(s.inner_cb))]
+    for layout in layouts:
+        for orig, length in ((0, s.B), (1, s.N1), (2, s.N2)):
+            assert set(layout.lengths[layout.orig == orig].tolist()) == {length}
 
 
 def test_encode_injective(bdc_scheme):
@@ -242,7 +257,7 @@ def test_trace_clean_channel(bdc_scheme):
     symbols = list(s.outer.encode(42))
     assert trace.per_window_threshold_outputs == [s.inner_cb.encode(c) for c in symbols]
     assert trace.per_window_inner_symbols == symbols
-    xs, events = classify(s, [(layout, np.ones(len(enc), dtype=np.int64))])
+    xs, events = classify(s, [(layout, _per_run(layout, np.ones(len(enc), dtype=np.int64)))])
     assert events == {
         "deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0,
     }
@@ -255,7 +270,7 @@ def test_trace_x_for_vanished_run(bdc_scheme):
     layout = _single_codeword(s, 2)
     orig = layout.orig.tolist()
     j = next(i for i in range(len(orig) - 1) if orig[i] == 1 and orig[i + 1] == 2)
-    xs, _ = classify(s, [(layout, _delete_run(layout, j))])
+    xs, _ = classify(s, [(layout, _per_run(layout, _delete_run(layout, j)))])
     assert xs == [3]
 
 
@@ -264,14 +279,14 @@ def test_trace_x_for_vanished_last_run(bdc_scheme):
     s = bdc_scheme
     layout = _single_codeword(s, 1)
     last = layout.buffers[-1] - 1
-    xs, _ = classify(s, [(layout, _delete_run(layout, last))])
+    xs, _ = classify(s, [(layout, _per_run(layout, _delete_run(layout, last)))])
     assert xs == [layout.orig[last] + 2]
 
 
 def test_trace_deleted_buffer_flagged(bdc_scheme):
     s = bdc_scheme
     layout = _single_codeword(s, 0)
-    _, events = classify(s, [(layout, _delete_run(layout, layout.buffers[0]))])
+    _, events = classify(s, [(layout, _per_run(layout, _delete_run(layout, layout.buffers[0])))])
     assert events["deleted_buffer"] == 1
 
 
