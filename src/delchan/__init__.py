@@ -8,11 +8,13 @@ buffers. Submodules:
   strings  — run-length utilities, LCS/edit distance, the constrained family
   inner    — greedy inner codebook, inner rate formula, insertion/deletion balls
   outer    — q-ary outer code with symbol-level edit-distance decoding
-  channels — seeded deletion and Poisson-repeat channel simulators
+  channels — seeded deletion and Poisson-repeat channels, each owning its
+             survivor law: the draws, the exact tails and the run lengths
   scheme   — transmissions as run arrays (one layout builder), the
              run-level threshold decoder, block classify (error events and X
              from layouts and copy counts, no decoding), the descriptors
-  analysis — transition probabilities, the overall rate in terms of the mean
+  analysis — transition probabilities (one exact path from the channel's
+             law, uniform bounds), the overall rate in terms of the mean
              survivors per bit mu (1 - p or lambda), reference presets
   harness  — Monte Carlo experiments with deterministic reports
   cli      — command-line front end
@@ -23,11 +25,9 @@ from .analysis import (
     ProbReport,
     presets,
     probs_bdc_bounds,
-    probs_bdc_exact,
-    probs_bdc_from_counts,
-    probs_prc,
-    probs_prc_from_counts,
+    probs_prc_bounds,
     rate_mu,
+    transition_probs,
     verify_preset,
 )
 from .channels import ChannelModel, RngStream
@@ -71,13 +71,11 @@ __all__ = [
     "load_scheme",
     "presets",
     "probs_bdc_bounds",
-    "probs_bdc_exact",
-    "probs_bdc_from_counts",
-    "probs_prc",
-    "probs_prc_from_counts",
+    "probs_prc_bounds",
     "rate_mu",
     "save_scheme",
     "threshold_decode",
+    "transition_probs",
     "verify_preset",
     "window_spans",
 ]

@@ -1,12 +1,13 @@
 """Run-transition probabilities, rate formulas, and reference parameter sets.
 
-A blown-up 1-run of N1 bits arrives with a Binomial/Poisson survivor count
-Z; the decoder misreads it as a 2-run when Z > T and loses it when Z = 0,
-and symmetrically for 2-runs. This module computes those four transition
-probabilities exactly, or as channel-parameter-uniform upper bounds, and
-aggregates them into the decodability coefficient gamma and the
-distortion lower-bound coefficient xi. It also evaluates the overall rate
-formulas and ships the reference parameter sets with a verifier.
+A blown-up 1-run of N1 bits arrives with Z survivors; the decoder misreads
+it as a 2-run when Z > T and loses it when Z = 0, and symmetrically for
+2-runs. This module computes those four transition probabilities exactly,
+from the channel's own survivor law (one path for both channels), or as
+channel-parameter-uniform upper bounds, and aggregates them into the
+decodability coefficient gamma and the distortion lower-bound coefficient
+xi. It also evaluates the overall rate formulas and ships the reference
+parameter sets with a verifier.
 """
 
 from __future__ import annotations
@@ -14,58 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, fsum, lgamma, log
 
+from .channels import ChannelModel, ceil_snapped, poisson_sf
 from .inner import inner_rate_formula
-from .scheme import ceil_snapped
-
-
-def _log_binom_pmf(n: int, p: float, k: int) -> float:
-    return (
-        lgamma(n + 1)
-        - lgamma(k + 1)
-        - lgamma(n - k + 1)
-        + k * log(p)
-        + (n - k) * log(1.0 - p)
-    )
-
-
-def binom_cdf(n: int, p: float, t: int) -> float:
-    """Pr[Bin(n, p) <= t], summed directly with compensated summation."""
-    if t < 0:
-        return 0.0
-    if t >= n:
-        return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    return min(1.0, fsum(exp(_log_binom_pmf(n, p, k)) for k in range(t + 1)))
-
-
-def binom_sf(n: int, p: float, t: int) -> float:
-    """Pr[Bin(n, p) > t], summed over the upper tail directly."""
-    if t < 0:
-        return 1.0
-    if t >= n:
-        return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    return min(1.0, fsum(exp(_log_binom_pmf(n, p, k)) for k in range(t + 1, n + 1)))
-
-
-def poisson_cdf(mu: float, t: int) -> float:
-    """Pr[Poisson(mu) <= t], summed directly."""
-    if t < 0:
-        return 0.0
-    if mu == 0.0:
-        return 1.0
-    return min(1.0, fsum(exp(-mu + k * log(mu) - lgamma(k + 1)) for k in range(t + 1)))
-
-
-def poisson_sf(mu: float, t: int) -> float:
-    """Pr[Poisson(mu) > t], via the complement (the upper tail is infinite)."""
-    return max(0.0, 1.0 - poisson_cdf(mu, t))
 
 
 @dataclass(frozen=True)
@@ -107,28 +58,18 @@ class ProbReport:
         return b1 * (self.p12 + 2 * self.p10) + b2 * (self.p21 + 3 * self.p20)
 
 
-def probs_bdc_from_counts(N1: int, N2: int, T: int, p: float, beta1: float) -> ProbReport:
-    """Exact transition probabilities for given integer blow-up factors."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"deletion probability {p} outside (0, 1)")
-    keep = 1.0 - p
+def transition_probs(
+    channel: ChannelModel, N1: int, N2: int, T: int, beta1: float
+) -> ProbReport:
+    """Exact transition probabilities of runs blown up to N1 and N2 bits;
+    for target means M pass channel.run_length(M)."""
     return ProbReport(
-        p12=binom_sf(N1, keep, T),
-        p10=p**N1,
-        p21=binom_cdf(N2, keep, T),
-        p20=p**N2,
+        p12=channel.more_than(N1, T),
+        p10=channel.none_left(N1),
+        p21=channel.at_most(N2, T),
+        p20=channel.none_left(N2),
         beta1=beta1,
         mode="exact",
-    )
-
-
-def probs_bdc_exact(M1: float, M2: float, T: int, p: float, beta1: float) -> ProbReport:
-    """Exact transition probabilities with N1 = ceil(M1/(1-p)) etc."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"deletion probability {p} outside (0, 1)")
-    keep = 1.0 - p
-    return probs_bdc_from_counts(
-        ceil_snapped(M1 / keep), ceil_snapped(M2 / keep), T, p, beta1
     )
 
 
@@ -182,45 +123,18 @@ def _uniform_bounds(
     else:
         if 1.0 - p_eval > width + 1e-12:
             raise ValueError("p_eval outside the regime {p : 1 - p <= q}")
-        exact = probs_bdc_exact(M1, M2, T, p_eval, beta1)
+        worst = ChannelModel("bdc", p_eval)
+        exact = transition_probs(worst, worst.run_length(M1), worst.run_length(M2), T, beta1)
         p10, p21, p20 = exact.p10, exact.p21, exact.p20
     return ProbReport(p12=p12, p10=p10, p21=p21, p20=p20, beta1=beta1, mode="bound")
 
 
-def probs_prc_from_counts(N1: int, N2: int, T: int, lam: float, beta1: float) -> ProbReport:
-    """Exact transition probabilities for given integer blow-up factors: a
-    run of N bits arrives as Poisson(lam * N) copies."""
+def probs_prc_bounds(M1: float, M2: float, T: int, lam: float, beta1: float) -> ProbReport:
+    """Upper bounds valid uniformly over the repeat-channel regime
+    {lam' <= lam}, with the same validity constraints as probs_bdc_bounds
+    without p_eval."""
     if lam <= 0.0:
         raise ValueError(f"repeat mean {lam} must be positive")
-    mu1 = lam * N1
-    mu2 = lam * N2
-    return ProbReport(
-        p12=poisson_sf(mu1, T),
-        p10=exp(-mu1),
-        p21=poisson_cdf(mu2, T),
-        p20=exp(-mu2),
-        beta1=beta1,
-        mode="exact",
-    )
-
-
-def probs_prc(
-    M1: float, M2: float, T: int, lam: float, beta1: float, mode: str = "exact"
-) -> ProbReport:
-    """Transition probabilities for the Poisson repeat channel.
-
-    Exact: survivor counts are Poisson with mean lam * ceil(M/lam). Bound:
-    lam-uniform bounds valid for the regime {lam' <= lam}, with the same
-    validity constraints as the deletion-channel bounds.
-    """
-    if lam <= 0.0:
-        raise ValueError(f"repeat mean {lam} must be positive")
-    if mode == "exact":
-        return probs_prc_from_counts(
-            ceil_snapped(M1 / lam), ceil_snapped(M2 / lam), T, lam, beta1
-        )
-    if mode != "bound":
-        raise ValueError(f"unknown mode {mode!r}")
     return _uniform_bounds(M1, M2, T, lam, beta1)
 
 
@@ -245,7 +159,8 @@ def rate_mu(
 
 
 # Reference evaluation context for reproducing printed rates: an outer code
-# of rate 1 - 2^-20 and a very long inner block so the 1/m term is negligible.
+# of rate 1 - 2^-20, a very long inner block so the 1/m term is negligible,
+# and a negligible buffer scale.
 REF_R_OUT = 1.0 - 2.0**-20
 REF_M = 1.0e6
 REF_M_B = 1.0e-5
@@ -270,34 +185,35 @@ class Preset:
     q: float | None = None  # regime width for the Poisson-limit bound
     p_eval: float | None = None  # regime worst case for monotone-exact bounds
     one_to_two_zero: bool = False
-    M_B: float = REF_M_B
-    delta_out: float = 2.0**-20
+
+    @property
+    def channel(self) -> ChannelModel:
+        """The fixed-p row's channel, or the regime's worst one."""
+        return ChannelModel("prc" if self.kind == "prc_regime" else "bdc", self.p_or_lam)
 
     def probs(self) -> ProbReport:
         if self.kind == "bdc_row":
-            return probs_bdc_from_counts(
-                self.N1, self.N2, self.T, self.p_or_lam, self.beta1
-            )
+            return transition_probs(self.channel, self.N1, self.N2, self.T, self.beta1)
         if self.kind == "bdc_regime":
             return probs_bdc_bounds(
                 self.M1, self.M2, self.T, self.q, self.beta1,
                 p_eval=self.p_eval, one_to_two_zero=self.one_to_two_zero,
             )
-        return probs_prc(self.M1, self.M2, self.T, self.p_or_lam, self.beta1, "bound")
+        return probs_prc_bounds(self.M1, self.M2, self.T, self.p_or_lam, self.beta1)
 
     def computed_R_in(self) -> float:
         return inner_rate_formula(self.beta1, self.delta_in)
 
     def computed_rate(self) -> float:
         """Rate in the reference context (printed R_in, reference R_out/m)."""
-        mu = self.p_or_lam if self.kind == "prc_regime" else 1.0 - self.p_or_lam
+        mu = self.channel.mean_copies
         if self.kind == "bdc_row":
             # ceil(N * mu / mu) snaps back to the row's own N
             M1, M2 = self.N1 * mu, self.N2 * mu
         else:
             M1, M2 = self.M1, self.M2
         return rate_mu(
-            M1, M2, self.M_B, self.beta1, mu, self.expected_R_in, REF_R_OUT, REF_M
+            M1, M2, REF_M_B, self.beta1, mu, self.expected_R_in, REF_R_OUT, REF_M
         )
 
 

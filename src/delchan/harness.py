@@ -24,16 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    REF_M,
-    REF_R_OUT,
-    ProbReport,
-    presets,
-    probs_bdc_from_counts,
-    probs_prc_from_counts,
-    rate_mu,
-    verify_preset,
-)
+from .analysis import REF_M, REF_M_B, REF_R_OUT, presets, rate_mu, verify_preset
 from .channels import ChannelModel, RngStream
 from .channels import apply_copy_counts  # noqa: F401  (the benchmark's tracer wraps it here)
 from .inner import InnerParams, construct_inner
@@ -89,14 +80,6 @@ def desk_scheme(kind: str, *, M_B: float = DESK_M_B) -> Scheme:
     return assemble_scheme(params, inner_cb, outer)
 
 
-def exact_probs(scheme: Scheme) -> ProbReport:
-    """Exact run-transition probabilities at a built scheme's N1, N2 and T."""
-    p = scheme.params
-    prof = p.inner.profile
-    from_counts = probs_bdc_from_counts if p.channel.kind == "bdc" else probs_prc_from_counts
-    return from_counts(scheme.N1, scheme.N2, p.T, p.channel.parameter, prof.r1 / prof.m)
-
-
 def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
     """Transmit isolated codewords; classify them from their layouts and
     survivors (no decoding) and collect X and error-event statistics. Each trial
@@ -118,7 +101,7 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
         events.update(block_events)  # keeps the keys of zero counts
     buffers = trials * len(layouts[0].buffers)  # the same two in every layout
     x_arr = np.array(xs, dtype=np.float64)
-    probs = exact_probs(scheme)
+    probs = scheme.probs
     m = scheme.params.inner.m
     return {
         "mode": "single_codeword",
@@ -175,7 +158,7 @@ def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
     rng = RngStream(master_seed, 0).generator()
     z1 = scheme.params.channel.survivors(scheme.N1, trials, rng)
     z2 = scheme.params.channel.survivors(scheme.N2, trials, rng)
-    probs = exact_probs(scheme)
+    probs = scheme.probs
     empirical = {
         "p12": float((z1 > T).mean()),
         "p10": float((z1 == 0).mean()),
@@ -316,7 +299,7 @@ def sweep_csv(grid_step: float = 0.01) -> str:
     p = grid_step
     while p < 0.995:
         r = next((r for r in regimes if p <= r.p_or_lam), regimes[-1])
-        rate = rate_mu(r.M1, r.M2, 1e-5, r.beta1, 1 - p, r.expected_R_in, REF_R_OUT, REF_M,
+        rate = rate_mu(r.M1, r.M2, REF_M_B, r.beta1, 1 - p, r.expected_R_in, REF_R_OUT, REF_M,
                        ceiling=False)
         lines.append(
             f"grid,{p:.2f},{rate:.6e},{(1 - p) / 15.71:.6e},{(1 - p) / 16:.6e}"

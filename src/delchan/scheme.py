@@ -27,33 +27,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, floor
 from pathlib import Path
 
 import numpy as np
 
-from .channels import ChannelModel
+from .analysis import ProbReport, transition_probs
+from .channels import ChannelModel, floor_snapped
 from .inner import InnerCodebook, InnerParams
 from .outer import OuterCode, OuterSpec
 from .strings import SProfile, in_S, runs_of
 
 # Windows one scheme's inner-decode memo holds at most, to bound its memory.
 _MEMO_CAP = 1 << 12
-
-# Tolerance for snapping near-integer ratios before applying ceil/floor, so
-# that e.g. 20.21/0.43 = 46.999999... rounds to 47, not 48.
-_SNAP = 1e-9
-
-
-def ceil_snapped(x: float) -> int:
-    """Ceiling that forgives float error just above an integer."""
-    return int(round(x)) if abs(x - round(x)) < _SNAP else int(ceil(x))
-
-
-def floor_snapped(x: float) -> int:
-    """Floor that forgives float error just below an integer."""
-    return int(round(x)) if abs(x - round(x)) < _SNAP else int(floor(x))
-
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -90,7 +75,8 @@ class Scheme:
     """A built scheme: codebooks plus the integer blow-up factors.
 
     N1 = ceil(M1 / mu), N2 = ceil(M2 / mu), B = ceil(M_B * m / mu), where mu
-    is the channel's expected survivors per bit (1 - p or lambda).
+    is the channel's expected survivors per bit (1 - p or lambda); see
+    ChannelModel.run_length.
     """
 
     params: SchemeParams
@@ -118,6 +104,13 @@ class Scheme:
         """Bits per blown-up inner codeword."""
         prof = self.params.inner.profile
         return prof.r1 * self.N1 + prof.r2 * self.N2
+
+    @cached_property
+    def probs(self) -> ProbReport:
+        """Exact run-transition probabilities at N1, N2 and T."""
+        prof = self.params.inner.profile
+        return transition_probs(self.params.channel, self.N1, self.N2, self.params.T,
+                                prof.r1 / prof.m)
 
     @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -344,14 +337,14 @@ def assemble_scheme(
     params: SchemeParams, inner_cb: InnerCodebook, outer: OuterCode
 ) -> Scheme:
     """Derive N1, N2, B from already-built codebooks."""
-    mu = params.channel.mean_copies
+    run_length = params.channel.run_length
     return Scheme(
         params,
         inner_cb,
         outer,
-        N1=ceil_snapped(params.M1 / mu),
-        N2=ceil_snapped(params.M2 / mu),
-        B=ceil_snapped(params.M_B * params.inner.m / mu),
+        N1=run_length(params.M1),
+        N2=run_length(params.M2),
+        B=run_length(params.M_B * params.inner.m),
     )
 
 

@@ -13,7 +13,9 @@ from dataclasses import replace
 from itertools import combinations
 from math import comb, exp, sqrt
 
-from delchan.analysis import binom_cdf, presets
+import pytest
+
+from delchan.analysis import REF_M_B, presets
 from delchan.channels import ChannelModel
 from delchan.cli import main
 from delchan.harness import (
@@ -103,7 +105,7 @@ def test_criterion_03_regime_constants(announce):
             continue
         denom_target, beta_target = expected[preset.name]
         beta2 = (1.0 - preset.beta1) / 2.0
-        denom = preset.beta1 * preset.M1 + beta2 * preset.M2 + preset.M_B
+        denom = preset.beta1 * preset.M1 + beta2 * preset.M2 + REF_M_B
         beta = preset.beta1 + beta2
         if round(denom, 5) != denom_target:
             failures.append(f"{preset.name}: denominator {denom:.6f} != {denom_target}")
@@ -236,13 +238,19 @@ def test_criterion_09_buffer_error_bound(announce):
             f" bound {bound:.3g}", failures)
 
 
-def test_buffer_loss_matches_exact_probability():
+# Pr[a buffer is lost] in each M_B = 0.5 desk scheme (buffer threshold 6):
+# Pr[Bin(18, 0.7) <= 6] on the BDC, Pr[Poisson(0.5 * 25) <= 6] on the PRC.
+BUFFER_LOSS = {"bdc": 0.00143, "prc": 0.034567}
+
+
+@pytest.mark.parametrize("desk", ["bdc", "prc"])
+def test_buffer_loss_matches_exact_probability(desk):
     # criterion 9 checks only a loose bound; a buffer of B bits is lost
-    # exactly when Bin(B, 1 - p) <= buffer_threshold of its zeros survive
-    scheme = desk_scheme("bdc", M_B=0.5)
+    # exactly when at most buffer_threshold of its zeros survive
+    scheme = desk_scheme(desk, M_B=0.5)
     rep = run_single_codeword(scheme, 50_000, 304)
-    exact = binom_cdf(scheme.B, 0.7, scheme.params.buffer_threshold)
-    assert abs(exact - 0.00143) < 5e-6
+    exact = scheme.params.channel.at_most(scheme.B, scheme.params.buffer_threshold)
+    assert abs(exact - BUFFER_LOSS[desk]) < 5e-6
     sigma = sqrt(exact * (1 - exact) / rep["buffers_transmitted"])
     assert abs(rep["deleted_buffer_frequency"] - exact) <= 3 * sigma
 

@@ -9,21 +9,27 @@ import pytest
 
 from delchan.analysis import (
     ProbReport,
-    binom_cdf,
-    binom_sf,
-    poisson_cdf,
-    poisson_sf,
     presets,
     probs_bdc_bounds,
-    probs_bdc_exact,
-    probs_bdc_from_counts,
-    probs_prc,
-    probs_prc_from_counts,
+    probs_prc_bounds,
     rate_mu,
+    transition_probs,
     verify_preset,
 )
+from delchan.channels import (
+    ChannelModel,
+    binom_cdf,
+    binom_sf,
+    ceil_snapped,
+    poisson_cdf,
+    poisson_sf,
+)
 from delchan.inner import binary_entropy
-from delchan.scheme import ceil_snapped
+
+
+def exact_at_means(channel, M1, M2, T, beta1):
+    """transition_probs with the runs sized for target means M1 and M2."""
+    return transition_probs(channel, channel.run_length(M1), channel.run_length(M2), T, beta1)
 
 
 def binom_cdf_oracle(n, p_num, p_den, t):
@@ -121,10 +127,11 @@ def test_probreport_aggregates():
 
 
 def test_probs_bdc_exact_examples():
-    assert probs_bdc_exact(4.0, 13.5, 7, 0.5, 0.497).p10 == 0.5**8
-    assert abs(probs_bdc_exact(0.5, 2.0, 1, 0.5, 0.5).p21 - 5 / 16) < 1e-12
+    half = ChannelModel("bdc", 0.5)
+    assert exact_at_means(half, 4.0, 13.5, 7, 0.497).p10 == 0.5**8
+    assert abs(exact_at_means(half, 0.5, 2.0, 1, 0.5).p21 - 5 / 16) < 1e-12
     with pytest.raises(ValueError):
-        probs_bdc_exact(4.0, 13.5, 7, 1.0, 0.5)
+        exact_at_means(ChannelModel("bdc", 1.0), 4.0, 13.5, 7, 0.5)
 
 
 def test_probs_bdc_bounds_validity_guards():
@@ -151,7 +158,7 @@ def test_bounds_dominate_exact():
         if lo > hi:
             continue
         T = rnd.randrange(lo, hi + 1)
-        exact = probs_bdc_exact(M1, M2, T, p, 0.52)
+        exact = exact_at_means(ChannelModel("bdc", p), M1, M2, T, 0.52)
         bound = probs_bdc_bounds(M1, M2, T, q, 0.52)
         for name in ("p12", "p10", "p21", "p20"):
             assert getattr(exact, name) <= getattr(bound, name) + 1e-12, (
@@ -161,28 +168,29 @@ def test_bounds_dominate_exact():
 
 
 def test_probs_prc():
-    assert isclose(probs_prc(2.0, 24.2, 13, 0.5, 0.532).p10, exp(-2.0), rel_tol=1e-12)
-    exact = probs_prc(5.49, 24.2, 13, 0.5, 0.532, "exact")
-    bound = probs_prc(5.49, 24.2, 13, 0.5, 0.532, "bound")
+    half = ChannelModel("prc", 0.5)
+    assert isclose(exact_at_means(half, 2.0, 24.2, 13, 0.532).p10, exp(-2.0), rel_tol=1e-12)
+    exact = exact_at_means(half, 5.49, 24.2, 13, 0.532)
+    bound = probs_prc_bounds(5.49, 24.2, 13, 0.5, 0.532)
     for lam in (0.1, 0.25, 0.5):
-        e = probs_prc(5.49, 24.2, 13, lam, 0.532, "exact")
+        e = exact_at_means(ChannelModel("prc", lam), 5.49, 24.2, 13, 0.532)
         for name in ("p12", "p10", "p21", "p20"):
             assert getattr(e, name) <= getattr(bound, name) + 1e-12
     assert exact.gamma <= bound.gamma + 1e-12
     # a repeat mean above 1 is a valid regime width
-    assert probs_prc(5.49, 24.2, 13, 1.5, 0.532, "bound").p21 == bound.p21
+    assert probs_prc_bounds(5.49, 24.2, 13, 1.5, 0.532).p21 == bound.p21
     with pytest.raises(ValueError):
-        probs_prc(5.49, 24.2, 13, -0.5, 0.532)
+        exact_at_means(ChannelModel("prc", -0.5), 5.49, 24.2, 13, 0.532)
     with pytest.raises(ValueError):
-        probs_prc(5.49, 24.2, 13, 0.5, 0.532, "fuzzy")
+        probs_prc_bounds(5.49, 24.2, 13, -0.5, 0.532)
     # the desk PRC scheme's integer factors (N1 = 8, N2 = 27 at lambda = 0.5)
-    desk = probs_prc_from_counts(8, 27, 8, 0.5, 13 / 25)
-    assert desk == probs_prc(4.0, 13.5, 8, 0.5, 13 / 25, "exact")
+    desk = transition_probs(half, 8, 27, 8, 13 / 25)
+    assert desk == exact_at_means(half, 4.0, 13.5, 8, 13 / 25)
     assert desk.p10 == exp(-4.0) and desk.p20 == exp(-13.5)
     assert isclose(desk.p12 + poisson_cdf(4.0, 8), 1.0, rel_tol=1e-12)
     assert desk.p21 == poisson_cdf(13.5, 8)
     with pytest.raises(ValueError):
-        probs_prc_from_counts(8, 27, 8, 0.0, 13 / 25)
+        transition_probs(ChannelModel("prc", 0.0), 8, 27, 8, 13 / 25)
 
 
 def test_rate_formulas():

@@ -1,6 +1,7 @@
 """Channel simulators: distributional sanity, reproducibility, edge cases."""
 
 import re
+from math import exp
 
 import numpy as np
 import pytest
@@ -140,3 +141,21 @@ def test_channel_model():
         ChannelModel("prc", 0.0)
     with pytest.raises(ValueError):
         ChannelModel("bdc", 1.0)
+
+
+@pytest.mark.parametrize("kind,parameter", [("bdc", 0.3), ("bdc", 0.99), ("prc", 0.5)])
+def test_survivor_law_tails_complement(kind, parameter):
+    channel = ChannelModel(kind, parameter)
+    for n in (6, 20, 541, 2280):
+        for t in (-1, 0, 8, 12, 13):
+            assert abs(channel.at_most(n, t) + channel.more_than(n, t) - 1.0) < 1e-12, (n, t)
+
+
+def test_survivor_law_none_left_and_run_length():
+    bdc, prc = ChannelModel("bdc", 0.3), ChannelModel("prc", 0.5)
+    for n in (6, 20, 541, 2280):
+        assert bdc.none_left(n) == 0.3**n
+        assert prc.none_left(n) == exp(-0.5 * n)
+        assert bdc.at_most(n, 0) == pytest.approx(bdc.none_left(n), rel=1e-9, abs=1e-300)
+        assert prc.at_most(n, 0) == pytest.approx(prc.none_left(n), rel=1e-9, abs=1e-300)
+    assert ChannelModel("bdc", 0.57).run_length(20.21) == 47  # 46.99999... snaps to 47

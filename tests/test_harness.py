@@ -7,14 +7,14 @@ from math import exp
 
 import pytest
 
-from delchan.analysis import presets
+from delchan import scheme as scheme_module
+from delchan.analysis import presets, transition_probs
 from delchan.cli import main
 from delchan.harness import (
     ExperimentConfig,
     analyze_csv,
     desk_params,
     desk_scheme,
-    exact_probs,
     load_config,
     report_json,
     run_end_to_end,
@@ -116,11 +116,26 @@ def test_reports_are_pinned(mode, desk, M_B, trials, digest):
 
 
 def test_scheme_exact_probs_channels(bdc_desk, prc_desk):
-    b = exact_probs(bdc_desk)
-    p = exact_probs(prc_desk)
+    b = bdc_desk.probs
+    p = prc_desk.probs
     assert b.p10 == 0.3**bdc_desk.N1
     assert p.p10 == exp(-0.5 * prc_desk.N1)
     assert p.mode == b.mode == "exact"
+
+
+def test_scheme_probs_computed_once(bdc_desk, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return transition_probs(*args)
+
+    monkeypatch.setattr(scheme_module, "transition_probs", counting)
+    fresh = replace(bdc_desk)  # a new instance holds no cached probabilities
+    first = run_transition(fresh, 100, 1)
+    second = run_transition(fresh, 100, 2)
+    assert len(calls) == 1
+    assert first["transitions"]["p21"]["exact"] == second["transitions"]["p21"]["exact"]
 
 
 def test_analyze_csv_structure():

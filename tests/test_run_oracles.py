@@ -27,7 +27,6 @@ from delchan.cli import main
 from delchan.harness import (
     _BLOCK_TRIALS,
     desk_scheme,
-    exact_probs,
     report_json,
     run_end_to_end,
     run_single_codeword,
@@ -308,7 +307,7 @@ def frozen_single_codeword_loop(scheme, trials, master_seed):
         events.update(trial_events)
         buffers += len(layout.buffers)
     x_arr = np.array(xs, dtype=np.float64)
-    probs = exact_probs(scheme)
+    probs = scheme.probs
     m = scheme.params.inner.m
     return {
         "mode": "single_codeword",

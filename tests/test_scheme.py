@@ -9,16 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delchan.channels import ChannelModel
+from delchan.channels import ChannelModel, ceil_snapped, floor_snapped
 from delchan.harness import cached_inner_codebook, desk_params
 from delchan.inner import InnerCodebook, InnerParams
 from delchan.outer import OuterSpec, construct_outer
 from delchan.scheme import (
     SchemeParams,
     assemble_scheme,
-    ceil_snapped,
     classify,
-    floor_snapped,
     blow_up,
     lay_out,
     load_scheme,
