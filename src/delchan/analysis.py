@@ -33,15 +33,12 @@ class ProbReport:
     p21: float
     p20: float
     beta1: float
-    mode: str  # "exact" or "bound"
 
     def __post_init__(self) -> None:
         for name in ("p12", "p10", "p21", "p20"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} = {v} outside [0, 1]")
-        if self.mode not in ("exact", "bound"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def beta2(self) -> float:
@@ -69,7 +66,6 @@ def transition_probs(
         p21=channel.at_most(N2, T),
         p20=channel.none_left(N2),
         beta1=beta1,
-        mode="exact",
     )
 
 
@@ -81,15 +77,13 @@ def probs_bdc_bounds(
     beta1: float,
     *,
     p_eval: float | None = None,
-    one_to_two_zero: bool = False,
 ) -> ProbReport:
     """Upper bounds valid uniformly over the regime {p : 1 - p <= q}.
 
     The 1-run-to-2-run bound is the Poisson-limit tail at mean M1 + q, which
     dominates the binomial tail for every p in the regime; it needs T >= M1 + q.
-    When T >= ceil(M1/(1-p)) throughout the regime the survivor count can
-    never exceed T, so the caller may assert that probability is exactly 0
-    via one_to_two_zero.
+    With p_eval given and N1 = ceil(M1/(1-p_eval)) <= T, the N1 bits of a
+    1-run can never leave more than T survivors, so that probability is 0.
 
     The other three probabilities are monotone in p, so with p_eval given
     they are evaluated exactly at the regime's worst p; without it the
@@ -98,23 +92,23 @@ def probs_bdc_bounds(
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q = {q} outside (0, 1)")
-    return _uniform_bounds(M1, M2, T, q, beta1, p_eval, one_to_two_zero)
+    return _uniform_bounds(M1, M2, T, q, beta1, p_eval)
 
 
 def _uniform_bounds(
-    M1: float, M2: float, T: int, width: float, beta1: float,
-    p_eval: float | None = None, one_to_two_zero: bool = False,
+    M1: float, M2: float, T: int, width: float, beta1: float, p_eval: float | None = None,
 ) -> ProbReport:
     """Bounds uniform over every channel with at most `width` expected
     survivors per bit (1 - p <= q, or lambda' <= lambda); see probs_bdc_bounds.
     """
-    if one_to_two_zero:
+    worst = None if p_eval is None else ChannelModel("bdc", p_eval)
+    if worst is not None and worst.run_length(M1) <= T:
         p12 = 0.0
     else:
         if T < M1 + width:
             raise ValueError(f"T = {T} below M1 + {width} = {M1 + width}; bound invalid")
         p12 = poisson_sf(M1 + width, T)
-    if p_eval is None:
+    if worst is None:
         if T > M2 - 1:
             raise ValueError(f"T = {T} above M2 - 1 = {M2 - 1}; bound invalid")
         p10 = exp(-M1)
@@ -123,10 +117,9 @@ def _uniform_bounds(
     else:
         if 1.0 - p_eval > width + 1e-12:
             raise ValueError("p_eval outside the regime {p : 1 - p <= q}")
-        worst = ChannelModel("bdc", p_eval)
         exact = transition_probs(worst, worst.run_length(M1), worst.run_length(M2), T, beta1)
         p10, p21, p20 = exact.p10, exact.p21, exact.p20
-    return ProbReport(p12=p12, p10=p10, p21=p21, p20=p20, beta1=beta1, mode="bound")
+    return ProbReport(p12=p12, p10=p10, p21=p21, p20=p20, beta1=beta1)
 
 
 def probs_prc_bounds(M1: float, M2: float, T: int, lam: float, beta1: float) -> ProbReport:
@@ -184,7 +177,6 @@ class Preset:
     M2: float | None = None
     q: float | None = None  # regime width for the Poisson-limit bound
     p_eval: float | None = None  # regime worst case for monotone-exact bounds
-    one_to_two_zero: bool = False
 
     @property
     def channel(self) -> ChannelModel:
@@ -195,10 +187,8 @@ class Preset:
         if self.kind == "bdc_row":
             return transition_probs(self.channel, self.N1, self.N2, self.T, self.beta1)
         if self.kind == "bdc_regime":
-            return probs_bdc_bounds(
-                self.M1, self.M2, self.T, self.q, self.beta1,
-                p_eval=self.p_eval, one_to_two_zero=self.one_to_two_zero,
-            )
+            return probs_bdc_bounds(self.M1, self.M2, self.T, self.q, self.beta1,
+                                    p_eval=self.p_eval)
         return probs_prc_bounds(self.M1, self.M2, self.T, self.p_or_lam, self.beta1)
 
     def computed_R_in(self) -> float:
@@ -265,7 +255,7 @@ def presets() -> list[Preset]:
     out.append(Preset(
         name="bdc_regime_low", kind="bdc_regime", p_or_lam=0.57, beta1=0.530,
         T=13, delta_in=0.006147, expected_R_in=0.577475,
-        M1=5.59, M2=20.21, q=0.43, p_eval=0.57, one_to_two_zero=True,
+        M1=5.59, M2=20.21, q=0.43, p_eval=0.57,
     ))
     out.append(Preset(
         name="prc_regime", kind="prc_regime", p_or_lam=0.5, beta1=0.532,

@@ -25,13 +25,14 @@ from .harness import (
 from .inner import construct_inner
 from .outer import construct_outer
 from .scheme import (
+    PARAM_KEYS,
     assemble_scheme,
     load_scheme,
     params_from_fields,
     params_to_fields,
-    read_fields,
     save_scheme,
 )
+from .strings import read_fields
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -42,10 +43,10 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    fields = {**params_to_fields(desk_params("bdc")), "seed": str(DESK_SEED)}
+    fields = {**params_to_fields(desk_params("bdc")), "seed": DESK_SEED}
     if args.config:
-        fields.update(read_fields(args.config))
-    seed = args.seed if args.seed is not None else int(fields["seed"])
+        fields.update(read_fields(args.config, {**PARAM_KEYS, "seed": int}))
+    seed = args.seed if args.seed is not None else fields["seed"]
     params = params_from_fields(fields)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -36,9 +36,8 @@ from .scheme import (
     classify,
     lay_out,
     load_scheme,
-    read_fields,
 )
-from .strings import SProfile
+from .strings import SProfile, read_fields
 
 
 @lru_cache(maxsize=None)
@@ -205,20 +204,11 @@ _CONFIG_KEYS = {"mode": ("mode", str), "trials": ("trials", int), "seed": ("mast
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """An experiment config from a key=value file; absent keys keep their defaults."""
-    fields = read_fields(path)
+    fields = read_fields(path, {key: kind for key, (_, kind) in _CONFIG_KEYS.items()})
     for key in ("desk", "M_B"):
         if "scheme" in fields and key in fields:
             raise ValueError(f"{path}: {key} is ignored when scheme is given")
-    values = {}
-    for key, text in fields.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}: unknown key {key!r}")
-        name, kind = _CONFIG_KEYS[key]
-        try:
-            values[name] = kind(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}: key {key!r}: {exc}") from None
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**{_CONFIG_KEYS[key][0]: value for key, value in fields.items()})
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

@@ -128,9 +128,13 @@ class OuterCode:
         if f["dout_den"] == 0:
             raise ValueError(f"{path}: dout_den must be nonzero")
         spec = OuterSpec(f["q"], f["n"], f["k"], f["dout_num"] / f["dout_den"])
-        codewords = tuple(
-            tuple(int(s) for s in line.split()) for line in lines[: spec.num_messages]
-        )
+        if len(lines) != spec.num_messages:
+            raise ValueError(f"{path}: header says q**k={spec.num_messages},"
+                             f" found {len(lines)} lines")
+        try:
+            codewords = tuple(tuple(map(int, line.split())) for line in lines)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         code = cls(spec, codewords, f["seed"])
         code.validate()
         return code

@@ -20,6 +20,9 @@ Classification is separate from decoding: classify() reads the layouts and
 per-run survivors of a block of transmissions (the ground truth a decoder
 never sees) in one pass and returns each codeword's distortion X and the
 summed error-event counts.
+
+A descriptor (save_scheme, load_scheme) holds the PARAM_KEYS, the seed and
+the two code-file names, one key=value per line, read by strings.read_fields.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .analysis import ProbReport, transition_probs
 from .channels import ChannelModel, floor_snapped
 from .inner import InnerCodebook, InnerParams
 from .outer import OuterCode, OuterSpec
-from .strings import SProfile, in_S, runs_of
+from .strings import SProfile, in_S, read_fields, runs_of
 
 # Windows one scheme's inner-decode memo holds at most, to bound its memory.
 _MEMO_CAP = 1 << 12
@@ -348,76 +351,40 @@ def assemble_scheme(
     )
 
 
-def read_fields(path: str | Path) -> dict[str, str]:
-    """The key=value lines of a scheme descriptor or experiment config.
-
-    Blank lines and lines starting with # are skipped; whitespace around
-    keys and values is dropped. A later line overrides an earlier key.
-    """
-    fields: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            if "=" not in line:
-                raise ValueError(f"{path}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
-    return fields
+# Each key of a scheme's parameters (params_to_fields) and its type.
+PARAM_KEYS = {"channel": str, "param": float, "M1": float, "M2": float, "M_B": float, "T": int,
+              **dict.fromkeys(("m", "r1", "r2", "d", "q", "n", "k"), int), "dout": float}
 
 
-def params_to_fields(params: SchemeParams) -> dict[str, str]:
+def params_to_fields(params: SchemeParams) -> dict:
     prof = params.inner.profile
-    return {
-        "channel": params.channel.kind,
-        "param": repr(params.channel.parameter),
-        "M1": repr(params.M1),
-        "M2": repr(params.M2),
-        "M_B": repr(params.M_B),
-        "T": str(params.T),
-        "m": str(prof.m),
-        "r1": str(prof.r1),
-        "r2": str(prof.r2),
-        "d": str(params.inner.d),
-        "q": str(params.outer.q),
-        "n": str(params.outer.n),
-        "k": str(params.outer.k),
-        "dout": repr(params.outer.delta_out),
-    }
+    outer = params.outer
+    return {"channel": params.channel.kind, "param": params.channel.parameter,
+            "M1": params.M1, "M2": params.M2, "M_B": params.M_B, "T": params.T,
+            "m": prof.m, "r1": prof.r1, "r2": prof.r2, "d": params.inner.d,
+            "q": outer.q, "n": outer.n, "k": outer.k, "dout": outer.delta_out}
 
 
-def params_from_fields(fields: dict[str, str]) -> SchemeParams:
+def params_from_fields(f: dict) -> SchemeParams:
     """Inverse of params_to_fields; keys it does not use are ignored."""
     return SchemeParams(
-        channel=ChannelModel(fields["channel"], float(fields["param"])),
-        M1=float(fields["M1"]),
-        M2=float(fields["M2"]),
-        M_B=float(fields["M_B"]),
-        T=int(fields["T"]),
-        inner=InnerParams(
-            SProfile(int(fields["m"]), int(fields["r1"]), int(fields["r2"])),
-            int(fields["d"]),
-        ),
-        outer=OuterSpec(
-            int(fields["q"]), int(fields["n"]), int(fields["k"]), float(fields["dout"])
-        ),
+        ChannelModel(f["channel"], f["param"]), f["M1"], f["M2"], f["M_B"], f["T"],
+        InnerParams(SProfile(f["m"], f["r1"], f["r2"]), f["d"]),
+        OuterSpec(f["q"], f["n"], f["k"], f["dout"]),
     )
 
 
 def save_scheme(scheme: Scheme, path: str | Path, codebook_path: str, outer_path: str,
                 seed: int) -> None:
     fields = params_to_fields(scheme.params)
-    fields.update(seed=str(seed), codebook=codebook_path, outercode=outer_path)
+    fields.update(seed=seed, codebook=codebook_path, outercode=outer_path)
     Path(path).write_text("".join(f"{key}={value}\n" for key, value in fields.items()))
 
 
 def load_scheme(path: str | Path) -> Scheme:
     base = Path(path).parent
-    fields = read_fields(path)
-    try:
-        params = params_from_fields(fields)
-        codebook, outercode = fields["codebook"], fields["outercode"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
-    inner_cb = InnerCodebook.load(base / codebook).truncate(params.outer.q)
-    outer = OuterCode.load(base / outercode)
+    fields = read_fields(path, {**PARAM_KEYS, "seed": int, "codebook": str, "outercode": str})
+    params = params_from_fields(fields)
+    inner_cb = InnerCodebook.load(base / fields["codebook"]).truncate(params.outer.q)
+    outer = OuterCode.load(base / fields["outercode"])
     return assemble_scheme(params, inner_cb, outer)

@@ -1,5 +1,6 @@
 """Run-length utilities for binary strings and the constrained 1-/2-run family,
-LCS kernels, and the header reader shared by the inner and outer code files."""
+LCS kernels, and the one key=value reader behind scheme descriptors,
+experiment configs and the inner and outer code-file headers."""
 
 from __future__ import annotations
 
@@ -162,19 +163,49 @@ def enumerate_S(profile: SProfile) -> list[str]:
     return out
 
 
-def read_code_file(path: str | Path, keys: tuple[str, ...]) -> tuple[dict[str, int], list[str]]:
-    """The integer key=value fields named by keys from a code file's header
-    line (after its two-word tag, e.g. "innercode v1"), and the lines after it."""
+class Fields(dict):
+    """The typed fields of one key=value file; looking up an absent key is
+    an error that names the file and the key."""
+
+    def __init__(self, path: str | Path) -> None:
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key: str):
+        raise ValueError(f"{self.path}: missing key {key!r}")
+
+
+def read_fields(path: str | Path, kinds: dict, pairs=None) -> Fields:
+    """The key=value pairs of a file, each value converted by kinds[key].
+
+    Without pairs, every line of the file is a pair, except blank lines and
+    lines starting with #; whitespace around keys and values is dropped. A
+    later pair overrides an earlier key. An unknown key, a pair without "=",
+    a malformed value and a missing key that is looked up are errors naming
+    the file (and the key).
+    """
+    if pairs is None:
+        lines = (line.strip() for line in Path(path).read_text().splitlines())
+        pairs = [line for line in lines if line and not line.startswith("#")]
+    fields = Fields(path)
+    for pair in pairs:
+        key, eq, value = (part.strip() for part in pair.partition("="))
+        if not eq:
+            raise ValueError(f"{path}: expected key=value, got {pair!r}")
+        if key not in kinds:
+            raise ValueError(f"{path}: unknown key {key!r}")
+        try:
+            fields[key] = kinds[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: key {key!r}: {exc}") from None
+    return fields
+
+
+def read_code_file(path: str | Path, keys: tuple[str, ...]) -> tuple[Fields, list[str]]:
+    """The integer fields named by keys from a code file's header line
+    (key=value pairs after its two-word tag, e.g. "innercode v1"), and the
+    lines after it."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty code file")
-    fields: dict[str, str] = {}
-    for token in lines[0].split()[2:]:
-        key, eq, value = token.partition("=")
-        if not eq:
-            raise ValueError(f"{path}: expected key=value, got {token!r}")
-        fields[key] = value
-    try:
-        return {key: int(fields[key]) for key in keys}, lines[1:]
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
+    return read_fields(path, dict.fromkeys(keys, int), lines[0].split()[2:]), lines[1:]

@@ -116,14 +116,12 @@ def test_poisson_tail_monotone_in_mean():
 
 
 def test_probreport_aggregates():
-    r = ProbReport(p12=0.01, p10=0.002, p21=0.03, p20=0.001, beta1=0.52, mode="exact")
+    r = ProbReport(p12=0.01, p10=0.002, p21=0.03, p20=0.001, beta1=0.52)
     b1, b2 = 0.52, 0.24
     assert abs(r.gamma - (b1 * 0.01 + b2 * 0.03 + (2 * b1 + b2) * 0.002 + 4 * b2 * 0.001)) < 1e-15
     assert abs(r.xi - (b1 * (0.01 + 2 * 0.002) + b2 * (0.03 + 3 * 0.001))) < 1e-15
     with pytest.raises(ValueError):
-        ProbReport(p12=1.5, p10=0, p21=0, p20=0, beta1=0.5, mode="exact")
-    with pytest.raises(ValueError):
-        ProbReport(p12=0, p10=0, p21=0, p20=0, beta1=0.5, mode="guess")
+        ProbReport(p12=1.5, p10=0, p21=0, p20=0, beta1=0.5)
 
 
 def test_probs_bdc_exact_examples():

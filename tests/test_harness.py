@@ -46,14 +46,17 @@ def test_load_config(tmp_path):
 def test_load_config_rejects_unknown_keys_and_bad_numbers(tmp_path, capsys):
     # a mistyped key must not fall back to a default; a bad number names its key
     config = tmp_path / "exp.cfg"
-    for text, message in [
-        ("mode=transition\ntrails=50\n", "unknown key 'trails'"),
-        ("mode=transition\ntrials=abc\n",
+    for command, text, message in [
+        ("simulate", "mode=transition\ntrails=50\n", "unknown key 'trails'"),
+        ("simulate", "mode=transition\ntrials=abc\n",
          "key 'trials': invalid literal for int() with base 10: 'abc'"),
-        ("seed=7\nM_B=wide\n", "key 'M_B': could not convert string to float: 'wide'"),
+        ("simulate", "seed=7\nM_B=wide\n",
+         "key 'M_B': could not convert string to float: 'wide'"),
+        ("construct", "M_b=0.5\nseeed=3\n", "unknown key 'M_b'"),
+        ("construct", "seed=x\n", "key 'seed': invalid literal for int() with base 10: 'x'"),
     ]:
         config.write_text(text)
-        assert main(["simulate", "--config", str(config)]) == 2
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
 
@@ -120,7 +123,6 @@ def test_scheme_exact_probs_channels(bdc_desk, prc_desk):
     p = prc_desk.probs
     assert b.p10 == 0.3**bdc_desk.N1
     assert p.p10 == exp(-0.5 * prc_desk.N1)
-    assert p.mode == b.mode == "exact"
 
 
 def test_scheme_probs_computed_once(bdc_desk, monkeypatch):
@@ -186,7 +188,12 @@ def _saved_scheme(directory, scheme):
     return directory / "scheme.txt"
 
 
-def test_cli_construct_encode_decode(tmp_path, capsys, bdc_desk):
+def test_cli_construct_encode_decode(tmp_path, capsys, bdc_desk, prc_desk):
+    # a config overrides the defaults key by key
+    config = tmp_path / "prc.cfg"
+    config.write_text("channel=prc\nparam=0.5\n")
+    assert main(["construct", "--config", str(config), "--out", str(tmp_path / "prc")]) == 0
+    assert load_scheme(tmp_path / "prc" / "scheme.txt") == prc_desk
     out_dir = tmp_path / "sch"
     assert main(["construct", "--out", str(out_dir)]) == 0
     printed = capsys.readouterr().out
@@ -252,7 +259,15 @@ def test_cli_error_exit_codes(tmp_path, capsys, bdc_desk):
          "expected key=value, got 'd2'"),
         ("codebook.txt", "\n".join([header, *codewords[:2]]),
          "header says count=4, found 2 lines"),
+        ("codebook.txt", "\n".join([header.replace("d=2", "d=x"), *codewords]),
+         "key 'd': invalid literal for int() with base 10: 'x'"),
         ("outercode.txt", outer_text.replace(" seed=2024", ""), "missing key 'seed'"),
+        ("outercode.txt", "\n".join(outer_text.splitlines()[:5]),
+         "header says q**k=256, found 4 lines"),
+        ("outercode.txt", outer_text + outer_text.splitlines()[1],
+         "header says q**k=256, found 257 lines"),
+        ("outercode.txt", outer_text.replace("\n0 ", "\nx ", 1),
+         "invalid literal for int() with base 10: 'x'"),
     ]:
         _saved_scheme(tmp_path, bdc_desk)
         (tmp_path / name).write_text(text)
@@ -320,6 +335,15 @@ def test_descriptor_format(tmp_path, capsys, bdc_desk):
     path.write_text("\n".join(line for line in lines if not line.startswith("codebook=")))
     with pytest.raises(ValueError, match="missing key 'codebook'"):
         load_scheme(path)
+    # a malformed value and an unknown key name the file and the key
+    for text, message in [
+        ("\n".join(lines).replace("M1=4.0", "M1=abc"),
+         "key 'M1': could not convert string to float: 'abc'"),
+        ("\n".join(lines + ["M_b=0.5"]), "unknown key 'M_b'"),
+    ]:
+        path.write_text(text + "\n")
+        assert main(["encode", "--config", str(path), "1"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_desk_scheme_buffer_variant():
