@@ -13,9 +13,9 @@ parameter sets with a verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, lgamma, log
+from math import exp
 
-from .channels import ChannelModel, ceil_snapped, poisson_sf
+from .channels import ChannelModel, ceil_snapped, poisson_cdf, poisson_sf
 from .inner import inner_rate_formula
 
 
@@ -112,7 +112,7 @@ def _uniform_bounds(
         if T > M2 - 1:
             raise ValueError(f"T = {T} above M2 - 1 = {M2 - 1}; bound invalid")
         p10 = exp(-M1)
-        p21 = exp(-M2) * fsum(exp(k * log(M2) - lgamma(k + 1)) for k in range(T + 1))
+        p21 = poisson_cdf(M2, T)
         p20 = exp(-M2)
     else:
         if 1.0 - p_eval > width + 1e-12:

@@ -26,7 +26,7 @@ from .inner import construct_inner
 from .outer import construct_outer
 from .scheme import (
     PARAM_KEYS,
-    assemble_scheme,
+    Scheme,
     load_scheme,
     params_from_fields,
     params_to_fields,
@@ -59,7 +59,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         )
         return 1
     outer = construct_outer(params.outer, seed)
-    scheme = assemble_scheme(params, inner_cb.truncate(params.outer.q), outer)
+    scheme = Scheme(params, inner_cb.truncate(params.outer.q), outer)
     inner_cb.save(out_dir / "codebook.txt")
     outer.save(out_dir / "outercode.txt")
     save_scheme(scheme, out_dir / "scheme.txt", "codebook.txt", "outercode.txt", seed)

@@ -29,14 +29,7 @@ from .channels import ChannelModel, RngStream
 from .channels import apply_copy_counts  # noqa: F401  (the benchmark's tracer wraps it here)
 from .inner import InnerParams, construct_inner
 from .outer import OuterSpec, construct_outer
-from .scheme import (
-    Scheme,
-    SchemeParams,
-    assemble_scheme,
-    classify,
-    lay_out,
-    load_scheme,
-)
+from .scheme import Scheme, SchemeParams, classify, lay_out, load_scheme
 from .strings import SProfile, read_fields
 
 
@@ -76,7 +69,7 @@ def desk_scheme(kind: str, *, M_B: float = DESK_M_B) -> Scheme:
     params = desk_params(kind, M_B=M_B)
     inner_cb = cached_inner_codebook(params.inner).truncate(params.outer.q)
     outer = construct_outer(params.outer, DESK_SEED)
-    return assemble_scheme(params, inner_cb, outer)
+    return Scheme(params, inner_cb, outer)
 
 
 def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:

@@ -27,11 +27,6 @@ from .strings import (
 MAX_CANDIDATES = 10**7
 
 
-def _string_of(ones: np.ndarray, m: int) -> str:
-    """The length-m binary string whose "1" mask is the word row ones."""
-    return format(sum(int(w) << 64 * i for i, w in enumerate(ones)), f"0{m}b")[::-1]
-
-
 @dataclass(frozen=True)
 class InnerParams:
     """Codebook shape: string profile plus integer decoding radius d (= delta*m)."""
@@ -97,7 +92,10 @@ class InnerCodebook:
         if len(lines) != f["count"]:
             raise ValueError(f"{path}: header says count={f['count']}, found {len(lines)} lines")
         cb = cls(InnerParams(SProfile(f["m"], f["r1"], f["r2"]), f["d"]), tuple(lines))
-        cb.validate()
+        try:
+            cb.validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return cb
 
     def validate(self) -> None:
@@ -126,14 +124,16 @@ def construct_inner(params: InnerParams, *, force: bool = False) -> InnerCodeboo
             " pass force=True to override"
         )
     threshold = params.m - params.d
-    # Candidates live only as masks; accepting the first survivor drops every
-    # later one within the radius, which is what the one-by-one greedy pass does.
-    masks = lane_masks(enumerate_S(profile), 2, params.m)
+    # The surviving candidates' masks sit beside their indices; accepting the first
+    # drops every later one within the radius, as the one-by-one greedy pass does.
+    candidates = enumerate_S(profile)
+    masks = lane_masks(candidates, 2, params.m)
+    index = np.arange(len(candidates))
     accepted: list[str] = []
-    while masks.shape[1]:
-        accepted.append(_string_of(masks[1, 0], params.m))
-        lcs = lcs_lanes(map(int, accepted[-1]), masks[:, 1:], params.m)
-        masks = masks[:, 1:][:, lcs < threshold]
+    while index.size:
+        accepted.append(candidates[index[0]])
+        keep = lcs_lanes(map(int, accepted[-1]), masks[:, 1:], params.m) < threshold
+        masks, index = masks[:, 1:][:, keep], index[1:][keep]
     return InnerCodebook(params, tuple(accepted))
 
 

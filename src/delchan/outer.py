@@ -1,11 +1,11 @@
 """Outer code over a q-ary alphabet, robust to symbol insertions/deletions.
 
 Codewords are length-n symbol sequences whose pairwise symbol-level edit
-distance exceeds 2 * delta_out * n, so a nearest-codeword decoder corrects any
-combination of up to delta_out * n symbol insertions and deletions. The
-construction is a seeded greedy pass over pseudorandom candidates; it is a
-stand-in with the same interface and distance guarantee as any stronger
-construction one might drop in.
+distance exceeds 2 * radius, radius = floor(delta_out * n), so a
+nearest-codeword decoder corrects any combination of up to radius symbol
+insertions and deletions. The construction is a seeded greedy pass over
+pseudorandom candidates; it is a stand-in with the same interface and
+distance guarantee as any stronger construction one might drop in.
 """
 
 from __future__ import annotations
@@ -103,12 +103,11 @@ class OuterCode:
             raise ValueError(
                 f"expected {spec.num_messages} codewords, found {len(self.codewords)}"
             )
-        threshold = 2.0 * spec.delta_out * spec.n
         for i, c in enumerate(self.codewords):
             if len(c) != spec.n or any(not 0 <= s < spec.q for s in c):
                 raise ValueError(f"codeword {i} malformed")
         for i, c in enumerate(self.codewords):
-            close = 2 * (spec.n - lcs_lanes(c, self._masks[:, i + 1 :], spec.n)) <= threshold
+            close = lcs_lanes(c, self._masks[:, i + 1 :], spec.n) >= spec.n - spec.radius
             if close.any():
                 raise ValueError(f"codewords {i} and {i + 1 + close.argmax()} too close")
 
@@ -131,32 +130,32 @@ class OuterCode:
         if len(lines) != spec.num_messages:
             raise ValueError(f"{path}: header says q**k={spec.num_messages},"
                              f" found {len(lines)} lines")
+        seed = f["seed"]  # a missing key already names the file
         try:
-            codewords = tuple(tuple(map(int, line.split())) for line in lines)
+            code = cls(spec, tuple(tuple(map(int, line.split())) for line in lines), seed)
+            code.validate()
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        code = cls(spec, codewords, f["seed"])
-        code.validate()
         return code
 
 
 def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
     """Greedy construction from a seeded pseudorandom candidate stream.
 
-    Accepts a candidate iff its symbol edit distance to every accepted
-    codeword exceeds 2 * delta_out * n. Raises if the candidate budget runs
-    out before q**k codewords are found, reporting how many were achieved.
+    Accepts a candidate iff its LCS with every accepted codeword is below
+    n - radius, that is, iff its symbol edit distance to each exceeds
+    2 * radius. Raises if the candidate budget runs out before q**k
+    codewords are found, reporting how many were achieved.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     needed = spec.num_messages
-    threshold = 2.0 * spec.delta_out * spec.n
     accepted: list[tuple[int, ...]] = []
     masks = np.zeros((spec.q, needed, -(-spec.n // 64)), np.uint64)
     budget = _CANDIDATE_FACTOR * needed
     for _ in range(budget):
         cand = tuple(int(s) for s in rng.integers(0, spec.q, size=spec.n))
         lcs = lcs_lanes(cand, masks[:, : len(accepted)], spec.n)
-        if (2 * (spec.n - lcs) > threshold).all():
+        if (lcs < spec.n - spec.radius).all():
             masks[:, len(accepted)] = lane_masks([_digits(cand)], spec.q, spec.n)[:, 0]
             accepted.append(cand)
             if len(accepted) == needed:

@@ -2,11 +2,12 @@
 
 Encoding: outer encode a message to n symbols, map each symbol to an inner
 codeword, blow each 1-run up to N1 bits and each 2-run up to N2 bits, and
-join the n blocks with zero buffers of length B. The blow-up factors are
-sized so that, after the channel, a 1-run's expected survivor count is M1, a
-2-run's is M2, and a buffer's is M_B * m. A Layout holds the transmission as
-run lengths only: codewords start and end with 1 and buffers are 0, so runs
-alternate. The channel draws one survivor count per run of the Layout.
+join the n blocks with zero buffers of length B. A Scheme derives these
+lengths from its parameters, so that after the channel a 1-run's expected
+survivor count is M1, a 2-run's is M2, and a buffer's is M_B * m. A Layout
+holds the transmission as run lengths only: codewords start and end with 1
+and buffers are 0, so runs alternate. The channel draws one survivor count
+per run of the Layout.
 
 Decoding (decode_block, several receptions in one pass): drop vanished runs
 and merge the neighbours they leave, split on zero runs longer than the
@@ -23,6 +24,7 @@ summed error-event counts.
 
 A descriptor (save_scheme, load_scheme) holds the PARAM_KEYS, the seed and
 the two code-file names, one key=value per line, read by strings.read_fields.
+A Scheme refuses codes whose parameters differ from the descriptor's.
 """
 
 from __future__ import annotations
@@ -75,25 +77,23 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class Scheme:
-    """A built scheme: codebooks plus the integer blow-up factors.
-
-    N1 = ceil(M1 / mu), N2 = ceil(M2 / mu), B = ceil(M_B * m / mu), where mu
-    is the channel's expected survivors per bit (1 - p or lambda); see
-    ChannelModel.run_length.
+    """A built scheme: its parameters and codebooks. The blow-up factors are
+    derived: N1 = ceil(M1 / mu), N2 = ceil(M2 / mu), B = ceil(M_B * m / mu),
+    where mu is the channel's expected survivors per bit (1 - p or lambda);
+    see ChannelModel.run_length.
     """
 
     params: SchemeParams
     inner_cb: InnerCodebook
     outer: OuterCode
-    N1: int
-    N2: int
-    B: int
 
     def __post_init__(self) -> None:
         if not self.N1 < self.N2:
             raise ValueError(f"need N1 < N2, got {self.N1}, {self.N2}")
-        if self.B < 1:
+        if self.B < 1:  # ceil_snapped rounds a tiny M_B * m / mu down to 0
             raise ValueError("buffer length must be at least 1")
+        if self.inner_cb.params != self.params.inner:
+            raise ValueError("inner codebook does not match the declared parameters")
         if self.outer.spec != self.params.outer:
             raise ValueError("outer code does not match the declared parameters")
         if self.params.outer.q > len(self.inner_cb):
@@ -101,6 +101,18 @@ class Scheme:
                 f"outer alphabet {self.params.outer.q} exceeds inner codebook"
                 f" size {len(self.inner_cb)}"
             )
+
+    @cached_property
+    def N1(self) -> int:
+        return self.params.channel.run_length(self.params.M1)
+
+    @cached_property
+    def N2(self) -> int:
+        return self.params.channel.run_length(self.params.M2)
+
+    @cached_property
+    def B(self) -> int:
+        return self.params.channel.run_length(self.params.M_B * self.params.inner.m)
 
     @property
     def block_length(self) -> int:
@@ -180,12 +192,11 @@ class Layout:
     """A transmission as run arrays: run i covers the bits [starts[i],
     starts[i] + lengths[i]) and was a run of orig[i] (1 or 2) bits before the
     blow-up, or is a buffer if orig[i] is 0. Runs alternate in bit, starting
-    from first_bit."""
+    from 1 if the first run is a codeword's, or 0 if it is a buffer."""
 
     symbols: tuple[int, ...]
     lengths: np.ndarray
     orig: np.ndarray
-    first_bit: int
 
     def __len__(self) -> int:
         """Transmitted bits."""
@@ -197,7 +208,7 @@ class Layout:
 
     @cached_property
     def run_bits(self) -> np.ndarray:
-        return ((np.arange(self.lengths.size) & 1) ^ self.first_bit).astype(np.uint8)
+        return ((np.arange(self.lengths.size) & 1) ^ (self.orig[0] > 0)).astype(np.uint8)
 
     @cached_property
     def runs_by_orig(self) -> tuple[np.ndarray, ...]:
@@ -288,7 +299,7 @@ def lay_out(symbols: tuple[int, ...], blocks, B: int, *, edge_buffers: bool = Fa
     pieces = [piece for sym in symbols for piece in (buffer, blocks[sym])]
     pieces = pieces + [buffer] if edge_buffers else pieces[1:]
     lengths, orig = np.concatenate(pieces, axis=1)
-    return Layout(tuple(symbols), lengths, orig, 0 if edge_buffers else 1)
+    return Layout(tuple(symbols), lengths, orig)
 
 
 def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray):
@@ -336,19 +347,8 @@ def threshold_decode(window: str, T: int) -> str:
     return "".join(str(b) * (2 if ln > T else 1) for b, ln in runs_of(window))
 
 
-def assemble_scheme(
-    params: SchemeParams, inner_cb: InnerCodebook, outer: OuterCode
-) -> Scheme:
-    """Derive N1, N2, B from already-built codebooks."""
-    run_length = params.channel.run_length
-    return Scheme(
-        params,
-        inner_cb,
-        outer,
-        N1=run_length(params.M1),
-        N2=run_length(params.M2),
-        B=run_length(params.M_B * params.inner.m),
-    )
+# The old builder's name, still called by the benchmark's set-up.
+assemble_scheme = Scheme
 
 
 # Each key of a scheme's parameters (params_to_fields) and its type.
@@ -385,6 +385,9 @@ def load_scheme(path: str | Path) -> Scheme:
     base = Path(path).parent
     fields = read_fields(path, {**PARAM_KEYS, "seed": int, "codebook": str, "outercode": str})
     params = params_from_fields(fields)
-    inner_cb = InnerCodebook.load(base / fields["codebook"]).truncate(params.outer.q)
+    inner_cb = InnerCodebook.load(base / fields["codebook"])
     outer = OuterCode.load(base / fields["outercode"])
-    return assemble_scheme(params, inner_cb, outer)
+    try:  # the descriptor and the code files' headers must agree
+        return Scheme(params, inner_cb.truncate(params.outer.q), outer)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

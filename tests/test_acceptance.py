@@ -34,7 +34,7 @@ from delchan.inner import (
     insertion_ball_bruteforce,
 )
 from delchan.outer import construct_outer
-from delchan.scheme import assemble_scheme
+from delchan.scheme import Scheme
 from delchan.strings import SProfile, edit_distance, enumerate_S, is_subsequence
 
 
@@ -261,7 +261,7 @@ def test_criterion_10_end_to_end_decoding(announce, bdc_desk):
     if noisy["successes"] < 95:
         failures.append(f"noisy channel: {noisy['successes']}/100 < 95")
     clean_params = replace(desk_params("bdc"), channel=ChannelModel("bdc", 0.0))
-    clean = assemble_scheme(
+    clean = Scheme(
         clean_params,
         cached_inner_codebook(clean_params.inner).truncate(4),
         construct_outer(clean_params.outer, 2024),

@@ -1,13 +1,15 @@
 """The benchmark's layer tracer wraps program functions by name; every name it
 wraps must exist, or every traced benchmark run fails, and a wrapped function
 must return what it returns unwrapped. These tests install the tracer around
-a few harness trials, which is far quicker than `pytest perfbench`."""
+a few harness trials, and run the benchmark's set-up path once, which is far
+quicker than `pytest perfbench`."""
 
 from pathlib import Path
 
 import pytest
 
 from delchan import harness
+from delchan.harness import desk_params
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +43,13 @@ def test_traced_reports_equal_untraced(monkeypatch, request, runner, trials, des
         traced = getattr(harness, runner)(scheme, trials, 5)
     assert traced == untraced
     assert tracer.calls[f"harness.{runner}"] == 1
+
+
+def test_benchmark_setup_loads_what_it_built(monkeypatch, tmp_path):
+    # the benchmark builds a scheme, saves it and loads it back; its setup_ok
+    # check needs the two to be equal
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench
+
+    built, loaded = bench.build_scheme(desk_params("bdc"), tmp_path)
+    assert built == loaded

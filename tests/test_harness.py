@@ -247,11 +247,15 @@ def test_cli_error_exit_codes(tmp_path, capsys, bdc_desk):
         _saved_scheme(tmp_path, bdc_desk)
         (tmp_path / name).write_text(text)
         assert main(["encode", "--config", scheme_path, "1"]) == 2, (name, text[:40])
-    # malformed code-file headers, and a codebook shorter than its count,
-    # name the file and the fault
+    # malformed code-file headers, a codebook shorter than its count, code
+    # files that fail validation, and a descriptor that disagrees with its
+    # codebook's header name the file and the fault
     _saved_scheme(tmp_path, bdc_desk)
     header, *codewords = (tmp_path / "codebook.txt").read_text().splitlines()
     assert header == "innercode v1 m=25 r1=13 r2=6 d=2 count=4"
+    outer_lines = outer_text.splitlines()
+    descriptor = (tmp_path / "scheme.txt").read_text()
+    assert "\nd=2\n" in descriptor and "\ndout=0.125\n" in descriptor
     for name, text, message in [
         ("codebook.txt", "\n".join([header.replace(" d=2", ""), *codewords]),
          "missing key 'd'"),
@@ -268,6 +272,14 @@ def test_cli_error_exit_codes(tmp_path, capsys, bdc_desk):
          "header says q**k=256, found 257 lines"),
         ("outercode.txt", outer_text.replace("\n0 ", "\nx ", 1),
          "invalid literal for int() with base 10: 'x'"),
+        ("codebook.txt", "\n".join([header, "x" + codewords[0][1:], *codewords[1:]]),
+         f"'x{codewords[0][1:]}' is not in S"),
+        ("outercode.txt", "\n".join([*outer_lines[:2], outer_lines[1], *outer_lines[3:]]),
+         "codewords 0 and 1 too close"),
+        ("scheme.txt", descriptor.replace("\nd=2\n", "\nd=5\n"),
+         "inner codebook does not match the declared parameters"),
+        ("scheme.txt", descriptor.replace("\ndout=0.125\n", "\ndout=0.25\n"),
+         "outer code does not match the declared parameters"),
     ]:
         _saved_scheme(tmp_path, bdc_desk)
         (tmp_path / name).write_text(text)

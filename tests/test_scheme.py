@@ -14,8 +14,8 @@ from delchan.harness import cached_inner_codebook, desk_params
 from delchan.inner import InnerCodebook, InnerParams
 from delchan.outer import OuterSpec, construct_outer
 from delchan.scheme import (
+    Scheme,
     SchemeParams,
-    assemble_scheme,
     classify,
     blow_up,
     lay_out,
@@ -155,7 +155,7 @@ def _per_run(layout, counts):
 def bdc_scheme():
     params = desk_params("bdc")
     inner_cb = cached_inner_codebook(params.inner).truncate(params.outer.q)
-    return assemble_scheme(params, inner_cb, construct_outer(params.outer, 2024))
+    return Scheme(params, inner_cb, construct_outer(params.outer, 2024))
 
 
 def test_blowup_factors(bdc_scheme):
@@ -164,8 +164,10 @@ def test_blowup_factors(bdc_scheme):
 
 
 def test_alphabet_guard(bdc_scheme):
-    with pytest.raises(ValueError):
-        assemble_scheme(
+    with pytest.raises(ValueError, match="outer alphabet 4 exceeds inner codebook size 3"):
+        Scheme(bdc_scheme.params, bdc_scheme.inner_cb.truncate(3), bdc_scheme.outer)
+    with pytest.raises(ValueError, match="outer code does not match the declared parameters"):
+        Scheme(
             replace(bdc_scheme.params, outer=OuterSpec(200, 32, 4, 0.125)),
             bdc_scheme.inner_cb,
             bdc_scheme.outer,
@@ -201,7 +203,7 @@ def test_single_block_scheme_has_no_buffers():
     params = desk_params("bdc")
     params = replace(params, outer=OuterSpec(4, 1, 0, 0.5))
     inner_cb = cached_inner_codebook(params.inner).truncate(4)
-    scheme = assemble_scheme(params, inner_cb, construct_outer(params.outer, 3))
+    scheme = Scheme(params, inner_cb, construct_outer(params.outer, 3))
     bits = scheme.encode(0)
     assert len(bits) == scheme.block_length
     assert "0" * scheme.B not in bits
