@@ -160,7 +160,8 @@ class ChannelModel:
 
     def copy_counts(self, layout, rng: np.random.Generator) -> np.ndarray:
         """Survivors of each run of a scheme.Layout, drawn one class of runs
-        at a time: buffers, 1-runs, 2-runs."""
+        at a time: buffers, 1-runs, 2-runs. A block of layouts takes three
+        draws in all, each over its rows in order."""
         return self._draw(layout.lengths, layout.runs_by_orig, rng)
 
     def transmit(self, bits: str, rng: np.random.Generator) -> str:
@@ -173,10 +174,10 @@ class ChannelModel:
         return apply_copy_counts(b[starts].tobytes().decode(), self._draw(lengths, groups, rng))
 
     def _draw(self, lengths: np.ndarray, groups, rng: np.random.Generator) -> np.ndarray:
-        """Survivors of runs of lengths[i] bits, one draw per group of run
-        indices in turn; the runs of a group share one length."""
-        counts = np.empty(lengths.size, np.int64)
+        """Survivors of runs of lengths.flat[i] bits, one draw per group of
+        flat run indices in turn; the runs of a group share one length."""
+        counts = np.empty(lengths.shape, np.int64)
         for runs in groups:
             if runs.size:
-                counts[runs] = self.survivors(int(lengths[runs[0]]), runs.size, rng)
+                counts.flat[runs] = self.survivors(int(lengths.flat[runs[0]]), runs.size, rng)
         return counts

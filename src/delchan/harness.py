@@ -9,8 +9,11 @@ Three experiment modes:
   transition — transmit bare blown-up runs in bulk and compare empirical
     run-transition frequencies against the exact formulas.
 
-Reports are plain dicts serialized as sorted JSON, so identical configs and
-seeds produce byte-identical files. Wall-clock time is printed, never stored.
+The first two draw each block of _BLOCK_TRIALS (the fixed 256) trials from
+one stream: its messages or symbols in one draw, then the survivors of its
+buffers, 1-runs and 2-runs in three. So a report depends on (seed, trials)
+only: reports are plain dicts serialized as sorted JSON, and identical configs
+and seeds produce byte-identical files. Wall-clock time is printed, never stored.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ def cached_inner_codebook(params: InnerParams):
 # its analytic bound, which is only meaningful when losses are observable.
 DESK_M_B = 2.5
 DESK_SEED = 2024
-# Trials that run_end_to_end decodes, and run_single_codeword classifies,
-# together; bounds a block's memory.
+# Trials drawn from one stream and decoded or classified together; a fixed
+# constant, since every report depends on it. Bounds a block's memory.
 _BLOCK_TRIALS = 256
 
 
@@ -74,21 +77,21 @@ def desk_scheme(kind: str, *, M_B: float = DESK_M_B) -> Scheme:
 
 def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
     """Transmit isolated codewords; classify them from their layouts and
-    survivors (no decoding) and collect X and error-event statistics. Each trial
-    has its own stream; one classify pass takes _BLOCK_TRIALS trials."""
+    survivors (no decoding) and collect X and error-event statistics. Block b
+    draws its symbols, then its survivors, from RngStream(master_seed, b)."""
     if trials < 2:
         raise ValueError("single_codeword needs at least 2 trials for a variance")
     layouts = [lay_out((symbol,), scheme.blocks, scheme.B, edge_buffers=True)
                for symbol in range(len(scheme.inner_cb))]
     xs: list[int] = []
     events: Counter[str] = Counter()
-    for block in range(0, trials, _BLOCK_TRIALS):
-        transmissions = []
-        for t in range(block, min(block + _BLOCK_TRIALS, trials)):
-            rng = RngStream(master_seed, t).generator()
-            layout = layouts[int(rng.integers(0, len(layouts)))]
-            transmissions.append((layout, scheme.params.channel.copy_counts(layout, rng)))
-        block_xs, block_events = classify(scheme, transmissions)
+    for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):
+        rng = RngStream(master_seed, index).generator()
+        symbols = rng.integers(0, len(layouts), min(_BLOCK_TRIALS, trials - block))
+        runs = lay_out(symbols[:, None], scheme.blocks, scheme.B, edge_buffers=True)
+        pairs = zip(map(layouts.__getitem__, symbols.tolist()),
+                    scheme.params.channel.copy_counts(runs, rng))
+        block_xs, block_events = classify(scheme, list(pairs))
         xs += block_xs
         events.update(block_events)  # keeps the keys of zero counts
     buffers = trials * len(layouts[0].buffers)  # the same two in every layout
@@ -114,21 +117,19 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
 
 
 def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
-    """Encode random messages, transmit, decode; count exact recoveries. Each
-    trial has its own stream; one decode_block pass takes _BLOCK_TRIALS trials."""
+    """Encode random messages, transmit, decode; count exact recoveries. Block
+    b draws its messages, then its survivors, from RngStream(master_seed, b)."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     num_messages = scheme.outer.spec.num_messages
     successes = 0
-    for block in range(0, trials, _BLOCK_TRIALS):
-        messages, receptions = [], []
-        for t in range(block, min(block + _BLOCK_TRIALS, trials)):
-            rng = RngStream(master_seed, t).generator()
-            messages.append(int(rng.integers(0, num_messages)))
-            layout = scheme.encode_with_layout(messages[-1])
-            counts = scheme.params.channel.copy_counts(layout, rng)
-            receptions.append((layout.run_bits, counts))
-        successes += sum(d == m for (d, _), m in zip(scheme.decode_block(receptions), messages))
+    for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):
+        rng = RngStream(master_seed, index).generator()
+        messages = rng.integers(0, num_messages, min(_BLOCK_TRIALS, trials - block))
+        layout = scheme.encode_block(messages)
+        counts = scheme.params.channel.copy_counts(layout, rng)
+        decoded = scheme.decode_block(list(zip(layout.run_bits, counts)))
+        successes += sum(d == m for (d, _), m in zip(decoded, messages.tolist()))
     return {
         "mode": "end_to_end",
         "trials": trials,

@@ -128,9 +128,14 @@ class Scheme:
                                 prof.r1 / prof.m)
 
     @cached_property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """Each symbol's blown-up block (see blow_up)."""
-        return tuple(blow_up(c, self.N1, self.N2) for c in self.inner_cb.codewords)
+    def blocks(self) -> np.ndarray:
+        """Each symbol's blown-up block (see blow_up), stacked: symbol s is blocks[s]."""
+        return np.stack([blow_up(c, self.N1, self.N2) for c in self.inner_cb.codewords])
+
+    @cached_property
+    def _outer_table(self) -> np.ndarray:
+        """The outer codeword of each message, one row per message."""
+        return np.array(self.outer.codewords)
 
     @cached_property
     def _memo(self) -> dict[str, int]:
@@ -142,6 +147,10 @@ class Scheme:
 
     def encode_with_layout(self, message: int) -> "Layout":
         return lay_out(self.outer.encode(message), self.blocks, self.B)
+
+    def encode_block(self, messages: np.ndarray) -> "Layout":
+        """The layouts of the messages as one block: row i is encode_with_layout(messages[i])."""
+        return lay_out(self._outer_table[messages], self.blocks, self.B)
 
     def decode(self, received: str) -> int:
         return self.decode_with_trace(received)[0]
@@ -158,6 +167,8 @@ class Scheme:
         """Decode each reception of lengths[i] copies of bits[i] for each run i
         (runs of length 0 and same-bit neighbours may occur), in one pass over
         all their runs: runs of two receptions never merge, and no window spans two."""
+        if not receptions:
+            return []
         p = self.params
         owner = np.repeat(np.arange(len(receptions)), [len(b) for b, _ in receptions])
         bits, lengths, owner = merge_runs(np.concatenate([b for b, _ in receptions]),
@@ -192,9 +203,10 @@ class Layout:
     """A transmission as run arrays: run i covers the bits [starts[i],
     starts[i] + lengths[i]) and was a run of orig[i] (1 or 2) bits before the
     blow-up, or is a buffer if orig[i] is 0. Runs alternate in bit, starting
-    from 1 if the first run is a codeword's, or 0 if it is a buffer."""
+    from 1 if the first run is a codeword's, or 0 if it is a buffer. A block
+    of layouts holds one transmission per row of each array."""
 
-    symbols: tuple[int, ...]
+    symbols: tuple
     lengths: np.ndarray
     orig: np.ndarray
 
@@ -204,16 +216,16 @@ class Layout:
 
     @cached_property
     def starts(self) -> np.ndarray:
-        return np.cumsum(self.lengths) - self.lengths
+        return np.cumsum(self.lengths, axis=-1) - self.lengths
 
     @cached_property
     def run_bits(self) -> np.ndarray:
-        return ((np.arange(self.lengths.size) & 1) ^ (self.orig[0] > 0)).astype(np.uint8)
+        return ((np.arange(self.orig.shape[-1]) & 1) ^ (self.orig[..., :1] > 0)).astype(np.uint8)
 
     @cached_property
     def runs_by_orig(self) -> tuple[np.ndarray, ...]:
-        """Run indices of the buffers, of the 1-runs and of the 2-runs."""
-        return tuple((self.orig == orig).nonzero()[0] for orig in range(3))
+        """Flat run indices of the buffers, of the 1-runs and of the 2-runs."""
+        return tuple(np.flatnonzero(self.orig == orig) for orig in range(3))
 
     @property
     def buffers(self) -> np.ndarray:
@@ -291,15 +303,15 @@ def blow_up(codeword: str, N1: int, N2: int) -> np.ndarray:
     return np.stack((np.where(orig == 1, N1, N2), orig))
 
 
-def lay_out(symbols: tuple[int, ...], blocks, B: int, *, edge_buffers: bool = False) -> Layout:
+def lay_out(symbols, blocks, B: int, *, edge_buffers: bool = False) -> Layout:
     """Join the blown-up blocks of the symbols (blocks[s] is blow_up of the
-    codeword of s) with zero buffers of B bits; edge_buffers adds one more
-    buffer before the first block and after the last."""
-    buffer = np.array([[B], [0]])
-    pieces = [piece for sym in symbols for piece in (buffer, blocks[sym])]
-    pieces = pieces + [buffer] if edge_buffers else pieces[1:]
-    lengths, orig = np.concatenate(pieces, axis=1)
-    return Layout(tuple(symbols), lengths, orig)
+    codeword of s; all have one run count) with zero buffers of B bits;
+    edge_buffers adds one more buffer before the first block and after the
+    last. A (trials, n) array of symbols gives a block of trials layouts."""
+    table = np.insert(np.asarray(blocks), 0, [B, 0], axis=-1)  # a buffer before each block
+    runs = table.swapaxes(0, 1)[:, np.asarray(symbols)].reshape(2, *np.shape(symbols)[:-1], -1)
+    runs = np.concatenate((runs, runs[..., :1]), axis=-1) if edge_buffers else runs[..., 1:]
+    return Layout(tuple(symbols), runs[0], runs[1])
 
 
 def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray):

@@ -97,11 +97,11 @@ PINNED_REPORTS = [
     ("end_to_end", "prc", 2.5, 12,
      "3f35a271dc30e15bc85bcd5a902c77b6047a02d396601f90a120f09d2eb3ca3c"),
     ("single_codeword", "bdc", 2.5, 300,
-     "b4be0b559931a09bf4432bbc1fe8ee9ab71f2bb3d0b329463239152b8363de10"),
+     "3d719ba53dc836446e1617024c7b86405039b3440e15009088f651388c80dae4"),
     ("single_codeword", "prc", 2.5, 300,
-     "74c64bc89cd383e124bb26080601d405dfce6cc3b00a146d8e48db06f13e4ed0"),
+     "c749c7439657140ae70ddcc3b5b89eaa60d471e166a4b5d051e7d7c1134933f0"),
     ("single_codeword", "bdc", 0.5, 3000,
-     "7253fc0372bcf14a43e95115bf0b9cea6986b65c7628ce5f2270ad1c754feca3"),
+     "824a9d540887a2c49bfa3804d25d4da34bc9bc746e7c9a0c94b18f025e21157d"),
     ("transition", "bdc", 2.5, 2000,
      "15175a3208c17367240704dc2aae44d5e5cc1d3adfd8e66ff859f8c5c8723b46"),
     ("transition", "prc", 2.5, 2000,

@@ -5,10 +5,12 @@ received string character by character: window_spans, threshold_decode, the
 scalar inner decode and the outer decode; and classify as it was written on
 strings. The run-level path must give the same answers on any per-bit copy
 counts, including all-zero and large ones, also when several receptions are
-decoded in one block, and classify on any block of transmissions. The
-single-codeword harness is checked, across block edges, against its frozen
-per-trial loop. The outer codeword lookup is checked against the bare
-lcs_lanes argmin, and the inner-decode memo against its cap.
+decoded in one block, and classify on any block of transmissions. Both
+harness modes are checked, across block edges, against per-trial string
+decodes and the frozen per-trial classify loop, on the draws the harness
+makes per block; and each row of a block layout against encode_with_layout.
+The outer codeword lookup is checked against the bare lcs_lanes argmin, and
+the inner-decode memo against its cap.
 """
 
 import random
@@ -177,17 +179,34 @@ def test_block_decoder_matches_string_decoder(schemes, name, receptions):
     assert s.decode_block(block) == expected
 
 
+def block_survivors(s, origs, rng):
+    """Survivors of a block's runs (one row of original run lengths per
+    trial, 0 for a buffer), drawn as the harness draws them: all buffers,
+    then all 1-runs, then all 2-runs, each class in row order."""
+    z = np.empty(origs.shape, np.int64)
+    for orig, n in ((0, s.B), (1, s.N1), (2, s.N2)):
+        z[origs == orig] = s.params.channel.survivors(n, int((origs == orig).sum()), rng)
+    return z
+
+
+def end_to_end_oracle(s, seed, index, size):
+    """(message, string_decode) of each trial of run_end_to_end's block
+    `index` of `size` trials, drawn from the strings as the harness draws it."""
+    rng = RngStream(seed, index).generator()
+    messages = rng.integers(0, s.outer.spec.num_messages, size).tolist()
+    encoded = [string_encode(s, message) for message in messages]
+    orig_of = {s.B: 0, s.N1: 1, s.N2: 2}
+    origs = np.array([[orig_of[ln] for _, ln in runs_of(e)] for e in encoded])
+    out = []
+    for message, e, counts in zip(messages, encoded, block_survivors(s, origs, rng)):
+        run_bits = "".join(str(bit) for bit, _ in runs_of(e))
+        out.append((message, string_decode(s, apply_copy_counts(run_bits, counts))))
+    return out
+
+
 @pytest.mark.parametrize("name", ["bdc", "prc"])
 def test_end_to_end_blocks_match_per_trial_string_decode(schemes, name, monkeypatch):
     s = schemes[name]
-    expected = []  # (message, string_decode) of each trial, drawn as run_end_to_end draws
-    for t in range(_BLOCK_TRIALS + 1):
-        rng = RngStream(11, t).generator()
-        message = int(rng.integers(0, s.outer.spec.num_messages))
-        counts = s.params.channel.copy_counts(s.encode_with_layout(message), rng)
-        run_bits = "".join(str(bit) for bit, _ in runs_of(string_encode(s, message)))
-        received = apply_copy_counts(run_bits, counts)
-        expected.append((message, string_decode(s, received)))
     blocks = []
     decode_block = Scheme.decode_block
 
@@ -197,12 +216,43 @@ def test_end_to_end_blocks_match_per_trial_string_decode(schemes, name, monkeypa
 
     monkeypatch.setattr(Scheme, "decode_block", recording)
     n = _BLOCK_TRIALS
-    for trials, sizes in ((n - 1, [n - 1]), (n, [n]), (n + 1, [n, 1])):
+    oracle = {size: end_to_end_oracle(s, 11, 0, size) for size in (n - 1, n)}
+    oracle["tail"] = end_to_end_oracle(s, 11, 1, 1)
+    for trials, sizes, expected in ((n - 1, [n - 1], oracle[n - 1]), (n, [n], oracle[n]),
+                                    (n + 1, [n, 1], oracle[n] + oracle["tail"])):
         blocks.clear()
         report = run_end_to_end(s, trials, 11)
         assert [len(b) for b in blocks] == sizes
-        assert [d for b in blocks for d in b] == [d for _, d in expected[:trials]]
-        assert report["successes"] == sum(m == d[0] for m, d in expected[:trials])
+        assert [d for b in blocks for d in b] == [d for _, d in expected]
+        assert report["successes"] == sum(m == d[0] for m, d in expected)
+
+
+@pytest.mark.parametrize("name", ["bdc", "prc"])
+def test_block_layout_rows_match_encode_with_layout(schemes, name):
+    s = schemes[name]
+    messages = np.arange(s.outer.spec.num_messages)
+    block = s.encode_block(messages)
+    for message, lengths, orig, run_bits in zip(messages.tolist(), block.lengths, block.orig,
+                                                block.run_bits):
+        layout = s.encode_with_layout(message)
+        assert np.array_equal(lengths, layout.lengths)
+        assert np.array_equal(orig, layout.orig)
+        assert np.array_equal(run_bits, layout.run_bits)
+
+
+def test_first_block_does_not_depend_on_the_trial_count(bdc_desk, monkeypatch):
+    decoded = []
+    decode_block = Scheme.decode_block
+
+    def recording(self, receptions):
+        decoded.append(decode_block(self, receptions))
+        return decoded[-1]
+
+    monkeypatch.setattr(Scheme, "decode_block", recording)
+    run_end_to_end(bdc_desk, _BLOCK_TRIALS, 19)
+    run_end_to_end(bdc_desk, _BLOCK_TRIALS + 1, 19)
+    assert decoded[0] == decoded[1]
+    assert len(decoded[0]) == _BLOCK_TRIALS
 
 
 def lane_argmin(code, received):
@@ -282,6 +332,10 @@ def test_classify_of_no_transmissions(bdc_desk):
         [], {"deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0})
 
 
+def test_decode_block_of_no_receptions(bdc_desk):
+    assert bdc_desk.decode_block([]) == []
+
+
 def test_classify_rejects_misfit_counts(bdc_desk):
     # the total matches, but each transmission's counts belong to the other
     short = lay_out((0,), bdc_desk.blocks, bdc_desk.B)
@@ -293,19 +347,22 @@ def test_classify_rejects_misfit_counts(bdc_desk):
 
 
 def frozen_single_codeword_loop(scheme, trials, master_seed):
-    """run_single_codeword as it was before blocks: one lay_out and one
-    string_classify per trial, on the same per-trial streams and draws."""
+    """run_single_codeword as one lay_out and one string_classify per trial,
+    on the harness's draws: per block of trials, one stream, the symbols,
+    then the survivors of the block's buffers, 1-runs and 2-runs."""
     q = len(scheme.inner_cb)
     xs, events, buffers = [], Counter(), 0
-    for t in range(trials):
-        rng = RngStream(master_seed, t).generator()
-        symbol = int(rng.integers(0, q))
-        layout = lay_out((symbol,), scheme.blocks, scheme.B, edge_buffers=True)
-        counts = per_bit(layout, scheme.params.channel.copy_counts(layout, rng))
-        (x,), trial_events = string_classify(scheme, layout, counts)
-        xs.append(x)
-        events.update(trial_events)
-        buffers += len(layout.buffers)
+    for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):
+        rng = RngStream(master_seed, index).generator()
+        symbols = rng.integers(0, q, min(_BLOCK_TRIALS, trials - block)).tolist()
+        layouts = [lay_out((symbol,), scheme.blocks, scheme.B, edge_buffers=True)
+                   for symbol in symbols]
+        z = block_survivors(scheme, np.array([layout.orig for layout in layouts]), rng)
+        for layout, survivors in zip(layouts, z):
+            (x,), trial_events = string_classify(scheme, layout, per_bit(layout, survivors))
+            xs.append(x)
+            events.update(trial_events)
+            buffers += len(layout.buffers)
     x_arr = np.array(xs, dtype=np.float64)
     probs = scheme.probs
     m = scheme.params.inner.m
