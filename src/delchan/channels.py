@@ -70,18 +70,34 @@ def binom_sf(n: int, p: float, t: int) -> float:
     return min(1.0, fsum(exp(_log_binom_pmf(n, p, k)) for k in range(t + 1, n + 1)))
 
 
+def _log_poisson_pmf(mu: float, k: int) -> float:
+    return -mu + k * log(mu) - lgamma(k + 1)
+
+
 def poisson_cdf(mu: float, t: int) -> float:
     """Pr[Poisson(mu) <= t], summed directly."""
     if t < 0:
         return 0.0
     if mu == 0.0:
         return 1.0
-    return min(1.0, fsum(exp(-mu + k * log(mu) - lgamma(k + 1)) for k in range(t + 1)))
+    return min(1.0, fsum(exp(_log_poisson_pmf(mu, k)) for k in range(t + 1)))
 
 
 def poisson_sf(mu: float, t: int) -> float:
-    """Pr[Poisson(mu) > t], via the complement (the upper tail is infinite)."""
-    return max(0.0, 1.0 - poisson_cdf(mu, t))
+    """Pr[Poisson(mu) > t], summed over the upper tail directly: term by term
+    until, past the mean, a term adds less than 2**-64 of the sum."""
+    if t < 0:
+        return 1.0
+    if mu == 0.0:
+        return 0.0
+    terms: list[float] = []
+    total, k = 0.0, t + 1
+    while True:
+        terms.append(exp(_log_poisson_pmf(mu, k)))
+        total += terms[-1]
+        if k > mu and terms[-1] <= total * 2.0**-64:
+            return min(1.0, fsum(terms))
+        k += 1
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import ceil, comb, exp, isclose, lgamma, log
+from math import ceil, comb, exp, factorial, isclose, lgamma, log
 
 import pytest
 
@@ -85,6 +85,15 @@ def test_poisson_tails():
     assert isclose(poisson_cdf(2.0, 1), 3.0 * exp(-2.0), rel_tol=1e-12)
     assert isclose(poisson_sf(2.0, 1), 1.0 - 3.0 * exp(-2.0), rel_tol=1e-9)
     assert poisson_cdf(0.0, 3) == 1.0
+    assert poisson_sf(0.0, 3) == 0.0 and poisson_sf(2.0, -1) == 1.0
+
+
+def test_poisson_sf_keeps_small_tails():
+    # summed directly, not as 1 - cdf, which saturates at one ulp (2.2e-16)
+    for mu, t in [(4.0, 40), (0.5, 20), (13.5, 80)]:
+        series = sum(Fraction(mu) ** k / factorial(k) for k in range(t + 1, t + 200))
+        assert isclose(poisson_sf(mu, t), exp(-mu) * float(series), rel_tol=1e-12), (mu, t)
+    assert 1e-28 < poisson_sf(4.0, 40) < 1e-26
 
 
 def test_poisson_limit_of_binomial():

@@ -99,13 +99,13 @@ PINNED_REPORTS = [
     ("single_codeword", "bdc", 2.5, 300,
      "3d719ba53dc836446e1617024c7b86405039b3440e15009088f651388c80dae4"),
     ("single_codeword", "prc", 2.5, 300,
-     "c749c7439657140ae70ddcc3b5b89eaa60d471e166a4b5d051e7d7c1134933f0"),
+     "402ca99ee14fc524bd9a4c893d5bee0bf003d274b4633e4e328ccaa9b3e00452"),
     ("single_codeword", "bdc", 0.5, 3000,
      "824a9d540887a2c49bfa3804d25d4da34bc9bc746e7c9a0c94b18f025e21157d"),
     ("transition", "bdc", 2.5, 2000,
      "15175a3208c17367240704dc2aae44d5e5cc1d3adfd8e66ff859f8c5c8723b46"),
     ("transition", "prc", 2.5, 2000,
-     "e780c76e811a4a1a8ce88fc64634cb3b86d8a81e6ff50d18777773e61210f98c"),
+     "dabf6b4fd34a027cc2154c87b7c5ca7b2bc04d1ed0eff83df2060399c342953b"),
 ]
 
 
