@@ -10,7 +10,8 @@ buffers. Submodules:
   inner    — greedy inner codebook, inner rate formula, insertion/deletion balls
   outer    — q-ary outer code with symbol-level edit-distance decoding
   channels — seeded deletion and Poisson-repeat channels, each owning its
-             survivor law: the draws, the exact tails and the run lengths
+             survivor law: the draws (one 64-bit word per run, inverted
+             through a cached CDF table), the exact tails, the run lengths
   scheme   — the built Scheme (N1, N2 and B derived from its parameters,
              its codes checked against them), transmissions as run arrays
              (one layout builder), the run-level threshold decoder, block

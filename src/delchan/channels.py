@@ -5,23 +5,47 @@ at the receiver: 0 or 1 for the deletion channel, Poisson-distributed for the
 repeat channel. Only the copies of each run matter to the scheme, so a run of
 n bits arrives as Z survivors, Bin(n, 1 - p) on the deletion channel and
 Poisson(lambda * n) on the repeat channel. ChannelModel owns this survivor
-law: it draws Z, exact in distribution, and gives its exact tails and the
-run length that meets a target mean, so no other module knows which of the
-two channels it has. Randomness comes from named streams split off a single
-master seed, so every experiment is reproducible and streams are independent
-of call order.
+law: it draws Z, gives its exact tails and the run length that meets a
+target mean, so no other module knows which of the two channels it has.
+Randomness comes from named streams split off a single master seed, so every
+experiment is reproducible and streams are independent of call order.
+
+A draw takes one 64-bit word of the stream per run and inverts the law's
+CDF through a table built once per (channel, n) and cached: the word's top
+12 bits pick a cell of a guide table, which gives the value at once unless
+a step of the CDF falls inside the cell; those few words are resolved by a
+binary search of the 64-bit thresholds. Each threshold is Pr[Z <= k] summed
+exactly from the log-pmf and rounded to a multiple of 2**-64, from below up
+to the median and as 1 - Pr[Z > k] above it, so both tails keep their
+relative accuracy; every value's probability is within 2**-63 of the pmf's,
+but for the one where the two sums meet, which also takes up the pmf's own
+rounding. The table spans only the values beyond which less than 2**-64 of
+the mass lies, so its width follows the standard deviation, not n.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import ceil, exp, floor, fsum, lgamma, log
+from functools import lru_cache
+from itertools import accumulate
+from math import ceil, exp, floor, fsum, lgamma, ldexp, log, log1p, sqrt
 
 import numpy as np
 
 # Tolerance for snapping near-integer ratios before applying ceil/floor, so
 # that e.g. 20.21/0.43 = 46.999999... rounds to 47, not 48.
 _SNAP = 1e-9
+# A survivor table covers the values beyond whose ends less than 2**-64 of
+# the law's mass lies on either side, and refuses a law whose standard
+# deviation suggests more than _MAX_TABLE values (about 19 deviations fit).
+_LOG_TAIL = -64 * log(2.0)
+_MAX_TABLE = 1 << 16
+# The top _GUIDE_BITS bits of a word pick its cell of the guide table.
+_GUIDE_BITS = 12
+_CELL_SHIFT = 64 - _GUIDE_BITS
+# Tables kept at once, one per (channel, run length).
+_TABLES_KEPT = 256
 
 
 def ceil_snapped(x: float) -> int:
@@ -168,11 +192,9 @@ class ChannelModel:
         return self.parameter**n if self.kind == "bdc" else exp(-self.parameter * n)
 
     def survivors(self, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Survivors of each of size runs of n bits, in one scalar-parameter
-        draw (numpy redoes its sampler set-up per element of an array parameter)."""
-        if self.kind == "bdc":
-            return rng.binomial(n, 1.0 - self.parameter, size)
-        return rng.poisson(self.parameter * n, size)
+        """Survivors of each of size runs of n bits, by inversion of the law's
+        cached table (see _SurvivorTable): one 64-bit word of rng per run."""
+        return _survivor_table(self, n).draw(rng.bit_generator.random_raw(size))
 
     def copy_counts(self, layout, rng: np.random.Generator) -> np.ndarray:
         """Survivors of each run of a scheme.Layout, drawn one class of runs
@@ -197,3 +219,77 @@ class ChannelModel:
             if runs.size:
                 counts.flat[runs] = self.survivors(int(lengths.flat[runs[0]]), runs.size, rng)
         return counts
+
+
+@dataclass(frozen=True, eq=False)
+class _SurvivorTable:
+    """The inverse CDF of one survivor law (see the module docstring): a
+    word w gives lo + #{k : thresholds[k] <= w}, where thresholds[k] is
+    Pr[Z <= lo + k] in units of 2**-64. guide holds, for each cell of words
+    that share their top _GUIDE_BITS bits, the value of every word in it, or
+    -1 where a threshold falls inside the cell."""
+
+    lo: int
+    thresholds: np.ndarray
+    guide: np.ndarray
+
+    def __post_init__(self) -> None:
+        for shared in (self.thresholds, self.guide):  # every caller gets the cached table
+            shared.setflags(write=False)
+
+    def draw(self, words: np.ndarray) -> np.ndarray:
+        z = self.guide[words >> _CELL_SHIFT]
+        hard = np.flatnonzero(z < 0)
+        z[hard] = self.lo + np.searchsorted(self.thresholds, words[hard], "right")
+        return z
+
+
+@lru_cache(maxsize=_TABLES_KEPT)
+def _survivor_table(channel: ChannelModel, n: int) -> _SurvivorTable:
+    if channel.kind == "bdc":
+        keep = 1.0 - channel.parameter
+        variance, mode, top = n * keep * (1.0 - keep), min(n, floor((n + 1) * keep)), n
+
+        def log_pmf(k: int) -> float:
+            return _log_binom_pmf(n, keep, k)
+    else:
+        mu = channel.parameter * n
+        variance, mode, top = mu, floor(mu), None
+
+        def log_pmf(k: int) -> float:
+            return _log_poisson_pmf(mu, k)
+    if 19 * sqrt(variance) > _MAX_TABLE:
+        raise ValueError(f"survivor law of {channel} at n={n} is too wide to tabulate")
+    if variance == 0.0:  # one value: no bits, or every bit kept (as binom_cdf has it)
+        return _SurvivorTable(mode, np.zeros(0, np.uint64), np.full(1 << _GUIDE_BITS, mode))
+    lo, hi = _edge(log_pmf, mode, -1, 0), _edge(log_pmf, mode, 1, top)
+    # each pmf in fixed point with 128 fraction bits: exact sums of the doubles
+    scaled = [int(ldexp(exp(log_pmf(k)), 128)) for k in range(lo, hi + 1)]
+    below = list(accumulate(scaled))  # below[i]: Pr[Z <= lo + i]
+    above = list(accumulate(reversed(scaled)))[::-1][1:]  # above[i]: Pr[Z > lo + i]
+    half, one = 1 << 63, 1 << 64
+    cuts = [(b + half) >> 64 if b <= a else one - ((a + half) >> 64)
+            for b, a in zip(below, above)]
+    first, last = bisect_right(cuts, 0), bisect_left(cuts, one)  # values of no mass
+    thresholds = np.array(cuts[first:last], np.uint64)
+    starts = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _CELL_SHIFT
+    at_start = np.searchsorted(thresholds, starts, "right")
+    at_end = np.searchsorted(thresholds, starts | ((1 << _CELL_SHIFT) - 1), "right")
+    guide = np.where(at_start == at_end, lo + first + at_start, -1)
+    return _SurvivorTable(lo + first, thresholds, guide)
+
+
+def _edge(log_pmf, mode: int, step: int, end: int | None) -> int:
+    """The value k reached from mode in direction step (+1 or -1) once the
+    mass beyond k is below 2**-64; end is the law's last value that way, if
+    any. The law is log-concave, so past the mode each ratio r = pmf(k +
+    step) / pmf(k) bounds those after it, and the mass beyond k is at most
+    pmf(k + step) / (1 - r)."""
+    k, here = mode, log_pmf(mode)
+    while k != end:
+        beyond = log_pmf(k + step)
+        r = exp(beyond - here)
+        if r < 1.0 and beyond - log1p(-r) < _LOG_TAIL:
+            break
+        k, here = k + step, beyond
+    return k

@@ -81,8 +81,7 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
     draws its symbols, then its survivors, from RngStream(master_seed, b)."""
     if trials < 2:
         raise ValueError("single_codeword needs at least 2 trials for a variance")
-    layouts = [lay_out((symbol,), scheme.blocks, scheme.B, edge_buffers=True)
-               for symbol in range(len(scheme.inner_cb))]
+    layouts = scheme.codeword_layouts
     xs: list[int] = []
     events: Counter[str] = Counter()
     for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):

@@ -133,6 +133,13 @@ class Scheme:
         return np.stack([blow_up(c, self.N1, self.N2) for c in self.inner_cb.codewords])
 
     @cached_property
+    def codeword_layouts(self) -> tuple["Layout", ...]:
+        """Each symbol's blown-up codeword alone between two buffers: symbol s
+        is codeword_layouts[s]."""
+        return tuple(lay_out((s,), self.blocks, self.B, edge_buffers=True)
+                     for s in range(len(self.inner_cb)))
+
+    @cached_property
     def _outer_table(self) -> np.ndarray:
         """The outer codeword of each message, one row per message."""
         return np.array(self.outer.codewords)

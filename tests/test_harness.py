@@ -5,8 +5,10 @@ import json
 from dataclasses import replace
 from math import exp
 
+import numpy as np
 import pytest
 
+from delchan import harness as harness_module
 from delchan import scheme as scheme_module
 from delchan.analysis import presets, transition_probs
 from delchan.cli import main
@@ -23,7 +25,7 @@ from delchan.harness import (
     run_transition,
     sweep_csv,
 )
-from delchan.scheme import load_scheme, save_scheme
+from delchan.scheme import lay_out, load_scheme, save_scheme
 
 
 def test_config_validation():
@@ -97,15 +99,15 @@ PINNED_REPORTS = [
     ("end_to_end", "prc", 2.5, 12,
      "3f35a271dc30e15bc85bcd5a902c77b6047a02d396601f90a120f09d2eb3ca3c"),
     ("single_codeword", "bdc", 2.5, 300,
-     "3d719ba53dc836446e1617024c7b86405039b3440e15009088f651388c80dae4"),
+     "0e722f108fc0c9d5a07b38f3f8ad5838fa2f84ff89c49ca7deec310dd193c725"),
     ("single_codeword", "prc", 2.5, 300,
-     "402ca99ee14fc524bd9a4c893d5bee0bf003d274b4633e4e328ccaa9b3e00452"),
+     "6a3594b9088aff9f7afaf19189ff4ffd8ca1cf775464aebf5e431b9ba5e11aa7"),
     ("single_codeword", "bdc", 0.5, 3000,
-     "824a9d540887a2c49bfa3804d25d4da34bc9bc746e7c9a0c94b18f025e21157d"),
+     "b118cabb7b8ee56333aad9a0b21dba24e7da5a6b92232b18f9f2f514fbde6974"),
     ("transition", "bdc", 2.5, 2000,
-     "15175a3208c17367240704dc2aae44d5e5cc1d3adfd8e66ff859f8c5c8723b46"),
+     "e41f7152986f63fd0f50a1c82f79bff778d0d440225e5786cb47f30202bd7531"),
     ("transition", "prc", 2.5, 2000,
-     "dabf6b4fd34a027cc2154c87b7c5ca7b2bc04d1ed0eff83df2060399c342953b"),
+     "b580057efc0d58069730c7ce910f5e7eda89253c4aa870a50602879a66ce939e"),
 ]
 
 
@@ -138,6 +140,27 @@ def test_scheme_probs_computed_once(bdc_desk, monkeypatch):
     second = run_transition(fresh, 100, 2)
     assert len(calls) == 1
     assert first["transitions"]["p21"]["exact"] == second["transitions"]["p21"]["exact"]
+
+
+def test_codeword_layouts_built_once(prc_desk, monkeypatch):
+    # run_single_codeword lays out each symbol's codeword once per scheme,
+    # and after that one gather per block of 256 trials
+    fresh = replace(prc_desk)  # a new instance holds no cached layouts
+    calls = []
+
+    def counting(symbols, *args, **kwargs):
+        calls.append(np.shape(symbols))
+        return lay_out(symbols, *args, **kwargs)
+
+    monkeypatch.setattr(scheme_module, "lay_out", counting)
+    monkeypatch.setattr(harness_module, "lay_out", counting)
+    assert run_single_codeword(fresh, 300, 1) == run_single_codeword(fresh, 300, 1)
+    q = len(fresh.inner_cb)
+    assert calls == [(1,)] * q + [(256, 1), (44, 1)] * 2
+    for s, layout in enumerate(fresh.codeword_layouts):
+        alone = lay_out((s,), fresh.blocks, fresh.B, edge_buffers=True)
+        assert layout.symbols == (s,) and np.array_equal(layout.lengths, alone.lengths)
+        assert np.array_equal(layout.orig, alone.orig)
 
 
 def test_analyze_csv_structure():
