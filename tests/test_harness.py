@@ -98,6 +98,10 @@ PINNED_REPORTS = [
      "8ce50b9487eb480c28633fbc775d2fc0602d5d7d990a0001d8db2c337ad73a03"),
     ("end_to_end", "prc", 2.5, 12,
      "3f35a271dc30e15bc85bcd5a902c77b6047a02d396601f90a120f09d2eb3ca3c"),
+    ("end_to_end", "bdc", 2.5, 600,  # three blocks: 256 + 256 + 88 trials
+     "b8d64190a8b0626135ccef5aada1d1646fadc9c7ac17ad583bdd5fe68cc03b58"),
+    ("end_to_end", "prc", 2.5, 600,
+     "f6d0bce8f76d64a85ec7863721baf0c206cb2fe2c5a25450f01860f8a325711e"),
     ("single_codeword", "bdc", 2.5, 300,
      "0e722f108fc0c9d5a07b38f3f8ad5838fa2f84ff89c49ca7deec310dd193c725"),
     ("single_codeword", "prc", 2.5, 300,
