@@ -215,9 +215,10 @@ class ChannelModel:
         """Survivors of runs of lengths.flat[i] bits, one draw per group of
         flat run indices in turn; the runs of a group share one length."""
         counts = np.empty(lengths.shape, np.int64)
+        flat = counts.reshape(-1)  # a view: scattering through it is faster than through .flat
         for runs in groups:
             if runs.size:
-                counts.flat[runs] = self.survivors(int(lengths.flat[runs[0]]), runs.size, rng)
+                flat[runs] = self.survivors(int(lengths.flat[runs[0]]), runs.size, rng)
         return counts
 
 

@@ -127,8 +127,8 @@ def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
         messages = rng.integers(0, num_messages, min(_BLOCK_TRIALS, trials - block))
         layout = scheme.encode_block(messages)
         counts = scheme.params.channel.copy_counts(layout, rng)
-        decoded = scheme.decode_block(list(zip(layout.run_bits, counts)))
-        successes += sum(d == m for (d, _), m in zip(decoded, messages.tolist()))
+        decoded = scheme.decode_block(layout.run_bits, counts)
+        successes += sum(d == m for d, m in zip(decoded, messages.tolist()))
     return {
         "mode": "end_to_end",
         "trials": trials,

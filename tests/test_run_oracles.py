@@ -9,8 +9,10 @@ decoded in one block, and classify on any block of transmissions. Both
 harness modes are checked, across block edges, against per-trial string
 decodes and the frozen per-trial classify loop, on the draws the harness
 makes per block; and each row of a block layout against encode_with_layout.
-The outer codeword lookup is checked against the bare lcs_lanes argmin, and
-the inner-decode memo against its cap.
+The outer codeword lookup is checked against the bare lcs_lanes argmin, the
+inner symbols looked up by run-pattern key against the scalar inner decode,
+merge_runs against the reduceat merge it replaced, and the inner-decode memo
+against its cap and against the windows the string path would put in it.
 """
 
 import random
@@ -39,6 +41,7 @@ from delchan.scheme import (
     Scheme,
     classify,
     lay_out,
+    merge_runs,
     save_scheme,
     threshold_decode,
     window_spans,
@@ -149,7 +152,7 @@ def test_run_decoder_matches_string_decoder(schemes, name, message, kind, seed):
     counts = copy_counts(kind, seed, layout)
     received = apply_copy_counts(encoded, counts)
     expected = string_decode(s, received)
-    assert s.decode_block([(layout.run_bits, per_run(layout, counts))])[0] == expected
+    assert s.decode_block(layout.run_bits[None], per_run(layout, counts)[None]) == [expected[0]]
     assert s.decode_with_trace(received) == expected
 
 
@@ -166,7 +169,7 @@ def test_block_decoder_matches_string_decoder(schemes, name, receptions):
     # each reception may also lose its first and its last run; runs of
     # neighbouring receptions must neither merge nor share a window
     s = schemes[name]
-    block, expected = [], []
+    bits, survivors, expected = [], [], []
     for message, kind, seed, lose_first, lose_last in receptions:
         layout = s.encode_with_layout(message)
         counts = copy_counts(kind, seed, layout)
@@ -174,9 +177,122 @@ def test_block_decoder_matches_string_decoder(schemes, name, receptions):
             counts[: layout.lengths[0]] = 0
         if lose_last:
             counts[layout.starts[-1]:] = 0
-        block.append((layout.run_bits, per_run(layout, counts)))
-        expected.append(string_decode(s, apply_copy_counts(layout.bits(), counts)))
-    assert s.decode_block(block) == expected
+        bits.append(layout.run_bits)
+        survivors.append(per_run(layout, counts))
+        received = apply_copy_counts(layout.bits(), counts)
+        expected.append(string_decode(s, received))
+        assert s.decode_with_trace(received) == expected[-1]
+    assert s.decode_block(np.array(bits), np.array(survivors)) == [m for m, _ in expected]
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+def test_block_decodes_as_its_rows_alone(schemes, name):
+    # rows that lose their first run, their first two, their last run, both
+    # ends, or every run (an empty reception) must not disturb their neighbours
+    s, alone = replace(schemes[name]), replace(schemes[name])  # fresh memos
+    rng = RngStream(23, 0).generator()
+    layout = s.encode_block(rng.integers(0, s.outer.spec.num_messages, 24))
+    counts = s.params.channel.copy_counts(layout, rng)
+    counts[::2, 0] = 0
+    counts[1::6, :2] = 0
+    counts[::3, -1] = 0
+    counts[[5, 23]] = 0
+    rows = [alone.decode_block(bits[None], z[None]) for bits, z in zip(layout.run_bits, counts)]
+    assert s.decode_block(layout.run_bits, counts) == [decoded for row in rows for decoded in row]
+    assert rows[5] == rows[23] == [s.decode("")] == [0]
+    assert list(s._memo) == list(alone._memo)  # the same windows, in the same order
+
+
+@pytest.mark.parametrize("name", ["bdc", "prc"])
+def test_memo_holds_the_string_paths_windows(schemes, name):
+    # codeword windows are looked up by key and never reach the memo; every
+    # other window reaches it in the order the string path meets it
+    s = replace(schemes[name])  # a fresh memo
+    rng = RngStream(29, 0).generator()
+    layout = s.encode_block(rng.integers(0, s.outer.spec.num_messages, 64))
+    counts = s.params.channel.copy_counts(layout, rng)
+    s.decode_block(layout.run_bits, counts)
+    windows = []
+    for bits, z in zip(layout.run_bits, counts):
+        received = apply_copy_counts("".join(map(str, bits)), z)
+        windows += [threshold_decode(received[a:b], s.params.T)
+                    for a, b in window_spans(received, s.params.buffer_threshold)]
+    expected = list(dict.fromkeys(w for w in windows if w not in s.inner_cb.codewords))
+    assert 0 < len(expected) < _MEMO_CAP
+    assert list(s._memo) == expected
+
+
+def window_runs(s, spec):
+    """One window's first bit and run lengths: a codeword's runs given
+    survivors on either side of T (one of them crossing it, if "crossed"),
+    or free runs, perhaps none."""
+    kind, symbol, start, lengths = spec
+    if kind == "free":
+        return start, lengths
+    T = s.params.T
+    orig = s.blocks[symbol % len(s.inner_cb), 1]
+    ranges = [(1, T) if o == 1 else (T + 1, 2 * T + 3) for o in orig]
+    picked = [lo + n % (hi - lo + 1) for (lo, hi), n in zip(ranges, lengths + [0] * len(orig))]
+    if kind == "crossed" and lengths:  # move one run across the threshold
+        i = lengths[0] % len(picked)
+        picked[i] = T if picked[i] > T else T + 1
+    return start, picked
+
+
+WINDOW = st.tuples(st.sampled_from(["codeword", "crossed", "free"]), st.integers(0, 3),
+                   st.integers(0, 1), st.lists(st.integers(1, 20), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs=st.lists(WINDOW, max_size=6))
+@example(specs=[])
+@example(specs=[("codeword", 0, 0, [1]), ("codeword", 0, 1, [1])])
+@example(specs=[("free", 0, 1, [9] * 19), ("free", 0, 1, [1] * 26), ("codeword", 2, 1, [1]),
+                ("free", 0, 0, [])])
+def test_inner_symbols_match_scalar_decode(bdc_desk, specs):
+    # windows of the codewords' run count that start with a 0, windows whose
+    # thresholded string is longer than m, empty windows (symbol -1) and no
+    # windows at all included
+    s = replace(bdc_desk)  # a fresh memo
+    windows = [window_runs(s, spec) for spec in specs]
+    bits = [(start + k) % 2 for start, lengths in windows for k in range(len(lengths))]
+    lengths = [n for _, window in windows for n in window]
+    sizes = np.array([len(window) for _, window in windows], np.int64)
+    last = np.cumsum(sizes)
+    symbols = s.inner_symbols(np.array(bits, np.uint8), np.array(lengths, np.int64),
+                              last - sizes, last)
+    strings = [threshold_decode("".join(str((start + k) % 2) * n for k, n in enumerate(window)),
+                                s.params.T) for start, window in windows]
+    assert symbols.tolist() == [s.inner_cb.decode(w) if w else -1 for w in strings]
+    # every window that thresholds to a codeword was resolved by its key
+    assert set(s._memo) == set(strings) - set(s.inner_cb.codewords) - {""}
+
+
+def reduceat_merge_runs(bits, lengths, owner):
+    """merge_runs as first written: one np.add.reduceat over every kept run."""
+    keep = lengths > 0
+    bits, lengths, owner = bits[keep], lengths[keep], owner[keep]
+    starts = np.flatnonzero(np.diff(bits + 2 * owner, prepend=-1))
+    return bits[starts], np.add.reduceat(lengths, starts), owner[starts]
+
+
+RUN = st.tuples(st.integers(0, 1), st.sampled_from([0, 0, 0, 1, 2, 7]), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RUN, max_size=60))
+@example([(1, 0, False), (0, 0, False), (1, 3, False), (0, 0, False), (1, 2, False),
+          (0, 0, True), (1, 0, False), (1, 4, False), (0, 1, False), (1, 0, False)])
+def test_merge_runs_matches_reduceat(runs):
+    # chains of vanished runs, same-bit neighbours and owner boundaries
+    bits = np.array([bit for bit, _, _ in runs], np.uint8)
+    lengths = np.array([n for _, n, _ in runs], np.int64)
+    owner = np.cumsum([new for _, _, new in runs], dtype=np.int64)
+    given_lengths = lengths.copy()
+    merged = merge_runs(bits, lengths, owner)
+    for got, expected in zip(merged, reduceat_merge_runs(bits, lengths, owner)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert np.array_equal(lengths, given_lengths)
 
 
 def block_survivors(s, origs, rng):
@@ -190,8 +306,9 @@ def block_survivors(s, origs, rng):
 
 
 def end_to_end_oracle(s, seed, index, size):
-    """(message, string_decode) of each trial of run_end_to_end's block
-    `index` of `size` trials, drawn from the strings as the harness draws it."""
+    """(message, received string, string_decode) of each trial of
+    run_end_to_end's block `index` of `size` trials, drawn from the strings
+    as the harness draws it."""
     rng = RngStream(seed, index).generator()
     messages = rng.integers(0, s.outer.spec.num_messages, size).tolist()
     encoded = [string_encode(s, message) for message in messages]
@@ -200,7 +317,8 @@ def end_to_end_oracle(s, seed, index, size):
     out = []
     for message, e, counts in zip(messages, encoded, block_survivors(s, origs, rng)):
         run_bits = "".join(str(bit) for bit, _ in runs_of(e))
-        out.append((message, string_decode(s, apply_copy_counts(run_bits, counts))))
+        received = apply_copy_counts(run_bits, counts)
+        out.append((message, received, string_decode(s, received)))
     return out
 
 
@@ -210,8 +328,8 @@ def test_end_to_end_blocks_match_per_trial_string_decode(schemes, name, monkeypa
     blocks = []
     decode_block = Scheme.decode_block
 
-    def recording(self, receptions):
-        blocks.append(decode_block(self, receptions))
+    def recording(self, bits, lengths):
+        blocks.append(decode_block(self, bits, lengths))
         return blocks[-1]
 
     monkeypatch.setattr(Scheme, "decode_block", recording)
@@ -223,8 +341,10 @@ def test_end_to_end_blocks_match_per_trial_string_decode(schemes, name, monkeypa
         blocks.clear()
         report = run_end_to_end(s, trials, 11)
         assert [len(b) for b in blocks] == sizes
-        assert [d for b in blocks for d in b] == [d for _, d in expected]
-        assert report["successes"] == sum(m == d[0] for m, d in expected)
+        assert [d for b in blocks for d in b] == [d[0] for _, _, d in expected]
+        assert report["successes"] == sum(m == d[0] for m, _, d in expected)
+    for _, received, expected_trace in oracle[n - 1] + oracle[n] + oracle["tail"]:
+        assert s.decode_with_trace(received) == expected_trace
 
 
 @pytest.mark.parametrize("name", ["bdc", "prc"])
@@ -244,8 +364,8 @@ def test_first_block_does_not_depend_on_the_trial_count(bdc_desk, monkeypatch):
     decoded = []
     decode_block = Scheme.decode_block
 
-    def recording(self, receptions):
-        decoded.append(decode_block(self, receptions))
+    def recording(self, bits, lengths):
+        decoded.append(decode_block(self, bits, lengths))
         return decoded[-1]
 
     monkeypatch.setattr(Scheme, "decode_block", recording)
@@ -333,7 +453,8 @@ def test_classify_of_no_transmissions(bdc_desk):
 
 
 def test_decode_block_of_no_receptions(bdc_desk):
-    assert bdc_desk.decode_block([]) == []
+    runs = bdc_desk.encode_with_layout(0).orig.size
+    assert bdc_desk.decode_block(np.zeros((0, runs), np.uint8), np.zeros((0, runs), np.int64)) == []
 
 
 def test_classify_rejects_misfit_counts(bdc_desk):
