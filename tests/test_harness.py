@@ -106,6 +106,8 @@ PINNED_REPORTS = [
      "0e722f108fc0c9d5a07b38f3f8ad5838fa2f84ff89c49ca7deec310dd193c725"),
     ("single_codeword", "prc", 2.5, 300,
      "6a3594b9088aff9f7afaf19189ff4ffd8ca1cf775464aebf5e431b9ba5e11aa7"),
+    ("single_codeword", "prc", 2.5, 20000,  # 79 blocks; about 2,000 inner-memo misses
+     "c0537e0ad3eaa88269b2c7d5e91e8cdaefb12438b7371e490336d227277be5e5"),
     ("single_codeword", "bdc", 0.5, 3000,
      "b118cabb7b8ee56333aad9a0b21dba24e7da5a6b92232b18f9f2f514fbde6974"),
     ("transition", "bdc", 2.5, 2000,
