@@ -2,9 +2,9 @@
 
 Three experiment modes:
   single_codeword — transmit one blown-up inner codeword flanked by buffers
-    and classify a block of trials from their layouts and per-run survivors
-    (scheme.classify; nothing is decoded): error events and the per-codeword
-    distortion statistic X;
+    per trial and classify each block of trials from its (trials, runs) arrays
+    and per-run survivors (scheme.classify; nothing is decoded): error events
+    and the per-codeword distortion statistic X;
   end_to_end — encode random messages, transmit, decode in blocks, count successes;
   transition — transmit bare blown-up runs in bulk and compare empirical
     run-transition frequencies against the exact formulas.
@@ -76,24 +76,23 @@ def desk_scheme(kind: str, *, M_B: float = DESK_M_B) -> Scheme:
 
 
 def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
-    """Transmit isolated codewords; classify them from their layouts and
-    survivors (no decoding) and collect X and error-event statistics. Block b
-    draws its symbols, then its survivors, from RngStream(master_seed, b)."""
+    """Transmit isolated codewords; classify each block from its run arrays
+    (no decoding) and collect X and error-event statistics. Block b draws
+    its symbols, then its survivors, from RngStream(master_seed, b)."""
     if trials < 2:
         raise ValueError("single_codeword needs at least 2 trials for a variance")
-    layouts = scheme.codeword_layouts
     xs: list[int] = []
     events: Counter[str] = Counter()
+    buffers = 0
     for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):
         rng = RngStream(master_seed, index).generator()
-        symbols = rng.integers(0, len(layouts), min(_BLOCK_TRIALS, trials - block))
-        runs = lay_out(symbols[:, None], scheme.blocks, scheme.B, edge_buffers=True)
-        pairs = zip(map(layouts.__getitem__, symbols.tolist()),
-                    scheme.params.channel.copy_counts(runs, rng))
-        block_xs, block_events = classify(scheme, list(pairs))
+        symbols = rng.integers(0, len(scheme.inner_cb), min(_BLOCK_TRIALS, trials - block))
+        runs = lay_out(symbols[:, None], scheme.run_table, edge_buffers=True)
+        counts = scheme.params.channel.copy_counts(runs, rng)
+        block_xs, block_events = classify(scheme, runs, counts)
         xs += block_xs
         events.update(block_events)  # keeps the keys of zero counts
-    buffers = trials * len(layouts[0].buffers)  # the same two in every layout
+        buffers += runs.buffers.size
     x_arr = np.array(xs, dtype=np.float64)
     probs = scheme.probs
     m = scheme.params.inner.m

@@ -19,16 +19,17 @@ codewords' keys with one searchsorted; such lookups resolve 96.0% of the
 windows of desk-BDC end_to_end, 35.8% of desk-PRC end_to_end's and 36.6% of
 the classify windows of single codewords on the PRC. Every other window is
 thresholded to a string, in one pass over their runs, and decoded by the
-memoised inner code. Each row's symbols (however many) go to the outer
-decoder, which looks codewords up first. decode() and decode_with_trace()
-read a string into runs and decode it as a block of one through the same
-window finder and mapper; only decode_with_trace builds a DecodeTrace.
+memoised inner code (a miss is one lane-packed pass, InnerCodebook.decode).
+Each row's symbols (however many) go to the outer decoder, which looks
+codewords up first. decode() and decode_with_trace() read a string into runs
+and decode it as a block of one through the same window finder and mapper;
+only decode_with_trace builds a DecodeTrace.
 window_spans and threshold_decode are the string reference of its first steps.
 
-Classification is separate from decoding: classify() reads the layouts and
-per-run survivors of a block of transmissions (the ground truth a decoder
-never sees) in one pass and returns each codeword's distortion X and the
-summed error-event counts.
+Classification is separate from decoding: classify() scores a block Layout
+(one gather from the scheme's run_table) straight from its run arrays and
+per-run survivors, the ground truth a decoder never sees, and returns each
+codeword's distortion X and the summed error-event counts.
 
 A descriptor (save_scheme, load_scheme) holds the PARAM_KEYS, the seed and
 the two code-file names, one key=value per line, read by strings.read_fields.
@@ -144,11 +145,9 @@ class Scheme:
         return np.stack([blow_up(c, self.N1, self.N2) for c in self.inner_cb.codewords])
 
     @cached_property
-    def codeword_layouts(self) -> tuple["Layout", ...]:
-        """Each symbol's blown-up codeword alone between two buffers: symbol s
-        is codeword_layouts[s]."""
-        return tuple(lay_out((s,), self.blocks, self.B, edge_buffers=True)
-                     for s in range(len(self.inner_cb)))
+    def run_table(self) -> np.ndarray:
+        """The table lay_out gathers this scheme's layouts from (see run_table)."""
+        return run_table(self.blocks, self.B)
 
     @cached_property
     def _outer_table(self) -> np.ndarray:
@@ -175,11 +174,11 @@ class Scheme:
         return self.encode_with_layout(message).bits()
 
     def encode_with_layout(self, message: int) -> "Layout":
-        return lay_out(self.outer.encode(message), self.blocks, self.B)
+        return lay_out(self.outer.encode(message), self.run_table)
 
     def encode_block(self, messages: np.ndarray) -> "Layout":
         """The layouts of the messages as one block: row i is encode_with_layout(messages[i])."""
-        return lay_out(self._outer_table[messages], self.blocks, self.B)
+        return lay_out(self._outer_table[messages], self.run_table)
 
     def decode(self, received: str) -> int:
         return self.decode_with_trace(received)[0]
@@ -272,9 +271,10 @@ class Layout:
     starts[i] + lengths[i]) and was a run of orig[i] (1 or 2) bits before the
     blow-up, or is a buffer if orig[i] is 0. Runs alternate in bit, starting
     from 1 if the first run is a codeword's, or 0 if it is a buffer. A block
-    of layouts holds one transmission per row of each array."""
+    holds one transmission per row of each array, with its buffers at the same
+    runs in every row; symbols is as lay_out was given it."""
 
-    symbols: tuple
+    symbols: np.ndarray | tuple
     lengths: np.ndarray
     orig: np.ndarray
 
@@ -314,13 +314,13 @@ class DecodeTrace:
     per_window_inner_symbols: list[int]
 
 
-def classify(
-    scheme: Scheme, transmissions: list[tuple[Layout, np.ndarray]]
-) -> tuple[list[int], dict[str, int]]:
-    """Every codeword's distortion X, in order, and the summed error-event
-    counts of a block of transmissions, in one pass over all their runs. A
-    transmission is a layout and the survivors of each of its runs (counts[i]
-    bits of run i reached the receiver), the ground truth a decoder never sees.
+def classify(scheme: Scheme, layout: Layout,
+             counts: np.ndarray) -> tuple[list[int], dict[str, int]]:
+    """Every codeword's distortion X, in row order, and the summed error-event
+    counts of a block of transmissions: its layout (one transmission is a
+    block of one row) and the survivors of each run (counts[i, j] bits of run
+    j of row i reached the receiver), the ground truth a decoder never sees.
+    The rows share their buffer runs, so row 0 shows which runs are codewords'.
 
     X for a codeword sums, over its runs: 0 if the thresholded run matches
     the original length; 1 if survivors > 0 but it does not; the original
@@ -332,34 +332,26 @@ def classify(
     """
     p = scheme.params
     events = {"deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0}
-    if not transmissions:
-        return [], events
-    layouts, counts = zip(*transmissions)
-    sizes = np.array([layout.lengths.size for layout in layouts])
-    if not np.array_equal(sizes, [c.size for c in counts]):
+    if np.shape(counts) != layout.lengths.shape:
         raise ValueError("counts length does not match input length")
-    tx = np.repeat(np.arange(sizes.size), sizes)  # each run's transmission
-    orig = np.concatenate([layout.orig for layout in layouts])
-    z = np.concatenate(counts)
-    bits = np.concatenate([layout.run_bits for layout in layouts])
-    coded = orig > 0  # the runs of codewords, not buffers
-    first, last = segments(coded, tx)  # each codeword's runs
-    after = np.append(orig[1:], 0)
-    after[last - 1] = 2  # a codeword's last run is followed by a buffer or nothing
-    cost = np.concatenate(([0], np.cumsum(np.where(z == 0, orig + after, 1 + (z > p.T) != orig))))
-    events["deleted_buffer"] = int((z[~coded] <= p.buffer_threshold).sum())
-    w_bits, w_lengths, owner = merge_runs(bits[coded], z[coded],
-                                          np.repeat(np.arange(first.size), last - first))
+    orig, z = np.atleast_2d(layout.orig, counts)
+    coded = orig[:1].any(axis=0)  # the runs of codewords, not buffers (none if no rows)
+    o = orig[:, coded].reshape(-1, scheme.blocks.shape[-1])  # one codeword per row
+    zc = z[:, coded].reshape(o.shape)
+    after = np.append(o[:, 1:], np.full((len(o), 1), 2), axis=1)  # then a buffer or nothing
+    cost = np.where(zc == 0, o + after, 1 + (zc > p.T) != o)
+    events["deleted_buffer"] = int((z[:, ~coded] <= p.buffer_threshold).sum())
+    bits = np.atleast_2d(layout.run_bits)[:, coded].reshape(-1)
+    w_bits, w_lengths, owner = merge_runs(bits, zc.reshape(-1), np.arange(zc.size) // o.shape[1])
     cut = owner[1:] != owner[:-1]
     keep = w_bits == 1  # each codeword's edge zeros stripped: a 0 stays only inside
     keep[1:-1] |= ~(cut[:-1] | cut[1:])
     w_bits, w_lengths, owner = w_bits[keep], w_lengths[keep], owner[keep]
     events["spurious_buffer"] = int(((w_bits == 0) & (w_lengths > p.buffer_threshold)).sum())
-    cuts = np.searchsorted(owner, np.arange(first.size + 1))
-    found = scheme.inner_symbols(w_bits, w_lengths, cuts[:-1], cuts[1:]).tolist()
-    truth = [symbol for layout in layouts for symbol in layout.symbols]
-    events["wrong_inner_decode"] = sum(f != t for f, t in zip(found, truth))
-    return (cost[last] - cost[first]).tolist(), events
+    cuts = np.searchsorted(owner, np.arange(len(o) + 1))
+    found = scheme.inner_symbols(w_bits, w_lengths, cuts[:-1], cuts[1:])
+    events["wrong_inner_decode"] = int((found != np.ravel(layout.symbols)).sum())
+    return cost.sum(axis=1).tolist(), events
 
 
 def blow_up(codeword: str, N1: int, N2: int) -> np.ndarray:
@@ -371,15 +363,22 @@ def blow_up(codeword: str, N1: int, N2: int) -> np.ndarray:
     return np.stack((np.where(orig == 1, N1, N2), orig))
 
 
-def lay_out(symbols, blocks, B: int, *, edge_buffers: bool = False) -> Layout:
-    """Join the blown-up blocks of the symbols (blocks[s] is blow_up of the
-    codeword of s; all have one run count) with zero buffers of B bits;
-    edge_buffers adds one more buffer before the first block and after the
-    last. A (trials, n) array of symbols gives a block of trials layouts."""
-    table = np.insert(np.asarray(blocks), 0, [B, 0], axis=-1)  # a buffer before each block
-    runs = table.swapaxes(0, 1)[:, np.asarray(symbols)].reshape(2, *np.shape(symbols)[:-1], -1)
+def run_table(blocks, B: int) -> np.ndarray:
+    """The blown-up blocks (blocks[s] is blow_up of the codeword of s; all have
+    one run count), each after a zero buffer of B bits: table[0, s] holds the
+    run lengths of that buffer and block, table[1, s] their original lengths."""
+    return np.insert(np.asarray(blocks), 0, [B, 0], axis=-1).swapaxes(0, 1).copy()
+
+
+def lay_out(symbols, table: np.ndarray, *, edge_buffers: bool = False) -> Layout:
+    """Join the blown-up blocks of the symbols with zero buffers, from a
+    run_table; edge_buffers adds one more buffer before the first block and
+    after the last. A (trials, n) array of symbols gives a block of trials
+    layouts, zero rows included."""
+    index = np.asarray(symbols, np.intp)
+    runs = table[:, index].reshape(2, *index.shape[:-1], index.shape[-1] * table.shape[-1])
     runs = np.concatenate((runs, runs[..., :1]), axis=-1) if edge_buffers else runs[..., 1:]
-    return Layout(tuple(symbols), runs[0], runs[1])
+    return Layout(symbols, runs[0], runs[1])
 
 
 def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray):

@@ -98,12 +98,6 @@ def edit_distance(a: str, b: str) -> int:
     return len(a) + len(b) - 2 * lcs_len(a, b)
 
 
-def is_subsequence(sub: str, s: str) -> bool:
-    """Greedy left-to-right subsequence test."""
-    it = iter(s)
-    return all(c in it for c in sub)
-
-
 def in_S(s: str) -> bool:
     """Membership in S: starts and ends with 1, runs of length 1 or 2 only."""
     return s[:1] == s[-1:] == "1" and all(ln <= 2 for _, ln in runs_of(s))

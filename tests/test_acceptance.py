@@ -31,11 +31,11 @@ from delchan.inner import (
     construct_inner,
     deletion_ball_bound,
     embed_all,
-    insertion_ball_bruteforce,
 )
 from delchan.outer import construct_outer
 from delchan.scheme import Scheme
-from delchan.strings import SProfile, edit_distance, enumerate_S, is_subsequence
+from delchan.strings import SProfile, edit_distance, enumerate_S
+from oracles import insertion_ball_bruteforce, is_subsequence
 
 
 def _report(announce, number, label, failures, elapsed=None):

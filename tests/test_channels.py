@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from delchan.channels import ChannelModel, RngStream, _survivor_table, apply_copy_counts
-from delchan.scheme import blow_up, lay_out
+from delchan.scheme import blow_up, lay_out, run_table
 
 
 def test_stream_reproducibility_and_independence():
@@ -219,7 +219,7 @@ def test_channel_model():
     assert bdc.mean_copies == 0.7
     assert prc.mean_copies == 0.5
     rng = RngStream(8, 0).generator()
-    layout = lay_out((0,), (blow_up("1", 2, 5),), 3, edge_buffers=True)
+    layout = lay_out((0,), run_table((blow_up("1", 2, 5),), 3), edge_buffers=True)
     assert len(bdc.copy_counts(layout, rng)) == 3  # one survivor count per run
     with pytest.raises(ValueError):
         ChannelModel("erasure", 0.1)

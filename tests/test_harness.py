@@ -148,25 +148,23 @@ def test_scheme_probs_computed_once(bdc_desk, monkeypatch):
     assert first["transitions"]["p21"]["exact"] == second["transitions"]["p21"]["exact"]
 
 
-def test_codeword_layouts_built_once(prc_desk, monkeypatch):
-    # run_single_codeword lays out each symbol's codeword once per scheme,
-    # and after that one gather per block of 256 trials
-    fresh = replace(prc_desk)  # a new instance holds no cached layouts
-    calls = []
+def test_single_codeword_lays_out_each_block_once(prc_desk, monkeypatch):
+    # run_single_codeword makes one gather per block of 256 trials, and row i
+    # of a block is symbol i's codeword alone between two buffers
+    blocks = []
 
-    def counting(symbols, *args, **kwargs):
-        calls.append(np.shape(symbols))
-        return lay_out(symbols, *args, **kwargs)
+    def recording(symbols, *args, **kwargs):
+        blocks.append(lay_out(symbols, *args, **kwargs))
+        return blocks[-1]
 
-    monkeypatch.setattr(scheme_module, "lay_out", counting)
-    monkeypatch.setattr(harness_module, "lay_out", counting)
-    assert run_single_codeword(fresh, 300, 1) == run_single_codeword(fresh, 300, 1)
-    q = len(fresh.inner_cb)
-    assert calls == [(1,)] * q + [(256, 1), (44, 1)] * 2
-    for s, layout in enumerate(fresh.codeword_layouts):
-        alone = lay_out((s,), fresh.blocks, fresh.B, edge_buffers=True)
-        assert layout.symbols == (s,) and np.array_equal(layout.lengths, alone.lengths)
-        assert np.array_equal(layout.orig, alone.orig)
+    monkeypatch.setattr(scheme_module, "lay_out", recording)
+    monkeypatch.setattr(harness_module, "lay_out", recording)
+    assert run_single_codeword(prc_desk, 300, 1) == run_single_codeword(prc_desk, 300, 1)
+    assert [np.shape(block.symbols) for block in blocks] == [(256, 1), (44, 1)] * 2
+    for block in blocks:
+        for s, lengths, orig in zip(np.ravel(block.symbols).tolist(), block.lengths, block.orig):
+            alone = lay_out((s,), prc_desk.run_table, edge_buffers=True)
+            assert np.array_equal(lengths, alone.lengths) and np.array_equal(orig, alone.orig)
 
 
 def test_analyze_csv_structure():

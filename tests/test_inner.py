@@ -3,6 +3,8 @@
 from math import comb, isclose
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delchan.inner import (
     InnerCodebook,
@@ -12,9 +14,9 @@ from delchan.inner import (
     deletion_ball_bound,
     embed_all,
     inner_rate_formula,
-    insertion_ball_bruteforce,
 )
 from delchan.strings import SProfile, edit_distance, enumerate_S, lcs_len
+from oracles import insertion_ball_bruteforce, scalar_inner_decode
 
 
 M7 = InnerParams(SProfile(7, 3, 2), 2)
@@ -136,6 +138,51 @@ def test_decode_within_radius(m25_codebook):
 def test_decode_tie_breaks_to_smallest_index():
     cb = InnerCodebook(M7, ("1001001",))
     assert cb.decode("") == 0
+
+
+def test_decode_refuses_codewords_not_of_length_m():
+    # the packed lanes are m bits wide: a shorter codeword would read as padded with 0s
+    with pytest.raises(ValueError, match="^codewords must have length m=7 to decode$"):
+        InnerCodebook(M7, ("1001001", "101")).decode("101")
+
+
+def books(full):
+    """The truncated desk books, the full book, and books with a duplicated
+    codeword, whose copies the smallest index must win."""
+    c = full.codewords
+    return {"q4": full.truncate(4), "q2": full.truncate(2), "full": full,
+            "dup_q4": InnerCodebook(full.params, (c[0], c[1], c[1], c[3])),
+            "dup_full": InnerCodebook(full.params, c[:40] + c[39:])}
+
+
+# a window, or (i, edits): codeword i of the book with each (position,
+# text) edit's character replaced by text
+WINDOWS = st.one_of(
+    st.text("01", max_size=100),
+    st.builds(str.__mul__, st.sampled_from("01"), st.integers(0, 90)),
+    st.tuples(st.integers(0, 76), st.lists(
+        st.tuples(st.integers(0, 24), st.sampled_from(["", "0", "1", "01", "10"])), max_size=4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(book=st.sampled_from(["q4", "q2", "full", "dup_q4", "dup_full"]), window=WINDOWS)
+@example(book="full", window="")
+@example(book="full", window="0" * 70)
+@example(book="full", window="1" * 70)
+@example(book="q4", window="10" * 40)
+@example(book="dup_q4", window=(2, []))  # codeword 1's copy: 1 must win
+@example(book="dup_full", window=(40, []))  # codeword 39's copy: 39 must win
+def test_decode_matches_scalar_oracle(m25_codebook, book, window):
+    # windows empty, longer than 64 bits, all 0s, all 1s, and near codewords
+    cb = books(m25_codebook)[book]
+    if isinstance(window, tuple):
+        i, edits = window
+        chars = list(cb.codewords[i % len(cb)])
+        for at, text in edits:
+            chars[at] = text
+        window = "".join(chars)
+    assert cb.decode(window) == scalar_inner_decode(cb.codewords, window)
 
 
 def test_truncate(m25_codebook):

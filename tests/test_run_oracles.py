@@ -410,7 +410,7 @@ def test_inner_memo_stops_at_its_cap(bdc_desk):
 def transmission(s, message, single, kind, seed):
     """A single codeword between edge buffers, or a full message; and its counts."""
     if single:
-        layout = lay_out((message % len(s.inner_cb),), s.blocks, s.B, edge_buffers=True)
+        layout = lay_out((message % len(s.inner_cb),), s.run_table, edge_buffers=True)
     else:
         layout = s.encode_with_layout(message)
     return layout, copy_counts(kind, seed, layout)
@@ -422,34 +422,61 @@ def transmission(s, message, single, kind, seed):
 def test_classify_matches_string_classify(schemes, name, message, single, kind, seed):
     s = schemes[name]
     layout, counts = transmission(s, message, single, kind, seed)
-    assert classify(s, [(layout, per_run(layout, counts))]) == string_classify(s, layout, counts)
+    assert classify(s, layout, per_run(layout, counts)) == string_classify(s, layout, counts)
 
 
-TRANSMISSION = st.tuples(st.integers(0, 255), st.booleans(), KINDS, st.integers(0, 2**32 - 1))
+EVENTS = ("deleted_buffer", "spurious_buffer", "wrong_inner_decode")
+ROW = st.tuples(st.integers(0, 255), KINDS, st.integers(0, 2**32 - 1))
 
 
 @pytest.mark.parametrize("name", SCHEMES)
 @settings(max_examples=20, deadline=None)
-@given(specs=st.lists(TRANSMISSION, min_size=1, max_size=5))
-@example(specs=[(1, False, "zero", 0), (2, True, "zero", 1), (3, False, "runs", 2),
-                (4, True, "deletion", 3), (5, False, "zero", 4)])
+@given(specs=st.lists(ROW, min_size=1, max_size=5))
+@example(specs=[(1, "zero", 0), (2, "zero", 1), (3, "runs", 2), (4, "deletion", 3),
+                (5, "zero", 4)])
 def test_block_classify_matches_string_classify(schemes, name, specs):
-    # codewords of neighbouring transmissions (two full messages abut with no
+    # a block of single codewords and a block of full messages, one row per
+    # spec; codewords of neighbouring rows (two full messages abut with no
     # buffer between them) must neither merge nor share a cost or a window
     s = schemes[name]
-    block = [transmission(s, *spec) for spec in specs]
-    xs, events = [], dict.fromkeys(["deleted_buffer", "spurious_buffer", "wrong_inner_decode"], 0)
-    for layout, counts in block:
-        one_xs, one_events = string_classify(s, layout, counts)
-        xs += one_xs
-        events = {key: events[key] + one_events[key] for key in events}
-    survivors = [(layout, per_run(layout, counts)) for layout, counts in block]
-    assert classify(s, survivors) == (xs, events)
+    messages = [message for message, _, _ in specs]
+    q = len(s.inner_cb)
+    singles = lay_out(np.array(messages)[:, None] % q, s.run_table, edge_buffers=True)
+    for block, layouts in (
+        (singles, [lay_out((m % q,), s.run_table, edge_buffers=True) for m in messages]),
+        (s.encode_block(np.array(messages)), [s.encode_with_layout(m) for m in messages]),
+    ):
+        xs, events, survivors = [], dict.fromkeys(EVENTS, 0), []
+        for layout, (_, kind, seed) in zip(layouts, specs):
+            counts = copy_counts(kind, seed, layout)
+            one_xs, one_events = string_classify(s, layout, counts)
+            xs += one_xs
+            events = {key: events[key] + one_events[key] for key in events}
+            survivors.append(per_run(layout, counts))
+        assert classify(s, block, np.array(survivors)) == (xs, events)
 
 
 def test_classify_of_no_transmissions(bdc_desk):
-    assert classify(bdc_desk, []) == (
-        [], {"deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0})
+    for block in (lay_out(np.zeros((0, 1), np.int64), bdc_desk.run_table, edge_buffers=True),
+                  bdc_desk.encode_block(np.zeros(0, np.int64))):
+        assert classify(bdc_desk, block, np.zeros(block.lengths.shape, np.int64)) == (
+            [], dict.fromkeys(EVENTS, 0))
+
+
+def test_blocks_of_no_rows(bdc_desk):
+    # zero symbols or messages lay out as a block of zero rows, whose rows
+    # would have the runs of one, and whose survivors and decodes are empty
+    s = bdc_desk
+    for block, one in (
+        (lay_out(np.zeros((0, 1), np.int64), s.run_table, edge_buffers=True),
+         lay_out((0,), s.run_table, edge_buffers=True)),
+        (s.encode_block(np.arange(0)), s.encode_with_layout(0)),
+    ):
+        assert block.lengths.shape == block.orig.shape == block.run_bits.shape == (0, one.orig.size)
+        assert len(block) == 0 and block.buffers.size == 0
+        counts = s.params.channel.copy_counts(block, RngStream(1, 0).generator())
+        assert counts.shape == block.lengths.shape
+        assert s.decode_block(block.run_bits, counts) == []
 
 
 def test_decode_block_of_no_receptions(bdc_desk):
@@ -458,13 +485,17 @@ def test_decode_block_of_no_receptions(bdc_desk):
 
 
 def test_classify_rejects_misfit_counts(bdc_desk):
-    # the total matches, but each transmission's counts belong to the other
-    short = lay_out((0,), bdc_desk.blocks, bdc_desk.B)
-    long = lay_out((0,), bdc_desk.blocks, bdc_desk.B, edge_buffers=True)
-    block = [(short, np.ones(long.lengths.size, np.int64)),
-             (long, np.ones(short.lengths.size, np.int64))]
-    with pytest.raises(ValueError, match="^counts length does not match input length$"):
-        classify(bdc_desk, block)
+    # each transmission given the other's counts; a block given counts of
+    # its total size but not its shape
+    short = lay_out((0,), bdc_desk.run_table)
+    long = lay_out((0,), bdc_desk.run_table, edge_buffers=True)
+    block = lay_out(np.zeros((3, 1), np.int64), bdc_desk.run_table, edge_buffers=True)
+    for layout, counts in ((short, np.ones(long.lengths.size, np.int64)),
+                           (long, np.ones(short.lengths.size, np.int64)),
+                           (block, np.ones(block.lengths.size, np.int64)),
+                           (block, np.ones(block.lengths.shape[::-1], np.int64))):
+        with pytest.raises(ValueError, match="^counts length does not match input length$"):
+            classify(bdc_desk, layout, counts)
 
 
 def frozen_single_codeword_loop(scheme, trials, master_seed):
@@ -476,7 +507,7 @@ def frozen_single_codeword_loop(scheme, trials, master_seed):
     for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):
         rng = RngStream(master_seed, index).generator()
         symbols = rng.integers(0, q, min(_BLOCK_TRIALS, trials - block)).tolist()
-        layouts = [lay_out((symbol,), scheme.blocks, scheme.B, edge_buffers=True)
+        layouts = [lay_out((symbol,), scheme.run_table, edge_buffers=True)
                    for symbol in symbols]
         z = block_survivors(scheme, np.array([layout.orig for layout in layouts]), rng)
         for layout, survivors in zip(layouts, z):
@@ -510,9 +541,9 @@ def test_single_codeword_blocks_match_per_trial_loop(schemes, name, monkeypatch)
     s = schemes[name]
     sizes = []
 
-    def recording(scheme, transmissions):
-        sizes.append(len(transmissions))
-        return classify(scheme, transmissions)
+    def recording(scheme, layout, counts):
+        sizes.append(len(layout.lengths))
+        return classify(scheme, layout, counts)
 
     monkeypatch.setattr(harness, "classify", recording)
     n = _BLOCK_TRIALS

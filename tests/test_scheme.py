@@ -20,6 +20,7 @@ from delchan.scheme import (
     blow_up,
     lay_out,
     load_scheme,
+    run_table,
     save_scheme,
     threshold_decode,
     window_spans,
@@ -41,7 +42,7 @@ def test_snapped_rounding():
 
 def _blow_up(codeword, N1, N2):
     """A one-codeword layout without buffers: just the blown-up runs."""
-    layout = lay_out((0,), [blow_up(codeword, N1, N2)], B=7)
+    layout = lay_out((0,), run_table([blow_up(codeword, N1, N2)], 7))
     assert layout.buffers.size == 0
     return layout.bits()
 
@@ -57,7 +58,7 @@ def test_blow_up_examples():
         blow_up("11101", 3, 5)
     # two blocks: spans of every run and buffer, with and without edge buffers
     blocks = [blow_up(c, 1, 3) for c in ("1011", "1101")]
-    layout = lay_out((1, 0), blocks, B=2)
+    layout = lay_out((1, 0), run_table(blocks, 2))
     assert layout.bits() == "11101" + "00" + "10111"
     assert len(layout) == 12
     assert layout.symbols == (1, 0)
@@ -66,7 +67,7 @@ def test_blow_up_examples():
     assert layout.orig.tolist() == [2, 1, 1, 0, 1, 1, 2]
     assert layout.run_bits.tolist() == [1, 0, 1, 0, 1, 0, 1]
     assert layout.buffers.tolist() == [3]
-    edged = lay_out((1, 0), blocks, B=2, edge_buffers=True)
+    edged = lay_out((1, 0), run_table(blocks, 2), edge_buffers=True)
     assert edged.bits() == "00" + layout.bits() + "00"
     assert edged.starts[edged.buffers].tolist() == [0, 7, 14]
 
@@ -136,7 +137,7 @@ def test_params_invariants():
 
 
 def _single_codeword(s, symbol):
-    return lay_out((symbol,), s.blocks, s.B, edge_buffers=True)
+    return lay_out((symbol,), s.run_table, edge_buffers=True)
 
 
 def _delete_run(layout, i):
@@ -257,7 +258,7 @@ def test_trace_clean_channel(bdc_scheme):
     symbols = list(s.outer.encode(42))
     assert trace.per_window_threshold_outputs == [s.inner_cb.encode(c) for c in symbols]
     assert trace.per_window_inner_symbols == symbols
-    xs, events = classify(s, [(layout, _per_run(layout, np.ones(len(enc), dtype=np.int64)))])
+    xs, events = classify(s, layout, _per_run(layout, np.ones(len(enc), dtype=np.int64)))
     assert events == {
         "deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0,
     }
@@ -270,7 +271,7 @@ def test_trace_x_for_vanished_run(bdc_scheme):
     layout = _single_codeword(s, 2)
     orig = layout.orig.tolist()
     j = next(i for i in range(len(orig) - 1) if orig[i] == 1 and orig[i + 1] == 2)
-    xs, _ = classify(s, [(layout, _per_run(layout, _delete_run(layout, j)))])
+    xs, _ = classify(s, layout, _per_run(layout, _delete_run(layout, j)))
     assert xs == [3]
 
 
@@ -279,14 +280,14 @@ def test_trace_x_for_vanished_last_run(bdc_scheme):
     s = bdc_scheme
     layout = _single_codeword(s, 1)
     last = layout.buffers[-1] - 1
-    xs, _ = classify(s, [(layout, _per_run(layout, _delete_run(layout, last)))])
+    xs, _ = classify(s, layout, _per_run(layout, _delete_run(layout, last)))
     assert xs == [layout.orig[last] + 2]
 
 
 def test_trace_deleted_buffer_flagged(bdc_scheme):
     s = bdc_scheme
     layout = _single_codeword(s, 0)
-    _, events = classify(s, [(layout, _per_run(layout, _delete_run(layout, layout.buffers[0])))])
+    _, events = classify(s, layout, _per_run(layout, _delete_run(layout, layout.buffers[0])))
     assert events["deleted_buffer"] == 1
 
 
@@ -307,7 +308,7 @@ def test_inner_decode_takes_first_of_duplicate_codewords(bdc_desk):
     s = replace(bdc_desk, inner_cb=replace(bdc_desk.inner_cb, codewords=(c[0], c[1], c[1], c[3])))
     assert s.inner_decode(c[1]) == s.inner_cb.decode(c[1]) == 1
     # the run-pattern key of the codeword's window gives the same symbol
-    window = lay_out((2,), s.blocks, s.B).bits()
+    window = lay_out((2,), s.run_table).bits()
     assert s.decode_with_trace(window)[1].per_window_inner_symbols == [1]
 
 

@@ -15,13 +15,13 @@ from delchan.strings import (
     edit_distance,
     enumerate_S,
     in_S,
-    is_subsequence,
     lcs_lanes,
     lcs_len,
     lane_masks,
     runs_of,
     sequence_lcs_len,
 )
+from oracles import is_subsequence
 
 
 def lcs_dp(a, b):
