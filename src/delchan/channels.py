@@ -214,7 +214,7 @@ class ChannelModel:
     def _draw(self, lengths: np.ndarray, groups, rng: np.random.Generator) -> np.ndarray:
         """Survivors of runs of lengths.flat[i] bits, one draw per group of
         flat run indices in turn; the runs of a group share one length."""
-        counts = np.empty(lengths.shape, np.int64)
+        counts = np.empty(lengths.shape, np.int32)
         flat = counts.reshape(-1)  # a view: scattering through it is faster than through .flat
         for runs in groups:
             if runs.size:
@@ -261,8 +261,11 @@ def _survivor_table(channel: ChannelModel, n: int) -> _SurvivorTable:
             return _log_poisson_pmf(mu, k)
     if 19 * sqrt(variance) > _MAX_TABLE:
         raise ValueError(f"survivor law of {channel} at n={n} is too wide to tabulate")
+    if n >= 1 << 31:  # the counts drawn are int32
+        raise ValueError(f"runs of {n} bits do not fit int32 survivor counts")
     if variance == 0.0:  # one value: no bits, or every bit kept (as binom_cdf has it)
-        return _SurvivorTable(mode, np.zeros(0, np.uint64), np.full(1 << _GUIDE_BITS, mode))
+        return _SurvivorTable(mode, np.zeros(0, np.uint64),
+                              np.full(1 << _GUIDE_BITS, mode, np.int32))
     lo, hi = _edge(log_pmf, mode, -1, 0), _edge(log_pmf, mode, 1, top)
     # each pmf in fixed point with 128 fraction bits: exact sums of the doubles
     scaled = [int(ldexp(exp(log_pmf(k)), 128)) for k in range(lo, hi + 1)]
@@ -276,7 +279,7 @@ def _survivor_table(channel: ChannelModel, n: int) -> _SurvivorTable:
     starts = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _CELL_SHIFT
     at_start = np.searchsorted(thresholds, starts, "right")
     at_end = np.searchsorted(thresholds, starts | ((1 << _CELL_SHIFT) - 1), "right")
-    guide = np.where(at_start == at_end, lo + first + at_start, -1)
+    guide = np.where(at_start == at_end, lo + first + at_start, -1).astype(np.int32)
     return _SurvivorTable(lo + first, thresholds, guide)
 
 

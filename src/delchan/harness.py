@@ -94,6 +94,7 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
         events.update(block_events)  # keeps the keys of zero counts
         buffers += runs.buffers.size
     x_arr = np.array(xs, dtype=np.float64)
+    x_var = float(x_arr.var(ddof=1))
     probs = scheme.probs
     m = scheme.params.inner.m
     return {
@@ -101,8 +102,8 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
         "trials": trials,
         "master_seed": master_seed,
         "x_mean": float(x_arr.mean()),
-        "x_var": float(x_arr.var(ddof=1)),
-        "x_stderr": float(x_arr.std(ddof=1) / sqrt(trials)),
+        "x_var": x_var,
+        "x_stderr": sqrt(x_var) / sqrt(trials),
         "error_events": dict(events),
         "buffers_transmitted": buffers,
         "deleted_buffer_frequency": events["deleted_buffer"] / buffers,
@@ -151,10 +152,10 @@ def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
     z2 = scheme.params.channel.survivors(scheme.N2, trials, rng)
     probs = scheme.probs
     empirical = {
-        "p12": float((z1 > T).mean()),
-        "p10": float((z1 == 0).mean()),
-        "p21": float((z2 <= T).mean()),
-        "p20": float((z2 == 0).mean()),
+        "p12": np.count_nonzero(z1 > T) / trials,
+        "p10": np.count_nonzero(z1 == 0) / trials,
+        "p21": np.count_nonzero(z2 <= T) / trials,
+        "p20": np.count_nonzero(z2 == 0) / trials,
     }
     table = {}
     for name, freq in empirical.items():

@@ -5,7 +5,7 @@ experiment configs and the inner and outer code-file headers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from math import comb
 from pathlib import Path
 
@@ -61,12 +61,15 @@ def sequence_lcs_len(a, b) -> int:
 def lane_masks(rows, q: int, n: int) -> np.ndarray:
     """Match masks for lcs_lanes. Each row is a length-n string of the digits
     chr(48) .. chr(47 + q); bit i of masks[s, j] is set iff rows[j][i] is digit
-    s. Masks are split into 64-bit words, lowest word first."""
+    s. Masks are split into 64-bit words, lowest word first: each symbol's
+    matches are packed to bytes, least significant bit first, and read as
+    little-endian words."""
     words = max(1, -(-n // 64))
-    tables = [{48 + t: "01"[t == s] for t in range(q)} for s in range(q)]
-    patterns = (int(row[::-1].translate(table), 2) for table in tables for row in rows)
-    flat = ((x >> 64 * w) & _WORD for x in patterns for w in range(words))
-    return np.fromiter(flat, np.uint64, q * len(rows) * words).reshape(q, len(rows), words)
+    chars = np.frombuffer("".join(rows).encode(), np.uint8).reshape(len(rows), n)
+    packed = np.zeros((q, len(rows), 8 * words), np.uint8)
+    for s in range(q):
+        packed[s, :, : -(-n // 8)] = np.packbits(chars == 48 + s, axis=1, bitorder="little")
+    return packed.view("<u8")
 
 
 def lcs_lanes(a, masks: np.ndarray, n: int) -> np.ndarray:
@@ -145,16 +148,24 @@ def enumerate_S(profile: SProfile) -> list[str]:
     """All strings with the given profile, in lexicographic order.
 
     Strings start and end with 1 and alternate bits; a string is determined
-    by which of its runs have length 2.
+    by which of its runs have length 2. The family is built as one (count, m)
+    array of characters, sorted as fixed-width byte strings: character p of
+    a string is the bit of its run p - c, where c counts the 2-runs' second
+    characters up to p, so it is 1 where p - c is even.
     """
-    k = profile.num_runs
-    out = []
-    for two_positions in combinations(range(k), profile.r2):
-        twos = set(two_positions)
-        runs = [(1 - (i % 2), 2 if i in twos else 1) for i in range(k)]
-        out.append(bits_of(runs))
-    out.sort()
-    return out
+    m, r2, count = profile.m, profile.r2, profile.count
+    twos = combinations(range(profile.num_runs), r2)  # the 2-runs of each string
+    twos = np.fromiter(chain.from_iterable(twos), np.min_scalar_type(m), count * r2)
+    rows = np.arange(count)
+    chars = np.zeros((count, m), np.uint8)
+    for j, column in enumerate(twos.reshape(count, r2).T):  # the j-th 2-run's second character
+        chars[rows, column + (j + 1)] = 1
+    np.bitwise_xor.accumulate(chars, axis=1, out=chars)  # c's parity
+    chars ^= (49 ^ np.arange(m) & 1).astype(np.uint8)
+    chars.view(f"S{m}").reshape(-1).sort()
+    text = str(chars.data, "ascii")
+    del twos, rows, chars  # only the text stays beside the strings
+    return [text[i : i + m] for i in range(0, len(text), m)]
 
 
 class Fields(dict):

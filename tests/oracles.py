@@ -1,7 +1,13 @@
 """Slow reference implementations the package no longer runs, kept for the
 tests to compare its fast paths against."""
 
-from delchan.strings import SProfile, enumerate_S, in_S, lcs_len
+from itertools import combinations
+
+import numpy as np
+
+from delchan.strings import SProfile, bits_of, enumerate_S, in_S, lcs_len
+
+_WORD = (1 << 64) - 1
 
 
 def scalar_inner_decode(codewords, window: str) -> int:
@@ -27,3 +33,25 @@ def insertion_ball_bruteforce(s_sub: str, target: SProfile) -> set[str]:
     if not in_S(s_sub):
         raise ValueError(f"{s_sub!r} is not in S")
     return {s for s in enumerate_S(target) if is_subsequence(s_sub, s)}
+
+
+def lane_masks_by_row(rows, q: int, n: int) -> np.ndarray:
+    """Oracle for strings.lane_masks: each row's digit pattern read as one
+    binary int per symbol, split into 64-bit words."""
+    words = max(1, -(-n // 64))
+    tables = [{48 + t: "01"[t == s] for t in range(q)} for s in range(q)]
+    patterns = (int(row[::-1].translate(table), 2) for table in tables for row in rows)
+    flat = ((x >> 64 * w) & _WORD for x in patterns for w in range(words))
+    return np.fromiter(flat, np.uint64, q * len(rows) * words).reshape(q, len(rows), words)
+
+
+def enumerate_S_by_runs(profile: SProfile) -> list[str]:
+    """Oracle for strings.enumerate_S: each string built from its run list."""
+    k = profile.num_runs
+    out = []
+    for two_positions in combinations(range(k), profile.r2):
+        twos = set(two_positions)
+        runs = [(1 - (i % 2), 2 if i in twos else 1) for i in range(k)]
+        out.append(bits_of(runs))
+    out.sort()
+    return out

@@ -84,6 +84,10 @@ def test_poisson_copy_counts_guards():
     with pytest.raises(ValueError, match="too wide to tabulate"):
         ChannelModel("bdc", 0.5).survivors(10**11, 1, rng)
     assert rng.bit_generator.state == state  # a refused law draws nothing
+    with pytest.raises(ValueError, match="do not fit int32 survivor counts"):
+        ChannelModel("bdc", 1e-3).survivors(2**31, 1, rng)
+    assert rng.bit_generator.state == state
+    assert ChannelModel("bdc", 1 - 1e-7).survivors(2**31 - 1, 3, rng).dtype == np.int32
 
 
 def masked_loop(bits, lam, rng):

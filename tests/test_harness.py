@@ -248,6 +248,14 @@ def test_default_construct_output_is_pinned(tmp_path, capsys):
     }
 
 
+def test_cli_construct_refuses_runs_beyond_int32(tmp_path, capsys):
+    config = tmp_path / "huge.cfg"
+    config.write_text("param=0.9999999999\n")  # N2 = 1.35e11 bits
+    assert main(["construct", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "must stay below 2**31" in capsys.readouterr().err
+    assert not (tmp_path / "scheme.txt").exists()
+
+
 def test_cli_simulate_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

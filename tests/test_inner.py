@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import delchan.inner
 from delchan.inner import (
+    MAX_CANDIDATES,
     InnerCodebook,
     InnerParams,
     binary_entropy,
@@ -28,6 +30,17 @@ def test_construct_m7():
     # this tiny size: every other member is within edit distance 4 of it
     assert cb.codewords == ("1001001",)
     cb.validate()
+
+
+def test_construct_refuses_too_many_candidates_before_enumerating(monkeypatch):
+    def no_enumeration(profile):
+        raise AssertionError("enumerated a refused profile")
+
+    monkeypatch.setattr(delchan.inner, "enumerate_S", no_enumeration)
+    profile = SProfile(47, 15, 16)
+    assert profile.count > MAX_CANDIDATES
+    with pytest.raises(ValueError, match="exceeds 10000000; pass force=True"):
+        construct_inner(InnerParams(profile, 2))
 
 
 def test_pairwise_separation_m7_exhaustive():

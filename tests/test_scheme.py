@@ -175,6 +175,18 @@ def test_alphabet_guard(bdc_scheme):
         )
 
 
+@pytest.mark.parametrize("changes", [
+    {"channel": ChannelModel("bdc", 1 - 1e-9)},  # N2 = 13.5e9 bits
+    {"M_B": 1e8},  # B = 3.6e9 bits
+    {"M_B": 2e6},  # B = 71.4e6 bits: a row of 32 codewords holds 2.36e9 bits
+])
+def test_run_lengths_must_fit_int32(bdc_scheme, changes):
+    params = replace(bdc_scheme.params, **changes)
+    with pytest.raises(ValueError, match=r"must stay below 2\*\*31"):
+        Scheme(params, bdc_scheme.inner_cb, bdc_scheme.outer)
+    assert bdc_scheme.run_table.dtype == np.int32
+
+
 def test_encode_length_formula(bdc_scheme):
     s = bdc_scheme
     n = s.outer.spec.n

@@ -2,9 +2,11 @@
 independent dynamic-programming oracles."""
 
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from delchan.strings import (
     runs_of,
     sequence_lcs_len,
 )
-from oracles import is_subsequence
+from oracles import enumerate_S_by_runs, is_subsequence, lane_masks_by_row
 
 
 def lcs_dp(a, b):
@@ -94,6 +96,30 @@ def test_lcs_lanes_matches_scalar_oracles(case):
     got = lcs_lanes(a, int_lane_masks(lanes, q, n), n)
     assert got.tolist() == [lcs_dp(a, lane) for lane in lanes]
     assert got.tolist() == [sequence_lcs_len(a, lane) for lane in lanes]
+
+
+@st.composite
+def mask_cases(draw):
+    """0-4 rows of n digits over [0, q), around the 64-bit word boundaries."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 128, 130]))
+    q = draw(st.integers(2, 5))
+    row = st.text(alphabet="".join(chr(48 + s) for s in range(q)), min_size=n, max_size=n)
+    return draw(st.lists(row, max_size=4)), q, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_cases())
+def test_lane_masks_match_row_by_row_oracle(case):
+    rows, q, n = case
+    got, expected = lane_masks(rows, q, n), lane_masks_by_row(rows, q, n)
+    assert got.shape == expected.shape == (q, len(rows), -(-n // 64))
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+def test_lane_masks_of_the_desk_family():
+    family = enumerate_S(SProfile(25, 13, 6))
+    assert np.array_equal(lane_masks(family, 2, 25), lane_masks_by_row(family, 2, 25))
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 130])
@@ -183,3 +209,23 @@ def test_enumerate_S():
     # smallest profile: the single alternating string
     assert enumerate_S(SProfile(3, 3, 0)) == ["101"]
 
+
+def test_enumerate_S_matches_run_by_run_oracle():
+    # every valid profile up to m = 15, and longer ones of 1-runs only and of 2-runs only
+    profiles = [SProfile(m, m - 2 * r2, r2) for m in range(1, 16)
+                for r2 in range(m // 2 + 1) if (m - r2) % 2]
+    for profile in profiles + [SProfile(41, 41, 0), SProfile(42, 0, 21)]:
+        assert enumerate_S(profile) == enumerate_S_by_runs(profile), profile
+
+
+def test_enumerate_S_memory_is_about_its_result():
+    # one (count, m) byte array and the joined text on top of the list, no
+    # (count, runs) integer array: the peak stays within 1.5 times the list
+    tracemalloc.start()
+    try:
+        family = enumerate_S(SProfile(25, 13, 6))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(family) == 27_132
+    assert peak <= 1.5 * kept
