@@ -46,6 +46,8 @@ _GUIDE_BITS = 12
 _CELL_SHIFT = 64 - _GUIDE_BITS
 # Tables kept at once, one per (channel, run length).
 _TABLES_KEPT = 256
+# Run lengths and survivor counts, in the channel's draws and a block's arrays.
+RUN_DTYPE = np.int32
 
 
 def ceil_snapped(x: float) -> int:
@@ -214,7 +216,7 @@ class ChannelModel:
     def _draw(self, lengths: np.ndarray, groups, rng: np.random.Generator) -> np.ndarray:
         """Survivors of runs of lengths.flat[i] bits, one draw per group of
         flat run indices in turn; the runs of a group share one length."""
-        counts = np.empty(lengths.shape, np.int32)
+        counts = np.empty(lengths.shape, RUN_DTYPE)
         flat = counts.reshape(-1)  # a view: scattering through it is faster than through .flat
         for runs in groups:
             if runs.size:
@@ -261,12 +263,14 @@ def _survivor_table(channel: ChannelModel, n: int) -> _SurvivorTable:
             return _log_poisson_pmf(mu, k)
     if 19 * sqrt(variance) > _MAX_TABLE:
         raise ValueError(f"survivor law of {channel} at n={n} is too wide to tabulate")
-    if n >= 1 << 31:  # the counts drawn are int32
-        raise ValueError(f"runs of {n} bits do not fit int32 survivor counts")
-    if variance == 0.0:  # one value: no bits, or every bit kept (as binom_cdf has it)
+    lo = hi = mode  # the one value of a law of variance 0: no bits, or every bit kept
+    if variance:
+        lo, hi = _edge(log_pmf, mode, -1, 0), _edge(log_pmf, mode, 1, top)
+    if hi > np.iinfo(RUN_DTYPE).max:  # the largest count drawn must fit the counts' array
+        raise ValueError(f"survivor law of {channel} at n={n} reaches {hi}, past int32")
+    if not variance:  # (as binom_cdf has it)
         return _SurvivorTable(mode, np.zeros(0, np.uint64),
-                              np.full(1 << _GUIDE_BITS, mode, np.int32))
-    lo, hi = _edge(log_pmf, mode, -1, 0), _edge(log_pmf, mode, 1, top)
+                              np.full(1 << _GUIDE_BITS, mode, RUN_DTYPE))
     # each pmf in fixed point with 128 fraction bits: exact sums of the doubles
     scaled = [int(ldexp(exp(log_pmf(k)), 128)) for k in range(lo, hi + 1)]
     below = list(accumulate(scaled))  # below[i]: Pr[Z <= lo + i]
@@ -279,7 +283,7 @@ def _survivor_table(channel: ChannelModel, n: int) -> _SurvivorTable:
     starts = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _CELL_SHIFT
     at_start = np.searchsorted(thresholds, starts, "right")
     at_end = np.searchsorted(thresholds, starts | ((1 << _CELL_SHIFT) - 1), "right")
-    guide = np.where(at_start == at_end, lo + first + at_start, -1).astype(np.int32)
+    guide = np.where(at_start == at_end, lo + first + at_start, -1).astype(RUN_DTYPE)
     return _SurvivorTable(lo + first, thresholds, guide)
 
 

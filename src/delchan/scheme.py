@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ProbReport, transition_probs
-from .channels import ChannelModel, floor_snapped
+from .channels import RUN_DTYPE, ChannelModel, floor_snapped
 from .inner import InnerCodebook, InnerParams
 from .outer import OuterCode, OuterSpec
 from .strings import SProfile, in_S, read_fields, runs_of
@@ -104,9 +104,9 @@ class Scheme:
             raise ValueError(f"need N1 < N2, got {self.N1}, {self.N2}")
         if self.B < 1:  # ceil_snapped rounds a tiny M_B * m / mu down to 0
             raise ValueError("buffer length must be at least 1")
-        # The run arrays hold int32 lengths; on the BDC a merged run holds at most a row's bits.
+        # The run arrays hold RUN_DTYPE lengths; on the BDC a merged run holds at most a row's bits.
         row = self.params.outer.n * (self.block_length + self.B) + self.B
-        if max(self.N2, row) >= 1 << 31:
+        if max(self.N2, row) > np.iinfo(RUN_DTYPE).max:
             raise ValueError(f"N2={self.N2} and a row's {row} bits must stay below 2**31")
         if self.inner_cb.params != self.params.inner:
             raise ValueError("inner codebook does not match the declared parameters")
@@ -217,7 +217,7 @@ class Scheme:
         """The merged runs of a block of receptions (see decode_block), their
         rows, and [first, last) of each window: a stretch of runs between zero
         runs longer than the buffer threshold."""
-        owner = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths.shape[1])
+        owner = np.repeat(np.arange(len(lengths), dtype=RUN_DTYPE), lengths.shape[1])
         bits, lengths, owner = merge_runs(bits.reshape(-1), lengths.reshape(-1), owner)
         first, last = segments((bits == 1) | (lengths <= self.params.buffer_threshold), owner)
         return bits, lengths, owner, first, last
@@ -371,8 +371,8 @@ def run_table(blocks, B: int) -> np.ndarray:
     """The blown-up blocks (blocks[s] is blow_up of the codeword of s; all have
     one run count), each after a zero buffer of B bits: table[0, s] holds the
     run lengths of that buffer and block, table[1, s] their original lengths,
-    as int32."""
-    return np.insert(np.asarray(blocks, np.int32), 0, [B, 0], axis=-1).swapaxes(0, 1).copy()
+    as RUN_DTYPE."""
+    return np.insert(np.asarray(blocks, RUN_DTYPE), 0, [B, 0], axis=-1).swapaxes(0, 1).copy()
 
 
 def lay_out(symbols, table: np.ndarray, *, edge_buffers: bool = False) -> Layout:

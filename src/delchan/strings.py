@@ -63,9 +63,11 @@ def lane_masks(rows, q: int, n: int) -> np.ndarray:
     chr(48) .. chr(47 + q); bit i of masks[s, j] is set iff rows[j][i] is digit
     s. Masks are split into 64-bit words, lowest word first: each symbol's
     matches are packed to bytes, least significant bit first, and read as
-    little-endian words."""
+    little-endian words. Digits past chr(127) are read as 32-bit code points."""
     words = max(1, -(-n // 64))
-    chars = np.frombuffer("".join(rows).encode(), np.uint8).reshape(len(rows), n)
+    wide = 47 + q > 127
+    text = "".join(rows).encode("utf-32-le" if wide else "ascii", "surrogatepass")
+    chars = np.frombuffer(text, "<u4" if wide else np.uint8).reshape(len(rows), n)
     packed = np.zeros((q, len(rows), 8 * words), np.uint8)
     for s in range(q):
         packed[s, :, : -(-n // 8)] = np.packbits(chars == 48 + s, axis=1, bitorder="little")

@@ -84,10 +84,13 @@ def test_poisson_copy_counts_guards():
     with pytest.raises(ValueError, match="too wide to tabulate"):
         ChannelModel("bdc", 0.5).survivors(10**11, 1, rng)
     assert rng.bit_generator.state == state  # a refused law draws nothing
-    with pytest.raises(ValueError, match="do not fit int32 survivor counts"):
-        ChannelModel("bdc", 1e-3).survivors(2**31, 1, rng)
+    with pytest.raises(ValueError, match="reaches 2147483648, past int32"):
+        ChannelModel("bdc", 1e-9).survivors(2**31, 1, rng)  # may keep every bit
     assert rng.bit_generator.state == state
+    # the counts drawn, not the run length, must fit int32
     assert ChannelModel("bdc", 1 - 1e-7).survivors(2**31 - 1, 3, rng).dtype == np.int32
+    assert ChannelModel("bdc", 1e-3).survivors(2**31, 3, rng).max() < 2**31
+    assert 0 < ChannelModel("prc", 1e-6).survivors(2**32, 3, rng).max() < 10**4
 
 
 def masked_loop(bits, lam, rng):

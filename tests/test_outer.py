@@ -93,6 +93,9 @@ def test_decode_ties_and_degenerate_receptions(code):
     (OuterSpec(q=2, n=8, k=3, delta_out=0.2), 2),
     (OuterSpec(q=3, n=70, k=2, delta_out=0.1), 3),
     (OuterSpec(q=2, n=130, k=2, delta_out=0.15), 4),
+    # digits past chr(127): lane_masks reads them as wide code points
+    (OuterSpec(q=100, n=12, k=1, delta_out=0.25), 5),
+    (OuterSpec(q=300, n=8, k=1, delta_out=0.25), 6),
 ])
 def test_construct_matches_scalar_greedy(spec, seed):
     code = construct_outer(spec, seed)

@@ -100,9 +100,10 @@ def test_lcs_lanes_matches_scalar_oracles(case):
 
 @st.composite
 def mask_cases(draw):
-    """0-4 rows of n digits over [0, q), around the 64-bit word boundaries."""
+    """0-4 rows of n digits over [0, q), around the 64-bit word boundaries;
+    q of 81 and above reaches digits past chr(127)."""
     n = draw(st.sampled_from([1, 63, 64, 65, 128, 130]))
-    q = draw(st.integers(2, 5))
+    q = draw(st.one_of(st.integers(2, 5), st.sampled_from([81, 100, 300])))
     row = st.text(alphabet="".join(chr(48 + s) for s in range(q)), min_size=n, max_size=n)
     return draw(st.lists(row, max_size=4)), q, n
 
