@@ -29,9 +29,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import ceil, exp, floor, fsum, lgamma, ldexp, log, log1p, sqrt
+from math import ceil, exp, floor, fsum, inf, lgamma, ldexp, log, log1p, sqrt
 
 import numpy as np
+
+from .strings import bit_runs
 
 # Tolerance for snapping near-integer ratios before applying ceil/floor, so
 # that e.g. 20.21/0.43 = 46.999999... rounds to 47, not 48.
@@ -163,8 +165,8 @@ class ChannelModel:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.kind == "bdc" and not 0.0 <= self.parameter < 1.0:
             raise ValueError(f"deletion probability {self.parameter} outside [0, 1)")
-        if self.kind == "prc" and self.parameter <= 0.0:
-            raise ValueError(f"repeat mean {self.parameter} must be positive")
+        if self.kind == "prc" and not 0.0 < self.parameter < inf:
+            raise ValueError(f"repeat mean {self.parameter} must be positive and finite")
 
     @property
     def mean_copies(self) -> float:
@@ -206,12 +208,10 @@ class ChannelModel:
 
     def transmit(self, bits: str, rng: np.random.Generator) -> str:
         """The received string: survivors drawn per distinct run length of
-        bits, shortest first."""
-        b = np.frombuffer(bits.encode(), np.uint8)
-        starts = np.flatnonzero(np.diff(b.astype(np.int16), prepend=-1))
-        lengths = np.diff(np.append(starts, b.size))
+        the binary string bits, shortest first."""
+        bits, lengths = bit_runs(bits)
         groups = [np.flatnonzero(lengths == n) for n in np.unique(lengths)]
-        return apply_copy_counts(b[starts].tobytes().decode(), self._draw(lengths, groups, rng))
+        return apply_copy_counts((bits + 48).tobytes().decode(), self._draw(lengths, groups, rng))
 
     def _draw(self, lengths: np.ndarray, groups, rng: np.random.Generator) -> np.ndarray:
         """Survivors of runs of lengths.flat[i] bits, one draw per group of

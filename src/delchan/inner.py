@@ -14,11 +14,12 @@ import numpy as np
 from .strings import (
     Run,
     SProfile,
+    bit_rows,
     bits_of,
     enumerate_S,
+    first_close_pair,
+    greedy,
     in_S,
-    lane_masks,
-    lcs_lanes,
     lcs_len,  # noqa: F401  (the benchmark's tracer wraps it here)
     read_code_file,
     runs_of,
@@ -120,18 +121,14 @@ class InnerCodebook:
 
     def validate(self) -> None:
         p = self.params
-        threshold = p.m - p.d
         for c in self.codewords:
             if SProfile.of(c) != p.profile:
                 raise ValueError(f"codeword {c} has wrong profile")
         if list(self.codewords) != sorted(self.codewords):
             raise ValueError("codewords not in lexicographic order")
-        masks = lane_masks(self.codewords, 2, p.m)
-        for i, c in enumerate(self.codewords):
-            close = lcs_lanes(map(int, c), masks[:, i + 1 :], p.m) >= threshold
-            if close.any():
-                c2 = self.codewords[i + 1 + close.argmax()]
-                raise ValueError(f"codewords too close: {c} {c2}")
+        pair = first_close_pair(bit_rows(self.codewords, p.m), 2, p.m - p.d)
+        if pair:
+            raise ValueError("codewords too close: " + " ".join(self.codewords[k] for k in pair))
 
 
 def construct_inner(params: InnerParams, *, force: bool = False) -> InnerCodebook:
@@ -143,18 +140,10 @@ def construct_inner(params: InnerParams, *, force: bool = False) -> InnerCodeboo
             f"candidate set size {profile.count} exceeds {MAX_CANDIDATES};"
             " pass force=True to override"
         )
-    threshold = params.m - params.d
-    # The surviving candidates' masks sit beside their indices; accepting the first
-    # drops every later one within the radius, as the one-by-one greedy pass does.
-    candidates = enumerate_S(profile)
-    masks = lane_masks(candidates, 2, params.m)
-    index = np.arange(len(candidates))
-    accepted: list[str] = []
-    while index.size:
-        accepted.append(candidates[index[0]])
-        keep = lcs_lanes(map(int, accepted[-1]), masks[:, 1:], params.m) < threshold
-        masks, index = masks[:, 1:][:, keep], index[1:][keep]
-    return InnerCodebook(params, tuple(accepted))
+    rows = bit_rows(enumerate_S(profile), params.m)  # the strings go once they are rows
+    by = greedy(rows, 2, params.m - params.d)
+    kept = rows[by == np.arange(by.size)] + 48  # the kept rows' characters
+    return InnerCodebook(params, tuple(bytes(row).decode() for row in kept))
 
 
 def binary_entropy(x: float) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .strings import lane_masks, lcs_lanes, read_code_file
+from .strings import first_close_pair, lane_masks, lcs_lanes, read_code_file
 
 # Candidates examined per message slot before giving up on the greedy pass.
 _CANDIDATE_FACTOR = 200
@@ -57,10 +57,6 @@ class OuterSpec:
         return int(self.delta_out * self.n)
 
 
-def _digits(row: tuple[int, ...]) -> str:  # a codeword as a lane_masks row
-    return "".join(chr(48 + s) for s in row)
-
-
 @dataclass(frozen=True)
 class OuterCode:
     """Messages are integers in [0, q**k); codeword i is codewords[i]."""
@@ -80,8 +76,13 @@ class OuterCode:
         return self.codewords[message]
 
     @cached_property
+    def table(self) -> np.ndarray:
+        """The codeword of each message, one row per message."""
+        return np.array(self.codewords)
+
+    @cached_property
     def _masks(self) -> np.ndarray:
-        return lane_masks([_digits(c) for c in self.codewords], self.spec.q, self.spec.n)
+        return lane_masks(self.table, self.spec.q)
 
     @cached_property
     def _message_of(self) -> dict[tuple[int, ...], int]:
@@ -106,10 +107,9 @@ class OuterCode:
         for i, c in enumerate(self.codewords):
             if len(c) != spec.n or any(not 0 <= s < spec.q for s in c):
                 raise ValueError(f"codeword {i} malformed")
-        for i, c in enumerate(self.codewords):
-            close = lcs_lanes(c, self._masks[:, i + 1 :], spec.n) >= spec.n - spec.radius
-            if close.any():
-                raise ValueError(f"codewords {i} and {i + 1 + close.argmax()} too close")
+        pair = first_close_pair(self.table, spec.q, spec.n - spec.radius)
+        if pair:
+            raise ValueError("codewords {} and {} too close".format(*pair))
 
     def save(self, path: str | Path) -> None:
         spec = self.spec
@@ -153,11 +153,11 @@ def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
     masks = np.zeros((spec.q, needed, -(-spec.n // 64)), np.uint64)
     budget = _CANDIDATE_FACTOR * needed
     for _ in range(budget):
-        cand = tuple(int(s) for s in rng.integers(0, spec.q, size=spec.n))
-        lcs = lcs_lanes(cand, masks[:, : len(accepted)], spec.n)
-        if (lcs < spec.n - spec.radius).all():
-            masks[:, len(accepted)] = lane_masks([_digits(cand)], spec.q, spec.n)[:, 0]
-            accepted.append(cand)
+        cand = rng.integers(0, spec.q, size=(1, spec.n))
+        row = cand[0].tolist()
+        if (lcs_lanes(row, masks[:, : len(accepted)], spec.n) < spec.n - spec.radius).all():
+            masks[:, len(accepted)] = lane_masks(cand, spec.q)[:, 0]
+            accepted.append(tuple(row))
             if len(accepted) == needed:
                 return OuterCode(spec, tuple(accepted), seed)
     raise ValueError(

@@ -41,6 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from .analysis import ProbReport, transition_probs
 from .channels import RUN_DTYPE, ChannelModel, floor_snapped
 from .inner import InnerCodebook, InnerParams
 from .outer import OuterCode, OuterSpec
-from .strings import SProfile, in_S, read_fields, runs_of
+from .strings import SProfile, bit_runs, in_S, read_fields, runs_of
 
 # Windows one scheme's inner-decode memo holds at most, to bound its memory.
 _MEMO_CAP = 1 << 12
@@ -74,8 +75,9 @@ class SchemeParams:
     outer: OuterSpec
 
     def __post_init__(self) -> None:
-        if not (self.M1 > 0 and self.M2 > 0 and self.M_B > 0):
-            raise ValueError("M1, M2, M_B must be positive")
+        for name in ("M1", "M2", "M_B"):
+            if not 0 < getattr(self, name) < inf:
+                raise ValueError(f"{name}={getattr(self, name)} must be positive and finite")
         if not self.M1 < self.T < self.M2:
             raise ValueError(f"need M1 < T < M2, got {self.M1}, {self.T}, {self.M2}")
         if self.channel.kind == "prc" and self.M2 <= self.channel.parameter:
@@ -154,11 +156,6 @@ class Scheme:
         return run_table(self.blocks, self.B)
 
     @cached_property
-    def _outer_table(self) -> np.ndarray:
-        """The outer codeword of each message, one row per message."""
-        return np.array(self.outer.codewords)
-
-    @cached_property
     def _memo(self) -> dict[str, int]:
         """inner_decode's answers."""
         return {}
@@ -182,18 +179,13 @@ class Scheme:
 
     def encode_block(self, messages: np.ndarray) -> "Layout":
         """The layouts of the messages as one block: row i is encode_with_layout(messages[i])."""
-        return lay_out(self._outer_table[messages], self.run_table)
+        return lay_out(self.outer.table[messages], self.run_table)
 
     def decode(self, received: str) -> int:
         return self.decode_with_trace(received)[0]
 
     def decode_with_trace(self, received: str) -> tuple[int, "DecodeTrace"]:
-        chars = np.frombuffer(received.encode("ascii", "replace"), np.uint8) - 48
-        if (chars > 1).any():
-            raise ValueError("received string must be binary")
-        starts = np.flatnonzero(np.diff(chars, prepend=2))  # where each run of the string starts
-        runs = np.diff(np.append(starts, chars.size))
-        bits, lengths, _, first, last = self._windows(chars[starts][None], runs[None])
+        bits, lengths, _, first, last = self._windows(*(a[None] for a in bit_runs(received)))
         symbols = self.inner_symbols(bits, lengths, first, last).tolist()
         text, offsets = threshold_text(bits, lengths, self.params.T)
         pos = np.concatenate(([0], np.cumsum(lengths)))

@@ -1,6 +1,8 @@
-"""Run-length utilities for binary strings and the constrained 1-/2-run family,
-LCS kernels, and the one key=value reader behind scheme descriptors,
-experiment configs and the inner and outer code-file headers."""
+"""Run-length utilities for binary strings and the constrained 1-/2-run family;
+LCS kernels on integer symbol arrays (a code is a (count, n) array of symbols
+in [0, q)), their match masks and the one greedy pass, which builds the inner
+code and validates both codes; and the one key=value reader behind scheme
+descriptors, experiment configs and the inner and outer code-file headers."""
 
 from __future__ import annotations
 
@@ -27,25 +29,8 @@ def bits_of(runs: list[Run]) -> str:
     return "".join(str(b) * ln for b, ln in runs)
 
 
-def lcs_len(a: str, b: str) -> int:
-    """LCS length of two binary strings, via bit-parallel DP."""
-    if not a or not b:
-        return 0
-    n = len(b)
-    mask = (1 << n) - 1
-    m1 = int(b[::-1], 2)
-    m0 = m1 ^ mask
-    v = mask
-    for c in a:
-        p = (m1 if c == "1" else m0) & v
-        v = ((v + p) | (v - p)) & mask
-    return n - bin(v).count("1")
-
-
 def sequence_lcs_len(a, b) -> int:
-    """lcs_len generalized to sequences of hashable symbols."""
-    if not a or not b:
-        return 0
+    """LCS length of two sequences of hashable symbols, via bit-parallel DP."""
     n = len(b)
     mask = (1 << n) - 1
     masks: dict = {}
@@ -58,19 +43,31 @@ def sequence_lcs_len(a, b) -> int:
     return n - bin(v).count("1")
 
 
-def lane_masks(rows, q: int, n: int) -> np.ndarray:
-    """Match masks for lcs_lanes. Each row is a length-n string of the digits
-    chr(48) .. chr(47 + q); bit i of masks[s, j] is set iff rows[j][i] is digit
-    s. Masks are split into 64-bit words, lowest word first: each symbol's
-    matches are packed to bytes, least significant bit first, and read as
-    little-endian words. Digits past chr(127) are read as 32-bit code points."""
-    words = max(1, -(-n // 64))
-    wide = 47 + q > 127
-    text = "".join(rows).encode("utf-32-le" if wide else "ascii", "surrogatepass")
-    chars = np.frombuffer(text, "<u4" if wide else np.uint8).reshape(len(rows), n)
-    packed = np.zeros((q, len(rows), 8 * words), np.uint8)
+lcs_len = sequence_lcs_len  # binary strings are sequences of "0" and "1"
+
+
+def bit_rows(strings, n: int) -> np.ndarray:
+    """The bits of length-n binary strings as one (count, n) array."""
+    return (np.frombuffer("".join(strings).encode("ascii"), np.uint8) - 48).reshape(-1, n)
+
+
+def bit_runs(s: str) -> tuple[np.ndarray, np.ndarray]:
+    """The bit and the length of each maximal run of the binary string s."""
+    chars = np.frombuffer(s.encode("ascii", "replace"), np.uint8) - 48
+    if (chars > 1).any():
+        raise ValueError("received string must be binary")
+    starts = np.flatnonzero(np.diff(chars, prepend=2))  # where each run starts
+    return chars[starts], np.diff(np.append(starts, chars.size))
+
+
+def lane_masks(rows: np.ndarray, q: int) -> np.ndarray:
+    """Match masks for lcs_lanes of a (count, n) array of symbols in [0, q):
+    bit i of masks[s, j], bit i % 64 of its word i // 64, is set iff
+    rows[j, i] == s."""
+    count, n = rows.shape
+    packed = np.zeros((q, count, 8 * max(1, -(-n // 64))), np.uint8)
     for s in range(q):
-        packed[s, :, : -(-n // 8)] = np.packbits(chars == 48 + s, axis=1, bitorder="little")
+        packed[s, :, : -(-n // 8)] = np.packbits(rows == s, axis=1, bitorder="little")
     return packed.view("<u8")
 
 
@@ -96,6 +93,27 @@ def lcs_lanes(a, masks: np.ndarray, n: int) -> np.ndarray:
         v ^= p
         v |= s
     return n - np.bitwise_count(v & full).sum(axis=1, dtype=np.int64)
+
+
+def greedy(rows: np.ndarray, q: int, threshold: int) -> np.ndarray:
+    """The greedy pass over a (count, n) array of symbols in [0, q): a row is
+    kept unless its LCS with a kept row reaches threshold. For each row, the
+    kept row that first dropped it, or the row itself if it was kept."""
+    masks, by, index = lane_masks(rows, q), np.arange(len(rows)), np.arange(len(rows))
+    while index.size:
+        kept, index, masks = index[0], index[1:], masks[:, 1:]
+        close = lcs_lanes(rows[kept].tolist(), masks, rows.shape[1]) >= threshold
+        if close.any():  # compact only when rows drop
+            by[index[close]] = kept
+            index, masks = index[~close], masks[:, ~close]
+    return by
+
+
+def first_close_pair(rows: np.ndarray, q: int, threshold: int) -> tuple[int, int] | None:
+    """(i, j): the first kept row of greedy's pass to drop rows, and the first it drops; or None."""
+    by = greedy(rows, q, threshold).tolist()
+    i = min((k for j, k in enumerate(by) if k != j), default=None)
+    return None if i is None else (i, by.index(i, i + 1))
 
 
 def edit_distance(a: str, b: str) -> int:

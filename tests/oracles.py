@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 
-from delchan.strings import SProfile, bits_of, enumerate_S, in_S, lcs_len
+from delchan.strings import SProfile, bits_of, enumerate_S, in_S, lcs_len, sequence_lcs_len
 
 _WORD = (1 << 64) - 1
 
@@ -35,14 +35,28 @@ def insertion_ball_bruteforce(s_sub: str, target: SProfile) -> set[str]:
     return {s for s in enumerate_S(target) if is_subsequence(s_sub, s)}
 
 
-def lane_masks_by_row(rows, q: int, n: int) -> np.ndarray:
-    """Oracle for strings.lane_masks: each row's digit pattern read as one
-    binary int per symbol, split into 64-bit words."""
+def lane_masks_by_row(rows: np.ndarray, q: int) -> np.ndarray:
+    """Oracle for strings.lane_masks: for each symbol, each row's matches read
+    as one int, bit i set where the row holds the symbol at position i, split
+    into 64-bit words."""
+    count, n = rows.shape
     words = max(1, -(-n // 64))
-    tables = [{48 + t: "01"[t == s] for t in range(q)} for s in range(q)]
-    patterns = (int(row[::-1].translate(table), 2) for table in tables for row in rows)
-    flat = ((x >> 64 * w) & _WORD for x in patterns for w in range(words))
-    return np.fromiter(flat, np.uint64, q * len(rows) * words).reshape(q, len(rows), words)
+    patterns = np.zeros((q, count), object)
+    for j, row in enumerate(rows.tolist()):
+        for i, s in enumerate(row):
+            patterns[s, j] |= 1 << i
+    flat = ((x >> 64 * w) & _WORD for x in patterns.flat for w in range(words))
+    return np.fromiter(flat, np.uint64, q * count * words).reshape(q, count, words)
+
+
+def greedy_by_pairs(rows, threshold: int) -> list[int]:
+    """Oracle for strings.greedy: each row against the kept rows one at a
+    time, in order; a row is dropped by the first kept row within threshold."""
+    by: list[int] = []
+    for i, row in enumerate(rows):
+        kept = (j for j, k in enumerate(by) if j == k)
+        by.append(next((j for j in kept if sequence_lcs_len(rows[j], row) >= threshold), i))
+    return by
 
 
 def enumerate_S_by_runs(profile: SProfile) -> list[str]:

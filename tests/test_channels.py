@@ -39,6 +39,13 @@ def test_bdc_edge_probabilities():
         ChannelModel("bdc", -0.1).transmit("1", rng)
 
 
+def test_transmit_refuses_a_non_binary_string():
+    rng = RngStream(2, 0).generator()
+    for bits in ("1a1", "12", "1 0", "1\u00e9"):
+        with pytest.raises(ValueError, match="^received string must be binary$"):
+            ChannelModel("bdc", 0.3).transmit(bits, rng)
+
+
 def _assert_moments(counts, mean, var, fourth):
     # 3-sigma bands around the mean and the variance; fourth is the central fourth moment
     size = counts.size

@@ -256,6 +256,32 @@ def test_cli_construct_refuses_runs_beyond_int32(tmp_path, capsys):
     assert not (tmp_path / "scheme.txt").exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("construct", "M2=inf\n", "M2=inf must be positive and finite"),
+    ("construct", "M_B=inf\n", "M_B=inf must be positive and finite"),
+    ("construct", "M1=nan\n", "M1=nan must be positive and finite"),
+    ("construct", "channel=prc\nparam=nan\n", "repeat mean nan must be positive and finite"),
+    ("construct", "channel=prc\nparam=inf\n", "repeat mean inf must be positive and finite"),
+    ("construct", "param=nan\n", "deletion probability nan outside [0, 1)"),
+    ("simulate", "mode=transition\nM_B=inf\n", "M_B=inf must be positive and finite"),
+], ids=["M2", "M_B", "M1", "prc-nan", "prc-inf", "bdc-nan", "simulate-M_B"])
+def test_cli_refuses_non_finite_parameters(tmp_path, capsys, command, text, message):
+    config = tmp_path / "exp.cfg"
+    config.write_text(text)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_load_scheme_refuses_non_finite_parameters(tmp_path, capsys, bdc_desk):
+    path = _saved_scheme(tmp_path, bdc_desk)
+    lines = path.read_text().splitlines()
+    for key in ("M2", "M_B"):
+        path.write_text("".join(f"{key}=inf\n" if line.startswith(f"{key}=") else line + "\n"
+                                for line in lines))
+        assert main(["encode", "--config", str(path), "1"]) == 2
+        assert capsys.readouterr().err == f"error: {key}=inf must be positive and finite\n"
+
+
 def test_cli_simulate_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

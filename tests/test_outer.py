@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delchan.outer
+import delchan.strings
 from delchan.outer import _CANDIDATE_FACTOR, OuterCode, OuterSpec, construct_outer
 from delchan.strings import sequence_lcs_len
 
@@ -93,7 +94,7 @@ def test_decode_ties_and_degenerate_receptions(code):
     (OuterSpec(q=2, n=8, k=3, delta_out=0.2), 2),
     (OuterSpec(q=3, n=70, k=2, delta_out=0.1), 3),
     (OuterSpec(q=2, n=130, k=2, delta_out=0.15), 4),
-    # digits past chr(127): lane_masks reads them as wide code points
+    # wide alphabets, past 80 symbols
     (OuterSpec(q=100, n=12, k=1, delta_out=0.25), 5),
     (OuterSpec(q=300, n=8, k=1, delta_out=0.25), 6),
 ])
@@ -117,7 +118,8 @@ def test_validate_rejects_malformed_row_before_building_masks(code, monkeypatch)
     def no_masks(*args):
         raise AssertionError("masks built for a malformed code")
 
-    monkeypatch.setattr(delchan.outer, "lane_masks", no_masks)
+    for module in (delchan.strings, delchan.outer):  # greedy's masks and decode's
+        monkeypatch.setattr(module, "lane_masks", no_masks)
     for row in [(4,) * 32, (0,) * 31, (0,) * 33, (-1,) * 32]:
         bad = replace(code, codewords=code.codewords[:3] + (row,) + code.codewords[4:])
         with pytest.raises(ValueError, match=r"^codeword 3 malformed$"):

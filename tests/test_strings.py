@@ -8,14 +8,17 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delchan.strings import (
     SProfile,
+    bit_rows,
+    bit_runs,
     bits_of,
     edit_distance,
     enumerate_S,
+    greedy,
     in_S,
     lcs_lanes,
     lcs_len,
@@ -23,7 +26,7 @@ from delchan.strings import (
     runs_of,
     sequence_lcs_len,
 )
-from oracles import enumerate_S_by_runs, is_subsequence, lane_masks_by_row
+from oracles import enumerate_S_by_runs, greedy_by_pairs, is_subsequence, lane_masks_by_row
 
 
 def lcs_dp(a, b):
@@ -71,7 +74,7 @@ def test_sequence_lcs_matches_dp_oracle():
 
 def int_lane_masks(lanes, q, n):
     """lane_masks of lanes given as lists of ints."""
-    return lane_masks(["".join(chr(48 + x) for x in lane) for lane in lanes], q, n)
+    return lane_masks(np.array(lanes, np.int64).reshape(len(lanes), n), q)
 
 
 @st.composite
@@ -100,27 +103,63 @@ def test_lcs_lanes_matches_scalar_oracles(case):
 
 @st.composite
 def mask_cases(draw):
-    """0-4 rows of n digits over [0, q), around the 64-bit word boundaries;
-    q of 81 and above reaches digits past chr(127)."""
+    """0-4 rows of n symbols in [0, q), around the 64-bit word boundaries,
+    with alphabets of up to 300 symbols."""
     n = draw(st.sampled_from([1, 63, 64, 65, 128, 130]))
     q = draw(st.one_of(st.integers(2, 5), st.sampled_from([81, 100, 300])))
-    row = st.text(alphabet="".join(chr(48 + s) for s in range(q)), min_size=n, max_size=n)
-    return draw(st.lists(row, max_size=4)), q, n
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), max_size=4))
+    return np.array(rows, np.int64).reshape(len(rows), n), q
 
 
 @settings(max_examples=150, deadline=None)
 @given(mask_cases())
 def test_lane_masks_match_row_by_row_oracle(case):
-    rows, q, n = case
-    got, expected = lane_masks(rows, q, n), lane_masks_by_row(rows, q, n)
-    assert got.shape == expected.shape == (q, len(rows), -(-n // 64))
+    rows, q = case
+    got, expected = lane_masks(rows, q), lane_masks_by_row(rows, q)
+    assert got.shape == expected.shape == (q, len(rows), -(-rows.shape[1] // 64))
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
 
 
 def test_lane_masks_of_the_desk_family():
     family = enumerate_S(SProfile(25, 13, 6))
-    assert np.array_equal(lane_masks(family, 2, 25), lane_masks_by_row(family, 2, 25))
+    rows = bit_rows(family, 25)
+    assert rows.tolist() == [[int(c) for c in s] for s in family]
+    assert np.array_equal(lane_masks(rows, 2), lane_masks_by_row(rows, 2))
+
+
+@st.composite
+def greedy_cases(draw):
+    """1-4 rows of n symbols in [0, q), then copies and splices of two drawn
+    rows (a splice can reach two kept rows), shuffled, and a threshold."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    q = draw(st.sampled_from([2, 3, 4, 81]))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        cut = draw(st.integers(0, n))
+        rows.append(a[:cut] + b[cut:])
+    rows = draw(st.permutations(rows))
+    return np.array(rows, np.int64), q, draw(st.integers(0, n + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(greedy_cases())
+# rows 0 and 1 are kept; row 2 is close to both, and row 3 repeats row 1
+@example((np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]]), 2, 2))
+def test_greedy_matches_pairwise_loop(case):
+    rows, q, threshold = case
+    assert greedy(rows, q, threshold).tolist() == greedy_by_pairs(rows.tolist(), threshold)
+
+
+def test_bit_runs():
+    bits, lengths = bit_runs("0111001")
+    assert bits.tolist() == [0, 1, 0, 1] and lengths.tolist() == [1, 3, 2, 1]
+    assert bit_runs("")[1].size == 0
+    for bad in ("1a1", "12", "1\u00e91"):
+        with pytest.raises(ValueError, match="^received string must be binary$"):
+            bit_runs(bad)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 130])
@@ -143,7 +182,7 @@ def test_lcs_lanes_edge_cases(n):
     if n > 128:
         assert lcs_lanes([0], int_lane_masks([block], 2, n), n).tolist() == [1]
     # no lanes: an empty answer
-    assert lcs_lanes(lane, lane_masks([], 2, n), n).shape == (0,)
+    assert lcs_lanes(lane, lane_masks(np.zeros((0, n), np.int64), 2), n).shape == (0,)
 
 
 def test_edit_distance_is_a_metric_on_samples():
