@@ -3,9 +3,9 @@
 Codewords are length-n symbol sequences whose pairwise symbol-level edit
 distance exceeds 2 * radius, radius = floor(delta_out * n), so a
 nearest-codeword decoder corrects any combination of up to radius symbol
-insertions and deletions. The construction is a seeded greedy pass over
-pseudorandom candidates; it is a stand-in with the same interface and
-distance guarantee as any stronger construction one might drop in.
+insertions and deletions. The construction is the inner code's greedy pass
+(strings.greedy) over seeded pseudorandom candidates; it is a stand-in with
+the same interface and distance guarantee as any stronger construction.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .strings import first_close_pair, lane_masks, lcs_lanes, read_code_file
+from .strings import first_close_pair, greedy, lane_masks, lcs_lanes, read_code_file
 
-# Candidates examined per message slot before giving up on the greedy pass.
+# Chunks of q**k candidates (candidates per message) drawn before giving up.
 _CANDIDATE_FACTOR = 200
 
 
@@ -144,23 +144,21 @@ def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
 
     Accepts a candidate iff its LCS with every accepted codeword is below
     n - radius, that is, iff its symbol edit distance to each exceeds
-    2 * radius. Raises if the candidate budget runs out before q**k
-    codewords are found, reporting how many were achieved.
+    2 * radius. Candidates come q**k at a time, each chunk run through
+    strings.greedy behind the accepted codewords; as greedy keeps a row on
+    the rows before it alone, this accepts what a one-by-one pass would.
+    Raises if _CANDIDATE_FACTOR chunks run out before q**k codewords are
+    found, reporting how many were achieved.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     needed = spec.num_messages
-    accepted: list[tuple[int, ...]] = []
-    masks = np.zeros((spec.q, needed, -(-spec.n // 64)), np.uint64)
-    budget = _CANDIDATE_FACTOR * needed
-    for _ in range(budget):
-        cand = rng.integers(0, spec.q, size=(1, spec.n))
-        row = cand[0].tolist()
-        if (lcs_lanes(row, masks[:, : len(accepted)], spec.n) < spec.n - spec.radius).all():
-            masks[:, len(accepted)] = lane_masks(cand, spec.q)[:, 0]
-            accepted.append(tuple(row))
-            if len(accepted) == needed:
-                return OuterCode(spec, tuple(accepted), seed)
+    accepted = np.empty((0, spec.n), np.int64)
+    for _ in range(_CANDIDATE_FACTOR):
+        rows = np.concatenate([accepted, rng.integers(0, spec.q, size=(needed, spec.n))])
+        accepted = rows[greedy(rows, spec.q, spec.n - spec.radius) == np.arange(len(rows))]
+        if len(accepted) >= needed:
+            return OuterCode(spec, tuple(map(tuple, accepted[:needed].tolist())), seed)
     raise ValueError(
         f"greedy outer construction found only {len(accepted)} of {needed}"
-        f" codewords within {budget} candidates; lower delta_out or k"
+        f" codewords within {_CANDIDATE_FACTOR * needed} candidates; lower delta_out or k"
     )

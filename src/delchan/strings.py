@@ -1,7 +1,7 @@
 """Run-length utilities for binary strings and the constrained 1-/2-run family;
 LCS kernels on integer symbol arrays (a code is a (count, n) array of symbols
-in [0, q)), their match masks and the one greedy pass, which builds the inner
-code and validates both codes; and the one key=value reader behind scheme
+in [0, q)), their match masks and the one greedy pass, which builds and
+validates both codes; and the one key=value reader behind scheme
 descriptors, experiment configs and the inner and outer code-file headers."""
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def edit_distance(a: str, b: str) -> int:
 
 
 def in_S(s: str) -> bool:
-    """Membership in S: starts and ends with 1, runs of length 1 or 2 only."""
-    return s[:1] == s[-1:] == "1" and all(ln <= 2 for _, ln in runs_of(s))
+    """Membership in S: binary, starts and ends with 1, runs of length 1 or 2 only."""
+    return s[:1] == s[-1:] == "1" and set(s) <= {"0", "1"} and "000" not in s and "111" not in s
 
 
 @dataclass(frozen=True)

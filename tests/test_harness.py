@@ -317,6 +317,8 @@ def test_cli_error_exit_codes(tmp_path, capsys, bdc_desk):
     outer_lines = outer_text.splitlines()
     descriptor = (tmp_path / "scheme.txt").read_text()
     assert "\nd=2\n" in descriptor and "\ndout=0.125\n" in descriptor
+    # a 2 leaves the runs short and the ends 1, but it is not a bit
+    non_binary = codewords[0][:-3] + "2" + codewords[0][-2:]
     for name, text, message in [
         ("codebook.txt", "\n".join([header.replace(" d=2", ""), *codewords]),
          "missing key 'd'"),
@@ -335,6 +337,8 @@ def test_cli_error_exit_codes(tmp_path, capsys, bdc_desk):
          "invalid literal for int() with base 10: 'x'"),
         ("codebook.txt", "\n".join([header, "x" + codewords[0][1:], *codewords[1:]]),
          f"'x{codewords[0][1:]}' is not in S"),
+        ("codebook.txt", "\n".join([header, non_binary, *codewords[1:]]),
+         f"{non_binary!r} is not in S"),
         ("outercode.txt", "\n".join([*outer_lines[:2], outer_lines[1], *outer_lines[3:]]),
          "codewords 0 and 1 too close"),
         ("scheme.txt", descriptor.replace("\nd=2\n", "\nd=5\n"),

@@ -47,8 +47,8 @@ def scalar_construct(spec, seed):
         if all(sequence_edit_distance(cand, c) > threshold for c in accepted):
             accepted.append(cand)
             if len(accepted) == spec.num_messages:
-                return tuple(accepted)
-    return None
+                break
+    return tuple(accepted)  # fewer than q**k if the candidate budget ran out
 
 
 def scalar_validate_error(code):
@@ -91,12 +91,13 @@ def test_decode_ties_and_degenerate_receptions(code):
 
 @pytest.mark.parametrize("spec, seed", [
     (OuterSpec(q=4, n=16, k=2, delta_out=0.125), 1),
-    (OuterSpec(q=2, n=8, k=3, delta_out=0.2), 2),
+    (OuterSpec(q=2, n=8, k=3, delta_out=0.2), 2),  # two chunks of q**k candidates
     (OuterSpec(q=3, n=70, k=2, delta_out=0.1), 3),
     (OuterSpec(q=2, n=130, k=2, delta_out=0.15), 4),
     # wide alphabets, past 80 symbols
     (OuterSpec(q=100, n=12, k=1, delta_out=0.25), 5),
     (OuterSpec(q=300, n=8, k=1, delta_out=0.25), 6),
+    (OuterSpec(q=2, n=16, k=5, delta_out=0.15), 2024),  # three chunks
 ])
 def test_construct_matches_scalar_greedy(spec, seed):
     code = construct_outer(spec, seed)
@@ -193,7 +194,9 @@ def test_single_message_code():
 def test_pool_exhaustion_reports_achieved_count():
     # demanding far more distance than n allows must fail loudly
     spec = OuterSpec(q=2, n=4, k=6, delta_out=0.45)
-    with pytest.raises(ValueError, match=r"found only \d+ of 64"):
+    found = len(scalar_construct(spec, 3))
+    assert found == 2
+    with pytest.raises(ValueError, match=rf"found only {found} of 64 codewords within 12800 "):
         construct_outer(spec, 3)
 
 

@@ -56,6 +56,8 @@ def test_blow_up_examples():
         InnerCodebook(InnerParams(SProfile(5, 1, 2), 0), ("11101",)).validate()
     with pytest.raises(ValueError):
         blow_up("11101", 3, 5)
+    with pytest.raises(ValueError, match="is not in S"):
+        blow_up("10121", 3, 5)  # not binary
     # two blocks: spans of every run and buffer, with and without edge buffers
     blocks = [blow_up(c, 1, 3) for c in ("1011", "1101")]
     layout = lay_out((1, 0), run_table(blocks, 2))

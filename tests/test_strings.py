@@ -218,6 +218,11 @@ def test_in_S():
     assert not in_S("10")  # ends with 0
     assert not in_S("1110101")  # 3-run
     assert not in_S("")
+    # only 0 and 1 are bits, though the runs here are short and the ends are 1
+    for s in ("121", "1a1", "1 01", "1\n1", "1001001001001001001210101"):
+        assert not in_S(s)
+        with pytest.raises(ValueError, match="is not in S"):
+            SProfile.of(s)
 
 
 def test_profile_validation():
