@@ -1,5 +1,6 @@
 """Transition probabilities, tail sums, rate formulas, reference presets."""
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -242,6 +243,14 @@ def test_preset_verification_known_status():
     # and test_delta_in_is_gamma_rounded_up).
     failing = {p.name: verify_preset(p).failures for p in presets()}
     assert {name: f for name, f in failing.items() if f} == {}
+
+
+def test_preset_probs_are_pinned():
+    # Every preset's four probabilities at full precision: a change to a tail
+    # sum or a bound that moves any of them by one ulp changes this digest.
+    text = "".join(f"{p.name} {p.probs()!r}\n" for p in presets())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "3428c1ee3210fd30e9230db421e3b49a2fd1205d7ee2955c310427ad334da590"
 
 
 def test_verification_reports_detail():
