@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp
 
-from .channels import ChannelModel, ceil_snapped, poisson_cdf, poisson_sf
+from .channels import ChannelModel, ceil_snapped
 from .inner import inner_rate_formula
 
 
@@ -100,6 +100,9 @@ def _uniform_bounds(
 ) -> ProbReport:
     """Bounds uniform over every channel with at most `width` expected
     survivors per bit (1 - p <= q, or lambda' <= lambda); see probs_bdc_bounds.
+    A Poisson(M) tail is the survivor law of one bit on a repeat channel of
+    mean M, so the bounds read the one law ChannelModel writes, and this
+    module never branches on a channel's kind.
     """
     worst = None if p_eval is None else ChannelModel("bdc", p_eval)
     if worst is not None and worst.run_length(M1) <= T:
@@ -107,12 +110,12 @@ def _uniform_bounds(
     else:
         if T < M1 + width:
             raise ValueError(f"T = {T} below M1 + {width} = {M1 + width}; bound invalid")
-        p12 = poisson_sf(M1 + width, T)
+        p12 = ChannelModel("prc", M1 + width).more_than(1, T)
     if worst is None:
         if T > M2 - 1:
             raise ValueError(f"T = {T} above M2 - 1 = {M2 - 1}; bound invalid")
         p10 = exp(-M1)
-        p21 = poisson_cdf(M2, T)
+        p21 = ChannelModel("prc", M2).at_most(1, T)
         p20 = exp(-M2)
     else:
         if 1.0 - p_eval > width + 1e-12:

@@ -5,8 +5,9 @@ at the receiver: 0 or 1 for the deletion channel, Poisson-distributed for the
 repeat channel. Only the copies of each run matter to the scheme, so a run of
 n bits arrives as Z survivors, Bin(n, 1 - p) on the deletion channel and
 Poisson(lambda * n) on the repeat channel. ChannelModel owns this survivor
-law: it draws Z, gives its exact tails and the run length that meets a
-target mean, so no other module knows which of the two channels it has.
+law and writes it once, in ChannelModel._law, which its exact tails and its
+draws of Z both read. It also gives the run length that meets a target mean,
+so no module outside this one branches on the channel's kind.
 Randomness comes from named streams split off a single master seed, so every
 experiment is reproducible and streams are independent of call order.
 
@@ -26,9 +27,10 @@ the mass lies, so its width follows the standard deviation, not n.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from math import ceil, exp, floor, fsum, inf, lgamma, ldexp, log, log1p, sqrt
 
 import numpy as np
@@ -60,72 +62,6 @@ def ceil_snapped(x: float) -> int:
 def floor_snapped(x: float) -> int:
     """Floor that forgives float error just below an integer."""
     return int(round(x)) if abs(x - round(x)) < _SNAP else int(floor(x))
-
-
-def _log_binom_pmf(n: int, p: float, k: int) -> float:
-    return (
-        lgamma(n + 1)
-        - lgamma(k + 1)
-        - lgamma(n - k + 1)
-        + k * log(p)
-        + (n - k) * log(1.0 - p)
-    )
-
-
-def binom_cdf(n: int, p: float, t: int) -> float:
-    """Pr[Bin(n, p) <= t], summed directly with compensated summation."""
-    if t < 0:
-        return 0.0
-    if t >= n:
-        return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    return min(1.0, fsum(exp(_log_binom_pmf(n, p, k)) for k in range(t + 1)))
-
-
-def binom_sf(n: int, p: float, t: int) -> float:
-    """Pr[Bin(n, p) > t], summed over the upper tail directly."""
-    if t < 0:
-        return 1.0
-    if t >= n:
-        return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    return min(1.0, fsum(exp(_log_binom_pmf(n, p, k)) for k in range(t + 1, n + 1)))
-
-
-def _log_poisson_pmf(mu: float, k: int) -> float:
-    return -mu + k * log(mu) - lgamma(k + 1)
-
-
-def poisson_cdf(mu: float, t: int) -> float:
-    """Pr[Poisson(mu) <= t], summed directly."""
-    if t < 0:
-        return 0.0
-    if mu == 0.0:
-        return 1.0
-    return min(1.0, fsum(exp(_log_poisson_pmf(mu, k)) for k in range(t + 1)))
-
-
-def poisson_sf(mu: float, t: int) -> float:
-    """Pr[Poisson(mu) > t], summed over the upper tail directly: term by term
-    until, past the mean, a term adds less than 2**-64 of the sum."""
-    if t < 0:
-        return 1.0
-    if mu == 0.0:
-        return 0.0
-    terms: list[float] = []
-    total, k = 0.0, t + 1
-    while True:
-        terms.append(exp(_log_poisson_pmf(mu, k)))
-        total += terms[-1]
-        if k > mu and terms[-1] <= total * 2.0**-64:
-            return min(1.0, fsum(terms))
-        k += 1
 
 
 @dataclass(frozen=True)
@@ -180,16 +116,34 @@ class ChannelModel:
 
     def at_most(self, n: int, t: int) -> float:
         """Pr[Z <= t] for the survivors Z of a run of n bits."""
-        if self.kind == "bdc":
-            return binom_cdf(n, 1.0 - self.parameter, t)
-        return poisson_cdf(self.parameter * n, t)
+        log_pmf, mode, variance, top = self._law(n)
+        if t < 0:
+            return 0.0
+        if not variance:  # every survivor count but the mode has no mass
+            return float(t >= mode)
+        if top is not None and t >= top:
+            return 1.0
+        return min(1.0, fsum(exp(log_pmf(k)) for k in range(t + 1)))
 
     def more_than(self, n: int, t: int) -> float:
         """Pr[Z > t] for the survivors Z of a run of n bits, summed over the
-        upper tail on the deletion channel."""
-        if self.kind == "bdc":
-            return binom_sf(n, 1.0 - self.parameter, t)
-        return poisson_sf(self.parameter * n, t)
+        upper tail: up to n on the deletion channel, and on the repeat channel
+        term by term until, past the mean, a term adds less than 2**-64 of
+        the sum."""
+        log_pmf, mode, variance, top = self._law(n)
+        if t < 0:
+            return 1.0
+        if not variance:
+            return float(t < mode)
+        if top is not None:  # an empty sum from t >= top
+            return min(1.0, fsum(exp(log_pmf(k)) for k in range(t + 1, top + 1)))
+        terms: list[float] = []
+        total = 0.0
+        for k in count(t + 1):
+            terms.append(exp(log_pmf(k)))
+            total += terms[-1]
+            if k > mode and terms[-1] <= total * 2.0**-64:  # k > floor(mu) is k > mu
+                return min(1.0, fsum(terms))
 
     def none_left(self, n: int) -> float:
         """Pr[Z = 0] for the survivors Z of a run of n bits."""
@@ -223,6 +177,19 @@ class ChannelModel:
                 flat[runs] = self.survivors(int(lengths.flat[runs[0]]), runs.size, rng)
         return counts
 
+    def _law(self, n: int) -> tuple[Callable[[int], float], int, float, int | None]:
+        """The survivor law of a run of n bits, Bin(n, 1 - p) or
+        Poisson(lambda * n): its log-pmf, mode, variance and last value (None
+        on the repeat channel). The log-pmf is read only where the variance
+        is positive."""
+        if self.kind == "bdc":
+            keep = 1.0 - self.parameter
+            mode, variance = min(n, floor((n + 1) * keep)), n * keep * (1.0 - keep)
+            return (lambda k: lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
+                    + k * log(keep) + (n - k) * log(1.0 - keep)), mode, variance, n
+        mu = self.parameter * n
+        return (lambda k: -mu + k * log(mu) - lgamma(k + 1)), floor(mu), mu, None
+
 
 @dataclass(frozen=True, eq=False)
 class _SurvivorTable:
@@ -249,18 +216,7 @@ class _SurvivorTable:
 
 @lru_cache(maxsize=_TABLES_KEPT)
 def _survivor_table(channel: ChannelModel, n: int) -> _SurvivorTable:
-    if channel.kind == "bdc":
-        keep = 1.0 - channel.parameter
-        variance, mode, top = n * keep * (1.0 - keep), min(n, floor((n + 1) * keep)), n
-
-        def log_pmf(k: int) -> float:
-            return _log_binom_pmf(n, keep, k)
-    else:
-        mu = channel.parameter * n
-        variance, mode, top = mu, floor(mu), None
-
-        def log_pmf(k: int) -> float:
-            return _log_poisson_pmf(mu, k)
+    log_pmf, mode, variance, top = channel._law(n)
     if 19 * sqrt(variance) > _MAX_TABLE:
         raise ValueError(f"survivor law of {channel} at n={n} is too wide to tabulate")
     lo = hi = mode  # the one value of a law of variance 0: no bits, or every bit kept
@@ -268,11 +224,9 @@ def _survivor_table(channel: ChannelModel, n: int) -> _SurvivorTable:
         lo, hi = _edge(log_pmf, mode, -1, 0), _edge(log_pmf, mode, 1, top)
     if hi > np.iinfo(RUN_DTYPE).max:  # the largest count drawn must fit the counts' array
         raise ValueError(f"survivor law of {channel} at n={n} reaches {hi}, past int32")
-    if not variance:  # (as binom_cdf has it)
-        return _SurvivorTable(mode, np.zeros(0, np.uint64),
-                              np.full(1 << _GUIDE_BITS, mode, RUN_DTYPE))
-    # each pmf in fixed point with 128 fraction bits: exact sums of the doubles
-    scaled = [int(ldexp(exp(log_pmf(k)), 128)) for k in range(lo, hi + 1)]
+    # each pmf in fixed point with 128 fraction bits: exact sums of the doubles; the
+    # one value of a law of variance 0 has no threshold, so its pmf is not read
+    scaled = [int(ldexp(exp(log_pmf(k)), 128)) for k in range(lo, hi + 1) if variance]
     below = list(accumulate(scaled))  # below[i]: Pr[Z <= lo + i]
     above = list(accumulate(reversed(scaled)))[::-1][1:]  # above[i]: Pr[Z > lo + i]
     half, one = 1 << 63, 1 << 64

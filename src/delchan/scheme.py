@@ -80,8 +80,9 @@ class SchemeParams:
                 raise ValueError(f"{name}={getattr(self, name)} must be positive and finite")
         if not self.M1 < self.T < self.M2:
             raise ValueError(f"need M1 < T < M2, got {self.M1}, {self.T}, {self.M2}")
-        if self.channel.kind == "prc" and self.M2 <= self.channel.parameter:
-            raise ValueError("M2 must exceed the repeat mean")
+        N1, N2 = self.channel.run_length(self.M1), self.channel.run_length(self.M2)
+        if not N1 < N2:
+            raise ValueError(f"need N1 < N2, got {N1}, {N2}")
 
     @property
     def buffer_threshold(self) -> int:
@@ -102,8 +103,6 @@ class Scheme:
     outer: OuterCode
 
     def __post_init__(self) -> None:
-        if not self.N1 < self.N2:
-            raise ValueError(f"need N1 < N2, got {self.N1}, {self.N2}")
         if self.B < 1:  # ceil_snapped rounds a tiny M_B * m / mu down to 0
             raise ValueError("buffer length must be at least 1")
         # The run arrays hold RUN_DTYPE lengths; on the BDC a merged run holds at most a row's bits.

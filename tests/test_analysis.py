@@ -17,14 +17,7 @@ from delchan.analysis import (
     transition_probs,
     verify_preset,
 )
-from delchan.channels import (
-    ChannelModel,
-    binom_cdf,
-    binom_sf,
-    ceil_snapped,
-    poisson_cdf,
-    poisson_sf,
-)
+from delchan.channels import ChannelModel, ceil_snapped
 from delchan.inner import binary_entropy
 
 
@@ -33,9 +26,8 @@ def exact_at_means(channel, M1, M2, T, beta1):
     return transition_probs(channel, channel.run_length(M1), channel.run_length(M2), T, beta1)
 
 
-def binom_cdf_oracle(n, p_num, p_den, t):
-    """Exact rational binomial CDF."""
-    p = Fraction(p_num, p_den)
+def binom_cdf_oracle(n, p, t):
+    """Exact rational binomial CDF at the rational success probability p."""
     return float(sum(comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(t + 1)))
 
 
@@ -69,32 +61,40 @@ def test_binom_tails_against_rational_oracle():
         n = rnd.randrange(1, 60)
         num = rnd.randrange(1, 10)
         t = rnd.randrange(-1, n + 2)
-        exact = binom_cdf_oracle(n, num, 10, t)
-        assert abs(binom_cdf(n, num / 10, t) - exact) < 1e-12
-        assert abs(binom_sf(n, num / 10, t) - (1.0 - exact)) < 1e-12
+        channel = ChannelModel("bdc", num / 10)
+        exact = binom_cdf_oracle(n, Fraction(1.0 - channel.parameter), t)
+        assert abs(channel.at_most(n, t) - exact) < 1e-12
+        assert abs(channel.more_than(n, t) - (1.0 - exact)) < 1e-12
 
 
 def test_binom_tails_extreme_n():
     # the largest blow-up factor in the reference tables
-    v = binom_cdf(2280, 0.01, 12)
+    channel = ChannelModel("bdc", 0.99)
+    v = channel.at_most(2280, 12)
     assert 0.0 < v < 0.02
-    assert abs(binom_cdf(2280, 0.01, 12) + binom_sf(2280, 0.01, 12) - 1.0) < 1e-12
+    assert abs(channel.at_most(2280, 12) + channel.more_than(2280, 12) - 1.0) < 1e-12
+
+
+def poisson(mu):
+    """The repeat channel whose one-bit survivor law is Poisson(mu)."""
+    return ChannelModel("prc", mu)
 
 
 def test_poisson_tails():
-    assert isclose(poisson_cdf(2.0, 0), exp(-2.0), rel_tol=1e-12)
-    assert isclose(poisson_cdf(2.0, 1), 3.0 * exp(-2.0), rel_tol=1e-12)
-    assert isclose(poisson_sf(2.0, 1), 1.0 - 3.0 * exp(-2.0), rel_tol=1e-9)
-    assert poisson_cdf(0.0, 3) == 1.0
-    assert poisson_sf(0.0, 3) == 0.0 and poisson_sf(2.0, -1) == 1.0
+    assert isclose(poisson(2.0).at_most(1, 0), exp(-2.0), rel_tol=1e-12)
+    assert isclose(poisson(2.0).at_most(1, 1), 3.0 * exp(-2.0), rel_tol=1e-12)
+    assert isclose(poisson(2.0).more_than(1, 1), 1.0 - 3.0 * exp(-2.0), rel_tol=1e-9)
+    assert poisson(2.0).at_most(0, 3) == 1.0  # a run of no bits: Poisson(0)
+    assert poisson(2.0).more_than(0, 3) == 0.0 and poisson(2.0).more_than(1, -1) == 1.0
 
 
 def test_poisson_sf_keeps_small_tails():
     # summed directly, not as 1 - cdf, which saturates at one ulp (2.2e-16)
     for mu, t in [(4.0, 40), (0.5, 20), (13.5, 80)]:
         series = sum(Fraction(mu) ** k / factorial(k) for k in range(t + 1, t + 200))
-        assert isclose(poisson_sf(mu, t), exp(-mu) * float(series), rel_tol=1e-12), (mu, t)
-    assert 1e-28 < poisson_sf(4.0, 40) < 1e-26
+        tail = poisson(mu).more_than(1, t)
+        assert isclose(tail, exp(-mu) * float(series), rel_tol=1e-12), (mu, t)
+    assert 1e-28 < poisson(4.0).more_than(1, 40) < 1e-26
 
 
 def test_poisson_limit_of_binomial():
@@ -113,15 +113,15 @@ def test_poisson_limit_of_binomial():
 def test_binom_cdf_monotone_in_n():
     mu = 13.5
     # below the mean: probability of staying under T grows with n
-    low = [binom_cdf(n, mu / n, 8) for n in (20, 40, 80, 160, 320)]
+    low = [ChannelModel("bdc", 1 - mu / n).at_most(n, 8) for n in (20, 40, 80, 160, 320)]
     assert all(a < b for a, b in zip(low, low[1:]))
     # above the mean: it shrinks with n
-    high = [binom_cdf(n, mu / n, 16) for n in (20, 40, 80, 160, 320)]
+    high = [ChannelModel("bdc", 1 - mu / n).at_most(n, 16) for n in (20, 40, 80, 160, 320)]
     assert all(a > b for a, b in zip(high, high[1:]))
 
 
 def test_poisson_tail_monotone_in_mean():
-    vals = [poisson_sf(mu, 12) for mu in (4.0, 4.5, 5.0, 5.5, 6.0)]
+    vals = [poisson(mu).more_than(1, 12) for mu in (4.0, 4.5, 5.0, 5.5, 6.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -195,8 +195,8 @@ def test_probs_prc():
     desk = transition_probs(half, 8, 27, 8, 13 / 25)
     assert desk == exact_at_means(half, 4.0, 13.5, 8, 13 / 25)
     assert desk.p10 == exp(-4.0) and desk.p20 == exp(-13.5)
-    assert isclose(desk.p12 + poisson_cdf(4.0, 8), 1.0, rel_tol=1e-12)
-    assert desk.p21 == poisson_cdf(13.5, 8)
+    assert isclose(desk.p12 + poisson(4.0).at_most(1, 8), 1.0, rel_tol=1e-12)
+    assert desk.p21 == poisson(13.5).at_most(1, 8)
     with pytest.raises(ValueError):
         transition_probs(ChannelModel("prc", 0.0), 8, 27, 8, 13 / 25)
 

@@ -190,6 +190,12 @@ def test_survivor_edge_laws():
         assert drawn.random() == stepped.random()
     table = _survivor_table(ChannelModel("bdc", 0.0), 7)
     assert table.draw(np.array([0, 2**64 - 1], np.uint64)).tolist() == [7, 7]
+    # the exact tails of a law of variance 0 are 0 and 1
+    assert ChannelModel("bdc", 0.0).at_most(7, 6) == 0.0
+    assert ChannelModel("bdc", 0.0).at_most(7, 7) == 1.0
+    for t in (0, 1, 5):
+        assert ChannelModel("prc", 0.5).at_most(0, t) == 1.0
+        assert ChannelModel("prc", 0.5).more_than(0, t) == 0.0
 
 
 def _chi_square_bound(df: int, z: float = 5.0) -> float:
@@ -243,10 +249,11 @@ def test_channel_model():
         ChannelModel("bdc", 1.0)
 
 
-@pytest.mark.parametrize("kind,parameter", [("bdc", 0.3), ("bdc", 0.99), ("prc", 0.5)])
+@pytest.mark.parametrize("kind,parameter", [("bdc", 0.3), ("bdc", 0.99), ("prc", 0.5),
+                                            ("bdc", 0.0), ("bdc", 1e-20)])
 def test_survivor_law_tails_complement(kind, parameter):
     channel = ChannelModel(kind, parameter)
-    for n in (6, 20, 541, 2280):
+    for n in (0, 6, 20, 541, 2280):
         for t in (-1, 0, 8, 12, 13):
             assert abs(channel.at_most(n, t) + channel.more_than(n, t) - 1.0) < 1e-12, (n, t)
 

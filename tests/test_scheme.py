@@ -136,6 +136,8 @@ def test_params_invariants():
         SchemeParams(ChannelModel("bdc", 0.3), 10.0, 13.5, 2.5, 8, inner, outer)
     with pytest.raises(ValueError):
         SchemeParams(ChannelModel("prc", 0.5), 0.1, 0.4, 2.5, 8, inner, outer)  # M2 <= lam
+    with pytest.raises(ValueError):  # N1 = N2 = 2 bits
+        SchemeParams(ChannelModel("prc", 3.0), 3.5, 5.5, 2.5, 4, inner, outer)
 
 
 def _single_codeword(s, symbol):
