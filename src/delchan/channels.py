@@ -208,7 +208,7 @@ class _SurvivorTable:
             shared.setflags(write=False)
 
     def draw(self, words: np.ndarray) -> np.ndarray:
-        z = self.guide[words >> _CELL_SHIFT]
+        z = self.guide[(words >> _CELL_SHIFT).view(np.int64)]  # signed indices gather faster
         hard = np.flatnonzero(z < 0)
         z[hard] = self.lo + np.searchsorted(self.thresholds, words[hard], "right")
         return z

@@ -4,8 +4,8 @@ Codewords are length-n symbol sequences whose pairwise symbol-level edit
 distance exceeds 2 * radius, radius = floor(delta_out * n), so a
 nearest-codeword decoder corrects any combination of up to radius symbol
 insertions and deletions. The construction is the inner code's greedy pass
-(strings.greedy) over seeded pseudorandom candidates; it is a stand-in with
-the same interface and distance guarantee as any stronger construction.
+(strings.greedy, a group of rows per LCS pass) over seeded pseudorandom
+candidates; a stand-in with any stronger construction's interface and bound.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .strings import first_close_pair, greedy, lane_masks, lcs_lanes, read_code_
 
 # Chunks of q**k candidates (candidates per message) drawn before giving up.
 _CANDIDATE_FACTOR = 200
+_MAX_STEPS = 1 << 32  # word steps of one chunk's pass (about 5 s on a 2-core x86 host)
 
 
 @dataclass(frozen=True)
@@ -147,11 +148,16 @@ def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
     2 * radius. Candidates come q**k at a time, each chunk run through
     strings.greedy behind the accepted codewords; as greedy keeps a row on
     the rows before it alone, this accepts what a one-by-one pass would.
-    Raises if _CANDIDATE_FACTOR chunks run out before q**k codewords are
-    found, reporting how many were achieved.
+    Raises if a chunk takes over _MAX_STEPS, and if _CANDIDATE_FACTOR chunks
+    run out before q**k codewords are found, reporting how many were achieved.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     needed = spec.num_messages
+    steps = needed * spec.n * (needed * -(-spec.n // 64) + spec.q)  # greedy and mask planes
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{needed} codewords of {spec.n} symbols take about {steps:.3g} word"
+                         f" steps a chunk ({needed * spec.n / 2**27:.3g} GiB of candidates), over"
+                         f" {_MAX_STEPS:.3g}; lower k or n")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     accepted = np.empty((0, spec.n), np.int64)
     for _ in range(_CANDIDATE_FACTOR):
         rows = np.concatenate([accepted, rng.integers(0, spec.q, size=(needed, spec.n))])

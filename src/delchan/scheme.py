@@ -466,10 +466,10 @@ def save_scheme(scheme: Scheme, path: str | Path, codebook_path: str, outer_path
 def load_scheme(path: str | Path) -> Scheme:
     base = Path(path).parent
     fields = read_fields(path, {**PARAM_KEYS, "seed": int, "codebook": str, "outercode": str})
-    params = params_from_fields(fields)
+    values = {key: fields[key] for key in PARAM_KEYS}  # a missing key already names the file
     inner_cb = InnerCodebook.load(base / fields["codebook"])
     outer = OuterCode.load(base / fields["outercode"])
-    try:  # the descriptor and the code files' headers must agree
-        return Scheme(params, inner_cb.truncate(params.outer.q), outer)
+    try:  # the descriptor's parameters, and their agreement with the code files' headers
+        return Scheme(params_from_fields(values), inner_cb.truncate(values["q"]), outer)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -1,8 +1,8 @@
 """Run-length utilities for binary strings and the constrained 1-/2-run family;
 LCS kernels on integer symbol arrays (a code is a (count, n) array of symbols
-in [0, q)), their match masks and the one greedy pass, which builds and
-validates both codes; and the one key=value reader behind scheme
-descriptors, experiment configs and the inner and outer code-file headers."""
+in [0, q)), their match masks and the one greedy pass, a group of rows per
+rows x lanes LCS pass, which builds and validates both codes; and the one
+key=value reader behind descriptors, configs and code-file headers."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 _WORD = (1 << 64) - 1
+_PAIRS = 1 << 12  # rows x lanes of one lcs_rows pass in greedy
 
 # A run is a (bit, length) pair; adjacent runs alternate bits, length >= 1.
 Run = tuple[int, int]
@@ -71,19 +72,25 @@ def lane_masks(rows: np.ndarray, q: int) -> np.ndarray:
     return packed.view("<u8")
 
 
-def lcs_lanes(a, masks: np.ndarray, n: int) -> np.ndarray:
-    """LCS length of the symbol sequence a with each length-n lane of masks
-    (built by lane_masks), in one pass over a; symbols outside [0, len(masks))
-    match nothing. As p is a subset of v, v - p is v ^ p, so only v + p carries
-    between words, and carries past bit n never reach a lower bit."""
-    words = masks.shape[2]
+def lcs_rows(rows: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
+    """The (R, lanes) LCS lengths of each row of the (R, m) symbol array rows
+    with each length-n lane of masks (built by lane_masks), in one pass over
+    the columns; symbols outside [0, len(masks)) match nothing, so they may
+    pad ragged rows. As p is a subset of v, v - p is v ^ p, so only v + p
+    carries between words, and carries past bit n never reach a lower bit."""
+    q, lanes, words = masks.shape
     full = np.fromiter((((1 << n) - 1 >> 64 * w) & _WORD for w in range(words)), np.uint64)
-    v = np.tile(full, (masks.shape[1], 1))
+    v = np.tile(full, (len(rows) * lanes, 1))  # row i's lane j at i * lanes + j
     p, s = np.empty_like(v), np.empty_like(v)
-    for sym in a:
-        if not 0 <= sym < len(masks):
-            continue
-        np.bitwise_and(masks[sym], v, out=p)
+    if len(rows) == 1:  # AND the plane of each symbol, no gather
+        planes = (masks[sym] for sym in rows[0].tolist() if 0 <= sym < q)
+    else:
+        outside = (rows < 0) | (rows >= q)
+        if outside.any():  # plane q, which matches nothing, for those symbols
+            masks, rows = np.concatenate([masks, 0 * masks[:1]]), np.where(outside, q, rows)
+        planes = (masks[column].reshape(p.shape) for column in rows.T)
+    for plane in planes:
+        np.bitwise_and(plane, v, out=p)
         np.add(v, p, out=s)
         if words > 1:  # ripple the carries of v + p up the words
             carry = s < v
@@ -92,20 +99,32 @@ def lcs_lanes(a, masks: np.ndarray, n: int) -> np.ndarray:
                 carry[:, w] |= carry[:, w - 1] & (s[:, w] == 0)
         v ^= p
         v |= s
-    return n - np.bitwise_count(v & full).sum(axis=1, dtype=np.int64)
+    return n - np.bitwise_count(v & full).sum(axis=1, dtype=np.int64).reshape(len(rows), lanes)
+
+
+def lcs_lanes(a, masks: np.ndarray, n: int) -> np.ndarray:
+    """lcs_rows of the one symbol sequence a."""
+    return lcs_rows(np.asarray(a, np.int64).reshape(1, -1), masks, n)[0]
 
 
 def greedy(rows: np.ndarray, q: int, threshold: int) -> np.ndarray:
     """The greedy pass over a (count, n) array of symbols in [0, q): a row is
     kept unless its LCS with a kept row reaches threshold. For each row, the
-    kept row that first dropped it, or the row itself if it was kept."""
+    kept row that first dropped it, or the row itself if it was kept. Each
+    lcs_rows pass takes the first g alive rows, g <= max(1, _PAIRS / alive),
+    doubled after a group kept whole, else 1: neighbours often drop each other."""
     masks, by, index = lane_masks(rows, q), np.arange(len(rows)), np.arange(len(rows))
+    grow = 1
     while index.size:
-        kept, index, masks = index[0], index[1:], masks[:, 1:]
-        close = lcs_lanes(rows[kept].tolist(), masks, rows.shape[1]) >= threshold
-        if close.any():  # compact only when rows drop
-            by[index[close]] = kept
-            index, masks = index[~close], masks[:, ~close]
+        g = max(1, min(index.size, grow, _PAIRS // index.size))
+        close = lcs_rows(rows[index[:g]], masks, rows.shape[1]) >= threshold
+        for i in range(g):  # row j is alive while by[j] == j
+            if by[index[i]] == index[i]:  # kept: it drops the later alive rows close to it
+                later = index[i + 1 :][close[i, i + 1 :]]
+                by[later[by[later] == later]] = index[i]
+        grow = 2 * grow if (by[index[:g]] == index[:g]).all() else 1
+        alive = ~close[by[index[:g]] == index[:g], g:].any(axis=0)  # no kept row is close
+        index, masks = index[g:][alive], np.compress(alive, masks[:, g:], axis=1)
     return by
 
 

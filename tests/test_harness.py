@@ -279,7 +279,7 @@ def test_load_scheme_refuses_non_finite_parameters(tmp_path, capsys, bdc_desk):
         path.write_text("".join(f"{key}=inf\n" if line.startswith(f"{key}=") else line + "\n"
                                 for line in lines))
         assert main(["encode", "--config", str(path), "1"]) == 2
-        assert capsys.readouterr().err == f"error: {key}=inf must be positive and finite\n"
+        assert capsys.readouterr().err == f"error: {path}: {key}=inf must be positive and finite\n"
 
 
 def test_cli_simulate_deterministic(tmp_path):

@@ -1,6 +1,7 @@
 """Outer code: greedy construction, distance guarantee, decoding."""
 
 import random
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import delchan.outer
 import delchan.strings
+from delchan.cli import main
 from delchan.outer import _CANDIDATE_FACTOR, OuterCode, OuterSpec, construct_outer
 from delchan.strings import sequence_lcs_len
 
@@ -125,6 +127,25 @@ def test_validate_rejects_malformed_row_before_building_masks(code, monkeypatch)
         bad = replace(code, codewords=code.codewords[:3] + (row,) + code.codewords[4:])
         with pytest.raises(ValueError, match=r"^codeword 3 malformed$"):
             bad.validate()
+
+
+@pytest.mark.parametrize("config, estimate", [
+    ("k=20\n", "1099511627776 codewords of 32 symbols take about 3.87e+25 word steps"
+                " a chunk (2.62e+05 GiB of candidates)"),
+    ("n=1000000\n", "256 codewords of 1000000 symbols take about 1.02e+15 word steps"
+                     " a chunk (1.91 GiB of candidates)"),
+    ("q=4\nn=64\nk=9\n", "262144 codewords of 64 symbols take about 4.4e+12 word steps"
+                          " a chunk (0.125 GiB of candidates)"),
+], ids=["k=20", "n=1000000", "q=4 n=64 k=9"])
+def test_construct_refuses_oversized_outer_code(tmp_path, capsys, config, estimate):
+    path = tmp_path / "big.cfg"
+    path.write_text(config)
+    start = time.perf_counter()
+    assert main(["construct", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert estimate in err and err.endswith("; lower k or n\n")
+    assert not (tmp_path / "out" / "outercode.txt").exists()
 
 
 def test_spec_validation():

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import delchan.strings
 from delchan.strings import (
+    _PAIRS,
     SProfile,
     bit_rows,
     bit_runs,
@@ -22,6 +24,7 @@ from delchan.strings import (
     in_S,
     lcs_lanes,
     lcs_len,
+    lcs_rows,
     lane_masks,
     runs_of,
     sequence_lcs_len,
@@ -102,6 +105,34 @@ def test_lcs_lanes_matches_scalar_oracles(case):
 
 
 @st.composite
+def row_cases(draw):
+    """0-3 lanes of n symbols in [0, q), with a lane of one symbol per 64-bit
+    word when there are lanes, and 0-3 ragged sequences that may hold
+    symbols outside [0, q), padded into rows with one such symbol."""
+    n = draw(st.sampled_from([63, 64, 65, 130]))
+    q = draw(st.integers(2, 4))
+    symbols = st.integers(0, q - 1)
+    lanes = draw(st.lists(st.lists(symbols, min_size=n, max_size=n), max_size=3))
+    if lanes and draw(st.booleans()):
+        blocks = draw(st.lists(symbols, min_size=3, max_size=3))
+        lanes.append([blocks[i // 64] for i in range(n)])
+    seqs = draw(st.lists(st.lists(st.integers(-1, q), max_size=n + 2), max_size=3))
+    pad = draw(st.sampled_from([-1, q, q + 5]))
+    width = max(map(len, seqs), default=draw(st.integers(0, 2)))
+    rows = np.array([seq + [pad] * (width - len(seq)) for seq in seqs], np.int64)
+    return n, q, lanes, seqs, rows.reshape(len(seqs), width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_cases())
+def test_lcs_rows_matches_scalar_oracle(case):
+    n, q, lanes, seqs, rows = case
+    got = lcs_rows(rows, int_lane_masks(lanes, q, n), n)
+    assert got.shape == (len(seqs), len(lanes))
+    assert got.tolist() == [[sequence_lcs_len(seq, lane) for lane in lanes] for seq in seqs]
+
+
+@st.composite
 def mask_cases(draw):
     """0-4 rows of n symbols in [0, q), around the 64-bit word boundaries,
     with alphabets of up to 300 symbols."""
@@ -151,6 +182,36 @@ def greedy_cases(draw):
 def test_greedy_matches_pairwise_loop(case):
     rows, q, threshold = case
     assert greedy(rows, q, threshold).tolist() == greedy_by_pairs(rows.tolist(), threshold)
+
+
+def test_greedy_groups_match_pairwise_loop(monkeypatch):
+    """300 far-apart rows: kept rows grow the groups, _PAIRS caps them, and
+    copies put a row and the row that drops it in one group."""
+    rows = np.random.default_rng(7).integers(0, 4, size=(300, 32))
+    for i in (15, 33, 150, 290):
+        rows[i + 1] = rows[i]
+    # rows 17 and 19 differ from row 15 in 6 and 3 symbols: both row 15 and
+    # row 17 are kept and close to row 19, and the first of them drops it
+    for i, changed in ((17, [2, 7, 12, 17, 22, 27]), (19, [2, 7, 12])):
+        rows[i] = rows[15]
+        rows[i, changed] = (rows[i, changed] + 2) % 4
+    groups = []
+
+    def spy(group, masks, n):
+        groups.append((group.copy(), masks.shape[1]))
+        return lcs_rows(group, masks, n)
+
+    monkeypatch.setattr(delchan.strings, "lcs_rows", spy)
+    by = greedy(rows, 4, 28).tolist()
+    assert by == greedy_by_pairs(rows.tolist(), 28)
+    assert by[15:20] == [15, 15, 17, 18, 15]
+    assert any({15, 17, 19} <= {j for j, row in enumerate(rows) if (row == group).all(1).any()}
+               for group, _ in groups)  # one pass settles rows 15, 17 and 19
+    sizes = [(len(group), lanes) for group, lanes in groups]
+    assert all(g == 1 or g * lanes <= _PAIRS for g, lanes in sizes)
+    assert any(1 < g == _PAIRS // lanes for g, lanes in sizes)  # the cap sets g
+    # a group that holds a row and its copy: the copy is dropped inside the group
+    assert any(len(np.unique(group, axis=0)) < len(group) for group, _ in groups)
 
 
 def test_bit_runs():
