@@ -50,6 +50,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     params = params_from_fields(fields)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
+    outer = construct_outer(params.outer, seed)  # its work cap first: it needs no inner code
     inner_cb = construct_inner(params.inner, force=args.force)
     if len(inner_cb) < params.outer.q:
         print(
@@ -58,7 +59,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    outer = construct_outer(params.outer, seed)
     scheme = Scheme(params, inner_cb.truncate(params.outer.q), outer)
     inner_cb.save(out_dir / "codebook.txt")
     outer.save(out_dir / "outercode.txt")

@@ -13,17 +13,14 @@ Decoding (decode_block: the (trials, runs) arrays of a block of receptions
 in one pass, returning the decoded messages only): drop vanished runs and
 add the few runs that then follow a run of their own bit into it, split on
 zero runs longer than the buffer threshold, and give each window its inner
-symbol (inner_symbols). A window of a codeword's run count that starts with
-a 1 is keyed by the bits `length > T` of its runs and looked up among the
-codewords' keys with one searchsorted; such lookups resolve 96.0% of the
-windows of desk-BDC end_to_end, 35.8% of desk-PRC end_to_end's and 36.6% of
-the classify windows of single codewords on the PRC. Every other window is
-thresholded to a string, in one pass over their runs, and decoded by the
-memoised inner code (a miss is one lane-packed pass, InnerCodebook.decode).
-Each row's symbols (however many) go to the outer decoder, which looks
-codewords up first. decode() and decode_with_trace() read a string into runs
-and decode it as a block of one through the same window finder and mapper;
-only decode_with_trace builds a DecodeTrace.
+symbol (inner_symbols) from one memo. It is keyed by a window's run pattern
+(`length > T` of each run, its run count and first bit), or by its
+thresholded string past _KEY_BITS runs, and starts with the codewords' keys;
+only a window whose key it lacks is thresholded to a string and decoded by
+InnerCodebook.decode. Each row's symbols (however many) go to the outer
+decoder, which looks codewords up first. decode() and decode_with_trace()
+read a string into runs and decode it as a block of one; only
+decode_with_trace builds a DecodeTrace.
 window_spans and threshold_decode are the string reference of its first steps.
 
 Classification is separate from decoding: classify() scores a block Layout
@@ -145,30 +142,20 @@ class Scheme:
                                 prof.r1 / prof.m)
 
     @cached_property
-    def blocks(self) -> np.ndarray:
-        """Each symbol's blown-up block (see blow_up), stacked: symbol s is blocks[s]."""
-        return np.stack([blow_up(c, self.N1, self.N2) for c in self.inner_cb.codewords])
-
-    @cached_property
     def run_table(self) -> np.ndarray:
         """The table lay_out gathers this scheme's layouts from (see run_table)."""
-        return run_table(self.blocks, self.B)
+        return run_table([blow_up(c, self.N1, self.N2) for c in self.inner_cb.codewords], self.B)
 
     @cached_property
-    def _memo(self) -> dict[str, int]:
-        """inner_decode's answers."""
-        return {}
-
-    @cached_property
-    def _codeword_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """The codewords' run-pattern keys, sorted, and the smallest symbol of
-        each: bit j of a key is set where run j is a 2-run. Codewords of more
-        than _KEY_BITS runs have no keys."""
-        orig = self.blocks[:, 1]
-        if orig.shape[1] > _KEY_BITS:
-            return np.zeros(0, np.uint64), np.zeros(0, np.int64)
-        keys = (orig == 2).astype(np.uint64) << np.arange(orig.shape[1], dtype=np.uint64)
-        return np.unique(keys.sum(axis=1), return_index=True)
+    def _memo(self) -> dict[int | str, int]:
+        """Each window key's inner symbol (see inner_symbols): every codeword's
+        key at its smallest symbol, then the windows decoded so far."""
+        orig = self.run_table[1, :, 1:]
+        keys = self.inner_cb.codewords
+        if orig.shape[1] <= _KEY_BITS:
+            keys = run_keys(orig.ravel() == 2, np.arange(0, orig.size, orig.shape[1]),
+                            orig.shape[1], 1).tolist()
+        return {key: symbol for symbol, key in reversed(list(enumerate(keys)))}
 
     def encode(self, message: int) -> str:
         return self.encode_with_layout(message).bits()
@@ -181,7 +168,7 @@ class Scheme:
         return lay_out(self.outer.table[messages], self.run_table)
 
     def decode(self, received: str) -> int:
-        return self.decode_with_trace(received)[0]
+        return self.decode_block(*(a[None] for a in bit_runs(received)))[0]
 
     def decode_with_trace(self, received: str) -> tuple[int, "DecodeTrace"]:
         bits, lengths, _, first, last = self._windows(*(a[None] for a in bit_runs(received)))
@@ -216,48 +203,39 @@ class Scheme:
     def inner_symbols(self, bits: np.ndarray, lengths: np.ndarray, first: np.ndarray,
                       last: np.ndarray) -> np.ndarray:
         """The inner symbol of each window [first[i], last[i]) of runs of
-        alternating bits, or -1 for an empty window. A window of a codeword's
-        run count that starts with a 1 thresholds to that codeword exactly
-        when its key, bit j set where its run j is longer than T, is the
-        codeword's; it is looked up among _codeword_keys. Every other nonempty
-        window is thresholded to a string and decoded by inner_decode, in
-        window order."""
+        alternating bits, or -1 for an empty window. A window of at most
+        _KEY_BITS runs is keyed by its run pattern (run_keys), a longer one by
+        its thresholded string, and each distinct key is looked up in the memo
+        once. Only the windows whose keys it lacks are thresholded, and
+        decoded by inner_cb.decode in window order; each decoded window joins
+        the memo while it holds fewer than _MEMO_CAP decoded windows."""
         symbols = np.full(first.size, -1, np.int64)
-        keys, key_symbols = self._codeword_keys
-        if keys.size:
-            width = self.blocks.shape[-1]  # a codeword's runs
-            exact = np.flatnonzero(last - first == width)
-            at = first[exact]
-            flags = np.packbits(lengths > self.params.T, bitorder="little")
-            flags = np.append(flags, np.zeros(8, np.uint8))
-            words = np.ndarray(flags.size - 7, "<u8", flags, strides=(1,))  # one at each byte
-            key = (words[at >> 3] >> (at & 7).astype(np.uint64)) & np.uint64((1 << width) - 1)
-            slot = np.searchsorted(keys, key).clip(max=keys.size - 1)
-            hit = (keys[slot] == key) & (bits[at] == 1)
-            symbols[exact] = np.where(hit, key_symbols[slot], -1)
-        other = np.flatnonzero((symbols < 0) & (last > first))
-        hi = last[other]
-        sizes = hi - first[other]
-        ends = np.cumsum(sizes)
-        runs = np.repeat(hi - ends, sizes)  # each run of those windows, in order
-        runs += np.arange(runs.size)
-        text, offsets = threshold_text(bits[runs], lengths[runs], self.params.T)
-        cuts = offsets[np.append(0, ends)].tolist()
-        windows = [text[a:b] for a, b in zip(cuts, cuts[1:])]
-        known = map(self._memo.get, windows)  # inner_decode only where the memo lacks one
-        symbols[other] = [self.inner_decode(w) if symbol is None else symbol
-                          for w, symbol in zip(windows, known)]
+        nonempty = np.flatnonzero(last > first)
+        at, size = first[nonempty], last[nonempty] - first[nonempty]
+        keys = run_keys(lengths > self.params.T, at, size.clip(max=_KEY_BITS), bits[at])
+        long = size > _KEY_BITS  # each is its own stand-in key: no run key has bit 62
+        keys[long] = nonempty[long] | 1 << 62
+        keys, inverse = np.unique(keys, return_inverse=True)
+        keys = keys.tolist()
+        found = list(map(self._memo.get, keys))
+        window = np.flatnonzero(np.array([symbol is None for symbol in found], bool)[inverse])
+        if window.size:  # else the memo knew every key
+            sizes = size[window]
+            ends = np.cumsum(sizes)
+            runs = np.repeat(last[nonempty[window]] - ends, sizes)  # each run of those windows
+            runs += np.arange(runs.size)
+            text, offsets = threshold_text(bits[runs], lengths[runs], self.params.T)
+            cuts = offsets[np.append(0, ends)].tolist()
+            cap = _MEMO_CAP + len(set(self.inner_cb.codewords))  # decoded windows + codewords
+            for i, a, b in zip(inverse[window].tolist(), cuts, cuts[1:]):
+                key = text[a:b] if keys[i] >> 62 == 1 else keys[i]
+                found[i] = self._memo.get(key)  # an earlier window's, or a longer window's string
+                if found[i] is None:
+                    found[i] = self.inner_cb.decode(text[a:b])
+                    if len(self._memo) < cap:
+                        self._memo[key] = found[i]
+        symbols[nonempty] = np.array(found, np.int64)[inverse]
         return symbols
-
-    def inner_decode(self, window: str) -> int:
-        """inner_cb.decode of a thresholded window, memoised (_MEMO_CAP windows
-        at most)."""
-        symbol = self._memo.get(window)
-        if symbol is None:
-            symbol = self.inner_cb.decode(window)
-            if len(self._memo) < _MEMO_CAP:
-                self._memo[window] = symbol
-        return symbol
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,7 +309,7 @@ def classify(scheme: Scheme, layout: Layout,
         raise ValueError("counts length does not match input length")
     orig, z = np.atleast_2d(layout.orig, counts)
     coded = orig[:1].any(axis=0)  # the runs of codewords, not buffers (none if no rows)
-    o = orig[:, coded].reshape(-1, scheme.blocks.shape[-1])  # one codeword per row
+    o = orig[:, coded].reshape(-1, p.inner.profile.r1 + p.inner.profile.r2)  # a codeword a row
     zc = z[:, coded].reshape(o.shape)
     after = np.append(o[:, 1:], np.full((len(o), 1), 2), axis=1)  # then a buffer or nothing
     cost = np.where(zc == 0, o + after, 1 + (zc > p.T) != o)
@@ -401,6 +379,18 @@ def segments(mask: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarra
     opens[1:] &= ~mask[:-1] | cut
     closes[:-1] &= ~mask[1:] | cut
     return np.flatnonzero(opens), np.flatnonzero(closes) + 1
+
+
+def run_keys(flags: np.ndarray, first: np.ndarray, size: np.ndarray, lead) -> np.ndarray:
+    """The run-pattern key of each window of size[i] runs (1 to _KEY_BITS)
+    from run first[i], whose first bit is lead[i]: bit j set where
+    flags[first[i] + j] (run j is a 2-run), bit size[i] set, and bit 63 set
+    where lead[i] is 1."""
+    packed = np.append(np.packbits(flags, bitorder="little"), np.zeros(8, np.uint8))
+    words = np.ndarray(packed.size - 7, "<u8", packed, strides=(1,))  # one at each byte
+    top = np.uint64(1) << np.asarray(size, np.uint64)
+    keys = (words[first >> 3] >> (first & 7).astype(np.uint64)) & (top - np.uint64(1))
+    return keys | top | np.asarray(lead, np.uint64) << np.uint64(63)
 
 
 def threshold_text(bits: np.ndarray, lengths: np.ndarray, T: int) -> tuple[str, np.ndarray]:

@@ -135,11 +135,6 @@ def first_close_pair(rows: np.ndarray, q: int, threshold: int) -> tuple[int, int
     return None if i is None else (i, by.index(i, i + 1))
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Insertion/deletion edit distance: |a| + |b| - 2*LCS(a, b)."""
-    return len(a) + len(b) - 2 * lcs_len(a, b)
-
-
 def in_S(s: str) -> bool:
     """Membership in S: binary, starts and ends with 1, runs of length 1 or 2 only."""
     return s[:1] == s[-1:] == "1" and set(s) <= {"0", "1"} and "000" not in s and "111" not in s

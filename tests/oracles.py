@@ -5,7 +5,16 @@ from itertools import combinations
 
 import numpy as np
 
-from delchan.strings import SProfile, bits_of, enumerate_S, in_S, lcs_len, sequence_lcs_len
+from delchan.scheme import _KEY_BITS
+from delchan.strings import (
+    SProfile,
+    bits_of,
+    enumerate_S,
+    in_S,
+    lcs_len,
+    runs_of,
+    sequence_lcs_len,
+)
 
 _WORD = (1 << 64) - 1
 
@@ -15,6 +24,22 @@ def scalar_inner_decode(codewords, window: str) -> int:
     LCS with the window, ties to the smallest index."""
     lcs = [lcs_len(c, window) for c in codewords]
     return lcs.index(max(lcs))
+
+
+def edit_distance(a: str, b: str) -> int:
+    """Insertion/deletion edit distance: |a| + |b| - 2*LCS(a, b)."""
+    return len(a) + len(b) - 2 * lcs_len(a, b)
+
+
+def window_key(window: str):
+    """Oracle for scheme.run_keys, from a thresholded window: its string if
+    it has more than _KEY_BITS runs; else bit j set where run j is a 2-run,
+    bit (number of runs) set, and bit 63 set if it starts with a 1."""
+    runs = [length for _, length in runs_of(window)]
+    if len(runs) > _KEY_BITS:
+        return window
+    pattern = sum(1 << j for j, length in enumerate(runs) if length == 2)
+    return pattern | 1 << len(runs) | int(window[0]) << 63
 
 
 def is_subsequence(sub: str, s: str) -> bool:

@@ -34,8 +34,8 @@ from delchan.inner import (
 )
 from delchan.outer import construct_outer
 from delchan.scheme import Scheme
-from delchan.strings import SProfile, edit_distance, enumerate_S
-from oracles import insertion_ball_bruteforce, is_subsequence
+from delchan.strings import SProfile, enumerate_S
+from oracles import edit_distance, insertion_ball_bruteforce, is_subsequence
 
 
 def _report(announce, number, label, failures, elapsed=None):

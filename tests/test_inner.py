@@ -17,8 +17,8 @@ from delchan.inner import (
     embed_all,
     inner_rate_formula,
 )
-from delchan.strings import SProfile, edit_distance, enumerate_S, lcs_len
-from oracles import insertion_ball_bruteforce, scalar_inner_decode
+from delchan.strings import SProfile, enumerate_S, lcs_len
+from oracles import edit_distance, insertion_ball_bruteforce, scalar_inner_decode
 
 
 M7 = InnerParams(SProfile(7, 3, 2), 2)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delchan.cli
 import delchan.outer
 import delchan.strings
 from delchan.cli import main
@@ -136,8 +137,15 @@ def test_validate_rejects_malformed_row_before_building_masks(code, monkeypatch)
                      " a chunk (1.91 GiB of candidates)"),
     ("q=4\nn=64\nk=9\n", "262144 codewords of 64 symbols take about 4.4e+12 word steps"
                           " a chunk (0.125 GiB of candidates)"),
-], ids=["k=20", "n=1000000", "q=4 n=64 k=9"])
-def test_construct_refuses_oversized_outer_code(tmp_path, capsys, config, estimate):
+    ("m=29\nr1=17\nr2=6\nk=20\n", "1099511627776 codewords of 32 symbols take about 3.87e+25"
+                                  " word steps a chunk (2.62e+05 GiB of candidates)"),
+], ids=["k=20", "n=1000000", "q=4 n=64 k=9", "m=29 k=20"])
+def test_construct_refuses_oversized_outer_code(tmp_path, capsys, monkeypatch, config, estimate):
+    # the outer code's cap is checked before any inner code is built
+    def no_inner_code(*args, **kwargs):
+        raise AssertionError("construct_inner called before the outer code's cap")
+
+    monkeypatch.setattr(delchan.cli, "construct_inner", no_inner_code)
     path = tmp_path / "big.cfg"
     path.write_text(config)
     start = time.perf_counter()

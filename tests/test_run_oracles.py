@@ -12,7 +12,8 @@ makes per block; and each row of a block layout against encode_with_layout.
 The outer codeword lookup is checked against the bare lcs_lanes argmin, the
 inner symbols looked up by run-pattern key against the scalar inner decode,
 merge_runs against the reduceat merge it replaced, and the inner-decode memo
-against its cap and against the windows the string path would put in it.
+against its cap, against the windows the string path would put in it and
+against a second decode of a block, which thresholds no run.
 """
 
 import random
@@ -35,6 +36,7 @@ from delchan.harness import (
     run_end_to_end,
     run_single_codeword,
 )
+from delchan import scheme as scheme_module
 from delchan.scheme import (
     _MEMO_CAP,
     DecodeTrace,
@@ -44,9 +46,11 @@ from delchan.scheme import (
     merge_runs,
     save_scheme,
     threshold_decode,
+    threshold_text,
     window_spans,
 )
 from delchan.strings import lcs_lanes, runs_of
+from oracles import window_key
 
 
 @pytest.fixture(scope="module")
@@ -205,9 +209,12 @@ def test_block_decodes_as_its_rows_alone(schemes, name):
 
 @pytest.mark.parametrize("name", ["bdc", "prc"])
 def test_memo_holds_the_string_paths_windows(schemes, name):
-    # codeword windows are looked up by key and never reach the memo; every
-    # other window reaches it in the order the string path meets it
+    # the memo starts with the codewords' keys, codeword windows find them
+    # there, and the key of every other window joins it in the order the
+    # string path meets the window
     s = replace(schemes[name])  # a fresh memo
+    assert s._memo == {window_key(c): s.inner_cb.codewords.index(c) for c in s.inner_cb.codewords}
+    codewords = len(s._memo)
     rng = RngStream(29, 0).generator()
     layout = s.encode_block(rng.integers(0, s.outer.spec.num_messages, 64))
     counts = s.params.channel.copy_counts(layout, rng)
@@ -217,9 +224,9 @@ def test_memo_holds_the_string_paths_windows(schemes, name):
         received = apply_copy_counts("".join(map(str, bits)), z)
         windows += [threshold_decode(received[a:b], s.params.T)
                     for a, b in window_spans(received, s.params.buffer_threshold)]
-    expected = list(dict.fromkeys(w for w in windows if w not in s.inner_cb.codewords))
+    expected = list(dict.fromkeys(window_key(w) for w in windows if w not in s.inner_cb.codewords))
     assert 0 < len(expected) < _MEMO_CAP
-    assert list(s._memo) == expected
+    assert list(s._memo)[codewords:] == expected
 
 
 def window_runs(s, spec):
@@ -230,7 +237,7 @@ def window_runs(s, spec):
     if kind == "free":
         return start, lengths
     T = s.params.T
-    orig = s.blocks[symbol % len(s.inner_cb), 1]
+    orig = s.run_table[1, symbol % len(s.inner_cb), 1:]
     ranges = [(1, T) if o == 1 else (T + 1, 2 * T + 3) for o in orig]
     picked = [lo + n % (hi - lo + 1) for (lo, hi), n in zip(ranges, lengths + [0] * len(orig))]
     if kind == "crossed" and lengths:  # move one run across the threshold
@@ -239,8 +246,24 @@ def window_runs(s, spec):
     return start, picked
 
 
+def window_arrays(windows):
+    """The run bits and lengths of windows given as (first bit, run lengths),
+    back to back, and [first, last) of each."""
+    bits = [(start + k) % 2 for start, lengths in windows for k in range(len(lengths))]
+    lengths = [n for _, window in windows for n in window]
+    sizes = np.array([len(window) for _, window in windows], np.int64)
+    last = np.cumsum(sizes)
+    return np.array(bits, np.uint8), np.array(lengths, np.int64), last - sizes, last
+
+
+def thresholded(windows, T):
+    """Each window of window_arrays as a string, thresholded."""
+    return [threshold_decode("".join(str((start + k) % 2) * n for k, n in enumerate(window)), T)
+            for start, window in windows]
+
+
 WINDOW = st.tuples(st.sampled_from(["codeword", "crossed", "free"]), st.integers(0, 3),
-                   st.integers(0, 1), st.lists(st.integers(1, 20), max_size=40))
+                   st.integers(0, 1), st.lists(st.integers(1, 20), max_size=70))
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,23 +272,19 @@ WINDOW = st.tuples(st.sampled_from(["codeword", "crossed", "free"]), st.integers
 @example(specs=[("codeword", 0, 0, [1]), ("codeword", 0, 1, [1])])
 @example(specs=[("free", 0, 1, [9] * 19), ("free", 0, 1, [1] * 26), ("codeword", 2, 1, [1]),
                 ("free", 0, 0, [])])
+@example(specs=[("free", 0, 1, [1, 9] * 28 + [9]), ("free", 0, 0, [9, 1] * 29),
+                ("free", 0, 1, [9] * 58), ("free", 0, 1, [1] * 57)])
 def test_inner_symbols_match_scalar_decode(bdc_desk, specs):
     # windows of the codewords' run count that start with a 0, windows whose
-    # thresholded string is longer than m, empty windows (symbol -1) and no
-    # windows at all included
+    # thresholded string is longer than m, windows of more runs than a run
+    # key covers, empty windows (symbol -1) and no windows at all included
     s = replace(bdc_desk)  # a fresh memo
     windows = [window_runs(s, spec) for spec in specs]
-    bits = [(start + k) % 2 for start, lengths in windows for k in range(len(lengths))]
-    lengths = [n for _, window in windows for n in window]
-    sizes = np.array([len(window) for _, window in windows], np.int64)
-    last = np.cumsum(sizes)
-    symbols = s.inner_symbols(np.array(bits, np.uint8), np.array(lengths, np.int64),
-                              last - sizes, last)
-    strings = [threshold_decode("".join(str((start + k) % 2) * n for k, n in enumerate(window)),
-                                s.params.T) for start, window in windows]
+    symbols = s.inner_symbols(*window_arrays(windows))
+    strings = thresholded(windows, s.params.T)
     assert symbols.tolist() == [s.inner_cb.decode(w) if w else -1 for w in strings]
-    # every window that thresholds to a codeword was resolved by its key
-    assert set(s._memo) == set(strings) - set(s.inner_cb.codewords) - {""}
+    # the memo holds a key for each codeword and each other window, no more
+    assert set(s._memo) == {window_key(w) for w in [*s.inner_cb.codewords, *strings] if w}
 
 
 def reduceat_merge_runs(bits, lengths, owner):
@@ -396,15 +415,44 @@ def test_outer_lookup_matches_lane_argmin(bdc_desk):
 
 
 def test_inner_memo_stops_at_its_cap(bdc_desk):
+    # distinct windows of 10 to 40 runs, each run 1 or T + 1 bits long, a
+    # few hundred to a call: past _MEMO_CAP decoded windows the memo stops
+    # growing, and the windows it drops still decode
     s = replace(bdc_desk)  # a fresh memo
+    codewords = len(s._memo)
     rnd = random.Random(3)
-    windows = list(dict.fromkeys("".join(rnd.choices("01", k=rnd.randint(20, 40)))
+    windows = list(dict.fromkeys((rnd.randint(0, 1), tuple(rnd.choices((1, s.params.T + 1),
+                                                                     k=rnd.randint(10, 40))))
                                  for _ in range(_MEMO_CAP + 300)))
     assert len(windows) > _MEMO_CAP
-    for w in windows:
-        assert s.inner_decode(w) == s.inner_cb.decode(w)
-        assert len(s._memo) <= _MEMO_CAP
-    assert len(s._memo) == _MEMO_CAP
+    for chunk in range(0, len(windows), 400):
+        block = windows[chunk:chunk + 400]
+        symbols = s.inner_symbols(*window_arrays(block))
+        assert symbols.tolist() == [s.inner_cb.decode(w) for w in thresholded(block, s.params.T)]
+        assert len(s._memo) <= codewords + _MEMO_CAP
+    assert len(s._memo) == codewords + _MEMO_CAP
+
+
+@pytest.mark.parametrize("name", ["bdc", "prc"])
+def test_second_decode_of_a_block_thresholds_no_run(schemes, name, monkeypatch):
+    # a warm memo answers every window of at most _KEY_BITS runs by its key;
+    # only a longer window (none in this block) is thresholded to a string
+    s = replace(schemes[name])  # a fresh memo
+    rng = RngStream(31, 0).generator()
+    layout = s.encode_block(rng.integers(0, s.outer.spec.num_messages, 16))
+    counts = s.params.channel.copy_counts(layout, rng)
+    runs = []
+
+    def counting_threshold_text(bits, lengths, T):
+        runs.append(bits.size)
+        return threshold_text(bits, lengths, T)
+
+    monkeypatch.setattr(scheme_module, "threshold_text", counting_threshold_text)
+    first = s.decode_block(layout.run_bits, counts)
+    assert sum(runs) > 0  # the first pass decodes windows the memo lacks
+    runs.clear()
+    assert s.decode_block(layout.run_bits, counts) == first
+    assert sum(runs) == 0
 
 
 def transmission(s, message, single, kind, seed):

@@ -26,6 +26,7 @@ from delchan.scheme import (
     window_spans,
 )
 from delchan.strings import SProfile, runs_of
+from oracles import window_key
 
 
 def test_snapped_rounding():
@@ -322,15 +323,16 @@ def test_scheme_serialization_roundtrip(tmp_path, bdc_scheme):
 def test_inner_decode_takes_first_of_duplicate_codewords(bdc_desk):
     c = bdc_desk.inner_cb.codewords
     s = replace(bdc_desk, inner_cb=replace(bdc_desk.inner_cb, codewords=(c[0], c[1], c[1], c[3])))
-    assert s.inner_decode(c[1]) == s.inner_cb.decode(c[1]) == 1
+    assert s._memo[window_key(c[1])] == s.inner_cb.decode(c[1]) == 1
     # the run-pattern key of the codeword's window gives the same symbol
     window = lay_out((2,), s.run_table).bits()
     assert s.decode_with_trace(window)[1].per_window_inner_symbols == [1]
 
 
 def test_codewords_of_too_many_runs_for_a_key_decode_as_strings(bdc_desk):
-    # 59 alternating runs, two of them 2-runs: no codeword has a key, and
-    # every window goes through the scalar inner decode
+    # 59 alternating runs, two of them 2-runs: no codeword has a run key, so
+    # the memo holds the codewords as strings, and every window's string
+    # finds its codeword there
     def codeword(i, j):
         return "".join(str(1 - k % 2) * (1 + (k in (i, j))) for k in range(59))
 
@@ -338,7 +340,7 @@ def test_codewords_of_too_many_runs_for_a_key_decode_as_strings(bdc_desk):
     codewords = sorted(codeword(i, j) for i, j in ((0, 58), (5, 50), (10, 40), (20, 30)))
     s = Scheme(replace(bdc_desk.params, inner=inner), InnerCodebook(inner, tuple(codewords)),
                bdc_desk.outer)
-    assert s._codeword_keys[0].size == 0
+    assert s._memo == {c: i for i, c in enumerate(codewords)}
     for message in (0, 77, 255):
         layout = s.encode_with_layout(message)
         assert s.decode_block(layout.run_bits[None], layout.lengths[None]) == [message]

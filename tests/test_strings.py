@@ -18,7 +18,6 @@ from delchan.strings import (
     bit_rows,
     bit_runs,
     bits_of,
-    edit_distance,
     enumerate_S,
     greedy,
     in_S,
@@ -29,7 +28,13 @@ from delchan.strings import (
     runs_of,
     sequence_lcs_len,
 )
-from oracles import enumerate_S_by_runs, greedy_by_pairs, is_subsequence, lane_masks_by_row
+from oracles import (
+    edit_distance,
+    enumerate_S_by_runs,
+    greedy_by_pairs,
+    is_subsequence,
+    lane_masks_by_row,
+)
 
 
 def lcs_dp(a, b):
