@@ -69,41 +69,28 @@ def transition_probs(
     )
 
 
-def probs_bdc_bounds(
-    M1: float,
-    M2: float,
-    T: int,
-    q: float,
-    beta1: float,
-    *,
-    p_eval: float | None = None,
+def uniform_bounds(
+    M1: float, M2: float, T: int, width: float, beta1: float, *, p_eval: float | None = None,
 ) -> ProbReport:
-    """Upper bounds valid uniformly over the regime {p : 1 - p <= q}.
+    """Upper bounds valid uniformly over the regime of every channel with at
+    most `width` expected survivors per bit: {p : 1 - p <= width} on the
+    deletion channel, {lambda' <= width} on the repeat channel.
 
-    The 1-run-to-2-run bound is the Poisson-limit tail at mean M1 + q, which
-    dominates the binomial tail for every p in the regime; it needs T >= M1 + q.
-    With p_eval given and N1 = ceil(M1/(1-p_eval)) <= T, the N1 bits of a
-    1-run can never leave more than T survivors, so that probability is 0.
+    The 1-run-to-2-run bound is the Poisson-limit tail at mean M1 + width,
+    which dominates the binomial tail for every p in the regime; it needs
+    T >= M1 + width. With a deletion probability p_eval given and
+    N1 = ceil(M1/(1-p_eval)) <= T, the N1 bits of a 1-run can never leave
+    more than T survivors, so that probability is 0.
 
     The other three probabilities are monotone in p, so with p_eval given
     they are evaluated exactly at the regime's worst p; without it the
     Poisson-limit bounds e^{-M1}, e^{-M2}*(tail), e^{-M2} are used, the
-    middle one requiring T <= M2 - 1.
+    middle one requiring T <= M2 - 1. A Poisson(M) tail is the survivor law
+    of one bit on a repeat channel of mean M, so the bounds read the one law
+    ChannelModel writes, and this module never branches on a channel's kind.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q = {q} outside (0, 1)")
-    return _uniform_bounds(M1, M2, T, q, beta1, p_eval)
-
-
-def _uniform_bounds(
-    M1: float, M2: float, T: int, width: float, beta1: float, p_eval: float | None = None,
-) -> ProbReport:
-    """Bounds uniform over every channel with at most `width` expected
-    survivors per bit (1 - p <= q, or lambda' <= lambda); see probs_bdc_bounds.
-    A Poisson(M) tail is the survivor law of one bit on a repeat channel of
-    mean M, so the bounds read the one law ChannelModel writes, and this
-    module never branches on a channel's kind.
-    """
+    if not width > 0.0:
+        raise ValueError(f"regime width {width} must be positive")
     worst = None if p_eval is None else ChannelModel("bdc", p_eval)
     if worst is not None and worst.run_length(M1) <= T:
         p12 = 0.0
@@ -119,19 +106,10 @@ def _uniform_bounds(
         p20 = exp(-M2)
     else:
         if 1.0 - p_eval > width + 1e-12:
-            raise ValueError("p_eval outside the regime {p : 1 - p <= q}")
+            raise ValueError(f"p_eval outside the regime {{p : 1 - p <= {width}}}")
         exact = transition_probs(worst, worst.run_length(M1), worst.run_length(M2), T, beta1)
         p10, p21, p20 = exact.p10, exact.p21, exact.p20
     return ProbReport(p12=p12, p10=p10, p21=p21, p20=p20, beta1=beta1)
-
-
-def probs_prc_bounds(M1: float, M2: float, T: int, lam: float, beta1: float) -> ProbReport:
-    """Upper bounds valid uniformly over the repeat-channel regime
-    {lam' <= lam}, with the same validity constraints as probs_bdc_bounds
-    without p_eval."""
-    if lam <= 0.0:
-        raise ValueError(f"repeat mean {lam} must be positive")
-    return _uniform_bounds(M1, M2, T, lam, beta1)
 
 
 def rate_mu(
@@ -178,7 +156,7 @@ class Preset:
     N2: int | None = None
     M1: float | None = None  # regimes specify targets
     M2: float | None = None
-    q: float | None = None  # regime width for the Poisson-limit bound
+    width: float | None = None  # regimes: largest mean survivors per bit (1 - p, lambda)
     p_eval: float | None = None  # regime worst case for monotone-exact bounds
 
     @property
@@ -187,12 +165,10 @@ class Preset:
         return ChannelModel("prc" if self.kind == "prc_regime" else "bdc", self.p_or_lam)
 
     def probs(self) -> ProbReport:
-        if self.kind == "bdc_row":
+        if self.width is None:
             return transition_probs(self.channel, self.N1, self.N2, self.T, self.beta1)
-        if self.kind == "bdc_regime":
-            return probs_bdc_bounds(self.M1, self.M2, self.T, self.q, self.beta1,
-                                    p_eval=self.p_eval)
-        return probs_prc_bounds(self.M1, self.M2, self.T, self.p_or_lam, self.beta1)
+        return uniform_bounds(self.M1, self.M2, self.T, self.width, self.beta1,
+                              p_eval=self.p_eval)
 
     def computed_R_in(self) -> float:
         return inner_rate_formula(self.beta1, self.delta_in)
@@ -248,22 +224,22 @@ def presets() -> list[Preset]:
     out.append(Preset(
         name="bdc_regime_high", kind="bdc_regime", p_or_lam=0.99, beta1=0.522,
         T=12, delta_in=0.01052, expected_R_in=0.5229,
-        M1=5.41, M2=22.8, q=0.1,
+        M1=5.41, M2=22.8, width=0.1,
     ))
     out.append(Preset(
         name="bdc_regime_mid", kind="bdc_regime", p_or_lam=0.9, beta1=0.530,
         T=13, delta_in=0.008013, expected_R_in=0.55224,
-        M1=5.59, M2=23.5, q=0.43, p_eval=0.9,
+        M1=5.59, M2=23.5, width=0.43, p_eval=0.9,
     ))
     out.append(Preset(
         name="bdc_regime_low", kind="bdc_regime", p_or_lam=0.57, beta1=0.530,
         T=13, delta_in=0.006147, expected_R_in=0.577475,
-        M1=5.59, M2=20.21, q=0.43, p_eval=0.57,
+        M1=5.59, M2=20.21, width=0.43, p_eval=0.57,
     ))
     out.append(Preset(
         name="prc_regime", kind="prc_regime", p_or_lam=0.5, beta1=0.532,
         T=13, delta_in=0.00954, expected_R_in=0.53186,
-        M1=5.49, M2=24.2,
+        M1=5.49, M2=24.2, width=0.5,
     ))
     return out
 
@@ -275,10 +251,6 @@ class PresetVerification:
     R_in: float
     rate: float
     failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def verify_preset(preset: Preset) -> PresetVerification:

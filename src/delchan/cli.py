@@ -32,7 +32,7 @@ from .scheme import (
     params_to_fields,
     save_scheme,
 )
-from .strings import read_fields
+from .strings import nonnegative, read_fields
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -45,13 +45,13 @@ def _write_out(text: str, out: str | None) -> None:
 def _cmd_construct(args: argparse.Namespace) -> int:
     fields = {**params_to_fields(desk_params("bdc")), "seed": DESK_SEED}
     if args.config:
-        fields.update(read_fields(args.config, {**PARAM_KEYS, "seed": int}))
+        fields.update(read_fields(args.config, {**PARAM_KEYS, "seed": nonnegative}))
     seed = args.seed if args.seed is not None else fields["seed"]
     params = params_from_fields(fields)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     outer = construct_outer(params.outer, seed)  # its work cap first: it needs no inner code
-    inner_cb = construct_inner(params.inner, force=args.force)
+    inner_cb = construct_inner(params.inner)
     if len(inner_cb) < params.outer.q:
         print(
             f"error: inner codebook has {len(inner_cb)} codewords,"
@@ -121,9 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build and serialize a scheme")
     p.add_argument("--config", help="key=value parameter file")
     p.add_argument("--out", help="output directory (default: current)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--force", action="store_true",
-                   help="override the candidate-set size guard")
+    p.add_argument("--seed", type=nonnegative)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("encode", help="encode a message with a built scheme")
@@ -141,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p.add_argument("--config", help="experiment config file")
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=nonnegative)
     p.add_argument("--out", help="report path (default: stdout)")
     p.set_defaults(fn=_cmd_simulate)
 

@@ -33,7 +33,7 @@ from .channels import apply_copy_counts  # noqa: F401  (the benchmark's tracer w
 from .inner import InnerParams, construct_inner
 from .outer import OuterSpec, construct_outer
 from .scheme import Scheme, SchemeParams, classify, lay_out, load_scheme
-from .strings import SProfile, read_fields
+from .strings import SProfile, nonnegative, read_fields
 
 
 @lru_cache(maxsize=None)
@@ -191,8 +191,9 @@ class ExperimentConfig:
 
 
 # Each key of an experiment config: its ExperimentConfig field and type.
-_CONFIG_KEYS = {"mode": ("mode", str), "trials": ("trials", int), "seed": ("master_seed", int),
-                "scheme": ("scheme_path", str), "desk": ("desk", str), "M_B": ("M_B", float)}
+_CONFIG_KEYS = {"mode": ("mode", str), "trials": ("trials", int),
+                "seed": ("master_seed", nonnegative), "scheme": ("scheme_path", str),
+                "desk": ("desk", str), "M_B": ("M_B", float)}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -248,7 +249,7 @@ def analyze_csv() -> tuple[str, int]:
     for preset in presets():
         v = verify_preset(preset)
         r = v.report
-        if not v.ok:
+        if v.failures:
             failures += 1
         paper_rate = preset.expected_rate
         rel = (

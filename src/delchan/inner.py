@@ -25,7 +25,7 @@ from .strings import (
     runs_of,
 )
 
-# Greedy construction refuses larger candidate sets unless forced.
+# Greedy construction refuses larger candidate sets, before enumerating them.
 MAX_CANDIDATES = 10**7
 
 
@@ -131,15 +131,12 @@ class InnerCodebook:
             raise ValueError("codewords too close: " + " ".join(self.codewords[k] for k in pair))
 
 
-def construct_inner(params: InnerParams, *, force: bool = False) -> InnerCodebook:
+def construct_inner(params: InnerParams) -> InnerCodebook:
     """Greedy construction: accept a candidate iff its LCS with every accepted
     codeword is < m - d (equivalently, pairwise edit distance > 2*d)."""
     profile = params.profile
-    if profile.count > MAX_CANDIDATES and not force:
-        raise ValueError(
-            f"candidate set size {profile.count} exceeds {MAX_CANDIDATES};"
-            " pass force=True to override"
-        )
+    if profile.count > MAX_CANDIDATES:
+        raise ValueError(f"candidate set size {profile.count} exceeds {MAX_CANDIDATES}")
     rows = bit_rows(enumerate_S(profile), params.m)  # the strings go once they are rows
     by = greedy(rows, 2, params.m - params.d)
     kept = rows[by == np.arange(by.size)] + 48  # the kept rows' characters

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .channels import floor_snapped
 from .strings import first_close_pair, greedy, lane_masks, lcs_lanes, read_code_file
 
 # Chunks of q**k candidates (candidates per message) drawn before giving up.
@@ -55,7 +56,7 @@ class OuterSpec:
     @property
     def radius(self) -> int:
         """Guaranteed correctable number of symbol edits."""
-        return int(self.delta_out * self.n)
+        return floor_snapped(self.delta_out * self.n)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .analysis import ProbReport, transition_probs
 from .channels import RUN_DTYPE, ChannelModel, floor_snapped
 from .inner import InnerCodebook, InnerParams
 from .outer import OuterCode, OuterSpec
-from .strings import SProfile, bit_runs, in_S, read_fields, runs_of
+from .strings import SProfile, bit_runs, in_S, nonnegative, read_fields, runs_of
 
 # Windows one scheme's inner-decode memo holds at most, to bound its memory.
 _MEMO_CAP = 1 << 12
@@ -455,7 +455,8 @@ def save_scheme(scheme: Scheme, path: str | Path, codebook_path: str, outer_path
 
 def load_scheme(path: str | Path) -> Scheme:
     base = Path(path).parent
-    fields = read_fields(path, {**PARAM_KEYS, "seed": int, "codebook": str, "outercode": str})
+    kinds = {**PARAM_KEYS, "seed": nonnegative, "codebook": str, "outercode": str}
+    fields = read_fields(path, kinds)
     values = {key: fields[key] for key in PARAM_KEYS}  # a missing key already names the file
     inner_cb = InnerCodebook.load(base / fields["codebook"])
     outer = OuterCode.load(base / fields["outercode"])

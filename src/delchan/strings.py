@@ -214,6 +214,14 @@ class Fields(dict):
         raise ValueError(f"{self.path}: missing key {key!r}")
 
 
+def nonnegative(text: str) -> int:
+    """An integer value that must not be negative, such as a seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
 def read_fields(path: str | Path, kinds: dict, pairs=None) -> Fields:
     """The key=value pairs of a file, each value converted by kinds[key].
 

@@ -11,10 +11,9 @@ import pytest
 from delchan.analysis import (
     ProbReport,
     presets,
-    probs_bdc_bounds,
-    probs_prc_bounds,
     rate_mu,
     transition_probs,
+    uniform_bounds,
     verify_preset,
 )
 from delchan.channels import ChannelModel, ceil_snapped
@@ -144,33 +143,42 @@ def test_probs_bdc_exact_examples():
 
 def test_probs_bdc_bounds_validity_guards():
     with pytest.raises(ValueError):
-        probs_bdc_bounds(5.41, 22.8, 4, 0.1, 0.522)  # T below M1 + q
+        uniform_bounds(5.41, 22.8, 4, 0.1, 0.522)  # T below M1 + width
     with pytest.raises(ValueError):
-        probs_bdc_bounds(5.41, 22.8, 22, 0.1, 0.522)  # T above M2 - 1
+        uniform_bounds(5.41, 22.8, 22, 0.1, 0.522)  # T above M2 - 1
     with pytest.raises(ValueError):
-        probs_bdc_bounds(5.41, 22.8, 12, 0.1, 0.522, p_eval=0.8)  # outside regime
-    with pytest.raises(ValueError, match="outside"):
-        probs_bdc_bounds(5.41, 22.8, 12, 1.5, 0.522)  # no deletion regime has 1 - p > 1
+        uniform_bounds(5.41, 22.8, 12, 0.1, 0.522, p_eval=0.8)  # outside regime
+    # a width over 1 is a valid regime: every repeat channel with lambda' <= 1.5
+    assert uniform_bounds(5.41, 22.8, 12, 1.5, 0.522) == ProbReport(
+        p12=poisson(5.41 + 1.5).more_than(1, 12), p10=exp(-5.41),
+        p21=poisson(22.8).at_most(1, 12), p20=exp(-22.8), beta1=0.522,
+    )
 
 
 def test_bounds_dominate_exact():
+    # deletion regimes {1 - p <= width} at their worst p, and repeat regimes
+    # {lambda' <= width} at any lambda' inside them
     rnd = random.Random(23)
     checked = 0
-    while checked < 200:
-        p = rnd.uniform(0.75, 0.95)
-        q = 1.0 - p
+    while checked < 400:
+        if checked % 2:
+            lam = rnd.uniform(0.05, 1.5)
+            channel, width = ChannelModel("prc", lam), rnd.uniform(lam, 1.5)
+        else:
+            p = rnd.uniform(0.75, 0.95)
+            channel, width = ChannelModel("bdc", p), 1.0 - p
         M1 = rnd.uniform(3.0, 6.0)
         M2 = rnd.uniform(18.0, 25.0)
-        lo = int(M1 + q) + 1
+        lo = int(M1 + width) + 1
         hi = int(M2 - 1)
         if lo > hi:
             continue
         T = rnd.randrange(lo, hi + 1)
-        exact = exact_at_means(ChannelModel("bdc", p), M1, M2, T, 0.52)
-        bound = probs_bdc_bounds(M1, M2, T, q, 0.52)
+        exact = exact_at_means(channel, M1, M2, T, 0.52)
+        bound = uniform_bounds(M1, M2, T, width, 0.52)
         for name in ("p12", "p10", "p21", "p20"):
             assert getattr(exact, name) <= getattr(bound, name) + 1e-12, (
-                f"{name} at p={p} M1={M1} M2={M2} T={T}"
+                f"{name} at {channel} width={width} M1={M1} M2={M2} T={T}"
             )
         checked += 1
 
@@ -179,18 +187,18 @@ def test_probs_prc():
     half = ChannelModel("prc", 0.5)
     assert isclose(exact_at_means(half, 2.0, 24.2, 13, 0.532).p10, exp(-2.0), rel_tol=1e-12)
     exact = exact_at_means(half, 5.49, 24.2, 13, 0.532)
-    bound = probs_prc_bounds(5.49, 24.2, 13, 0.5, 0.532)
+    bound = uniform_bounds(5.49, 24.2, 13, 0.5, 0.532)
     for lam in (0.1, 0.25, 0.5):
         e = exact_at_means(ChannelModel("prc", lam), 5.49, 24.2, 13, 0.532)
         for name in ("p12", "p10", "p21", "p20"):
             assert getattr(e, name) <= getattr(bound, name) + 1e-12
     assert exact.gamma <= bound.gamma + 1e-12
     # a repeat mean above 1 is a valid regime width
-    assert probs_prc_bounds(5.49, 24.2, 13, 1.5, 0.532).p21 == bound.p21
+    assert uniform_bounds(5.49, 24.2, 13, 1.5, 0.532).p21 == bound.p21
     with pytest.raises(ValueError):
         exact_at_means(ChannelModel("prc", -0.5), 5.49, 24.2, 13, 0.532)
     with pytest.raises(ValueError):
-        probs_prc_bounds(5.49, 24.2, 13, -0.5, 0.532)
+        uniform_bounds(5.49, 24.2, 13, -0.5, 0.532)
     # the desk PRC scheme's integer factors (N1 = 8, N2 = 27 at lambda = 0.5)
     desk = transition_probs(half, 8, 27, 8, 13 / 25)
     assert desk == exact_at_means(half, 4.0, 13.5, 8, 13 / 25)

@@ -56,10 +56,15 @@ def test_load_config_rejects_unknown_keys_and_bad_numbers(tmp_path, capsys):
          "key 'M_B': could not convert string to float: 'wide'"),
         ("construct", "M_b=0.5\nseeed=3\n", "unknown key 'M_b'"),
         ("construct", "seed=x\n", "key 'seed': invalid literal for int() with base 10: 'x'"),
+        ("simulate", "seed=-1\n", "key 'seed': -1 is negative"),
+        ("construct", "seed=-1\n", "key 'seed': -1 is negative"),
     ]:
         config.write_text(text)
         assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    for command in ("simulate", "construct"):
+        assert main([command, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert "argument --seed: invalid nonnegative value: '-1'" in capsys.readouterr().err
 
 
 def test_single_codeword_report(bdc_desk):
@@ -246,6 +251,15 @@ def test_default_construct_output_is_pinned(tmp_path, capsys):
         "codebook.txt": "d5dc217beb8fc54f0c0c721283032e7469bba3669c2e1756846c5cd94543c03d",
         "outercode.txt": "ec24694990146500c331ebd369a5492950c1f797bda6bd79b4b24c0db30c56bf",
     }
+
+
+def test_cli_construct_refuses_an_inner_codebook_smaller_than_q(tmp_path, capsys):
+    config = tmp_path / "q100.cfg"
+    config.write_text("q=100\nk=1\n")  # the desk profile has 77 codewords
+    assert main(["construct", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: inner codebook has 77 codewords, need 100\n"
+    assert not any((tmp_path / name).exists()
+                   for name in ("codebook.txt", "outercode.txt", "scheme.txt"))
 
 
 def test_cli_construct_refuses_runs_beyond_int32(tmp_path, capsys):

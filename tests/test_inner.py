@@ -39,7 +39,7 @@ def test_construct_refuses_too_many_candidates_before_enumerating(monkeypatch):
     monkeypatch.setattr(delchan.inner, "enumerate_S", no_enumeration)
     profile = SProfile(47, 15, 16)
     assert profile.count > MAX_CANDIDATES
-    with pytest.raises(ValueError, match="exceeds 10000000; pass force=True"):
+    with pytest.raises(ValueError, match="exceeds 10000000"):
         construct_inner(InnerParams(profile, 2))
 
 

@@ -160,6 +160,7 @@ def test_spec_validation():
     assert SPEC.num_messages == 256
     assert SPEC.radius == 4
     assert SPEC.rate == 0.125
+    assert OuterSpec(2, 100, 3, 0.29).radius == 29  # 0.29 * 100 is 28.999999999999996
     with pytest.raises(ValueError):
         OuterSpec(1, 32, 4, 0.125)
     with pytest.raises(ValueError):
