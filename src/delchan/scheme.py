@@ -15,12 +15,11 @@ add the few runs that then follow a run of their own bit into it, split on
 zero runs longer than the buffer threshold, and give each window its inner
 symbol (inner_symbols) from one memo. It is keyed by a window's run pattern
 (`length > T` of each run, its run count and first bit), or by its
-thresholded string past _KEY_BITS runs, and starts with the codewords' keys;
-only a window whose key it lacks is thresholded to a string and decoded by
-InnerCodebook.decode. Each row's symbols (however many) go to the outer
-decoder, which looks codewords up first. decode() and decode_with_trace()
-read a string into runs and decode it as a block of one; only
-decode_with_trace builds a DecodeTrace.
+thresholded string past _KEY_BITS runs; only a window whose key it lacks is
+thresholded to a string and decoded by InnerCodebook.decode. Each row's
+symbols (however many) go to the outer decoder, which looks codewords up
+first. decode() and decode_with_trace() read a string into runs and decode
+it as a block of one; only decode_with_trace builds a DecodeTrace.
 window_spans and threshold_decode are the string reference of its first steps.
 
 Classification is separate from decoding: classify() scores a block Layout
@@ -148,14 +147,9 @@ class Scheme:
 
     @cached_property
     def _memo(self) -> dict[int | str, int]:
-        """Each window key's inner symbol (see inner_symbols): every codeword's
-        key at its smallest symbol, then the windows decoded so far."""
-        orig = self.run_table[1, :, 1:]
-        keys = self.inner_cb.codewords
-        if orig.shape[1] <= _KEY_BITS:
-            keys = run_keys(orig.ravel() == 2, np.arange(0, orig.size, orig.shape[1]),
-                            orig.shape[1], 1).tolist()
-        return {key: symbol for symbol, key in reversed(list(enumerate(keys)))}
+        """Each window key's inner symbol (see inner_symbols), for the windows
+        decoded so far, in the order they were decoded."""
+        return {}
 
     def encode(self, message: int) -> str:
         return self.encode_with_layout(message).bits()
@@ -208,7 +202,7 @@ class Scheme:
         its thresholded string, and each distinct key is looked up in the memo
         once. Only the windows whose keys it lacks are thresholded, and
         decoded by inner_cb.decode in window order; each decoded window joins
-        the memo while it holds fewer than _MEMO_CAP decoded windows."""
+        the memo while it holds fewer than _MEMO_CAP windows."""
         symbols = np.full(first.size, -1, np.int64)
         nonempty = np.flatnonzero(last > first)
         at, size = first[nonempty], last[nonempty] - first[nonempty]
@@ -226,13 +220,12 @@ class Scheme:
             runs += np.arange(runs.size)
             text, offsets = threshold_text(bits[runs], lengths[runs], self.params.T)
             cuts = offsets[np.append(0, ends)].tolist()
-            cap = _MEMO_CAP + len(set(self.inner_cb.codewords))  # decoded windows + codewords
             for i, a, b in zip(inverse[window].tolist(), cuts, cuts[1:]):
                 key = text[a:b] if keys[i] >> 62 == 1 else keys[i]
                 found[i] = self._memo.get(key)  # an earlier window's, or a longer window's string
                 if found[i] is None:
                     found[i] = self.inner_cb.decode(text[a:b])
-                    if len(self._memo) < cap:
+                    if len(self._memo) < _MEMO_CAP:
                         self._memo[key] = found[i]
         symbols[nonempty] = np.array(found, np.int64)[inverse]
         return symbols

@@ -209,12 +209,10 @@ def test_block_decodes_as_its_rows_alone(schemes, name):
 
 @pytest.mark.parametrize("name", ["bdc", "prc"])
 def test_memo_holds_the_string_paths_windows(schemes, name):
-    # the memo starts with the codewords' keys, codeword windows find them
-    # there, and the key of every other window joins it in the order the
-    # string path meets the window
+    # a fresh memo is empty, and the key of each nonempty window joins it in
+    # the order the string path first meets the window
     s = replace(schemes[name])  # a fresh memo
-    assert s._memo == {window_key(c): s.inner_cb.codewords.index(c) for c in s.inner_cb.codewords}
-    codewords = len(s._memo)
+    assert s._memo == {}
     rng = RngStream(29, 0).generator()
     layout = s.encode_block(rng.integers(0, s.outer.spec.num_messages, 64))
     counts = s.params.channel.copy_counts(layout, rng)
@@ -224,9 +222,9 @@ def test_memo_holds_the_string_paths_windows(schemes, name):
         received = apply_copy_counts("".join(map(str, bits)), z)
         windows += [threshold_decode(received[a:b], s.params.T)
                     for a, b in window_spans(received, s.params.buffer_threshold)]
-    expected = list(dict.fromkeys(window_key(w) for w in windows if w not in s.inner_cb.codewords))
+    expected = list(dict.fromkeys(map(window_key, windows)))
     assert 0 < len(expected) < _MEMO_CAP
-    assert list(s._memo)[codewords:] == expected
+    assert list(s._memo) == expected
 
 
 def window_runs(s, spec):
@@ -283,8 +281,8 @@ def test_inner_symbols_match_scalar_decode(bdc_desk, specs):
     symbols = s.inner_symbols(*window_arrays(windows))
     strings = thresholded(windows, s.params.T)
     assert symbols.tolist() == [s.inner_cb.decode(w) if w else -1 for w in strings]
-    # the memo holds a key for each codeword and each other window, no more
-    assert set(s._memo) == {window_key(w) for w in [*s.inner_cb.codewords, *strings] if w}
+    # the memo holds the key of each nonempty window, no more
+    assert set(s._memo) == {window_key(w) for w in strings if w}
 
 
 def reduceat_merge_runs(bits, lengths, owner):
