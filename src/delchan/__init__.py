@@ -7,7 +7,7 @@ buffers. Submodules:
 
   strings  — run-length utilities, LCS/edit distance, the constrained family,
              the one key=value reader (descriptors, configs, code-file headers)
-  inner    — greedy inner codebook, inner rate formula, insertion/deletion balls
+  inner    — greedy inner codebook, inner rate formula
   outer    — q-ary outer code with symbol-level edit-distance decoding
   channels — seeded deletion and Poisson-repeat channels, each owning its
              survivor law: the draws (one 64-bit word per run, inverted

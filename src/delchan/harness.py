@@ -52,6 +52,9 @@ DESK_SEED = 2024
 # Trials drawn from one stream and decoded or classified together; a fixed
 # constant, since every report depends on it. Bounds a block's memory.
 _BLOCK_TRIALS = 256
+# Runs of one survivors draw in run_transition, to bound its memory; the
+# words drawn do not depend on it.
+_TRANSITION_CHUNK = 1 << 16
 
 
 def desk_params(kind: str, *, M_B: float = DESK_M_B) -> SchemeParams:
@@ -141,21 +144,30 @@ def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
 def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
     """Bulk-transmit bare blown-up runs; compare frequencies to exact values.
 
-    The survivors of all trials' N1-runs are one draw, and those of their
-    N2-runs another.
+    The survivors of all trials' N1-runs are drawn first, then those of their
+    N2-runs, each _TRANSITION_CHUNK runs at a time.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     T = scheme.params.T
     rng = RngStream(master_seed, 0).generator()
-    z1 = scheme.params.channel.survivors(scheme.N1, trials, rng)
-    z2 = scheme.params.channel.survivors(scheme.N2, trials, rng)
+
+    def tally(n: int) -> tuple[int, int]:
+        """Of trials runs of n bits: how many keep at most T survivors, and none."""
+        short = vanished = 0
+        for start in range(0, trials, _TRANSITION_CHUNK):
+            z = scheme.params.channel.survivors(n, min(_TRANSITION_CHUNK, trials - start), rng)
+            short += np.count_nonzero(z <= T)
+            vanished += np.count_nonzero(z == 0)
+        return short, vanished
+
+    (short1, vanished1), (short2, vanished2) = tally(scheme.N1), tally(scheme.N2)
     probs = scheme.probs
     empirical = {
-        "p12": np.count_nonzero(z1 > T) / trials,
-        "p10": np.count_nonzero(z1 == 0) / trials,
-        "p21": np.count_nonzero(z2 <= T) / trials,
-        "p20": np.count_nonzero(z2 == 0) / trials,
+        "p12": (trials - short1) / trials,
+        "p10": vanished1 / trials,
+        "p21": short2 / trials,
+        "p20": vanished2 / trials,
     }
     table = {}
     for name, freq in empirical.items():
@@ -202,7 +214,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for key in ("desk", "M_B"):
         if "scheme" in fields and key in fields:
             raise ValueError(f"{path}: {key} is ignored when scheme is given")
-    return ExperimentConfig(**{_CONFIG_KEYS[key][0]: value for key, value in fields.items()})
+    try:
+        return ExperimentConfig(**{_CONFIG_KEYS[key][0]: value for key, value in fields.items()})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

@@ -1,28 +1,23 @@
-"""Greedy inner codebook over the 1-/2-run family, with ball machinery. A
+"""Greedy inner codebook over the 1-/2-run family and its rate formula. A
 decode is one bit-parallel LCS pass over the window, each codeword a lane."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from math import comb, log2
+from math import log2
 from pathlib import Path
 
 import numpy as np
 
 from .strings import (
-    Run,
     SProfile,
     bit_rows,
-    bits_of,
     enumerate_S,
     first_close_pair,
     greedy,
-    in_S,
     lcs_len,  # noqa: F401  (the benchmark's tracer wraps it here)
     read_code_file,
-    runs_of,
 )
 
 # Greedy construction refuses larger candidate sets, before enumerating them.
@@ -109,11 +104,11 @@ class InnerCodebook:
 
     @classmethod
     def load(cls, path: str | Path) -> "InnerCodebook":
-        f, lines = read_code_file(path, ("m", "r1", "r2", "d", "count"))
-        if len(lines) != f["count"]:
-            raise ValueError(f"{path}: header says count={f['count']}, found {len(lines)} lines")
-        cb = cls(InnerParams(SProfile(f["m"], f["r1"], f["r2"]), f["d"]), tuple(lines))
+        (m, r1, r2, d, count), lines = read_code_file(path, ("m", "r1", "r2", "d", "count"))
         try:
+            if len(lines) != count:
+                raise ValueError(f"header says count={count}, found {len(lines)} lines")
+            cb = cls(InnerParams(SProfile(m, r1, r2), d), tuple(lines))
             cb.validate()
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -163,60 +158,3 @@ def inner_rate_formula(beta1: float, delta: float) -> float:
         - (delta + beta) * binary_entropy(delta / (delta + beta))
         - beta * binary_entropy(delta / beta)
     )
-
-
-def deletion_ball_bound(params: InnerParams) -> int:
-    """Upper bound on the number of in-family subsequences of length m - d:
-    C(r1 + r2 + d, d)."""
-    return comb(params.profile.num_runs + params.d, params.d)
-
-
-# Embedding operations on run lists. A 2-run can be split into three 1-runs by
-# flipping a middle copy; a 1-run can be doubled into a 2-run. The first 1-run
-# produced by a split is frozen: widening it would not correspond to a
-# lexicographically-first embedding, so it is excluded from the widening step.
-
-
-def embed_all(s_sub: str, target: SProfile) -> set[str]:
-    """All strings with the target profile that contain s_sub as a subsequence.
-
-    Generated constructively: split x of the 2-runs, append 1-runs on the
-    right to reach the target run count, then widen a selection of non-frozen
-    1-runs; ranges over every feasible x.
-    """
-    if not in_S(s_sub):
-        raise ValueError(f"{s_sub!r} is not in S")
-    if len(s_sub) > target.m:
-        raise ValueError("s_sub longer than target length")
-    d = target.m - len(s_sub)
-    base = runs_of(s_sub)
-    r2_positions = [i for i, (_, ln) in enumerate(base) if ln == 2]
-    out: set[str] = set()
-    for x in range(min(d, len(r2_positions)) + 1):
-        appended = target.num_runs - (len(base) + 2 * x)
-        widen = d - x - appended
-        if appended < 0 or widen < 0:
-            continue
-        for split_sel in combinations(r2_positions, x):
-            split_set = set(split_sel)
-            # (bit, length, frozen)
-            runs: list[tuple[int, int, bool]] = []
-            for i, (b, ln) in enumerate(base):
-                if i in split_set:
-                    runs.extend([(b, 1, True), (1 - b, 1, False), (b, 1, False)])
-                else:
-                    runs.append((b, ln, ln == 2))
-            last_bit = runs[-1][0]
-            for _ in range(appended):
-                last_bit = 1 - last_bit
-                runs.append((last_bit, 1, False))
-            widenable = [i for i, (_, ln, frozen) in enumerate(runs) if ln == 1 and not frozen]
-            if widen > len(widenable):
-                continue
-            for widen_sel in combinations(widenable, widen):
-                widen_set = set(widen_sel)
-                final: list[Run] = [
-                    (b, 2 if i in widen_set else ln) for i, (b, ln, _) in enumerate(runs)
-                ]
-                out.add(bits_of(final))
-    return out

@@ -42,6 +42,9 @@ class OuterSpec:
             raise ValueError("block length n must be at least 1")
         if self.k < 0:
             raise ValueError("message length k must be nonnegative")
+        # message ids are int64; q >= 2**(bit_length - 1) rules out a large k before q**k
+        if self.k * (self.q.bit_length() - 1) >= 63 or self.q**self.k >= 1 << 63:
+            raise ValueError(f"q**k messages must stay below 2**63, got q={self.q}, k={self.k}")
         if not 0.0 < self.delta_out < 1.0:
             raise ValueError("delta_out must lie in (0, 1)")
 
@@ -125,18 +128,17 @@ class OuterCode:
 
     @classmethod
     def load(cls, path: str | Path) -> "OuterCode":
-        f, lines = read_code_file(path, ("q", "n", "k", "dout_num", "dout_den", "seed"))
-        if f["dout_den"] == 0:
-            raise ValueError(f"{path}: dout_den must be nonzero")
-        spec = OuterSpec(f["q"], f["n"], f["k"], f["dout_num"] / f["dout_den"])
-        if len(lines) != spec.num_messages:
-            raise ValueError(f"{path}: header says q**k={spec.num_messages},"
-                             f" found {len(lines)} lines")
-        seed = f["seed"]  # a missing key already names the file
+        (q, n, k, num, den, seed), lines = read_code_file(
+            path, ("q", "n", "k", "dout_num", "dout_den", "seed"))
         try:
+            if den == 0:
+                raise ValueError("dout_den must be nonzero")
+            spec = OuterSpec(q, n, k, num / den)
+            if len(lines) != spec.num_messages:
+                raise ValueError(f"header says q**k={spec.num_messages}, found {len(lines)} lines")
             code = cls(spec, tuple(tuple(map(int, line.split())) for line in lines), seed)
             code.validate()
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # num / den may not fit a float
             raise ValueError(f"{path}: {exc}") from None
         return code
 

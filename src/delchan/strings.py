@@ -25,11 +25,6 @@ def runs_of(s: str) -> list[Run]:
     return [(int(c), len(list(group))) for c, group in groupby(s)]
 
 
-def bits_of(runs: list[Run]) -> str:
-    """Inverse of runs_of."""
-    return "".join(str(b) * ln for b, ln in runs)
-
-
 def sequence_lcs_len(a, b) -> int:
     """LCS length of two sequences of hashable symbols, via bit-parallel DP."""
     n = len(b)
@@ -248,11 +243,12 @@ def read_fields(path: str | Path, kinds: dict, pairs=None) -> Fields:
     return fields
 
 
-def read_code_file(path: str | Path, keys: tuple[str, ...]) -> tuple[Fields, list[str]]:
-    """The integer fields named by keys from a code file's header line
-    (key=value pairs after its two-word tag, e.g. "innercode v1"), and the
-    lines after it."""
+def read_code_file(path: str | Path, keys: tuple[str, ...]) -> tuple[list[int], list[str]]:
+    """The integer value of each of keys, in order, from a code file's header
+    line (key=value pairs after its two-word tag, e.g. "innercode v1"), and
+    the lines after it."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty code file")
-    return read_fields(path, dict.fromkeys(keys, int), lines[0].split()[2:]), lines[1:]
+    fields = read_fields(path, dict.fromkeys(keys, int), lines[0].split()[2:])
+    return [fields[key] for key in keys], lines[1:]

@@ -1,14 +1,17 @@
 """Slow reference implementations the package no longer runs, kept for the
-tests to compare its fast paths against."""
+tests to compare its fast paths against, and the insertion/deletion ball
+machinery (embed_all, deletion_ball_bound) that only the tests use."""
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
+from delchan.inner import InnerParams
 from delchan.scheme import _KEY_BITS
 from delchan.strings import (
+    Run,
     SProfile,
-    bits_of,
     enumerate_S,
     in_S,
     lcs_len,
@@ -17,6 +20,11 @@ from delchan.strings import (
 )
 
 _WORD = (1 << 64) - 1
+
+
+def bits_of(runs: list[Run]) -> str:
+    """Inverse of runs_of."""
+    return "".join(str(b) * ln for b, ln in runs)
 
 
 def scalar_inner_decode(codewords, window: str) -> int:
@@ -49,7 +57,7 @@ def is_subsequence(sub: str, s: str) -> bool:
 
 
 def insertion_ball_bruteforce(s_sub: str, target: SProfile) -> set[str]:
-    """Oracle for inner.embed_all: filter the full family by the subsequence test.
+    """Oracle for embed_all: filter the full family by the subsequence test.
 
     Desk-scale only; refuses target lengths above 15.
     """
@@ -93,4 +101,61 @@ def enumerate_S_by_runs(profile: SProfile) -> list[str]:
         runs = [(1 - (i % 2), 2 if i in twos else 1) for i in range(k)]
         out.append(bits_of(runs))
     out.sort()
+    return out
+
+
+def deletion_ball_bound(params: InnerParams) -> int:
+    """Upper bound on the number of in-family subsequences of length m - d:
+    C(r1 + r2 + d, d)."""
+    return comb(params.profile.num_runs + params.d, params.d)
+
+
+# Embedding operations on run lists. A 2-run can be split into three 1-runs by
+# flipping a middle copy; a 1-run can be doubled into a 2-run. The first 1-run
+# produced by a split is frozen: widening it would not correspond to a
+# lexicographically-first embedding, so it is excluded from the widening step.
+
+
+def embed_all(s_sub: str, target: SProfile) -> set[str]:
+    """All strings with the target profile that contain s_sub as a subsequence.
+
+    Generated constructively: split x of the 2-runs, append 1-runs on the
+    right to reach the target run count, then widen a selection of non-frozen
+    1-runs; ranges over every feasible x.
+    """
+    if not in_S(s_sub):
+        raise ValueError(f"{s_sub!r} is not in S")
+    if len(s_sub) > target.m:
+        raise ValueError("s_sub longer than target length")
+    d = target.m - len(s_sub)
+    base = runs_of(s_sub)
+    r2_positions = [i for i, (_, ln) in enumerate(base) if ln == 2]
+    out: set[str] = set()
+    for x in range(min(d, len(r2_positions)) + 1):
+        appended = target.num_runs - (len(base) + 2 * x)
+        widen = d - x - appended
+        if appended < 0 or widen < 0:
+            continue
+        for split_sel in combinations(r2_positions, x):
+            split_set = set(split_sel)
+            # (bit, length, frozen)
+            runs: list[tuple[int, int, bool]] = []
+            for i, (b, ln) in enumerate(base):
+                if i in split_set:
+                    runs.extend([(b, 1, True), (1 - b, 1, False), (b, 1, False)])
+                else:
+                    runs.append((b, ln, ln == 2))
+            last_bit = runs[-1][0]
+            for _ in range(appended):
+                last_bit = 1 - last_bit
+                runs.append((last_bit, 1, False))
+            widenable = [i for i, (_, ln, frozen) in enumerate(runs) if ln == 1 and not frozen]
+            if widen > len(widenable):
+                continue
+            for widen_sel in combinations(widenable, widen):
+                widen_set = set(widen_sel)
+                final: list[Run] = [
+                    (b, 2 if i in widen_set else ln) for i, (b, ln, _) in enumerate(runs)
+                ]
+                out.add(bits_of(final))
     return out

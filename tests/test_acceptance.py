@@ -26,16 +26,17 @@ from delchan.harness import (
     run_single_codeword,
     run_transition,
 )
-from delchan.inner import (
-    InnerParams,
-    construct_inner,
-    deletion_ball_bound,
-    embed_all,
-)
+from delchan.inner import InnerParams, construct_inner
 from delchan.outer import construct_outer
 from delchan.scheme import Scheme
 from delchan.strings import SProfile, enumerate_S
-from oracles import edit_distance, insertion_ball_bruteforce, is_subsequence
+from oracles import (
+    deletion_ball_bound,
+    edit_distance,
+    embed_all,
+    insertion_ball_bruteforce,
+    is_subsequence,
+)
 
 
 def _report(announce, number, label, failures, elapsed=None):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from dataclasses import replace
 from math import exp
 
@@ -11,6 +12,7 @@ import pytest
 from delchan import harness as harness_module
 from delchan import scheme as scheme_module
 from delchan.analysis import presets, transition_probs
+from delchan.channels import ChannelModel
 from delchan.cli import main
 from delchan.harness import (
     ExperimentConfig,
@@ -129,6 +131,26 @@ def test_reports_are_pinned(mode, desk, M_B, trials, digest):
     if M_B == 0.5:
         assert json.loads(text)["error_events"]["deleted_buffer"] > 0
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_transition_draws_survivors_in_bounded_chunks(monkeypatch):
+    # chunks of 7 runs draw the same words in the same order as one draw of
+    # every trial's runs, so both pinned transition reports keep their digests
+    sizes = []
+    survivors = ChannelModel.survivors
+
+    def counting_survivors(self, n, size, rng):
+        sizes.append(size)
+        return survivors(self, n, size, rng)
+
+    monkeypatch.setattr(harness_module, "_TRANSITION_CHUNK", 7)
+    monkeypatch.setattr(ChannelModel, "survivors", counting_survivors)
+    for mode, desk, M_B, trials, digest in PINNED_REPORTS:
+        if mode == "transition":
+            config = ExperimentConfig(mode=mode, trials=trials, master_seed=7, desk=desk, M_B=M_B)
+            text = report_json(run_experiment(config))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert max(sizes) == 7 and sum(sizes) == 2 * 2 * 2000
 
 
 def test_scheme_exact_probs_channels(bdc_desk, prc_desk):
@@ -355,6 +377,18 @@ def test_cli_error_exit_codes(tmp_path, capsys, bdc_desk):
          f"{non_binary!r} is not in S"),
         ("outercode.txt", "\n".join([*outer_lines[:2], outer_lines[1], *outer_lines[3:]]),
          "codewords 0 and 1 too close"),
+        ("outercode.txt", outer_text.replace(" q=4 ", " q=1 "),
+         "alphabet size q must be at least 2"),
+        ("outercode.txt", outer_text.replace("dout_num=1 ", "dout_num=9 "),
+         "delta_out must lie in (0, 1)"),
+        ("outercode.txt", outer_text.replace("dout_num=1 ", f"dout_num={10**400} "),
+         "integer division result too large for a float"),
+        ("outercode.txt", outer_text.replace(" k=4 ", " k=100000 "),
+         "q**k messages must stay below 2**63, got q=4, k=100000"),
+        ("outercode.txt", outer_text.replace(" k=4 ", f" k={10**18} "),
+         f"q**k messages must stay below 2**63, got q=4, k={10**18}"),
+        ("codebook.txt", "\n".join([header.replace("m=25", "m=26"), *codewords]),
+         "m=26 != r1 + 2*r2 = 25"),
         ("scheme.txt", descriptor.replace("\nd=2\n", "\nd=5\n"),
          "inner codebook does not match the declared parameters"),
         ("scheme.txt", descriptor.replace("\ndout=0.125\n", "\ndout=0.25\n"),
@@ -362,8 +396,18 @@ def test_cli_error_exit_codes(tmp_path, capsys, bdc_desk):
     ]:
         _saved_scheme(tmp_path, bdc_desk)
         (tmp_path / name).write_text(text)
+        start = time.perf_counter()
         assert main(["encode", "--config", scheme_path, "1"]) == 2, message
+        assert time.perf_counter() - start < 1.0, message
         assert f"error: {tmp_path / name}: {message}\n" in capsys.readouterr().err
+    # so do experiment configs that fail validation
+    config = tmp_path / "exp.cfg"
+    for text, message in [("mode=foo\n", "unknown mode 'foo'"),
+                          ("trials=0\n", "trials must be at least 1"),
+                          ("desk=xyz\n", "desk must be bdc or prc, got 'xyz'")]:
+        config.write_text(text)
+        assert main(["simulate", "--config", str(config)]) == 2, message
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
 
 def test_single_codeword_needs_two_trials(tmp_path, bdc_desk):
@@ -386,7 +430,7 @@ def test_simulate_rejects_an_unknown_desk(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text("mode=single_codeword\ntrials=5\ndesk=bcd\n")
     assert main(["simulate", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == "error: desk must be bdc or prc, got 'bcd'\n"
+    assert capsys.readouterr().err == f"error: {config}: desk must be bdc or prc, got 'bcd'\n"
 
 
 @pytest.mark.parametrize("key", ["desk=prc", "M_B=0.5"])

@@ -13,12 +13,16 @@ from delchan.inner import (
     InnerParams,
     binary_entropy,
     construct_inner,
-    deletion_ball_bound,
-    embed_all,
     inner_rate_formula,
 )
 from delchan.strings import SProfile, enumerate_S, lcs_len
-from oracles import edit_distance, insertion_ball_bruteforce, scalar_inner_decode
+from oracles import (
+    deletion_ball_bound,
+    edit_distance,
+    embed_all,
+    insertion_ball_bruteforce,
+    scalar_inner_decode,
+)
 
 
 M7 = InnerParams(SProfile(7, 3, 2), 2)

@@ -156,6 +156,29 @@ def test_construct_refuses_oversized_outer_code(tmp_path, capsys, monkeypatch, c
     assert not (tmp_path / "out" / "outercode.txt").exists()
 
 
+@pytest.mark.parametrize("k", [100000, 10**18])
+def test_construct_refuses_messages_past_int64(tmp_path, capsys, k):
+    # q**k is never computed for such a k: its refusal takes no time
+    path = tmp_path / "big.cfg"
+    path.write_text(f"k={k}\n")
+    start = time.perf_counter()
+    assert main(["construct", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: q**k messages must stay below 2**63, got q=4, k={k}\n")
+
+
+def test_spec_refuses_messages_past_int64():
+    # message ids are int64, so q**k stops below 2**63
+    assert OuterSpec(2, 64, 62, 0.1).num_messages == 2**62
+    assert OuterSpec(3, 64, 39, 0.1).num_messages < 2**63 < 3**40
+    assert OuterSpec(10**18, 8, 0, 0.1).num_messages == 1
+    for q, k in [(2, 63), (3, 40), (2**62, 2), (4, 32), (4, 10**18), (10**18, 10**18)]:
+        with pytest.raises(ValueError, match=rf"^q\*\*k messages must stay below 2\*\*63,"
+                                             rf" got q={q}, k={k}$"):
+            OuterSpec(q, 32, k, 0.125)
+
+
 def test_spec_validation():
     assert SPEC.num_messages == 256
     assert SPEC.radius == 4

@@ -17,7 +17,6 @@ from delchan.strings import (
     SProfile,
     bit_rows,
     bit_runs,
-    bits_of,
     enumerate_S,
     greedy,
     in_S,
@@ -29,6 +28,7 @@ from delchan.strings import (
     sequence_lcs_len,
 )
 from oracles import (
+    bits_of,
     edit_distance,
     enumerate_S_by_runs,
     greedy_by_pairs,
