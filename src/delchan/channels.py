@@ -21,7 +21,9 @@ to the median and as 1 - Pr[Z > k] above it, so both tails keep their
 relative accuracy; every value's probability is within 2**-63 of the pmf's,
 but for the one where the two sums meet, which also takes up the pmf's own
 rounding. The table spans only the values beyond which less than 2**-64 of
-the mass lies, so its width follows the standard deviation, not n.
+the mass lies, so its width follows the standard deviation, not n. The inverse
+is monotone, so count_at_most counts the runs of at most t survivors as the words
+below the threshold Pr[Z <= t], with no survivor drawn.
 """
 
 from __future__ import annotations
@@ -153,6 +155,15 @@ class ChannelModel:
         """Survivors of each of size runs of n bits, by inversion of the law's
         cached table (see _SurvivorTable): one 64-bit word of rng per run."""
         return _survivor_table(self, n).draw(rng.bit_generator.random_raw(size))
+
+    def count_at_most(self, n: int, ts, size: int, rng: np.random.Generator) -> list[int]:
+        """For each t of ts, how many of size runs of n bits keep at most t
+        survivors: the words of survivors(n, size, rng), each compared with
+        the table's threshold Pr[Z <= t] alone, with no survivor count built."""
+        table = _survivor_table(self, n)
+        words, edges = rng.bit_generator.random_raw(size), table.thresholds
+        return [0 if t < table.lo else size if t - table.lo >= edges.size
+                else int(np.count_nonzero(words < edges[t - table.lo])) for t in ts]
 
     def copy_counts(self, layout, rng: np.random.Generator) -> np.ndarray:
         """Survivors of each run of a scheme.Layout, drawn one class of runs

@@ -47,7 +47,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.config:
         fields.update(read_fields(args.config, {**PARAM_KEYS, "seed": nonnegative}))
     seed = args.seed if args.seed is not None else fields["seed"]
-    params = params_from_fields(fields)
+    try:  # the desk defaults are valid, so a fault lies in the config
+        params = params_from_fields(fields)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     outer = construct_outer(params.outer, seed)  # its work cap first: it needs no inner code

@@ -6,8 +6,8 @@ Three experiment modes:
     and per-run survivors (scheme.classify; nothing is decoded): error events
     and the per-codeword distortion statistic X;
   end_to_end — encode random messages, transmit, decode in blocks, count successes;
-  transition — transmit bare blown-up runs in bulk and compare empirical
-    run-transition frequencies against the exact formulas.
+  transition — count, from their words alone, how many of a bulk of bare blown-up
+    runs keep at most T survivors, and none; compare with the exact formulas.
 
 The first two draw each block of _BLOCK_TRIALS (the fixed 256) trials from
 one stream: its messages or symbols in one draw, then the survivors of its
@@ -52,8 +52,8 @@ DESK_SEED = 2024
 # Trials drawn from one stream and decoded or classified together; a fixed
 # constant, since every report depends on it. Bounds a block's memory.
 _BLOCK_TRIALS = 256
-# Runs of one survivors draw in run_transition, to bound its memory; the
-# words drawn do not depend on it.
+# Runs whose words one count_at_most call takes in run_transition, to bound
+# its memory; the words taken do not depend on it.
 _TRANSITION_CHUNK = 1 << 16
 
 
@@ -144,22 +144,20 @@ def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
 def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
     """Bulk-transmit bare blown-up runs; compare frequencies to exact values.
 
-    The survivors of all trials' N1-runs are drawn first, then those of their
-    N2-runs, each _TRANSITION_CHUNK runs at a time.
+    The words of all trials' N1-runs, then of their N2-runs, are compared with
+    the table's thresholds _TRANSITION_CHUNK runs at a time; no survivor count is built.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     T = scheme.params.T
     rng = RngStream(master_seed, 0).generator()
 
-    def tally(n: int) -> tuple[int, int]:
+    def tally(n: int) -> list[int]:
         """Of trials runs of n bits: how many keep at most T survivors, and none."""
-        short = vanished = 0
-        for start in range(0, trials, _TRANSITION_CHUNK):
-            z = scheme.params.channel.survivors(n, min(_TRANSITION_CHUNK, trials - start), rng)
-            short += np.count_nonzero(z <= T)
-            vanished += np.count_nonzero(z == 0)
-        return short, vanished
+        chunks = [scheme.params.channel.count_at_most(
+                      n, (T, 0), min(_TRANSITION_CHUNK, trials - start), rng)
+                  for start in range(0, trials, _TRANSITION_CHUNK)]
+        return [sum(counts) for counts in zip(*chunks)]
 
     (short1, vanished1), (short2, vanished2) = tally(scheme.N1), tally(scheme.N2)
     probs = scheme.probs
@@ -199,7 +197,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        desk_params(self.desk)  # rejects an unknown desk
+        desk_params(self.desk, M_B=self.M_B)  # rejects an unknown desk and a bad M_B
 
 
 # Each key of an experiment config: its ExperimentConfig field and type.

@@ -2,9 +2,12 @@
 
 import re
 from math import exp, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delchan.channels import ChannelModel, RngStream, _survivor_table, apply_copy_counts
 from delchan.scheme import blow_up, lay_out, run_table
@@ -196,6 +199,44 @@ def test_survivor_edge_laws():
     for t in (0, 1, 5):
         assert ChannelModel("prc", 0.5).at_most(0, t) == 1.0
         assert ChannelModel("prc", 0.5).more_than(0, t) == 0.0
+
+
+# Laws of variance 0 (p = 0, 1 - p rounding to 1, n = 0), narrow and wide ones.
+COUNT_LAWS = [("bdc", 0.0), ("bdc", 1e-20), ("bdc", 0.3), ("bdc", 0.99),
+              ("prc", 1e-6), ("prc", 0.5), ("prc", 13.5)]
+COUNT_NS = [0, 1, 6, 541, 2280]
+
+
+@settings(max_examples=150, deadline=None)
+@given(law=st.sampled_from(COUNT_LAWS), n=st.sampled_from(COUNT_NS),
+       size=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_count_at_most_matches_survivors(law, n, size, seed, data):
+    # the counts of the survivors drawn from a twin stream, for t from two
+    # below the table's first value to two past its last, negatives included;
+    # both calls leave their streams in the same state
+    channel = ChannelModel(*law)
+    table = _survivor_table(channel, n)
+    top = table.lo + table.thresholds.size
+    ts = data.draw(st.lists(st.integers(table.lo - 2, top + 2), max_size=5))
+    counted, drawn = RngStream(seed, n).generator(), RngStream(seed, n).generator()
+    z = channel.survivors(n, size, drawn)
+    assert channel.count_at_most(n, ts, size, counted) == [int((z <= t).sum()) for t in ts]
+    assert counted.bit_generator.state == drawn.bit_generator.state
+
+
+@pytest.mark.parametrize("law", COUNT_LAWS)
+def test_count_at_most_at_the_thresholds(law):
+    # words on, just below and just above every threshold, and the extreme
+    # words, are counted as the table draws them
+    channel = ChannelModel(*law)
+    for n in COUNT_NS:
+        table = _survivor_table(channel, n)
+        words = np.concatenate((table.thresholds, table.thresholds - 1, table.thresholds + 1,
+                                np.array([0, 2**64 - 1], np.uint64)))
+        fed = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda size: words))
+        ts = range(table.lo - 2, table.lo + table.thresholds.size + 3)
+        z = table.draw(words)
+        assert channel.count_at_most(n, ts, words.size, fed) == [int((z <= t).sum()) for t in ts]
 
 
 def _chi_square_bound(df: int, z: float = 5.0) -> float:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import replace
 from math import exp
@@ -133,24 +134,37 @@ def test_reports_are_pinned(mode, desk, M_B, trials, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_transition_draws_survivors_in_bounded_chunks(monkeypatch):
-    # chunks of 7 runs draw the same words in the same order as one draw of
-    # every trial's runs, so both pinned transition reports keep their digests
-    sizes = []
-    survivors = ChannelModel.survivors
-
-    def counting_survivors(self, n, size, rng):
-        sizes.append(size)
-        return survivors(self, n, size, rng)
-
-    monkeypatch.setattr(harness_module, "_TRANSITION_CHUNK", 7)
-    monkeypatch.setattr(ChannelModel, "survivors", counting_survivors)
+def _assert_transition_pins() -> None:
     for mode, desk, M_B, trials, digest in PINNED_REPORTS:
         if mode == "transition":
             config = ExperimentConfig(mode=mode, trials=trials, master_seed=7, desk=desk, M_B=M_B)
             text = report_json(run_experiment(config))
             assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_transition_draws_survivors_in_bounded_chunks(monkeypatch):
+    # chunks of 7 runs draw the same words in the same order as one draw of
+    # every trial's runs, so both pinned transition reports keep their digests
+    sizes = []
+    count_at_most = ChannelModel.count_at_most
+
+    def counting(self, n, ts, size, rng):
+        sizes.append(size)
+        return count_at_most(self, n, ts, size, rng)
+
+    monkeypatch.setattr(harness_module, "_TRANSITION_CHUNK", 7)
+    monkeypatch.setattr(ChannelModel, "count_at_most", counting)
+    _assert_transition_pins()
     assert max(sizes) == 7 and sum(sizes) == 2 * 2 * 2000
+
+
+def test_transition_counts_without_survivor_counts(monkeypatch):
+    # the runs' words are compared with the thresholds; no survivor count is built
+    def refuse(*args):
+        raise AssertionError("run_transition built survivor counts")
+
+    monkeypatch.setattr(ChannelModel, "survivors", refuse)
+    _assert_transition_pins()
 
 
 def test_scheme_exact_probs_channels(bdc_desk, prc_desk):
@@ -300,12 +314,19 @@ def test_cli_construct_refuses_runs_beyond_int32(tmp_path, capsys):
     ("construct", "channel=prc\nparam=inf\n", "repeat mean inf must be positive and finite"),
     ("construct", "param=nan\n", "deletion probability nan outside [0, 1)"),
     ("simulate", "mode=transition\nM_B=inf\n", "M_B=inf must be positive and finite"),
-], ids=["M2", "M_B", "M1", "prc-nan", "prc-inf", "bdc-nan", "simulate-M_B"])
+    ("simulate", "mode=transition\nM_B=nan\n", "M_B=nan must be positive and finite"),
+    ("simulate", "mode=transition\nM_B=-1\n", "M_B=-1.0 must be positive and finite"),
+], ids=["M2", "M_B", "M1", "prc-nan", "prc-inf", "bdc-nan", "simulate-M_B",
+        "simulate-M_B-nan", "simulate-M_B-negative"])
 def test_cli_refuses_non_finite_parameters(tmp_path, capsys, command, text, message):
+    # each config error names the file: a simulate config's M_B is checked at load
     config = tmp_path / "exp.cfg"
     config.write_text(text)
+    if command == "simulate":
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{config}: {message}')}$"):
+            load_config(config)
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
 
 def test_load_scheme_refuses_non_finite_parameters(tmp_path, capsys, bdc_desk):
@@ -408,6 +429,14 @@ def test_cli_error_exit_codes(tmp_path, capsys, bdc_desk):
         config.write_text(text)
         assert main(["simulate", "--config", str(config)]) == 2, message
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    # construct configs whose parameters fail validation, before any output exists
+    out = tmp_path / "built"
+    for text, message in [("M1=-1\n", "M1=-1.0 must be positive and finite"),
+                          ("k=100000\n", "q**k messages must stay below 2**63, got q=4, k=100000")]:
+        config.write_text(text)
+        assert main(["construct", "--config", str(config), "--out", str(out)]) == 2, message
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not out.exists()
 
 
 def test_single_codeword_needs_two_trials(tmp_path, bdc_desk):

@@ -165,7 +165,7 @@ def test_construct_refuses_messages_past_int64(tmp_path, capsys, k):
     assert main(["construct", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        f"error: q**k messages must stay below 2**63, got q=4, k={k}\n")
+        f"error: {path}: q**k messages must stay below 2**63, got q=4, k={k}\n")
 
 
 def test_spec_refuses_messages_past_int64():
