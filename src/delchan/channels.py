@@ -29,7 +29,7 @@ below the threshold Pr[Z <= t], with no survivor drawn.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
@@ -156,10 +156,10 @@ class ChannelModel:
         cached table (see _SurvivorTable): one 64-bit word of rng per run."""
         return _survivor_table(self, n).draw(rng.bit_generator.random_raw(size))
 
-    def count_at_most(self, n: int, ts, size: int, rng: np.random.Generator) -> list[int]:
+    def count_at_most(self, n: int, ts: Iterable[int], size: int,
+                      rng: np.random.Generator) -> list[int]:
         """For each t of ts, how many of size runs of n bits keep at most t
-        survivors: the words of survivors(n, size, rng), each compared with
-        the table's threshold Pr[Z <= t] alone, with no survivor count built."""
+        survivors: the words of survivors(n, size, rng) below the threshold Pr[Z <= t]."""
         table = _survivor_table(self, n)
         words, edges = rng.bit_generator.random_raw(size), table.thresholds
         return [0 if t < table.lo else size if t - table.lo >= edges.size
