@@ -1,19 +1,20 @@
-"""Run-length utilities for binary strings and the constrained 1-/2-run family;
-LCS kernels on integer symbol arrays (a code is a (count, n) array of symbols
-in [0, q)), their match masks and the one greedy pass, a group of rows per
-rows x lanes LCS pass, which builds and validates both codes; and the one
-key=value reader behind descriptors, configs and code-file headers."""
+"""Run-length utilities for binary strings and the constrained 1-/2-run
+family, enumerated as rows of bits in lexicographic order; LCS kernels on
+integer symbol arrays (a code is a (count, n) array of symbols in [0, q)),
+their match masks (a uint32 word a lane of up to 32 symbols, uint64 words
+above) and the one greedy pass, a group of rows per rows x lanes LCS pass,
+which builds and validates both codes; and the one key=value reader behind
+descriptors, configs and code-file headers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, groupby
+from itertools import groupby
 from math import comb
 from pathlib import Path
 
 import numpy as np
 
-_WORD = (1 << 64) - 1
 _PAIRS = 1 << 12  # rows x lanes of one lcs_rows pass in greedy
 
 # A run is a (bit, length) pair; adjacent runs alternate bits, length >= 1.
@@ -58,23 +59,26 @@ def bit_runs(s: str) -> tuple[np.ndarray, np.ndarray]:
 
 def lane_masks(rows: np.ndarray, q: int) -> np.ndarray:
     """Match masks for lcs_lanes of a (count, n) array of symbols in [0, q):
-    bit i of masks[s, j], bit i % 64 of its word i // 64, is set iff
-    rows[j, i] == s."""
+    bit i of masks[s, j] is set iff rows[j, i] == s. Lanes of n <= 32
+    symbols take one uint32 word, longer lanes uint64 words, bit i % 64 of
+    word i // 64."""
     count, n = rows.shape
-    packed = np.zeros((q, count, 8 * max(1, -(-n // 64))), np.uint8)
+    size = 4 if n <= 32 else 8 * -(-n // 64)  # bytes of one lane
+    packed = np.zeros((q, count, size), np.uint8)
     for s in range(q):
         packed[s, :, : -(-n // 8)] = np.packbits(rows == s, axis=1, bitorder="little")
-    return packed.view("<u8")
+    return packed.view("<u4" if n <= 32 else "<u8")
 
 
 def lcs_rows(rows: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
     """The (R, lanes) LCS lengths of each row of the (R, m) symbol array rows
     with each length-n lane of masks (built by lane_masks), in one pass over
-    the columns; symbols outside [0, len(masks)) match nothing, so they may
-    pad ragged rows. As p is a subset of v, v - p is v ^ p, so only v + p
-    carries between words, and carries past bit n never reach a lower bit."""
+    the columns, in the masks' word type; symbols outside [0, len(masks))
+    match nothing, so they may pad ragged rows. As p is a subset of v, v - p
+    is v ^ p, so only v + p carries between words, and carries past bit n
+    never reach a lower bit: n = 32 needs no guard bit in a uint32."""
     q, lanes, words = masks.shape
-    full = np.fromiter((((1 << n) - 1 >> 64 * w) & _WORD for w in range(words)), np.uint64)
+    full = np.fromiter((((1 << n) - 1 >> 64 * w) % 2**64 for w in range(words)), masks.dtype)
     v = np.tile(full, (len(rows) * lanes, 1))  # row i's lane j at i * lanes + j
     p, s = np.empty_like(v), np.empty_like(v)
     if len(rows) == 1:  # AND the plane of each symbol, no gather
@@ -173,28 +177,40 @@ class SProfile:
         return cls(len(s), r1, len(runs) - r1)
 
 
-def enumerate_S(profile: SProfile) -> list[str]:
-    """All strings with the given profile, in lexicographic order.
+def enumerate_S(profile: SProfile) -> np.ndarray:
+    """The bits of the strings with the given profile, in lexicographic
+    order, as the rows of one (count, m) uint8 array.
 
-    Strings start and end with 1 and alternate bits; a string is determined
-    by which of its runs have length 2. The family is built as one (count, m)
-    array of characters, sorted as fixed-width byte strings: character p of
-    a string is the bit of its run p - c, where c counts the 2-runs' second
-    characters up to p, so it is 1 where p - c is even.
+    A string alternates runs from a 1-run; where two first differ in a run,
+    length 1 sorts first for a 1-run and length 2 for a 0-run. So the rows
+    sharing their first j runs split by run j's first choice, then its
+    second, and all with t 2-runs in those runs end in one table of the
+    later runs, built last run first in the first such block and copied
+    into the others. Rows mark each 2-run's second character; character p
+    is the bit of run p - c, c the marks up to p: 1 where p - c is even.
     """
-    m, r2, count = profile.m, profile.r2, profile.count
-    twos = combinations(range(profile.num_runs), r2)  # the 2-runs of each string
-    twos = np.fromiter(chain.from_iterable(twos), np.min_scalar_type(m), count * r2)
-    rows = np.arange(count)
-    chars = np.zeros((count, m), np.uint8)
-    for j, column in enumerate(twos.reshape(count, r2).T):  # the j-th 2-run's second character
-        chars[rows, column + (j + 1)] = 1
-    np.bitwise_xor.accumulate(chars, axis=1, out=chars)  # c's parity
-    chars ^= (49 ^ np.arange(m) & 1).astype(np.uint8)
-    chars.view(f"S{m}").reshape(-1).sort()
-    text = str(chars.data, "ascii")
-    del twos, rows, chars  # only the text stays beside the strings
-    return [text[i : i + m] for i in range(0, len(text), m)]
+    m, k, r2 = profile.m, profile.num_runs, profile.r2
+    first: list[dict[int, int]] = [{0: 0}]  # first[j][t]: the first such block's first row
+    blocks = []  # (first row of its table, run's length - 1, rows, the table's first column)
+    for j in range(k):
+        first.append({})
+        for t, row in first[j].items():  # in the order of their rows
+            for two in (j & 1, 1 - (j & 1)):  # run j's first choice, then its second
+                a = r2 - t - two  # the 2-runs after run j
+                end = row + (comb(k - j - 1, a) if a >= 0 else 0)
+                if row < end:
+                    src = first[j + 1].setdefault(t + two, row)
+                    blocks.append((src, two, row, end, m - (k - j - 1) - a))
+                row = end
+    rows = np.zeros((profile.count, m), np.uint8)
+    for src, two, lo, hi, left in reversed(blocks):  # the later runs' tables first
+        if src != lo:
+            rows[lo:hi, left:] = rows[src : src + hi - lo, left:]
+        if two:
+            rows[lo:hi, left - 1] = 1
+    np.bitwise_xor.accumulate(rows, axis=1, out=rows)  # c's parity
+    rows ^= (1 ^ np.arange(m) & 1).astype(np.uint8)
+    return rows
 
 
 class Fields(dict):

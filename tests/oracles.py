@@ -12,7 +12,6 @@ from delchan.scheme import _KEY_BITS
 from delchan.strings import (
     Run,
     SProfile,
-    enumerate_S,
     in_S,
     lcs_len,
     runs_of,
@@ -65,7 +64,7 @@ def insertion_ball_bruteforce(s_sub: str, target: SProfile) -> set[str]:
         raise ValueError("brute-force insertion ball limited to m <= 15")
     if not in_S(s_sub):
         raise ValueError(f"{s_sub!r} is not in S")
-    return {s for s in enumerate_S(target) if is_subsequence(s_sub, s)}
+    return {s for s in enumerate_S_by_runs(target) if is_subsequence(s_sub, s)}
 
 
 def lane_masks_by_row(rows: np.ndarray, q: int) -> np.ndarray:
@@ -93,7 +92,7 @@ def greedy_by_pairs(rows, threshold: int) -> list[int]:
 
 
 def enumerate_S_by_runs(profile: SProfile) -> list[str]:
-    """Oracle for strings.enumerate_S: each string built from its run list."""
+    """Oracle for strings.enumerate_S, as strings: each built from its run list."""
     k = profile.num_runs
     out = []
     for two_positions in combinations(range(k), profile.r2):

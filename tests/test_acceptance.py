@@ -29,11 +29,12 @@ from delchan.harness import (
 from delchan.inner import InnerParams, construct_inner
 from delchan.outer import construct_outer
 from delchan.scheme import Scheme
-from delchan.strings import SProfile, enumerate_S
+from delchan.strings import SProfile
 from oracles import (
     deletion_ball_bound,
     edit_distance,
     embed_all,
+    enumerate_S_by_runs,
     insertion_ball_bruteforce,
     is_subsequence,
 )
@@ -139,7 +140,7 @@ def test_criterion_05_combinatorial_oracles(announce):
         for target in _valid_profiles(m):
             for d in range(0, min(3, m - 1) + 1):
                 for sub_prof in sub_profiles.get(m - d, []):
-                    for s_sub in enumerate_S(sub_prof):
+                    for s_sub in enumerate_S_by_runs(sub_prof):
                         ball = embed_all(s_sub, target)
                         oracle = insertion_ball_bruteforce(s_sub, target)
                         checked += 1
@@ -156,10 +157,10 @@ def test_criterion_05_combinatorial_oracles(announce):
         # deletion balls: subsequences of each family member that stay in
         # the family at each shorter length
         for prof in _valid_profiles(m):
-            members = enumerate_S(prof)
+            members = enumerate_S_by_runs(prof)
             for d in range(0, min(3, m - 1) + 1):
                 shorter = [
-                    t for p2 in _valid_profiles(m - d) for t in enumerate_S(p2)
+                    t for p2 in _valid_profiles(m - d) for t in enumerate_S_by_runs(p2)
                 ]
                 bound = deletion_ball_bound(InnerParams(prof, d))
                 for s in members:

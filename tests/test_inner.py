@@ -15,11 +15,12 @@ from delchan.inner import (
     construct_inner,
     inner_rate_formula,
 )
-from delchan.strings import SProfile, enumerate_S, lcs_len
+from delchan.strings import SProfile, lcs_len
 from oracles import (
     deletion_ball_bound,
     edit_distance,
     embed_all,
+    enumerate_S_by_runs,
     insertion_ball_bruteforce,
     scalar_inner_decode,
 )
@@ -58,7 +59,7 @@ def scalar_greedy(params):
     """The one-pair-at-a-time greedy loop the bit-parallel pass replaced."""
     threshold = params.m - params.d
     accepted = []
-    for s in enumerate_S(params.profile):
+    for s in enumerate_S_by_runs(params.profile):
         if all(lcs_len(s, c) < threshold for c in accepted):
             accepted.append(s)
     return tuple(accepted)
@@ -86,7 +87,7 @@ def test_validate_reports_first_close_pair(m25_codebook):
     kept = cb.codewords[:41]
     threshold = cb.params.m - cb.params.d
     # two strings that sort after codeword 40 and are too close to codeword 5 only
-    near = [s for s in enumerate_S(cb.params.profile)
+    near = [s for s in enumerate_S_by_runs(cb.params.profile)
             if s > kept[-1] and edit_distance(s, kept[5]) == 2
             and sum(lcs_len(s, c) >= threshold for c in kept) == 1][:2]
     assert len(near) == 2
@@ -105,11 +106,9 @@ def test_construct_m25(m25_codebook):
 def test_greedy_maximality(m25_codebook):
     # every family member is within distance of some accepted codeword,
     # otherwise the greedy pass would have accepted it (spot-check a slice)
-    from delchan.strings import enumerate_S
-
     cb = m25_codebook
     threshold = cb.params.m - cb.params.d
-    for s in enumerate_S(cb.params.profile)[::500]:
+    for s in enumerate_S_by_runs(cb.params.profile)[::500]:
         assert any(lcs_len(s, c) >= threshold for c in cb.codewords) or s in cb.codewords
 
 

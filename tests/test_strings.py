@@ -88,8 +88,8 @@ def int_lane_masks(lanes, q, n):
 @st.composite
 def lane_cases(draw):
     """Equal-length lanes over [0, q) and a sequence that may hold symbols
-    outside [0, q), around the 64-bit word boundaries."""
-    n = draw(st.sampled_from([1, 63, 64, 65, 128, 130]))
+    outside [0, q), around the 32- and 64-bit word boundaries."""
+    n = draw(st.sampled_from([1, 8, 31, 32, 33, 63, 64, 65, 128, 130]))
     q = draw(st.integers(2, 4))
     symbols = st.integers(0, q - 1)
     lanes = draw(st.lists(st.lists(symbols, min_size=n, max_size=n), min_size=1, max_size=4))
@@ -114,7 +114,7 @@ def row_cases(draw):
     """0-3 lanes of n symbols in [0, q), with a lane of one symbol per 64-bit
     word when there are lanes, and 0-3 ragged sequences that may hold
     symbols outside [0, q), padded into rows with one such symbol."""
-    n = draw(st.sampled_from([63, 64, 65, 130]))
+    n = draw(st.sampled_from([8, 31, 32, 33, 63, 64, 65, 130]))
     q = draw(st.integers(2, 4))
     symbols = st.integers(0, q - 1)
     lanes = draw(st.lists(st.lists(symbols, min_size=n, max_size=n), max_size=3))
@@ -139,9 +139,9 @@ def test_lcs_rows_matches_scalar_oracle(case):
 
 @st.composite
 def mask_cases(draw):
-    """0-4 rows of n symbols in [0, q), around the 64-bit word boundaries,
-    with alphabets of up to 300 symbols."""
-    n = draw(st.sampled_from([1, 63, 64, 65, 128, 130]))
+    """0-4 rows of n symbols in [0, q), around the 32- and 64-bit word
+    boundaries, with alphabets of up to 300 symbols."""
+    n = draw(st.sampled_from([1, 8, 31, 32, 33, 63, 64, 65, 128, 130]))
     q = draw(st.one_of(st.integers(2, 5), st.sampled_from([81, 100, 300])))
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), max_size=4))
     return np.array(rows, np.int64).reshape(len(rows), n), q
@@ -153,15 +153,31 @@ def test_lane_masks_match_row_by_row_oracle(case):
     rows, q = case
     got, expected = lane_masks(rows, q), lane_masks_by_row(rows, q)
     assert got.shape == expected.shape == (q, len(rows), -(-rows.shape[1] // 64))
-    assert got.dtype == expected.dtype
+    assert got.dtype == (np.uint32 if rows.shape[1] <= 32 else np.uint64)
     assert np.array_equal(got, expected)
 
 
 def test_lane_masks_of_the_desk_family():
-    family = enumerate_S(SProfile(25, 13, 6))
-    rows = bit_rows(family, 25)
-    assert rows.tolist() == [[int(c) for c in s] for s in family]
+    rows = enumerate_S(SProfile(25, 13, 6))
     assert np.array_equal(lane_masks(rows, 2), lane_masks_by_row(rows, 2))
+
+
+@pytest.mark.parametrize("n", [8, 31, 32, 33, 64, 65])
+def test_lcs_at_the_word_width_boundaries(n):
+    """Lanes of one uint32 word up to n = 32, uint64 words above; lanes of
+    one symbol carry into the top bit of the word, or across words."""
+    rnd = random.Random(n)
+    for q in (2, 3):
+        lanes = [[rnd.randrange(q) for _ in range(n)] for _ in range(6)] + [[0] * n, [q - 1] * n]
+        masks = int_lane_masks(lanes, q, n)
+        assert masks.dtype == (np.uint32 if n <= 32 else np.uint64)
+        seqs = [[rnd.randrange(q) for _ in range(rnd.randrange(2 * n + 3))] for _ in range(8)]
+        seqs += [[0] * (n + 1), lanes[0], []]
+        width = max(map(len, seqs))
+        rows = np.array([seq + [q] * (width - len(seq)) for seq in seqs], np.int64)
+        expected = [[sequence_lcs_len(seq, lane) for lane in lanes] for seq in seqs]
+        assert lcs_rows(rows, masks, n).tolist() == expected
+        assert [lcs_lanes(seq, masks, n).tolist() for seq in seqs] == expected
 
 
 @st.composite
@@ -228,7 +244,7 @@ def test_bit_runs():
             bit_runs(bad)
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 130])
+@pytest.mark.parametrize("n", [1, 8, 31, 32, 33, 63, 64, 65, 128, 130])
 def test_lcs_lanes_edge_cases(n):
     rnd = random.Random(n)
     lane = [rnd.randrange(2) for _ in range(n)]
@@ -311,32 +327,37 @@ def test_profile_of():
 
 def test_enumerate_S():
     prof = SProfile(7, 3, 2)
-    family = enumerate_S(prof)
-    assert len(family) == comb(5, 3) == 10
+    rows = enumerate_S(prof)
+    assert rows.dtype == np.uint8 and rows.shape == (comb(5, 3), 7) == (10, 7)
+    family = ["".join(map(str, row)) for row in rows.tolist()]
     assert family == sorted(family)
     assert len(set(family)) == len(family)
     for s in family:
         assert SProfile.of(s) == prof
     # smallest profile: the single alternating string
-    assert enumerate_S(SProfile(3, 3, 0)) == ["101"]
+    assert enumerate_S(SProfile(3, 3, 0)).tolist() == [[1, 0, 1]]
 
 
 def test_enumerate_S_matches_run_by_run_oracle():
     # every valid profile up to m = 15, and longer ones of 1-runs only and of 2-runs only
     profiles = [SProfile(m, m - 2 * r2, r2) for m in range(1, 16)
                 for r2 in range(m // 2 + 1) if (m - r2) % 2]
-    for profile in profiles + [SProfile(41, 41, 0), SProfile(42, 0, 21)]:
-        assert enumerate_S(profile) == enumerate_S_by_runs(profile), profile
+    # the desk family, and more than 64 runs: S(132, 130, 1) has 131
+    longer = [SProfile(41, 41, 0), SProfile(42, 0, 21), SProfile(25, 13, 6), SProfile(132, 130, 1)]
+    for profile in profiles + longer:
+        expected = bit_rows(enumerate_S_by_runs(profile), profile.m)
+        got = enumerate_S(profile)
+        assert got.dtype == np.uint8 and np.array_equal(got, expected), profile
 
 
 def test_enumerate_S_memory_is_about_its_result():
-    # one (count, m) byte array and the joined text on top of the list, no
-    # (count, runs) integer array: the peak stays within 1.5 times the list
+    # the rows are built in place: no strings, no (count, runs) integer
+    # array, so the peak stays within twice the (count, m) byte result
     tracemalloc.start()
     try:
-        family = enumerate_S(SProfile(25, 13, 6))
-        kept, peak = tracemalloc.get_traced_memory()
+        rows = enumerate_S(SProfile(25, 13, 6))
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(family) == 27_132
-    assert peak <= 1.5 * kept
+    assert rows.shape == (27_132, 25)
+    assert peak <= 2 * rows.nbytes
