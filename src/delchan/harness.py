@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import exp, sqrt
 from pathlib import Path
@@ -80,11 +81,12 @@ def desk_scheme(kind: str, *, M_B: float = DESK_M_B) -> Scheme:
 
 def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
     """Transmit isolated codewords; classify each block from its run arrays
-    (no decoding) and collect X and error-event statistics. Block b draws
-    its symbols, then its survivors, from RngStream(master_seed, b)."""
+    (no decoding) and collect X, as counts per value, and error-event
+    statistics. Block b draws its symbols, then its survivors, from
+    RngStream(master_seed, b)."""
     if trials < 2:
         raise ValueError("single_codeword needs at least 2 trials for a variance")
-    xs: list[int] = []
+    x_counts = np.zeros(0, np.int64)  # x_counts[v]: codewords of distortion v
     events: Counter[str] = Counter()
     buffers = 0
     for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):
@@ -93,18 +95,21 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
         runs = lay_out(symbols[:, None], scheme.run_table, edge_buffers=True)
         counts = scheme.params.channel.copy_counts(runs, rng)
         block_xs, block_events = classify(scheme, runs, counts)
-        xs += block_xs
+        hist = np.bincount(block_xs, minlength=x_counts.size)
+        hist[:x_counts.size] += x_counts
+        x_counts = hist
         events.update(block_events)  # keeps the keys of zero counts
         buffers += runs.buffers.size
-    x_arr = np.array(xs, dtype=np.float64)
-    x_var = float(x_arr.var(ddof=1))
+    # exact integer sums of X and X**2; the variance is rounded once, from a Fraction
+    s1, s2 = (sum(v**k * c for v, c in enumerate(x_counts.tolist())) for k in (1, 2))
+    x_var = float(Fraction(trials * s2 - s1 * s1, trials * (trials - 1)))
     probs = scheme.probs
     m = scheme.params.inner.m
     return {
         "mode": "single_codeword",
         "trials": trials,
         "master_seed": master_seed,
-        "x_mean": float(x_arr.mean()),
+        "x_mean": s1 / trials,
         "x_var": x_var,
         "x_stderr": sqrt(x_var) / sqrt(trials),
         "error_events": dict(events),

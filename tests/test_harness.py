@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import time
+import tracemalloc
 from dataclasses import replace
 from math import exp
 
@@ -111,7 +112,7 @@ PINNED_REPORTS = [
     ("end_to_end", "prc", 2.5, 600,
      "f6d0bce8f76d64a85ec7863721baf0c206cb2fe2c5a25450f01860f8a325711e"),
     ("single_codeword", "bdc", 2.5, 300,
-     "0e722f108fc0c9d5a07b38f3f8ad5838fa2f84ff89c49ca7deec310dd193c725"),
+     "65d8a91ac67a5f6f4ef2da8515e83aaaf37db7f832aa87ce03a715af48aaec42"),
     ("single_codeword", "prc", 2.5, 300,
      "6a3594b9088aff9f7afaf19189ff4ffd8ca1cf775464aebf5e431b9ba5e11aa7"),
     ("single_codeword", "prc", 2.5, 20000,  # 79 blocks; about 2,000 inner-memo misses
@@ -187,6 +188,21 @@ def test_scheme_probs_computed_once(bdc_desk, monkeypatch):
     second = run_transition(fresh, 100, 2)
     assert len(calls) == 1
     assert first["transitions"]["p21"]["exact"] == second["transitions"]["p21"]["exact"]
+
+
+def test_single_codeword_memory_does_not_grow_with_trials(prc_desk):
+    # X is kept as counts per value, not one entry a trial: on a memo that
+    # already holds every window of these trials, ten times the trials peak
+    # within 1.5 times the memory
+    scheme = replace(prc_desk)  # a memo of its own
+    run_single_codeword(scheme, 25_600, 5)
+    peaks = []
+    for trials in (2_560, 25_600):
+        tracemalloc.start()
+        run_single_codeword(scheme, trials, 5)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_single_codeword_lays_out_each_block_once(prc_desk, monkeypatch):

@@ -17,6 +17,7 @@ against a second decode of a block, which thresholds no run.
 """
 
 import random
+import statistics
 from collections import Counter
 from dataclasses import replace
 from math import exp, sqrt
@@ -561,16 +562,16 @@ def frozen_single_codeword_loop(scheme, trials, master_seed):
             xs.append(x)
             events.update(trial_events)
             buffers += len(layout.buffers)
-    x_arr = np.array(xs, dtype=np.float64)
+    x_var = float(statistics.variance(xs))  # exact on integers, rounded once
     probs = scheme.probs
     m = scheme.params.inner.m
     return {
         "mode": "single_codeword",
         "trials": trials,
         "master_seed": master_seed,
-        "x_mean": float(x_arr.mean()),
-        "x_var": float(x_arr.var(ddof=1)),
-        "x_stderr": float(x_arr.std(ddof=1) / sqrt(trials)),
+        "x_mean": float(statistics.mean(xs)),
+        "x_var": x_var,
+        "x_stderr": sqrt(x_var) / sqrt(trials),
         "error_events": dict(events),
         "buffers_transmitted": buffers,
         "deleted_buffer_frequency": events["deleted_buffer"] / buffers,
