@@ -11,19 +11,21 @@ so no module outside this one branches on the channel's kind.
 Randomness comes from named streams split off a single master seed, so every
 experiment is reproducible and streams are independent of call order.
 
-A draw takes one 64-bit word of the stream per run and inverts the law's
-CDF through a table built once per (channel, n) and cached: the word's top
-12 bits pick a cell of a guide table, which gives the value at once unless
-a step of the CDF falls inside the cell; those few words are resolved by a
-binary search of the 64-bit thresholds. Each threshold is Pr[Z <= k] summed
-exactly from the log-pmf and rounded to a multiple of 2**-64, from below up
-to the median and as 1 - Pr[Z > k] above it, so both tails keep their
-relative accuracy; every value's probability is within 2**-63 of the pmf's,
-but for the one where the two sums meet, which also takes up the pmf's own
-rounding. The table spans only the values beyond which less than 2**-64 of
-the mass lies, so its width follows the standard deviation, not n. The inverse
-is monotone, so count_at_most counts the runs of at most t survivors as the words
-below the threshold Pr[Z <= t], with no survivor drawn.
+A draw takes one 64-bit word of the stream per run, in run order, and
+inverts the law's CDF through a table built once per (channel, n) and
+cached: the word's top 12 bits pick a cell of a guide table, which gives the
+value at once unless a step of the CDF falls inside the cell; those few
+words are resolved by a binary search of the 64-bit thresholds. A block of
+runs of a few lengths takes its words in one call, with those laws' guides
+stacked. Each threshold is Pr[Z <= k] summed exactly from the log-pmf and
+rounded to a multiple of 2**-64, from below up to the median and as 1 -
+Pr[Z > k] above it, so both tails keep their relative accuracy; every
+value's probability is within 2**-63 of the pmf's, but for the one where the
+two sums meet, which also takes up the pmf's own rounding. The table spans
+only the values beyond which less than 2**-64 of the mass lies, so its width
+follows the standard deviation, not n. The inverse is monotone, so
+count_at_most counts the runs of at most t survivors as the words below the
+threshold Pr[Z <= t], with no survivor drawn.
 """
 
 from __future__ import annotations
@@ -152,9 +154,8 @@ class ChannelModel:
         return self.parameter**n if self.kind == "bdc" else exp(-self.parameter * n)
 
     def survivors(self, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Survivors of each of size runs of n bits, by inversion of the law's
-        cached table (see _SurvivorTable): one 64-bit word of rng per run."""
-        return _survivor_table(self, n).draw(rng.bit_generator.random_raw(size))
+        """Survivors of each of size runs of n bits, one word per run."""
+        return self._draw((n,), np.zeros(size, np.int8), rng)
 
     def count_at_most(self, n: int, ts: Iterable[int], size: int,
                       rng: np.random.Generator) -> list[int]:
@@ -166,27 +167,33 @@ class ChannelModel:
                 else int(np.count_nonzero(words < edges[t - table.lo])) for t in ts]
 
     def copy_counts(self, layout, rng: np.random.Generator) -> np.ndarray:
-        """Survivors of each run of a scheme.Layout, drawn one class of runs
-        at a time: buffers, 1-runs, 2-runs. A block of layouts takes three
-        draws in all, each over its rows in order."""
-        return self._draw(layout.lengths, layout.runs_by_orig, rng)
+        """Survivors of each run of a scheme.Layout, one word per run, in run
+        order (row by row over a block), each of its class's run length."""
+        return self._draw(layout.run_lengths, layout.orig, rng)
 
     def transmit(self, bits: str, rng: np.random.Generator) -> str:
-        """The received string: survivors drawn per distinct run length of
-        the binary string bits, shortest first."""
+        """The received string: survivors of the runs of the binary string
+        bits, one word per run, in run order, the distinct lengths as classes."""
         bits, lengths = bit_runs(bits)
-        groups = [np.flatnonzero(lengths == n) for n in np.unique(lengths)]
-        return apply_copy_counts((bits + 48).tobytes().decode(), self._draw(lengths, groups, rng))
+        distinct, classes = np.unique(lengths, return_inverse=True)
+        counts = self._draw(distinct.tolist(), classes, rng)
+        return apply_copy_counts((bits + 48).tobytes().decode(), counts)
 
-    def _draw(self, lengths: np.ndarray, groups, rng: np.random.Generator) -> np.ndarray:
-        """Survivors of runs of lengths.flat[i] bits, one draw per group of
-        flat run indices in turn; the runs of a group share one length."""
-        counts = np.empty(lengths.shape, RUN_DTYPE)
-        flat = counts.reshape(-1)  # a view: scattering through it is faster than through .flat
-        for runs in groups:
-            if runs.size:
-                flat[runs] = self.survivors(int(lengths.flat[runs[0]]), runs.size, rng)
-        return counts
+    def _draw(self, lengths, classes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Survivors of runs of lengths[classes.flat[i]] bits, run i from word
+        i of one call: its cell class << _GUIDE_BITS | word >> _CELL_SHIFT of
+        the laws' guides stacked, or a search of its own law's thresholds."""
+        tables = [_survivor_table(self, n) for n in lengths]  # a refused law draws nothing
+        flat = classes.reshape(-1)
+        words = rng.bit_generator.random_raw(flat.size)
+        cells = (words >> _CELL_SHIFT).view(np.int64)  # signed indices gather faster
+        np.bitwise_or(cells, np.left_shift(flat, _GUIDE_BITS, dtype=np.int32), out=cells)
+        z = np.array([table.guide for table in tables], RUN_DTYPE).take(cells)
+        hard = np.flatnonzero(z < 0)
+        for c, table in enumerate(tables):
+            at = hard[flat[hard] == c]
+            z[at] = table.lo + np.searchsorted(table.thresholds, words[at], "right")
+        return z.reshape(classes.shape)
 
     def _law(self, n: int) -> tuple[Callable[[int], float], int, float, int | None]:
         """The survivor law of a run of n bits, Bin(n, 1 - p) or
@@ -217,13 +224,6 @@ class _SurvivorTable:
     def __post_init__(self) -> None:
         for shared in (self.thresholds, self.guide):  # every caller gets the cached table
             shared.setflags(write=False)
-
-    def draw(self, words: np.ndarray) -> np.ndarray:
-        z = self.guide[(words >> _CELL_SHIFT).view(np.int64)]  # signed indices gather faster
-        hard = np.flatnonzero(z < 0)
-        z[hard] = self.lo + np.searchsorted(self.thresholds, words[hard], "right")
-        return z
-
 
 @lru_cache(maxsize=_TABLES_KEPT)
 def _survivor_table(channel: ChannelModel, n: int) -> _SurvivorTable:

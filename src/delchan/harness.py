@@ -10,10 +10,10 @@ Three experiment modes:
     runs keep at most T survivors, and none; compare with the exact formulas.
 
 The first two draw each block of _BLOCK_TRIALS (the fixed 256) trials from
-one stream: its messages or symbols in one draw, then the survivors of its
-buffers, 1-runs and 2-runs in three. So a report depends on (seed, trials)
-only: reports are plain dicts serialized as sorted JSON, and identical configs
-and seeds produce byte-identical files. Wall-clock time is printed, never stored.
+one stream: its messages or symbols, then its runs' survivors, one word per
+run in run order. So a report depends on (seed, trials) only: reports are
+plain dicts serialized as sorted JSON, and identical configs and seeds
+produce byte-identical files. Wall-clock time is printed, never stored.
 """
 
 from __future__ import annotations
@@ -81,12 +81,12 @@ def desk_scheme(kind: str, *, M_B: float = DESK_M_B) -> Scheme:
 
 def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
     """Transmit isolated codewords; classify each block from its run arrays
-    (no decoding) and collect X, as counts per value, and error-event
-    statistics. Block b draws its symbols, then its survivors, from
-    RngStream(master_seed, b)."""
+    (no decoding); count X per value, and the error events. Block b draws
+    its symbols, then its survivors, from RngStream(master_seed, b)."""
     if trials < 2:
         raise ValueError("single_codeword needs at least 2 trials for a variance")
-    x_counts = np.zeros(0, np.int64)  # x_counts[v]: codewords of distortion v
+    # x_counts[v]: codewords of X = v <= 2m + 1 (a run costs at most its and the next's length)
+    x_counts = np.zeros(2 * scheme.params.inner.m + 2, np.int64)
     events: Counter[str] = Counter()
     buffers = 0
     for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):
@@ -95,14 +95,11 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
         runs = lay_out(symbols[:, None], scheme.run_table, edge_buffers=True)
         counts = scheme.params.channel.copy_counts(runs, rng)
         block_xs, block_events = classify(scheme, runs, counts)
-        hist = np.bincount(block_xs, minlength=x_counts.size)
-        hist[:x_counts.size] += x_counts
-        x_counts = hist
+        x_counts += np.bincount(block_xs, minlength=x_counts.size)
         events.update(block_events)  # keeps the keys of zero counts
         buffers += runs.buffers.size
-    # exact integer sums of X and X**2; the variance is rounded once, from a Fraction
     s1, s2 = (sum(v**k * c for v, c in enumerate(x_counts.tolist())) for k in (1, 2))
-    x_var = float(Fraction(trials * s2 - s1 * s1, trials * (trials - 1)))
+    x_var = float(Fraction(trials * s2 - s1 * s1, trials * (trials - 1)))  # rounded once
     probs = scheme.probs
     m = scheme.params.inner.m
     return {

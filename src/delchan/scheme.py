@@ -5,9 +5,10 @@ codeword, blow each 1-run up to N1 bits and each 2-run up to N2 bits, and
 join the n blocks with zero buffers of length B. A Scheme derives these
 lengths from its parameters, so that after the channel a 1-run's expected
 survivor count is M1, a 2-run's is M2, and a buffer's is M_B * m. A Layout
-holds the transmission as run lengths only: codewords start and end with 1
-and buffers are 0, so runs alternate. The channel draws one survivor count
-per run of the Layout.
+holds the transmission as run classes (0 for a buffer, else the run's length
+before the blow-up) and the three run lengths: codewords start and end with
+1 and buffers are 0, so runs alternate. The channel draws one survivor count
+per run of the Layout, from one word per run, in run order.
 
 Decoding (decode_block: the (trials, runs) arrays of a block of receptions
 in one pass, returning the decoded messages only): drop vanished runs and
@@ -141,9 +142,9 @@ class Scheme:
                                 prof.r1 / prof.m)
 
     @cached_property
-    def run_table(self) -> np.ndarray:
+    def run_table(self) -> tuple[np.ndarray, tuple[int, int, int]]:
         """The table lay_out gathers this scheme's layouts from (see run_table)."""
-        return run_table([blow_up(c, self.N1, self.N2) for c in self.inner_cb.codewords], self.B)
+        return run_table(self.inner_cb.codewords, self.B, self.N1, self.N2)
 
     @cached_property
     def _memo(self) -> dict[int | str, int]:
@@ -233,20 +234,25 @@ class Scheme:
 
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """A transmission as run arrays: run i covers the bits [starts[i],
-    starts[i] + lengths[i]) and was a run of orig[i] (1 or 2) bits before the
-    blow-up, or is a buffer if orig[i] is 0. Runs alternate in bit, starting
+    """A transmission as run classes: run i was a run of orig[i] (1 or 2) bits
+    before the blow-up, or is a buffer if orig[i] is 0, and covers the bits
+    [starts[i], starts[i] + lengths[i]), lengths[i] = run_lengths[orig[i]] of
+    the scheme's (B, N1, N2), built when read. Runs alternate in bit, starting
     from 1 if the first run is a codeword's, or 0 if it is a buffer. A block
-    holds one transmission per row of each array, with its buffers at the same
-    runs in every row; symbols is as lay_out was given it."""
+    holds one transmission per row of orig, with its buffers at the same runs
+    in every row; symbols is as lay_out was given it."""
 
     symbols: np.ndarray | tuple
-    lengths: np.ndarray
     orig: np.ndarray
+    run_lengths: tuple[int, int, int]
 
     def __len__(self) -> int:
         """Transmitted bits."""
         return int(self.lengths.sum())
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return np.asarray(self.run_lengths, RUN_DTYPE)[self.orig]
 
     @cached_property
     def starts(self) -> np.ndarray:
@@ -254,17 +260,14 @@ class Layout:
 
     @cached_property
     def run_bits(self) -> np.ndarray:
-        return ((np.arange(self.orig.shape[-1]) & 1) ^ (self.orig[..., :1] > 0)).astype(np.uint8)
-
-    @cached_property
-    def runs_by_orig(self) -> tuple[np.ndarray, ...]:
-        """Flat run indices of the buffers, of the 1-runs and of the 2-runs."""
-        return tuple(np.flatnonzero(self.orig == orig) for orig in range(3))
+        """Each run's bit: one row, broadcast (read-only) over a block's rows."""
+        row = (np.arange(self.orig.shape[-1]) & 1) ^ (self.orig.size and self.orig.flat[0] > 0)
+        return np.broadcast_to(row.astype(np.uint8), self.orig.shape)
 
     @property
     def buffers(self) -> np.ndarray:
-        """Run indices of the buffers."""
-        return self.runs_by_orig[0]
+        """Flat run indices of the buffers."""
+        return np.flatnonzero(self.orig == 0)
 
     def bits(self) -> str:
         """The transmitted string."""
@@ -298,7 +301,7 @@ def classify(scheme: Scheme, layout: Layout,
     """
     p = scheme.params
     events = {"deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0}
-    if np.shape(counts) != layout.lengths.shape:
+    if np.shape(counts) != layout.orig.shape:
         raise ValueError("counts length does not match input length")
     orig, z = np.atleast_2d(layout.orig, counts)
     coded = orig[:1].any(axis=0)  # the runs of codewords, not buffers (none if no rows)
@@ -320,32 +323,27 @@ def classify(scheme: Scheme, layout: Layout,
     return cost.sum(axis=1).tolist(), events
 
 
-def blow_up(codeword: str, N1: int, N2: int) -> np.ndarray:
-    """A codeword's run lengths blown up (1-runs to N1 bits, 2-runs to N2) in
-    row 0, and its original run lengths in row 1."""
-    if not in_S(codeword):  # runs must alternate from 1 to 1 across buffers
-        raise ValueError(f"{codeword!r} is not in S")
-    orig = np.array([ln for _, ln in runs_of(codeword)], np.int64)
-    return np.stack((np.where(orig == 1, N1, N2), orig))
+def run_table(codewords, B: int, N1: int, N2: int) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """What lay_out gathers from: row s holds a buffer's 0 and then the
+    original lengths (1 or 2) of the runs of the codeword of s (all have one
+    run count), as int8; and the run lengths after the blow-up, (B, N1, N2),
+    of a buffer, a 1-run and a 2-run."""
+    for codeword in codewords:
+        if not in_S(codeword):  # runs must alternate from 1 to 1 across buffers
+            raise ValueError(f"{codeword!r} is not in S")
+    return np.array([[0, *(ln for _, ln in runs_of(c))] for c in codewords], np.int8), (B, N1, N2)
 
 
-def run_table(blocks, B: int) -> np.ndarray:
-    """The blown-up blocks (blocks[s] is blow_up of the codeword of s; all have
-    one run count), each after a zero buffer of B bits: table[0, s] holds the
-    run lengths of that buffer and block, table[1, s] their original lengths,
-    as RUN_DTYPE."""
-    return np.insert(np.asarray(blocks, RUN_DTYPE), 0, [B, 0], axis=-1).swapaxes(0, 1).copy()
-
-
-def lay_out(symbols, table: np.ndarray, *, edge_buffers: bool = False) -> Layout:
+def lay_out(symbols, table, *, edge_buffers: bool = False) -> Layout:
     """Join the blown-up blocks of the symbols with zero buffers, from a
     run_table; edge_buffers adds one more buffer before the first block and
     after the last. A (trials, n) array of symbols gives a block of trials
     layouts, zero rows included."""
+    orig, run_lengths = table
     index = np.asarray(symbols, np.intp)
-    runs = table[:, index].reshape(2, *index.shape[:-1], index.shape[-1] * table.shape[-1])
+    runs = orig[index].reshape(*index.shape[:-1], index.shape[-1] * orig.shape[-1])
     runs = np.concatenate((runs, runs[..., :1]), axis=-1) if edge_buffers else runs[..., 1:]
-    return Layout(symbols, runs[0], runs[1])
+    return Layout(symbols, runs, run_lengths)
 
 
 def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray):

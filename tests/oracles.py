@@ -1,9 +1,11 @@
 """Slow reference implementations the package no longer runs, kept for the
-tests to compare its fast paths against, and the insertion/deletion ball
-machinery (embed_all, deletion_ball_bound) that only the tests use."""
+tests to compare its fast paths against, the insertion/deletion ball
+machinery (embed_all, deletion_ball_bound) that only the tests use, and a
+stand-in generator that feeds chosen words to the channel's draws."""
 
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,6 +21,12 @@ from delchan.strings import (
 )
 
 _WORD = (1 << 64) - 1
+
+
+def fed(words: np.ndarray) -> SimpleNamespace:
+    """A stand-in generator whose bit_generator.random_raw returns words,
+    whatever size it is asked for."""
+    return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda size: words))
 
 
 def bits_of(runs: list[Run]) -> str:

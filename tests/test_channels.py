@@ -1,8 +1,8 @@
 """Channel simulators: distributional sanity, reproducibility, edge cases."""
 
 import re
+from dataclasses import replace
 from math import exp, sqrt
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delchan.channels import ChannelModel, RngStream, _survivor_table, apply_copy_counts
-from delchan.scheme import blow_up, lay_out, run_table
+from delchan.outer import OuterSpec, construct_outer
+from delchan.scheme import Layout, Scheme, lay_out, run_table
+from oracles import fed
 
 
 def test_stream_reproducibility_and_independence():
@@ -74,13 +76,14 @@ def test_vectorized_poisson_moments():
 
 
 def test_transmit_draws_once_per_run_length():
-    # runs of 3, 2, 2, 5 and 1 bits: one draw per length, shortest first
+    # runs of 3, 2, 2, 5 and 1 bits: one survivors call per run, in string
+    # order, and the generator is left where those calls leave it
     prc = ChannelModel("prc", 3.0)
-    received = prc.transmit("1110011000001", RngStream(10, 0).generator())
-    rng = RngStream(10, 0).generator()
-    z1, z2, z3, z5 = (prc.survivors(n, size, rng) for n, size in ((1, 1), (2, 2), (3, 1), (5, 1)))
-    counts = np.concatenate((z3, z2[:1], z2[1:], z5, z1))
+    drawn, rng = RngStream(10, 0).generator(), RngStream(10, 0).generator()
+    received = prc.transmit("1110011000001", drawn)
+    counts = np.concatenate([prc.survivors(n, 1, rng) for n in (3, 2, 2, 5, 1)])
     assert received == apply_copy_counts("10101", counts)
+    assert drawn.bit_generator.state == rng.bit_generator.state
 
 
 def test_poisson_copy_counts_guards():
@@ -104,14 +107,10 @@ def test_poisson_copy_counts_guards():
 
 
 def masked_loop(bits, lam, rng):
-    """The PRC output of bits, one survivors call per run, taking the runs
-    of each length in turn, shortest first, as transmit does."""
+    """The PRC output of bits, one survivors call per run, in string order,
+    as transmit draws them."""
     runs = [(m.group()[0], len(m.group())) for m in re.finditer("0+|1+", bits)]
-    counts = [0] * len(runs)
-    for n in sorted({length for _, length in runs}):
-        for i, (_, length) in enumerate(runs):
-            if length == n:
-                counts[i] = int(ChannelModel("prc", lam).survivors(n, 1, rng)[0])
+    counts = [int(ChannelModel("prc", lam).survivors(n, 1, rng)[0]) for _, n in runs]
     return "".join(bit * count for (bit, _), count in zip(runs, counts))
 
 
@@ -169,13 +168,14 @@ def test_survivor_table_matches_the_exact_law(kind, parameter, ns):
 def test_survivor_table_guide_agrees_with_search(kind, parameter, n):
     # every cell's first and last word, and the words around each threshold,
     # give the value a search of the thresholds gives; the extreme words stay in range
-    table, values, _ = _table_law(ChannelModel(kind, parameter), n)
+    channel = ChannelModel(kind, parameter)
+    table, values, _ = _table_law(channel, n)
     cells = np.arange(1 << 12, dtype=np.uint64) << 52
     words = np.concatenate((cells, cells | ((1 << 52) - 1), table.thresholds,
                             table.thresholds - 1, table.thresholds + 1))
     expected = table.lo + np.searchsorted(table.thresholds, words, "right")
-    assert np.array_equal(table.draw(words), expected)
-    ends = table.draw(np.array([0, 2**64 - 1], np.uint64))
+    assert np.array_equal(channel.survivors(n, words.size, fed(words)), expected)
+    ends = channel.survivors(n, 2, fed(np.array([0, 2**64 - 1], np.uint64)))
     assert ends.tolist() == [values[0], values[-1]]
 
 
@@ -191,8 +191,8 @@ def test_survivor_edge_laws():
         channel.survivors(n, 3, drawn)
         stepped.bit_generator.random_raw(3)
         assert drawn.random() == stepped.random()
-    table = _survivor_table(ChannelModel("bdc", 0.0), 7)
-    assert table.draw(np.array([0, 2**64 - 1], np.uint64)).tolist() == [7, 7]
+    ends = fed(np.array([0, 2**64 - 1], np.uint64))
+    assert ChannelModel("bdc", 0.0).survivors(7, 2, ends).tolist() == [7, 7]
     # the exact tails of a law of variance 0 are 0 and 1
     assert ChannelModel("bdc", 0.0).at_most(7, 6) == 0.0
     assert ChannelModel("bdc", 0.0).at_most(7, 7) == 1.0
@@ -233,10 +233,75 @@ def test_count_at_most_at_the_thresholds(law):
         table = _survivor_table(channel, n)
         words = np.concatenate((table.thresholds, table.thresholds - 1, table.thresholds + 1,
                                 np.array([0, 2**64 - 1], np.uint64)))
-        fed = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda size: words))
         ts = range(table.lo - 2, table.lo + table.thresholds.size + 3)
-        z = table.draw(words)
-        assert channel.count_at_most(n, ts, words.size, fed) == [int((z <= t).sum()) for t in ts]
+        z = channel.survivors(n, words.size, fed(words))
+        assert channel.count_at_most(n, ts, words.size, fed(words)) == [
+            int((z <= t).sum()) for t in ts]
+
+
+def _per_run_loop(channel, layout, rng):
+    """copy_counts' oracle: one survivors call per run of a layout, row by
+    row, each row in run order."""
+    lengths = layout.lengths.reshape(-1).tolist()
+    return np.array([channel.survivors(n, 1, rng)[0] for n in lengths],
+                    np.int32).reshape(layout.orig.shape)
+
+
+def _twin_stream_layouts(bdc_desk, prc_desk):
+    """Block layouts: encode_block blocks of 0, 1 and 32 rows on the desk
+    BDC and of 256 rows on the desk PRC (with a 4-symbol outer code, to keep
+    the loop short), edge-buffered single-codeword blocks of 7 and 256 rows,
+    and layouts of a profile with no 2-runs on both."""
+    rows = RngStream(14, 0).generator().integers(0, 256, 256)
+    for trials in (0, 1, 32):
+        yield bdc_desk.params.channel, bdc_desk.encode_block(rows[:trials])
+    spec = OuterSpec(4, 4, 1, 0.25)
+    short = Scheme(replace(prc_desk.params, outer=spec), prc_desk.inner_cb,
+                   construct_outer(spec, 1))
+    yield prc_desk.params.channel, short.encode_block(rows % 4)
+    for s, trials in ((bdc_desk, 7), (prc_desk, 256)):
+        symbols = rows[:trials, None] % len(s.inner_cb)
+        yield s.params.channel, lay_out(symbols, s.run_table, edge_buffers=True)
+        ones = run_table(["10101", "10101"], s.B, s.N1, s.N2)
+        yield s.params.channel, lay_out(rows[:40].reshape(8, 5) % 2, ones)
+        yield s.params.channel, lay_out(rows[:3, None] % 2, ones, edge_buffers=True)
+
+
+def test_copy_counts_match_one_draw_per_run(bdc_desk, prc_desk):
+    # copy_counts equals one survivors call per run in row-major order, and
+    # leaves the generator where that loop leaves it
+    for index, (channel, layout) in enumerate(_twin_stream_layouts(bdc_desk, prc_desk)):
+        drawn, looped = RngStream(15, index).generator(), RngStream(15, index).generator()
+        counts = channel.copy_counts(layout, drawn)
+        assert counts.dtype == np.int32 and counts.shape == layout.orig.shape
+        assert np.array_equal(counts, _per_run_loop(channel, layout, looped)), index
+        assert drawn.bit_generator.state == looped.bit_generator.state
+
+
+@pytest.mark.parametrize("law, run_lengths", [
+    (("bdc", 0.3), (90, 6, 20)), (("prc", 0.5), (125, 8, 27)),
+    (("bdc", 0.99), (225, 541, 2280)), (("bdc", 0.0), (7, 1, 2)), (("prc", 1e-6), (0, 1, 6))])
+def test_copy_counts_at_the_thresholds(law, run_lengths):
+    # words on, just below and just above every threshold of each class's
+    # law, the extreme words and the edges of every guide cell, fed to runs
+    # of the three classes in a shuffled order: each run's count is its own
+    # law's inverse at its own word
+    channel = ChannelModel(*law)
+    cells = np.arange(1 << 12, dtype=np.uint64) << 52
+    words, orig = [], []
+    for c, n in enumerate(run_lengths):
+        edges = _survivor_table(channel, n).thresholds
+        words.append(np.concatenate((edges, edges - 1, edges + 1, cells, cells | (1 << 52) - 1,
+                                     np.array([0, 2**64 - 1], np.uint64))))
+        orig.append(np.full(words[-1].size, c, np.int8))
+    order = RngStream(16, 0).generator().permutation(sum(w.size for w in words))
+    words, orig = np.concatenate(words)[order], np.concatenate(orig)[order]
+    expected = np.empty(words.size, np.int64)
+    for c, n in enumerate(run_lengths):
+        table = _survivor_table(channel, n)
+        expected[orig == c] = table.lo + np.searchsorted(table.thresholds, words[orig == c], "right")
+    layout = Layout((), orig, run_lengths)
+    assert channel.copy_counts(layout, fed(words)).tolist() == expected.tolist()
 
 
 def _chi_square_bound(df: int, z: float = 5.0) -> float:
@@ -280,7 +345,7 @@ def test_channel_model():
     assert bdc.mean_copies == 0.7
     assert prc.mean_copies == 0.5
     rng = RngStream(8, 0).generator()
-    layout = lay_out((0,), run_table((blow_up("1", 2, 5),), 3), edge_buffers=True)
+    layout = lay_out((0,), run_table(("1",), 3, 2, 5), edge_buffers=True)
     assert len(bdc.copy_counts(layout, rng)) == 3  # one survivor count per run
     with pytest.raises(ValueError):
         ChannelModel("erasure", 0.1)

@@ -112,13 +112,13 @@ PINNED_REPORTS = [
     ("end_to_end", "prc", 2.5, 600,
      "f6d0bce8f76d64a85ec7863721baf0c206cb2fe2c5a25450f01860f8a325711e"),
     ("single_codeword", "bdc", 2.5, 300,
-     "65d8a91ac67a5f6f4ef2da8515e83aaaf37db7f832aa87ce03a715af48aaec42"),
+     "f51380d85d85d1b3a9aa6af9598c8c6c76aec8d32e3e97fc9730f6fbe53d6d14"),
     ("single_codeword", "prc", 2.5, 300,
-     "6a3594b9088aff9f7afaf19189ff4ffd8ca1cf775464aebf5e431b9ba5e11aa7"),
+     "9d062289f247d720ec874cfdb6f31bc7b9e2563a04dcb38eab66c0737b958318"),
     ("single_codeword", "prc", 2.5, 20000,  # 79 blocks; about 2,000 inner-memo misses
-     "c0537e0ad3eaa88269b2c7d5e91e8cdaefb12438b7371e490336d227277be5e5"),
+     "1366fe0f751cf17e187ae2d5b85b0c874642e88c03bec07fe583e76a66ee86ca"),
     ("single_codeword", "bdc", 0.5, 3000,
-     "b118cabb7b8ee56333aad9a0b21dba24e7da5a6b92232b18f9f2f514fbde6974"),
+     "211ff2411cb7cd420259811ca2634701a8d34ff121d4428a3356df3986408c26"),
     ("transition", "bdc", 2.5, 2000,
      "e41f7152986f63fd0f50a1c82f79bff778d0d440225e5786cb47f30202bd7531"),
     ("transition", "prc", 2.5, 2000,

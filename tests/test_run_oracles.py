@@ -51,7 +51,7 @@ from delchan.scheme import (
     window_spans,
 )
 from delchan.strings import lcs_lanes, runs_of
-from oracles import window_key
+from oracles import fed, window_key
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +236,7 @@ def window_runs(s, spec):
     if kind == "free":
         return start, lengths
     T = s.params.T
-    orig = s.run_table[1, symbol % len(s.inner_cb), 1:]
+    orig = s.run_table[0][symbol % len(s.inner_cb), 1:]
     ranges = [(1, T) if o == 1 else (T + 1, 2 * T + 3) for o in orig]
     picked = [lo + n % (hi - lo + 1) for (lo, hi), n in zip(ranges, lengths + [0] * len(orig))]
     if kind == "crossed" and lengths:  # move one run across the threshold
@@ -315,11 +315,13 @@ def test_merge_runs_matches_reduceat(runs):
 
 def block_survivors(s, origs, rng):
     """Survivors of a block's runs (one row of original run lengths per
-    trial, 0 for a buffer), drawn as the harness draws them: all buffers,
-    then all 1-runs, then all 2-runs, each class in row order."""
+    trial, 0 for a buffer), drawn as the harness draws them: run i of the
+    block, row by row, takes word i of the stream, inverted by its own law."""
+    words = rng.bit_generator.random_raw(origs.size).reshape(origs.shape)
     z = np.empty(origs.shape, np.int64)
     for orig, n in ((0, s.B), (1, s.N1), (2, s.N2)):
-        z[origs == orig] = s.params.channel.survivors(n, int((origs == orig).sum()), rng)
+        at = origs == orig
+        z[at] = s.params.channel.survivors(n, int(at.sum()), fed(words[at]))
     return z
 
 
@@ -548,7 +550,7 @@ def test_classify_rejects_misfit_counts(bdc_desk):
 def frozen_single_codeword_loop(scheme, trials, master_seed):
     """run_single_codeword as one lay_out and one string_classify per trial,
     on the harness's draws: per block of trials, one stream, the symbols,
-    then the survivors of the block's buffers, 1-runs and 2-runs."""
+    then the survivors of each trial's runs in turn, one word per run."""
     q = len(scheme.inner_cb)
     xs, events, buffers = [], Counter(), 0
     for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):

@@ -17,7 +17,6 @@ from delchan.scheme import (
     Scheme,
     SchemeParams,
     classify,
-    blow_up,
     lay_out,
     load_scheme,
     run_table,
@@ -43,7 +42,7 @@ def test_snapped_rounding():
 
 def _blow_up(codeword, N1, N2):
     """A one-codeword layout without buffers: just the blown-up runs."""
-    layout = lay_out((0,), run_table([blow_up(codeword, N1, N2)], 7))
+    layout = lay_out((0,), run_table([codeword], 7, N1, N2))
     assert layout.buffers.size == 0
     return layout.bits()
 
@@ -56,12 +55,12 @@ def test_blow_up_examples():
     with pytest.raises(ValueError):
         InnerCodebook(InnerParams(SProfile(5, 1, 2), 0), ("11101",)).validate()
     with pytest.raises(ValueError):
-        blow_up("11101", 3, 5)
+        run_table(["11101"], 7, 3, 5)
     with pytest.raises(ValueError, match="is not in S"):
-        blow_up("10121", 3, 5)  # not binary
+        run_table(["10121"], 7, 3, 5)  # not binary
     # two blocks: spans of every run and buffer, with and without edge buffers
-    blocks = [blow_up(c, 1, 3) for c in ("1011", "1101")]
-    layout = lay_out((1, 0), run_table(blocks, 2))
+    table = run_table(("1011", "1101"), 2, 1, 3)
+    layout = lay_out((1, 0), table)
     assert layout.bits() == "11101" + "00" + "10111"
     assert len(layout) == 12
     assert layout.symbols == (1, 0)
@@ -70,7 +69,7 @@ def test_blow_up_examples():
     assert layout.orig.tolist() == [2, 1, 1, 0, 1, 1, 2]
     assert layout.run_bits.tolist() == [1, 0, 1, 0, 1, 0, 1]
     assert layout.buffers.tolist() == [3]
-    edged = lay_out((1, 0), run_table(blocks, 2), edge_buffers=True)
+    edged = lay_out((1, 0), table, edge_buffers=True)
     assert edged.bits() == "00" + layout.bits() + "00"
     assert edged.starts[edged.buffers].tolist() == [0, 7, 14]
 
@@ -189,7 +188,7 @@ def test_run_lengths_must_fit_int32(bdc_scheme, changes):
     params = replace(bdc_scheme.params, **changes)
     with pytest.raises(ValueError, match=r"must stay below 2\*\*31"):
         Scheme(params, bdc_scheme.inner_cb, bdc_scheme.outer)
-    assert bdc_scheme.run_table.dtype == np.int32
+    assert bdc_scheme.encode_with_layout(0).lengths.dtype == np.int32
 
 
 def test_encode_length_formula(bdc_scheme):
