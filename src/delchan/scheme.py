@@ -235,12 +235,12 @@ class Scheme:
 @dataclass(frozen=True, eq=False)
 class Layout:
     """A transmission as run classes: run i was a run of orig[i] (1 or 2) bits
-    before the blow-up, or is a buffer if orig[i] is 0, and covers the bits
+    before the blow-up, or is a buffer if orig[i] is 0; it covers the bits
     [starts[i], starts[i] + lengths[i]), lengths[i] = run_lengths[orig[i]] of
-    the scheme's (B, N1, N2), built when read. Runs alternate in bit, starting
-    from 1 if the first run is a codeword's, or 0 if it is a buffer. A block
-    holds one transmission per row of orig, with its buffers at the same runs
-    in every row; symbols is as lay_out was given it."""
+    the scheme's (B, N1, N2), both built when read. Runs alternate in bit,
+    from 1 if the first run is a codeword's, or 0 for a buffer. A block holds
+    a transmission per row of orig, buffers at the same runs in every row, and
+    takes one channel word per run, in run order; symbols is as given."""
 
     symbols: np.ndarray | tuple
     orig: np.ndarray

@@ -298,8 +298,8 @@ def test_copy_counts_at_the_thresholds(law, run_lengths):
     words, orig = np.concatenate(words)[order], np.concatenate(orig)[order]
     expected = np.empty(words.size, np.int64)
     for c, n in enumerate(run_lengths):
-        table = _survivor_table(channel, n)
-        expected[orig == c] = table.lo + np.searchsorted(table.thresholds, words[orig == c], "right")
+        table, at = _survivor_table(channel, n), orig == c
+        expected[at] = table.lo + np.searchsorted(table.thresholds, words[at], "right")
     layout = Layout((), orig, run_lengths)
     assert channel.copy_counts(layout, fed(words)).tolist() == expected.tolist()
 
