@@ -9,9 +9,8 @@ Three experiment modes:
   transition — count, from their words alone, how many of a bulk of bare blown-up
     runs keep at most T survivors, and none; compare with the exact formulas.
 
-The first two draw each block of _BLOCK_TRIALS (the fixed 256) trials from
-one stream: its messages or symbols, then its runs' survivors, one word per
-run in run order. So a report depends on (seed, trials) only: reports are
+The first two fold over _blocks, the one place that owns their stream, block
+and draw rule. So a report depends on (seed, trials) only: reports are
 plain dicts serialized as sorted JSON, and identical configs and seeds
 produce byte-identical files. Wall-clock time is printed, never stored.
 """
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +33,7 @@ from .channels import ChannelModel, RngStream
 from .channels import apply_copy_counts  # noqa: F401  (the benchmark's tracer wraps it here)
 from .inner import InnerParams, construct_inner
 from .outer import OuterSpec, construct_outer
-from .scheme import Scheme, SchemeParams, classify, lay_out, load_scheme
+from .scheme import Layout, Scheme, SchemeParams, classify, lay_out, load_scheme
 from .strings import SProfile, nonnegative, read_fields
 
 
@@ -79,25 +79,30 @@ def desk_scheme(kind: str, *, M_B: float = DESK_M_B) -> Scheme:
     return Scheme(params, inner_cb, outer)
 
 
+def _blocks(scheme: Scheme, trials: int, master_seed: int, values: int,
+            lay: Callable[[np.ndarray], Layout]):
+    """Each block b of _BLOCK_TRIALS trials as (drawn, lay(drawn), counts), from
+    RngStream(master_seed, b): drawn in [0, values), then a survivor word per run in run order."""
+    for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):
+        rng = RngStream(master_seed, index).generator()
+        drawn = rng.integers(0, values, min(_BLOCK_TRIALS, trials - block))
+        layout = lay(drawn)
+        yield drawn, layout, scheme.params.channel.copy_counts(layout, rng)
+
+
 def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
     """Transmit isolated codewords; classify each block from its run arrays
-    (no decoding); count X per value, and the error events. Block b draws
-    its symbols, then its survivors, from RngStream(master_seed, b)."""
+    (no decoding); count X per value, and the error events."""
     if trials < 2:
         raise ValueError("single_codeword needs at least 2 trials for a variance")
     # x_counts[v]: codewords of X = v <= 2m + 1 (a run costs at most its and the next's length)
     x_counts = np.zeros(2 * scheme.params.inner.m + 2, np.int64)
     events: Counter[str] = Counter()
-    buffers = 0
-    for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):
-        rng = RngStream(master_seed, index).generator()
-        symbols = rng.integers(0, len(scheme.inner_cb), min(_BLOCK_TRIALS, trials - block))
-        runs = lay_out(symbols[:, None], scheme.run_table, edge_buffers=True)
-        counts = scheme.params.channel.copy_counts(runs, rng)
+    for _, runs, counts in _blocks(scheme, trials, master_seed, len(scheme.inner_cb), lambda s:
+                                   lay_out(s[:, None], scheme.run_table, edge_buffers=True)):
         block_xs, block_events = classify(scheme, runs, counts)
         x_counts += np.bincount(block_xs, minlength=x_counts.size)
         events.update(block_events)  # keeps the keys of zero counts
-        buffers += runs.buffers.size
     s1, s2 = (sum(v**k * c for v, c in enumerate(x_counts.tolist())) for k in (1, 2))
     x_var = float(Fraction(trials * s2 - s1 * s1, trials * (trials - 1)))  # rounded once
     probs = scheme.probs
@@ -110,8 +115,8 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
         "x_var": x_var,
         "x_stderr": sqrt(x_var) / sqrt(trials),
         "error_events": dict(events),
-        "buffers_transmitted": buffers,
-        "deleted_buffer_frequency": events["deleted_buffer"] / buffers,
+        "buffers_transmitted": 2 * trials,
+        "deleted_buffer_frequency": events["deleted_buffer"] / (2 * trials),
         "analytic": {
             "xi_m": probs.xi * m,
             "gamma_m_plus_p10": probs.gamma * m + probs.p10,
@@ -121,17 +126,12 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
 
 
 def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
-    """Encode random messages, transmit, decode; count exact recoveries. Block
-    b draws its messages, then its survivors, from RngStream(master_seed, b)."""
+    """Encode random messages, transmit, decode; count exact recoveries."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    num_messages = scheme.outer.spec.num_messages
     successes = 0
-    for index, block in enumerate(range(0, trials, _BLOCK_TRIALS)):
-        rng = RngStream(master_seed, index).generator()
-        messages = rng.integers(0, num_messages, min(_BLOCK_TRIALS, trials - block))
-        layout = scheme.encode_block(messages)
-        counts = scheme.params.channel.copy_counts(layout, rng)
+    for messages, layout, counts in _blocks(scheme, trials, master_seed,
+                                            scheme.outer.spec.num_messages, scheme.encode_block):
         decoded = scheme.decode_block(layout.run_bits, counts)
         successes += sum(d == m for d, m in zip(decoded, messages.tolist()))
     return {
