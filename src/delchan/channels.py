@@ -116,6 +116,8 @@ class ChannelModel:
     def run_length(self, M: float) -> int:
         """The fewest bits whose run arrives with at least M survivors on
         average: ceil(M / mean_copies), snapped."""
+        if not M / self.mean_copies < inf:
+            raise ValueError(f"run length M / mean_copies = {M} / {self.mean_copies} is not finite")
         return ceil_snapped(M / self.mean_copies)
 
     def at_most(self, n: int, t: int) -> float:

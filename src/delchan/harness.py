@@ -199,6 +199,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.mode == "single_codeword" and self.trials < 2:
+            raise ValueError("single_codeword needs at least 2 trials for a variance")
         desk_params(self.desk, M_B=self.M_B)  # rejects an unknown desk and a bad M_B
 
 

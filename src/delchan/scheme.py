@@ -80,6 +80,14 @@ class SchemeParams:
         N1, N2 = self.channel.run_length(self.M1), self.channel.run_length(self.M2)
         if not N1 < N2:
             raise ValueError(f"need N1 < N2, got {N1}, {N2}")
+        B = self.channel.run_length(self.M_B * self.inner.m)
+        if B < 1:  # ceil_snapped rounds a tiny M_B * m / mu down to 0
+            raise ValueError("buffer length must be at least 1")
+        # The run arrays hold RUN_DTYPE lengths; on the BDC a merged run holds at most a row's bits.
+        prof = self.inner.profile
+        row = self.outer.n * (prof.r1 * N1 + prof.r2 * N2 + B) + B
+        if max(N2, row) > np.iinfo(RUN_DTYPE).max:
+            raise ValueError("N2 and a row's bits must stay below 2**31")
 
     @property
     def buffer_threshold(self) -> int:
@@ -100,12 +108,6 @@ class Scheme:
     outer: OuterCode
 
     def __post_init__(self) -> None:
-        if self.B < 1:  # ceil_snapped rounds a tiny M_B * m / mu down to 0
-            raise ValueError("buffer length must be at least 1")
-        # The run arrays hold RUN_DTYPE lengths; on the BDC a merged run holds at most a row's bits.
-        row = self.params.outer.n * (self.block_length + self.B) + self.B
-        if max(self.N2, row) > np.iinfo(RUN_DTYPE).max:
-            raise ValueError(f"N2={self.N2} and a row's {row} bits must stay below 2**31")
         if self.inner_cb.params != self.params.inner:
             raise ValueError("inner codebook does not match the declared parameters")
         if self.outer.spec != self.params.outer:

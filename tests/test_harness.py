@@ -345,6 +345,38 @@ def test_cli_refuses_non_finite_parameters(tmp_path, capsys, command, text, mess
     assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
 
+_ROW_TOO_LONG = "N2 and a row's bits must stay below 2**31"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("simulate", "M_B=1e-300\n", "buffer length must be at least 1"),
+    ("simulate", "M_B=1e300\n", _ROW_TOO_LONG),  # a buffer of about 300 digits
+    ("simulate", "M_B=1e308\n", "run length M / mean_copies = inf / 0.7 is not finite"),
+    ("simulate", "mode=single_codeword\ntrials=1\n",
+     "single_codeword needs at least 2 trials for a variance"),
+    ("construct", "param=0.9999999999\n", _ROW_TOO_LONG),
+    ("construct", "M2=1e308\n", _ROW_TOO_LONG),
+    ("construct", "channel=prc\nparam=1e-320\n",
+     "run length M / mean_copies = 4.0 / 1e-320 is not finite"),
+    ("decode", "M_B=1e-300\n", "buffer length must be at least 1"),
+], ids=["simulate-M_B-tiny", "simulate-M_B-huge", "simulate-M_B-overflow", "single-one-trial",
+        "construct-p-near-1", "construct-M2-huge", "construct-prc-denormal", "decode-M_B-tiny"])
+def test_cli_refuses_hostile_configs(tmp_path, capsys, bdc_desk, command, text, message):
+    # refused where the parameters are read: exit 2, one line naming the file, no output
+    config = tmp_path / "hostile.cfg"
+    config.write_text(text)
+    extra = []
+    if command == "decode":  # the same key in a descriptor
+        key, value = text.strip().split("=")
+        config = _saved_scheme(tmp_path, bdc_desk)
+        config.write_text(re.sub(f"^{key}=.*$", f"{key}={value}", config.read_text(), flags=re.M))
+        extra = ["1"]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not out.exists()
+
+
 def test_load_scheme_refuses_non_finite_parameters(tmp_path, capsys, bdc_desk):
     path = _saved_scheme(tmp_path, bdc_desk)
     lines = path.read_text().splitlines()

@@ -185,9 +185,8 @@ def test_alphabet_guard(bdc_scheme):
     {"M_B": 2e6},  # B = 71.4e6 bits: a row of 32 codewords holds 2.36e9 bits
 ])
 def test_run_lengths_must_fit_int32(bdc_scheme, changes):
-    params = replace(bdc_scheme.params, **changes)
-    with pytest.raises(ValueError, match=r"must stay below 2\*\*31"):
-        Scheme(params, bdc_scheme.inner_cb, bdc_scheme.outer)
+    with pytest.raises(ValueError, match=r"must stay below 2\*\*31"):  # the parameters alone
+        replace(bdc_scheme.params, **changes)
     assert bdc_scheme.encode_with_layout(0).lengths.dtype == np.int32
 
 
