@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import cache
 from math import exp
 
 import numpy as np
@@ -17,6 +18,7 @@ from delchan.analysis import presets, transition_probs
 from delchan.channels import ChannelModel
 from delchan.cli import main
 from delchan.harness import (
+    DESK_M_B,
     ExperimentConfig,
     analyze_csv,
     desk_params,
@@ -99,9 +101,34 @@ def test_report_json_deterministic():
     assert report_json(run_experiment(cfg)) == report_json(run_experiment(cfg))
 
 
-# sha256 of report_json(run_experiment(...)) at seed 7. M_B = 0.5 loses a
-# buffer with the exact probability 0.00143, so its 3,000 trials (6,000
-# buffers) see no loss with probability about 2e-4; 300 trials miss it 42% of the time.
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# codewords of 59 runs, longer than a 57-run window key: their windows are keyed
+# as strings; the single-codeword report counts 36 wrong inner decodes
+LONG = "channel=prc\nparam=0.5\nm=61\nr1=57\nr2=2\nd=1\n"
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """`delchan construct --config` of a config text, run once per text in
+    this module; returns the output directory."""
+
+    @cache
+    def build(text):
+        directory = tmp_path_factory.mktemp("built")
+        (directory / "scheme.cfg").write_text(text)
+        assert main(["construct", "--config", str(directory / "scheme.cfg"),
+                     "--out", str(directory / "out")]) == 0
+        return directory / "out"
+
+    return build
+
+
+# sha256 of `delchan simulate`'s report at seed 7 on a desk scheme or on LONG's. M_B = 0.5
+# loses a buffer with the exact probability 0.00143, so its 3,000 trials (6,000 buffers) see
+# no loss with probability about 2e-4; 300 trials miss it 42% of the time.
 PINNED_REPORTS = [
     ("end_to_end", "bdc", 2.5, 12,
      "8ce50b9487eb480c28633fbc775d2fc0602d5d7d990a0001d8db2c337ad73a03"),
@@ -123,21 +150,32 @@ PINNED_REPORTS = [
      "e41f7152986f63fd0f50a1c82f79bff778d0d440225e5786cb47f30202bd7531"),
     ("transition", "prc", 2.5, 2000,
      "b580057efc0d58069730c7ce910f5e7eda89253c4aa870a50602879a66ce939e"),
+    ("transition", "bdc", 2.5, 150000,  # three 65,536-run chunks per run length
+     "b8545a593427257a931bb552f09d96089ed6ff45542bf937d57f73e69ca2e56d"),
+    ("transition", "prc", 2.5, 150000,
+     "f242281e0d76badcce755fc0addb107d9815d5abbf5552f5cc05a7e7fc867495"),
+    ("single_codeword", "long", 2.5, 300,  # M_B is the long descriptor's own
+     "bd5922000c091d723b63855cec14bf623a9136461587c8ced86812dee52f8734"),
+    ("end_to_end", "long", 2.5, 300,
+     "39ca87bcced7423ab7e0acb1f5863cf7db22f21fc6decb4115e89cdf70429d6d"),
 ]
 
 
 @pytest.mark.parametrize("mode,desk,M_B,trials,digest", PINNED_REPORTS)
-def test_reports_are_pinned(mode, desk, M_B, trials, digest):
-    config = ExperimentConfig(mode=mode, trials=trials, master_seed=7, desk=desk, M_B=M_B)
-    text = report_json(run_experiment(config))
+def test_reports_are_pinned(tmp_path, built, mode, desk, M_B, trials, digest):
+    source = f"scheme={built(LONG) / 'scheme.txt'}" if desk == "long" else f"desk={desk}"
+    buffer = "" if M_B == DESK_M_B else f"M_B={M_B}\n"
+    config, report = tmp_path / "exp.cfg", tmp_path / "report.json"
+    config.write_text(f"mode={mode}\n{source}\n{buffer}trials={trials}\nseed=7\n")
+    assert main(["simulate", "--config", str(config), "--out", str(report)]) == 0
     if M_B == 0.5:
-        assert json.loads(text)["error_events"]["deleted_buffer"] > 0
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert json.loads(report.read_text())["error_events"]["deleted_buffer"] > 0
+    assert _sha256(report) == digest
 
 
 def _assert_transition_pins() -> None:
     for mode, desk, M_B, trials, digest in PINNED_REPORTS:
-        if mode == "transition":
+        if mode == "transition" and trials == 2000:  # 150,000 trials are 42,858 chunks of 7 runs
             config = ExperimentConfig(mode=mode, trials=trials, master_seed=7, desk=desk, M_B=M_B)
             text = report_json(run_experiment(config))
             assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -255,14 +293,14 @@ def _published_p99():
 def test_cli_analyze_and_sweep(tmp_path, capsys, monkeypatch):
     out = tmp_path / "analysis.csv"
     assert main(["analyze", "--out", str(out)]) == 0
-    assert out.read_text().startswith("preset,")
+    assert _sha256(out) == "469fa884e1ae815deb2f4c9583aa0e8b6e95bd52255b882236bfb92bfe5da409"
     monkeypatch.setattr("delchan.harness.presets", _published_p99)
     assert main(["analyze", "--out", str(out)]) == 1  # verification failure
     assert "1 parameter set(s) failed" in capsys.readouterr().err
     monkeypatch.undo()
     out2 = tmp_path / "sweep.csv"
     assert main(["sweep", "--out", str(out2)]) == 0
-    assert len(out2.read_text().strip().splitlines()) == 111
+    assert _sha256(out2) == "54cf2a677f9b71366c04a95694312ee05c3cf8921b4940c2c965206e2519d386"
 
 
 def _saved_scheme(directory, scheme):
@@ -295,14 +333,42 @@ def test_cli_construct_encode_decode(tmp_path, capsys, bdc_desk, prc_desk):
     assert decoded.read_text().strip() == "42"
 
 
-def test_default_construct_output_is_pinned(tmp_path, capsys):
-    assert main(["construct", "--out", str(tmp_path)]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("codebook.txt", "outercode.txt")}
-    assert digests == {
-        "codebook.txt": "d5dc217beb8fc54f0c0c721283032e7469bba3669c2e1756846c5cd94543c03d",
-        "outercode.txt": "ec24694990146500c331ebd369a5492950c1f797bda6bd79b4b24c0db30c56bf",
-    }
+# sha256 of code files `construct` writes from a config text, and a message
+# sent through `encode | decode` on the built scheme
+@pytest.mark.parametrize("text, digests, message", [
+    ("", {"codebook.txt": "d5dc217beb8fc54f0c0c721283032e7469bba3669c2e1756846c5cd94543c03d",
+          "outercode.txt": "ec24694990146500c331ebd369a5492950c1f797bda6bd79b4b24c0db30c56bf"},
+     None),
+    # S(27, 15, 6), 54,264 candidates and 117 codewords
+    ("m=27\nr1=15\nr2=6\n",
+     {"codebook.txt": "95526168bd8a5538e333a374f3cc71f021f272a959bd4a6375e173d3c8fcc093"}, None),
+    # S(29, 17, 6): 174 codewords
+    ("m=29\nr1=17\nr2=6\n",
+     {"codebook.txt": "8dd74cc883a63fcf9535ee10a8a52035e4001c1221ca91db649b3376d0ce31bd"}, None),
+    # S(67, 63, 2) at d = 1: 65 runs, two-word lanes, 22 codewords
+    ("m=67\nr1=63\nr2=2\nd=1\n",
+     {"codebook.txt": "89b7da96ce9d5c6ed738b5bb47fd7b214d071c50a6c004624ba610d4733b5aff"}, None),
+    # S(27, 15, 6) with a q = 100 outer alphabet: symbols past 79 reach the masks
+    ("m=27\nr1=15\nr2=6\nq=100\nk=1\n",
+     {"outercode.txt": "1d146dcbb8b54029703fe3de0ac05ee0bc38862f0c66b08e830792ef6294cfbe"}, 42),
+    # an outer code whose greedy pass needs three chunks of q**k candidates
+    ("q=2\nn=16\nk=5\ndout=0.15\n",
+     {"outercode.txt": "75c072da052c97b848c2ed2f2eca1b10551b15a17c27287199acdea32e2e2d8e"}, 21),
+    # a two-word outer code (n = 80): greedy's carries ripple across words
+    ("q=2\nn=80\nk=8\ndout=0.1\n",
+     {"outercode.txt": "7b7ceccbfe8170189f6b6df4193399e4e73f9f641940f122b2cbd901cc7630d3"}, 200),
+    (LONG, {"codebook.txt": "cdbb2443db17558cf17cfe22cccd9f93bb30fb4285279deeab22075757b98309"},
+     42),
+], ids=["desk", "m27", "m29", "m67", "q100", "multi", "two_word", "long"])
+def test_construct_output_is_pinned(capsys, built, text, digests, message):
+    directory = built(text)
+    assert {name: _sha256(directory / name) for name in digests} == digests
+    if message is not None:
+        descriptor = str(directory / "scheme.txt")
+        capsys.readouterr()
+        assert main(["encode", "--config", descriptor, str(message)]) == 0
+        assert main(["decode", "--config", descriptor, capsys.readouterr().out.strip()]) == 0
+        assert capsys.readouterr().out == f"{message}\n"
 
 
 def test_cli_construct_refuses_an_inner_codebook_smaller_than_q(tmp_path, capsys):
