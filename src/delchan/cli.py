@@ -49,12 +49,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else fields["seed"]
     try:  # the desk defaults are valid, so a fault lies in the config
         params = params_from_fields(fields)
+        outer = construct_outer(params.outer, seed)  # its work cap first: it needs no inner code
+        inner_cb = construct_inner(params.inner)
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outer = construct_outer(params.outer, seed)  # its work cap first: it needs no inner code
-    inner_cb = construct_inner(params.inner)
     if len(inner_cb) < params.outer.q:
         print(
             f"error: inner codebook has {len(inner_cb)} codewords,"
@@ -63,6 +61,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         )
         return 1
     scheme = Scheme(params, inner_cb.truncate(params.outer.q), outer)
+    out_dir = Path(args.out or ".")  # made only once there is a scheme to write
+    out_dir.mkdir(parents=True, exist_ok=True)
     inner_cb.save(out_dir / "codebook.txt")
     outer.save(out_dir / "outercode.txt")
     save_scheme(scheme, out_dir / "scheme.txt", "codebook.txt", "outercode.txt", seed)

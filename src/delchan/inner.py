@@ -123,8 +123,15 @@ def construct_inner(params: InnerParams) -> InnerCodebook:
     """Greedy construction: accept a candidate iff its LCS with every accepted
     codeword is < m - d (equivalently, pairwise edit distance > 2*d)."""
     profile = params.profile
-    if profile.count > MAX_CANDIDATES:
-        raise ValueError(f"candidate set size {profile.count} exceeds {MAX_CANDIDATES}")
+    # comb(runs, j) as comb(runs - j + i, i) for i = 1..j: each factor is at least 1,
+    # so the cap is refused at the first partial product past it, not at a huge binomial
+    runs, j = profile.num_runs, min(profile.r1, profile.r2)
+    size = 1
+    for i in range(1, j + 1):
+        size = size * (runs - j + i) // i
+        if size > MAX_CANDIDATES:
+            raise ValueError(f"S({profile.m}, {profile.r1}, {profile.r2}) has more than"
+                             f" {MAX_CANDIDATES} candidates")
     rows = enumerate_S(profile)
     by = greedy(rows, 2, params.m - params.d)
     kept = rows[by == np.arange(by.size)] + 48  # the kept rows' characters

@@ -30,7 +30,8 @@ codeword's distortion X and the summed error-event counts.
 
 A descriptor (save_scheme, load_scheme) holds the PARAM_KEYS, the seed and
 the two code-file names, one key=value per line, read by strings.read_fields.
-A Scheme refuses codes whose parameters differ from the descriptor's.
+A Scheme refuses codes whose parameters differ from the descriptor's, and
+load_scheme an outer code built with a seed other than the descriptor's.
 """
 
 from __future__ import annotations
@@ -454,6 +455,9 @@ def load_scheme(path: str | Path) -> Scheme:
     inner_cb = InnerCodebook.load(base / fields["codebook"])
     outer = OuterCode.load(base / fields["outercode"])
     try:  # the descriptor's parameters, and their agreement with the code files' headers
+        if fields["seed"] != outer.seed:
+            raise ValueError(f"seed={fields['seed']} but the outer code was built"
+                             f" with seed={outer.seed}")
         return Scheme(params_from_fields(values), inner_cb.truncate(values["q"]), outer)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

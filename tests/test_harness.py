@@ -374,10 +374,9 @@ def test_construct_output_is_pinned(capsys, built, text, digests, message):
 def test_cli_construct_refuses_an_inner_codebook_smaller_than_q(tmp_path, capsys):
     config = tmp_path / "q100.cfg"
     config.write_text("q=100\nk=1\n")  # the desk profile has 77 codewords
-    assert main(["construct", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert main(["construct", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: inner codebook has 77 codewords, need 100\n"
-    assert not any((tmp_path / name).exists()
-                   for name in ("codebook.txt", "outercode.txt", "scheme.txt"))
+    assert not (tmp_path / "out").exists()  # no directory, let alone a code file
 
 
 def test_cli_construct_refuses_runs_beyond_int32(tmp_path, capsys):
@@ -424,11 +423,21 @@ _ROW_TOO_LONG = "N2 and a row's bits must stay below 2**31"
     ("construct", "M2=1e308\n", _ROW_TOO_LONG),
     ("construct", "channel=prc\nparam=1e-320\n",
      "run length M / mean_copies = 4.0 / 1e-320 is not finite"),
+    ("construct", "k=20\n", "1099511627776 codewords of 32 symbols take about 3.87e+25 word"
+     " steps a chunk (2.62e+05 GiB of candidates), over 4.29e+09; lower k or n"),
+    # their counts, comb(1500001, 500000) and comb(4501, 1500), have 414,649 and 1,243 digits
+    ("construct", "m=2000001\nr1=1000001\nr2=500000\n",
+     "S(2000001, 1000001, 500000) has more than 10000000 candidates"),
+    ("construct", "m=6001\nr1=3001\nr2=1500\n",
+     "S(6001, 3001, 1500) has more than 10000000 candidates"),
     ("decode", "M_B=1e-300\n", "buffer length must be at least 1"),
+    ("decode", "seed=5\n", "seed=5 but the outer code was built with seed=2024"),
 ], ids=["simulate-M_B-tiny", "simulate-M_B-huge", "simulate-M_B-overflow", "single-one-trial",
-        "construct-p-near-1", "construct-M2-huge", "construct-prc-denormal", "decode-M_B-tiny"])
+        "construct-p-near-1", "construct-M2-huge", "construct-prc-denormal", "construct-k-cap",
+        "construct-profile-huge", "construct-profile-large", "decode-M_B-tiny", "decode-seed"])
 def test_cli_refuses_hostile_configs(tmp_path, capsys, bdc_desk, command, text, message):
-    # refused where the parameters are read: exit 2, one line naming the file, no output
+    # refused before any work they would make large: exit 2 within a second,
+    # one line naming the file, no output
     config = tmp_path / "hostile.cfg"
     config.write_text(text)
     extra = []
@@ -438,7 +447,9 @@ def test_cli_refuses_hostile_configs(tmp_path, capsys, bdc_desk, command, text, 
         config.write_text(re.sub(f"^{key}=.*$", f"{key}={value}", config.read_text(), flags=re.M))
         extra = ["1"]
     out = tmp_path / "out"
+    start = time.perf_counter()
     assert main([command, "--config", str(config), "--out", str(out), *extra]) == 2
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == f"error: {config}: {message}\n"
     assert not out.exists()
 

@@ -39,13 +39,17 @@ def test_construct_m7():
 
 def test_construct_refuses_too_many_candidates_before_enumerating(monkeypatch):
     def no_enumeration(profile):
-        raise AssertionError("enumerated a refused profile")
+        raise AssertionError("enumerated a profile")
 
     monkeypatch.setattr(delchan.inner, "enumerate_S", no_enumeration)
-    profile = SProfile(47, 15, 16)
-    assert profile.count > MAX_CANDIDATES
-    with pytest.raises(ValueError, match="exceeds 10000000"):
-        construct_inner(InnerParams(profile, 2))
+    # comb(29, 9) = 10,015,005 and comb(27, 10) = 8,436,285 straddle the cap
+    for profile in (SProfile(47, 15, 16), SProfile(38, 20, 9), SProfile(49, 9, 20)):
+        assert profile.count > MAX_CANDIDATES
+        with pytest.raises(ValueError, match="has more than 10000000 candidates"):
+            construct_inner(InnerParams(profile, 2))
+    assert SProfile(37, 17, 10).count <= MAX_CANDIDATES
+    with pytest.raises(AssertionError, match="enumerated a profile"):
+        construct_inner(InnerParams(SProfile(37, 17, 10), 2))
 
 
 def test_pairwise_separation_m7_exhaustive():
