@@ -365,7 +365,7 @@ def test_construct_output_is_pinned(capsys, built, text, digests, message):
     assert {name: _sha256(directory / name) for name in digests} == digests
     if message is not None:
         descriptor = str(directory / "scheme.txt")
-        capsys.readouterr()
+        capsys.readouterr()  # construct's summary, when this test built the scheme
         assert main(["encode", "--config", descriptor, str(message)]) == 0
         assert main(["decode", "--config", descriptor, capsys.readouterr().out.strip()]) == 0
         assert capsys.readouterr().out == f"{message}\n"
