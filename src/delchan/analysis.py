@@ -246,7 +246,6 @@ def presets() -> list[Preset]:
 
 @dataclass(frozen=True)
 class PresetVerification:
-    preset: Preset
     report: ProbReport
     R_in: float
     rate: float
@@ -284,4 +283,4 @@ def verify_preset(preset: Preset) -> PresetVerification:
         floor_rate = preset.p_or_lam / 17.0
         if rate <= floor_rate:
             failures.append(f"rate {rate:.6g} <= lambda/17 = {floor_rate:.6g}")
-    return PresetVerification(preset, report, r_in, rate, tuple(failures))
+    return PresetVerification(report, r_in, rate, tuple(failures))

@@ -54,11 +54,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
     if len(inner_cb) < params.outer.q:
-        print(
-            f"error: inner codebook has {len(inner_cb)} codewords,"
-            f" need {params.outer.q}",
-            file=sys.stderr,
-        )
+        print(f"error: {args.config}: inner codebook has {len(inner_cb)} codewords,"
+              f" need {params.outer.q}", file=sys.stderr)
         return 1
     scheme = Scheme(params, inner_cb.truncate(params.outer.q), outer)
     out_dir = Path(args.out or ".")  # made only once there is a scheme to write

@@ -56,6 +56,7 @@ _BLOCK_TRIALS = 256
 # Runs whose words one count_at_most call takes in run_transition, to bound
 # its memory; the words taken do not depend on it.
 _TRANSITION_CHUNK = 1 << 16
+_GRID_STEP = 0.01  # spacing of sweep_csv's p grid
 
 
 def desk_params(kind: str, *, M_B: float = DESK_M_B) -> SchemeParams:
@@ -283,7 +284,7 @@ def analyze_csv() -> tuple[str, int]:
     return "\n".join(lines) + "\n", failures
 
 
-def sweep_csv(grid_step: float = 0.01) -> str:
+def sweep_csv() -> str:
     """Fixed-p reference rates plus a dense ceiling-free rate curve. Each
     deletion regime preset covers the p above the previous one's worst p, up
     to its own (the last one up to 1)."""
@@ -297,7 +298,7 @@ def sweep_csv(grid_step: float = 0.01) -> str:
             f"table,{p},{v.rate:.6e},{(1 - p) / 15.71:.6e},{(1 - p) / 16:.6e}"
         )
     regimes = sorted((r for r in presets() if r.kind == "bdc_regime"), key=lambda r: r.p_or_lam)
-    p = grid_step
+    p = _GRID_STEP
     while p < 0.995:
         r = next((r for r in regimes if p <= r.p_or_lam), regimes[-1])
         rate = rate_mu(r.M1, r.M2, REF_M_B, r.beta1, 1 - p, r.expected_R_in, REF_R_OUT, REF_M,
@@ -305,5 +306,5 @@ def sweep_csv(grid_step: float = 0.01) -> str:
         lines.append(
             f"grid,{p:.2f},{rate:.6e},{(1 - p) / 15.71:.6e},{(1 - p) / 16:.6e}"
         )
-        p = round(p + grid_step, 10)
+        p = round(p + _GRID_STEP, 10)
     return "\n".join(lines) + "\n"

@@ -134,6 +134,7 @@ class OuterCode:
             if den == 0:
                 raise ValueError("dout_den must be nonzero")
             spec = OuterSpec(q, n, k, num / den)
+            _refuse_oversized(spec)  # validate's greedy pass costs what construct's does
             if len(lines) != spec.num_messages:
                 raise ValueError(f"header says q**k={spec.num_messages}, found {len(lines)} lines")
             code = cls(spec, tuple(tuple(map(int, line.split())) for line in lines), seed)
@@ -141,6 +142,16 @@ class OuterCode:
         except (ValueError, OverflowError) as exc:  # num / den may not fit a float
             raise ValueError(f"{path}: {exc}") from None
         return code
+
+
+def _refuse_oversized(spec: OuterSpec) -> None:
+    """Raises if one greedy pass over q**k codewords takes over _MAX_STEPS word steps."""
+    needed = spec.num_messages
+    steps = needed * spec.n * (needed * -(-spec.n // 64) + spec.q)  # greedy and mask planes
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{needed} codewords of {spec.n} symbols take about {steps:.3g} word"
+                         f" steps a chunk ({needed * spec.n / 2**27:.3g} GiB of candidates), over"
+                         f" {_MAX_STEPS:.3g}; lower k or n")
 
 
 def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
@@ -154,12 +165,8 @@ def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
     Raises if a chunk takes over _MAX_STEPS, and if _CANDIDATE_FACTOR chunks
     run out before q**k codewords are found, reporting how many were achieved.
     """
+    _refuse_oversized(spec)
     needed = spec.num_messages
-    steps = needed * spec.n * (needed * -(-spec.n // 64) + spec.q)  # greedy and mask planes
-    if steps > _MAX_STEPS:
-        raise ValueError(f"{needed} codewords of {spec.n} symbols take about {steps:.3g} word"
-                         f" steps a chunk ({needed * spec.n / 2**27:.3g} GiB of candidates), over"
-                         f" {_MAX_STEPS:.3g}; lower k or n")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     accepted = np.empty((0, spec.n), np.int64)
     for _ in range(_CANDIDATE_FACTOR):

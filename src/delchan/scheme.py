@@ -131,12 +131,6 @@ class Scheme:
     def B(self) -> int:
         return self.params.channel.run_length(self.params.M_B * self.params.inner.m)
 
-    @property
-    def block_length(self) -> int:
-        """Bits per blown-up inner codeword."""
-        prof = self.params.inner.profile
-        return prof.r1 * self.N1 + prof.r2 * self.N2
-
     @cached_property
     def probs(self) -> ProbReport:
         """Exact run-transition probabilities at N1, N2 and T."""

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import shutil
 import time
 import tracemalloc
 from dataclasses import replace
@@ -51,26 +52,16 @@ def test_load_config(tmp_path):
     assert cfg.desk == "prc"
 
 
-def test_load_config_rejects_unknown_keys_and_bad_numbers(tmp_path, capsys):
-    # a mistyped key must not fall back to a default; a bad number names its key
+def test_load_config_rejects_unknown_keys_and_bad_numbers(tmp_path):
+    # a mistyped key must not fall back to a default; M_B is checked at load, not at run
     config = tmp_path / "exp.cfg"
-    for command, text, message in [
-        ("simulate", "mode=transition\ntrails=50\n", "unknown key 'trails'"),
-        ("simulate", "mode=transition\ntrials=abc\n",
-         "key 'trials': invalid literal for int() with base 10: 'abc'"),
-        ("simulate", "seed=7\nM_B=wide\n",
-         "key 'M_B': could not convert string to float: 'wide'"),
-        ("construct", "M_b=0.5\nseeed=3\n", "unknown key 'M_b'"),
-        ("construct", "seed=x\n", "key 'seed': invalid literal for int() with base 10: 'x'"),
-        ("simulate", "seed=-1\n", "key 'seed': -1 is negative"),
-        ("construct", "seed=-1\n", "key 'seed': -1 is negative"),
-    ]:
+    for text, message in [("mode=transition\ntrails=50\n", "unknown key 'trails'"),
+                          ("mode=transition\nM_B=inf\n", "M_B=inf must be positive and finite"),
+                          ("mode=transition\nM_B=nan\n", "M_B=nan must be positive and finite"),
+                          ("mode=transition\nM_B=-1\n", "M_B=-1.0 must be positive and finite")]:
         config.write_text(text)
-        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: {config}: {message}\n"
-    for command in ("simulate", "construct"):
-        assert main([command, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
-        assert "argument --seed: invalid nonnegative value: '-1'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{config}: {message}')}$"):
+            load_config(config)
 
 
 def test_single_codeword_report(bdc_desk):
@@ -371,97 +362,224 @@ def test_construct_output_is_pinned(capsys, built, text, digests, message):
         assert capsys.readouterr().out == f"{message}\n"
 
 
-def test_cli_construct_refuses_an_inner_codebook_smaller_than_q(tmp_path, capsys):
-    config = tmp_path / "q100.cfg"
-    config.write_text("q=100\nk=1\n")  # the desk profile has 77 codewords
-    assert main(["construct", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: inner codebook has 77 codewords, need 100\n"
-    assert not (tmp_path / "out").exists()  # no directory, let alone a code file
+@pytest.fixture(scope="module")
+def saved_desk(tmp_path_factory, bdc_desk):
+    """The desk BDC scheme's scheme.txt, codebook.txt and outercode.txt, written once."""
+    directory = tmp_path_factory.mktemp("saved")
+    _saved_scheme(directory, bdc_desk)
+    return directory
 
 
-def test_cli_construct_refuses_runs_beyond_int32(tmp_path, capsys):
-    config = tmp_path / "huge.cfg"
-    config.write_text("param=0.9999999999\n")  # N2 = 1.35e11 bits
-    assert main(["construct", "--config", str(config), "--out", str(tmp_path)]) == 2
-    assert "must stay below 2**31" in capsys.readouterr().err
-    assert not (tmp_path / "scheme.txt").exists()
+def _set(key, value):
+    """An edit of a descriptor: the line of key gets value."""
+    return lambda text: re.sub(f"^{key}=.*$", f"{key}={value}", text, flags=re.M)
 
 
-@pytest.mark.parametrize("command, text, message", [
-    ("construct", "M2=inf\n", "M2=inf must be positive and finite"),
-    ("construct", "M_B=inf\n", "M_B=inf must be positive and finite"),
-    ("construct", "M1=nan\n", "M1=nan must be positive and finite"),
-    ("construct", "channel=prc\nparam=nan\n", "repeat mean nan must be positive and finite"),
-    ("construct", "channel=prc\nparam=inf\n", "repeat mean inf must be positive and finite"),
-    ("construct", "param=nan\n", "deletion probability nan outside [0, 1)"),
-    ("simulate", "mode=transition\nM_B=inf\n", "M_B=inf must be positive and finite"),
-    ("simulate", "mode=transition\nM_B=nan\n", "M_B=nan must be positive and finite"),
-    ("simulate", "mode=transition\nM_B=-1\n", "M_B=-1.0 must be positive and finite"),
-], ids=["M2", "M_B", "M1", "prc-nan", "prc-inf", "bdc-nan", "simulate-M_B",
-        "simulate-M_B-nan", "simulate-M_B-negative"])
-def test_cli_refuses_non_finite_parameters(tmp_path, capsys, command, text, message):
-    # each config error names the file: a simulate config's M_B is checked at load
-    config = tmp_path / "exp.cfg"
-    config.write_text(text)
-    if command == "simulate":
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{config}: {message}')}$"):
-            load_config(config)
-    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+def _sub(old, new):
+    """An edit of a saved file: its first old becomes new."""
+    return lambda text: text.replace(old, new, 1)
 
 
+SIMULATE = ("simulate", "--config", "exp.cfg")
+CONSTRUCT = ("construct", "--config", "exp.cfg")
+ENCODE = ("encode", "--config", "scheme.txt", "1")
+DECODE = ("decode", "--config", "scheme.txt", "1")
 _ROW_TOO_LONG = "N2 and a row's bits must stay below 2**31"
+_CODEWORD_0 = "1001001001001001001010101"  # the first of codebook.txt's 4 codewords
 
-
-@pytest.mark.parametrize("command, text, message", [
-    ("simulate", "M_B=1e-300\n", "buffer length must be at least 1"),
-    ("simulate", "M_B=1e300\n", _ROW_TOO_LONG),  # a buffer of about 300 digits
-    ("simulate", "M_B=1e308\n", "run length M / mean_copies = inf / 0.7 is not finite"),
-    ("simulate", "mode=single_codeword\ntrials=1\n",
-     "single_codeword needs at least 2 trials for a variance"),
-    ("construct", "param=0.9999999999\n", _ROW_TOO_LONG),
-    ("construct", "M2=1e308\n", _ROW_TOO_LONG),
-    ("construct", "channel=prc\nparam=1e-320\n",
-     "run length M / mean_copies = 4.0 / 1e-320 is not finite"),
-    ("construct", "k=20\n", "1099511627776 codewords of 32 symbols take about 3.87e+25 word"
-     " steps a chunk (2.62e+05 GiB of candidates), over 4.29e+09; lower k or n"),
+# Every input the CLI refuses: (id, command, file, edit, exit code, message). A text
+# `edit` is written to `file`; a function rewrites the text of one of the saved desk
+# scheme's files; a row without a file writes none. Stderr is "error: " and `message`,
+# which names the file at fault, or no file when the fault is in the command line.
+REFUSALS = [
+    # config keys and values, named with the key
+    ("simulate-unknown-key", SIMULATE, "exp.cfg", "mode=transition\ntrails=50\n", 2,
+     "exp.cfg: unknown key 'trails'"),
+    ("simulate-trials-word", SIMULATE, "exp.cfg", "mode=transition\ntrials=abc\n", 2,
+     "exp.cfg: key 'trials': invalid literal for int() with base 10: 'abc'"),
+    ("simulate-M_B-word", SIMULATE, "exp.cfg", "seed=7\nM_B=wide\n", 2,
+     "exp.cfg: key 'M_B': could not convert string to float: 'wide'"),
+    ("construct-unknown-key", CONSTRUCT, "exp.cfg", "M_b=0.5\nseeed=3\n", 2,
+     "exp.cfg: unknown key 'M_b'"),
+    ("construct-seed-word", CONSTRUCT, "exp.cfg", "seed=x\n", 2,
+     "exp.cfg: key 'seed': invalid literal for int() with base 10: 'x'"),
+    ("simulate-seed-negative", SIMULATE, "exp.cfg", "seed=-1\n", 2,
+     "exp.cfg: key 'seed': -1 is negative"),
+    ("construct-seed-negative", CONSTRUCT, "exp.cfg", "seed=-1\n", 2,
+     "exp.cfg: key 'seed': -1 is negative"),
+    ("simulate-mode", SIMULATE, "exp.cfg", "mode=foo\n", 2, "exp.cfg: unknown mode 'foo'"),
+    ("simulate-trials-0", SIMULATE, "exp.cfg", "trials=0\n", 2,
+     "exp.cfg: trials must be at least 1"),
+    ("simulate-desk", SIMULATE, "exp.cfg", "desk=xyz\n", 2,
+     "exp.cfg: desk must be bdc or prc, got 'xyz'"),
+    # a mistyped desk must not fall back to the PRC scheme
+    ("simulate-desk-bcd", SIMULATE, "exp.cfg", "mode=single_codeword\ntrials=5\ndesk=bcd\n", 2,
+     "exp.cfg: desk must be bdc or prc, got 'bcd'"),
+    ("simulate-scheme-desk", SIMULATE, "exp.cfg",
+     "mode=end_to_end\ntrials=2\nscheme=scheme.txt\ndesk=prc\n", 2,
+     "exp.cfg: desk is ignored when scheme is given"),
+    ("simulate-scheme-M_B", SIMULATE, "exp.cfg",
+     "mode=end_to_end\ntrials=2\nscheme=scheme.txt\nM_B=0.5\n", 2,
+     "exp.cfg: M_B is ignored when scheme is given"),
+    ("single-one-trial", SIMULATE, "exp.cfg", "mode=single_codeword\ntrials=1\n", 2,
+     "exp.cfg: single_codeword needs at least 2 trials for a variance"),
+    ("single-one-trial-flag", (*SIMULATE, "--trials", "1"), "exp.cfg", "mode=single_codeword\n",
+     2, "single_codeword needs at least 2 trials for a variance"),
+    # parameters that are not finite, or would make a buffer, run or row too long
+    ("construct-M2-inf", CONSTRUCT, "exp.cfg", "M2=inf\n", 2,
+     "exp.cfg: M2=inf must be positive and finite"),
+    ("construct-M_B-inf", CONSTRUCT, "exp.cfg", "M_B=inf\n", 2,
+     "exp.cfg: M_B=inf must be positive and finite"),
+    ("construct-M1-nan", CONSTRUCT, "exp.cfg", "M1=nan\n", 2,
+     "exp.cfg: M1=nan must be positive and finite"),
+    ("construct-M1-negative", CONSTRUCT, "exp.cfg", "M1=-1\n", 2,
+     "exp.cfg: M1=-1.0 must be positive and finite"),
+    ("construct-prc-nan", CONSTRUCT, "exp.cfg", "channel=prc\nparam=nan\n", 2,
+     "exp.cfg: repeat mean nan must be positive and finite"),
+    ("construct-prc-inf", CONSTRUCT, "exp.cfg", "channel=prc\nparam=inf\n", 2,
+     "exp.cfg: repeat mean inf must be positive and finite"),
+    ("construct-bdc-nan", CONSTRUCT, "exp.cfg", "param=nan\n", 2,
+     "exp.cfg: deletion probability nan outside [0, 1)"),
+    ("simulate-M_B-inf", SIMULATE, "exp.cfg", "mode=transition\nM_B=inf\n", 2,
+     "exp.cfg: M_B=inf must be positive and finite"),
+    ("simulate-M_B-nan", SIMULATE, "exp.cfg", "mode=transition\nM_B=nan\n", 2,
+     "exp.cfg: M_B=nan must be positive and finite"),
+    ("simulate-M_B-negative", SIMULATE, "exp.cfg", "mode=transition\nM_B=-1\n", 2,
+     "exp.cfg: M_B=-1.0 must be positive and finite"),
+    ("simulate-M_B-tiny", SIMULATE, "exp.cfg", "M_B=1e-300\n", 2,
+     "exp.cfg: buffer length must be at least 1"),
+    ("simulate-M_B-huge", SIMULATE, "exp.cfg", "M_B=1e300\n", 2,  # a buffer of ~300 digits
+     f"exp.cfg: {_ROW_TOO_LONG}"),
+    ("simulate-M_B-overflow", SIMULATE, "exp.cfg", "M_B=1e308\n", 2,
+     "exp.cfg: run length M / mean_copies = inf / 0.7 is not finite"),
+    ("construct-p-near-1", CONSTRUCT, "exp.cfg", "param=0.9999999999\n", 2,  # N2 = 1.35e11
+     f"exp.cfg: {_ROW_TOO_LONG}"),
+    ("construct-M2-huge", CONSTRUCT, "exp.cfg", "M2=1e308\n", 2, f"exp.cfg: {_ROW_TOO_LONG}"),
+    ("construct-prc-denormal", CONSTRUCT, "exp.cfg", "channel=prc\nparam=1e-320\n", 2,
+     "exp.cfg: run length M / mean_copies = 4.0 / 1e-320 is not finite"),
+    # outer codes past the work cap or int64 messages, refused before any inner code
+    ("construct-k-cap", CONSTRUCT, "exp.cfg", "k=20\n", 2,
+     "exp.cfg: 1099511627776 codewords of 32 symbols take about 3.87e+25 word steps a chunk"
+     " (2.62e+05 GiB of candidates), over 4.29e+09; lower k or n"),
+    ("construct-n-cap", CONSTRUCT, "exp.cfg", "n=1000000\n", 2,
+     "exp.cfg: 256 codewords of 1000000 symbols take about 1.02e+15 word steps a chunk"
+     " (1.91 GiB of candidates), over 4.29e+09; lower k or n"),
+    ("construct-n64-k9-cap", CONSTRUCT, "exp.cfg", "q=4\nn=64\nk=9\n", 2,
+     "exp.cfg: 262144 codewords of 64 symbols take about 4.4e+12 word steps a chunk"
+     " (0.125 GiB of candidates), over 4.29e+09; lower k or n"),
+    ("construct-m29-k-cap", CONSTRUCT, "exp.cfg", "m=29\nr1=17\nr2=6\nk=20\n", 2,
+     "exp.cfg: 1099511627776 codewords of 32 symbols take about 3.87e+25 word steps a chunk"
+     " (2.62e+05 GiB of candidates), over 4.29e+09; lower k or n"),
+    # q**k is never computed for such a k
+    ("construct-k-int64", CONSTRUCT, "exp.cfg", "k=100000\n", 2,
+     "exp.cfg: q**k messages must stay below 2**63, got q=4, k=100000"),
+    ("construct-k-huge", CONSTRUCT, "exp.cfg", f"k={10**18}\n", 2,
+     f"exp.cfg: q**k messages must stay below 2**63, got q=4, k={10**18}"),
     # their counts, comb(1500001, 500000) and comb(4501, 1500), have 414,649 and 1,243 digits
-    ("construct", "m=2000001\nr1=1000001\nr2=500000\n",
-     "S(2000001, 1000001, 500000) has more than 10000000 candidates"),
-    ("construct", "m=6001\nr1=3001\nr2=1500\n",
-     "S(6001, 3001, 1500) has more than 10000000 candidates"),
-    ("decode", "M_B=1e-300\n", "buffer length must be at least 1"),
-    ("decode", "seed=5\n", "seed=5 but the outer code was built with seed=2024"),
-], ids=["simulate-M_B-tiny", "simulate-M_B-huge", "simulate-M_B-overflow", "single-one-trial",
-        "construct-p-near-1", "construct-M2-huge", "construct-prc-denormal", "construct-k-cap",
-        "construct-profile-huge", "construct-profile-large", "decode-M_B-tiny", "decode-seed"])
-def test_cli_refuses_hostile_configs(tmp_path, capsys, bdc_desk, command, text, message):
-    # refused before any work they would make large: exit 2 within a second,
-    # one line naming the file, no output
-    config = tmp_path / "hostile.cfg"
-    config.write_text(text)
-    extra = []
-    if command == "decode":  # the same key in a descriptor
-        key, value = text.strip().split("=")
-        config = _saved_scheme(tmp_path, bdc_desk)
-        config.write_text(re.sub(f"^{key}=.*$", f"{key}={value}", config.read_text(), flags=re.M))
-        extra = ["1"]
-    out = tmp_path / "out"
+    ("construct-profile-huge", CONSTRUCT, "exp.cfg", "m=2000001\nr1=1000001\nr2=500000\n", 2,
+     "exp.cfg: S(2000001, 1000001, 500000) has more than 10000000 candidates"),
+    ("construct-profile-large", CONSTRUCT, "exp.cfg", "m=6001\nr1=3001\nr2=1500\n", 2,
+     "exp.cfg: S(6001, 3001, 1500) has more than 10000000 candidates"),
+    # a verification failure: the desk profile has 77 codewords
+    ("construct-q100", CONSTRUCT, "exp.cfg", "q=100\nk=1\n", 1,
+     "exp.cfg: inner codebook has 77 codewords, need 100"),
+    # descriptors: the format, and parameters checked as a config's are
+    ("encode-no-equals", ENCODE, "scheme.txt", lambda text: text + "M1 4.0\n", 2,
+     "scheme.txt: expected key=value, got 'M1 4.0'"),
+    ("encode-missing-key", ENCODE, "scheme.txt", _sub("M1=4.0\n", ""), 2,
+     "scheme.txt: missing key 'M1'"),
+    ("encode-M1-word", ENCODE, "scheme.txt", _set("M1", "abc"), 2,
+     "scheme.txt: key 'M1': could not convert string to float: 'abc'"),
+    ("encode-unknown-key", ENCODE, "scheme.txt", lambda text: text + "M_b=0.5\n", 2,
+     "scheme.txt: unknown key 'M_b'"),
+    ("encode-M2-inf", ENCODE, "scheme.txt", _set("M2", "inf"), 2,
+     "scheme.txt: M2=inf must be positive and finite"),
+    ("encode-M_B-inf", ENCODE, "scheme.txt", _set("M_B", "inf"), 2,
+     "scheme.txt: M_B=inf must be positive and finite"),
+    ("decode-M_B-tiny", DECODE, "scheme.txt", _set("M_B", "1e-300"), 2,
+     "scheme.txt: buffer length must be at least 1"),
+    ("decode-seed", DECODE, "scheme.txt", _set("seed", 5), 2,
+     "scheme.txt: seed=5 but the outer code was built with seed=2024"),
+    ("encode-inner-mismatch", ENCODE, "scheme.txt", _set("d", 5), 2,
+     "scheme.txt: inner codebook does not match the declared parameters"),
+    ("encode-outer-mismatch", ENCODE, "scheme.txt", _set("dout", 0.25), 2,
+     "scheme.txt: outer code does not match the declared parameters"),
+    ("decode-missing", ("decode", "--config", "missing.txt", "1"), None, None, 2,
+     "[Errno 2] No such file or directory: 'missing.txt'"),
+    ("decode-missing-bits", ("decode", "--config", "missing.txt", "abc"), None, None, 2,
+     "[Errno 2] No such file or directory: 'missing.txt'"),
+    # inner code files: header, line count, codewords outside S, validation
+    ("codebook-empty", ENCODE, "codebook.txt", "", 2, "codebook.txt: empty code file"),
+    ("codebook-no-d", ENCODE, "codebook.txt", _sub(" d=2", ""), 2,
+     "codebook.txt: missing key 'd'"),
+    ("codebook-no-equals", ENCODE, "codebook.txt", _sub("d=2", "d2"), 2,
+     "codebook.txt: expected key=value, got 'd2'"),
+    ("codebook-d-word", ENCODE, "codebook.txt", _sub("d=2", "d=x"), 2,
+     "codebook.txt: key 'd': invalid literal for int() with base 10: 'x'"),
+    ("codebook-short", ENCODE, "codebook.txt", lambda text: "\n".join(text.splitlines()[:3]), 2,
+     "codebook.txt: header says count=4, found 2 lines"),
+    ("codebook-x", ENCODE, "codebook.txt", _sub(_CODEWORD_0, "x" + _CODEWORD_0[1:]), 2,
+     f"codebook.txt: 'x{_CODEWORD_0[1:]}' is not in S"),
+    # a 2 leaves the runs short and the ends 1, but it is not a bit
+    ("codebook-non-binary", ENCODE, "codebook.txt",
+     _sub(_CODEWORD_0, _CODEWORD_0[:-3] + "2" + _CODEWORD_0[-2:]), 2,
+     f"codebook.txt: '{_CODEWORD_0[:-3]}2{_CODEWORD_0[-2:]}' is not in S"),
+    ("codebook-m", ENCODE, "codebook.txt", _sub("m=25", "m=26"), 2,
+     "codebook.txt: m=26 != r1 + 2*r2 = 25"),
+    # outer code files: header, line count, symbols, validation, work cap
+    ("outercode-empty", ENCODE, "outercode.txt", "", 2, "outercode.txt: empty code file"),
+    ("outercode-dout_den-0", ENCODE, "outercode.txt", _sub("dout_den=8", "dout_den=0"), 2,
+     "outercode.txt: dout_den must be nonzero"),
+    ("outercode-no-seed", ENCODE, "outercode.txt", _sub(" seed=2024", ""), 2,
+     "outercode.txt: missing key 'seed'"),
+    ("outercode-short", ENCODE, "outercode.txt", lambda text: "\n".join(text.splitlines()[:5]),
+     2, "outercode.txt: header says q**k=256, found 4 lines"),
+    ("outercode-long", ENCODE, "outercode.txt", lambda text: text + text.splitlines()[1], 2,
+     "outercode.txt: header says q**k=256, found 257 lines"),
+    ("outercode-symbol-word", ENCODE, "outercode.txt", _sub("\n0 ", "\nx "), 2,
+     "outercode.txt: invalid literal for int() with base 10: 'x'"),
+    ("outercode-close", ENCODE, "outercode.txt",
+     lambda text: text.replace(text.splitlines()[2], text.splitlines()[1], 1), 2,
+     "outercode.txt: codewords 0 and 1 too close"),
+    ("outercode-q-1", ENCODE, "outercode.txt", _sub(" q=4 ", " q=1 "), 2,
+     "outercode.txt: alphabet size q must be at least 2"),
+    ("outercode-dout-9", ENCODE, "outercode.txt", _sub("dout_num=1 ", "dout_num=9 "), 2,
+     "outercode.txt: delta_out must lie in (0, 1)"),
+    ("outercode-dout-huge", ENCODE, "outercode.txt", _sub("dout_num=1 ", f"dout_num={10**400} "),
+     2, "outercode.txt: integer division result too large for a float"),
+    ("outercode-k-int64", ENCODE, "outercode.txt", _sub(" k=4 ", " k=100000 "), 2,
+     "outercode.txt: q**k messages must stay below 2**63, got q=4, k=100000"),
+    ("outercode-k-huge", ENCODE, "outercode.txt", _sub(" k=4 ", f" k={10**18} "), 2,
+     f"outercode.txt: q**k messages must stay below 2**63, got q=4, k={10**18}"),
+    # construct refuses k = 13 at n = 64; a valid file of it would take seconds to validate
+    ("outercode-k-cap", ENCODE, "outercode.txt", _sub(" q=4 n=32 k=4 ", " q=2 n=64 k=13 "), 2,
+     "outercode.txt: 8192 codewords of 64 symbols take about 4.3e+09 word steps a chunk"
+     " (0.00391 GiB of candidates), over 4.29e+09; lower k or n"),
+    # received strings that are not binary
+    *[(f"decode-bits-{name}", ("decode", "--config", "scheme.txt", bits), None, None, 2,
+       "received string must be binary")
+      for name, bits in [("2", "2"), ("10a1", "10a1"), ("space", "1 0"), ("newline", "01\n"),
+                         ("e-acute", "é"), ("arabic-one", "1١")]],
+]
+
+
+@pytest.mark.parametrize("command, file, edit, code, message",
+                         [pytest.param(*row[1:], id=row[0]) for row in REFUSALS])
+def test_cli_refuses_hostile_configs(tmp_path, monkeypatch, capsys, saved_desk,
+                                     command, file, edit, code, message):
+    # refused before any work they would make large: the exit code within a second,
+    # one line on stderr and nothing on stdout, no --out written
+    shutil.copytree(saved_desk, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)  # so each error names a file as the row does
+    if callable(edit):
+        (tmp_path / file).write_text(edit((tmp_path / file).read_text()))
+    elif edit is not None:
+        (tmp_path / file).write_text(edit)
     start = time.perf_counter()
-    assert main([command, "--config", str(config), "--out", str(out), *extra]) == 2
+    assert main([*command, "--out", "out"]) == code
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == f"error: {config}: {message}\n"
-    assert not out.exists()
-
-
-def test_load_scheme_refuses_non_finite_parameters(tmp_path, capsys, bdc_desk):
-    path = _saved_scheme(tmp_path, bdc_desk)
-    lines = path.read_text().splitlines()
-    for key in ("M2", "M_B"):
-        path.write_text("".join(f"{key}=inf\n" if line.startswith(f"{key}=") else line + "\n"
-                                for line in lines))
-        assert main(["encode", "--config", str(path), "1"]) == 2
-        assert capsys.readouterr().err == f"error: {path}: {key}=inf must be positive and finite\n"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_simulate_deterministic(tmp_path):
@@ -474,129 +592,37 @@ def test_cli_simulate_deterministic(tmp_path):
     assert report["config"]["trials"] == 15
 
 
-def test_cli_error_exit_codes(tmp_path, capsys, bdc_desk):
-    assert main(["decode", "--config", str(tmp_path / "missing.txt"), "1"]) == 2
-    assert main(["decode", "--config", str(tmp_path / "missing.txt"), "abc"]) == 2
+def test_cli_error_exit_codes(tmp_path, capsys):
+    # argparse's own usage errors
     assert main(["bogus-subcommand"]) == 2
-    # hostile code files behind a valid descriptor
-    scheme_path = str(_saved_scheme(tmp_path, bdc_desk))
-    outer_text = (tmp_path / "outercode.txt").read_text()
-    assert "dout_den=8" in outer_text
-    for name, text in [
-        ("codebook.txt", ""),
-        ("outercode.txt", ""),
-        ("outercode.txt", outer_text.replace("dout_den=8", "dout_den=0")),
-    ]:
-        _saved_scheme(tmp_path, bdc_desk)
-        (tmp_path / name).write_text(text)
-        assert main(["encode", "--config", scheme_path, "1"]) == 2, (name, text[:40])
-    # malformed code-file headers, a codebook shorter than its count, code
-    # files that fail validation, and a descriptor that disagrees with its
-    # codebook's header name the file and the fault
-    _saved_scheme(tmp_path, bdc_desk)
-    header, *codewords = (tmp_path / "codebook.txt").read_text().splitlines()
-    assert header == "innercode v1 m=25 r1=13 r2=6 d=2 count=4"
-    outer_lines = outer_text.splitlines()
-    descriptor = (tmp_path / "scheme.txt").read_text()
-    assert "\nd=2\n" in descriptor and "\ndout=0.125\n" in descriptor
-    # a 2 leaves the runs short and the ends 1, but it is not a bit
-    non_binary = codewords[0][:-3] + "2" + codewords[0][-2:]
-    for name, text, message in [
-        ("codebook.txt", "\n".join([header.replace(" d=2", ""), *codewords]),
-         "missing key 'd'"),
-        ("codebook.txt", "\n".join([header.replace("d=2", "d2"), *codewords]),
-         "expected key=value, got 'd2'"),
-        ("codebook.txt", "\n".join([header, *codewords[:2]]),
-         "header says count=4, found 2 lines"),
-        ("codebook.txt", "\n".join([header.replace("d=2", "d=x"), *codewords]),
-         "key 'd': invalid literal for int() with base 10: 'x'"),
-        ("outercode.txt", outer_text.replace(" seed=2024", ""), "missing key 'seed'"),
-        ("outercode.txt", "\n".join(outer_text.splitlines()[:5]),
-         "header says q**k=256, found 4 lines"),
-        ("outercode.txt", outer_text + outer_text.splitlines()[1],
-         "header says q**k=256, found 257 lines"),
-        ("outercode.txt", outer_text.replace("\n0 ", "\nx ", 1),
-         "invalid literal for int() with base 10: 'x'"),
-        ("codebook.txt", "\n".join([header, "x" + codewords[0][1:], *codewords[1:]]),
-         f"'x{codewords[0][1:]}' is not in S"),
-        ("codebook.txt", "\n".join([header, non_binary, *codewords[1:]]),
-         f"{non_binary!r} is not in S"),
-        ("outercode.txt", "\n".join([*outer_lines[:2], outer_lines[1], *outer_lines[3:]]),
-         "codewords 0 and 1 too close"),
-        ("outercode.txt", outer_text.replace(" q=4 ", " q=1 "),
-         "alphabet size q must be at least 2"),
-        ("outercode.txt", outer_text.replace("dout_num=1 ", "dout_num=9 "),
-         "delta_out must lie in (0, 1)"),
-        ("outercode.txt", outer_text.replace("dout_num=1 ", f"dout_num={10**400} "),
-         "integer division result too large for a float"),
-        ("outercode.txt", outer_text.replace(" k=4 ", " k=100000 "),
-         "q**k messages must stay below 2**63, got q=4, k=100000"),
-        ("outercode.txt", outer_text.replace(" k=4 ", f" k={10**18} "),
-         f"q**k messages must stay below 2**63, got q=4, k={10**18}"),
-        ("codebook.txt", "\n".join([header.replace("m=25", "m=26"), *codewords]),
-         "m=26 != r1 + 2*r2 = 25"),
-        ("scheme.txt", descriptor.replace("\nd=2\n", "\nd=5\n"),
-         "inner codebook does not match the declared parameters"),
-        ("scheme.txt", descriptor.replace("\ndout=0.125\n", "\ndout=0.25\n"),
-         "outer code does not match the declared parameters"),
-    ]:
-        _saved_scheme(tmp_path, bdc_desk)
-        (tmp_path / name).write_text(text)
-        start = time.perf_counter()
-        assert main(["encode", "--config", scheme_path, "1"]) == 2, message
-        assert time.perf_counter() - start < 1.0, message
-        assert f"error: {tmp_path / name}: {message}\n" in capsys.readouterr().err
-    # so do experiment configs that fail validation
-    config = tmp_path / "exp.cfg"
-    for text, message in [("mode=foo\n", "unknown mode 'foo'"),
-                          ("trials=0\n", "trials must be at least 1"),
-                          ("desk=xyz\n", "desk must be bdc or prc, got 'xyz'")]:
-        config.write_text(text)
-        assert main(["simulate", "--config", str(config)]) == 2, message
-        assert capsys.readouterr().err == f"error: {config}: {message}\n"
-    # construct configs whose parameters fail validation, before any output exists
-    out = tmp_path / "built"
-    for text, message in [("M1=-1\n", "M1=-1.0 must be positive and finite"),
-                          ("k=100000\n", "q**k messages must stay below 2**63, got q=4, k=100000")]:
-        config.write_text(text)
-        assert main(["construct", "--config", str(config), "--out", str(out)]) == 2, message
-        assert capsys.readouterr().err == f"error: {config}: {message}\n"
-        assert not out.exists()
+    for command in ("simulate", "construct"):
+        assert main([command, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert "argument --seed: invalid nonnegative value: '-1'" in capsys.readouterr().err
 
 
-def test_single_codeword_needs_two_trials(tmp_path, bdc_desk):
+def test_single_codeword_needs_two_trials(bdc_desk):
     # one trial has no sample variance; reports never hold NaN
     with pytest.raises(ValueError, match="at least 2 trials"):
         run_single_codeword(bdc_desk, 1, 0)
-    config = tmp_path / "exp.cfg"
-    config.write_text("mode=single_codeword\n")
-    assert main(["simulate", "--config", str(config), "--trials", "1"]) == 2
     with pytest.raises(ValueError):
         report_json({"x_var": float("nan")})
 
 
-def test_simulate_rejects_an_unknown_desk(tmp_path, capsys):
-    # a mistyped desk must not fall back to the PRC scheme
+def test_simulate_rejects_an_unknown_desk():
     with pytest.raises(ValueError, match="^desk must be bdc or prc, got 'bcd'$"):
         desk_params("bcd")
     with pytest.raises(ValueError, match="desk must be bdc or prc"):
         ExperimentConfig(desk="BDC")
-    config = tmp_path / "exp.cfg"
-    config.write_text("mode=single_codeword\ntrials=5\ndesk=bcd\n")
-    assert main(["simulate", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == f"error: {config}: desk must be bdc or prc, got 'bcd'\n"
 
 
 @pytest.mark.parametrize("key", ["desk=prc", "M_B=0.5"])
-def test_simulate_rejects_desk_keys_next_to_a_scheme(tmp_path, capsys, bdc_desk, key):
+def test_simulate_rejects_desk_keys_next_to_a_scheme(tmp_path, bdc_desk, key):
     scheme_path = _saved_scheme(tmp_path, bdc_desk)
     config = tmp_path / "exp.cfg"
     config.write_text(f"mode=end_to_end\ntrials=2\nscheme={scheme_path}\n{key}\n")
     name = key.split("=")[0]
     with pytest.raises(ValueError, match=f"{name} is ignored when scheme is given"):
         load_config(config)
-    assert main(["simulate", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == f"error: {config}: {name} is ignored when scheme is given\n"
     config.write_text(f"mode=end_to_end\ntrials=2\nscheme={scheme_path}\n")
     assert main(["simulate", "--config", str(config)]) == 0
 
@@ -607,32 +633,16 @@ def test_runs_need_a_trial(bdc_desk, runner):
         runner(bdc_desk, 0, 0)
 
 
-def test_descriptor_format(tmp_path, capsys, bdc_desk):
+def test_descriptor_format(tmp_path, bdc_desk):
     path = _saved_scheme(tmp_path, bdc_desk)
     lines = path.read_text().splitlines()
     # comments, blank lines and spaces around "=" are allowed
     spaced = ["# desk BDC scheme", ""] + [line.replace("=", " = ", 1) for line in lines]
     path.write_text("\n".join(spaced) + "\n")
     assert load_scheme(path) == bdc_desk
-    # a line without "=" and a missing key are configuration errors
-    path.write_text("\n".join(lines + ["M1 4.0"]) + "\n")
-    assert main(["encode", "--config", str(path), "1"]) == 2
-    assert "expected key=value" in capsys.readouterr().err
-    path.write_text("\n".join(line for line in lines if not line.startswith("M1=")) + "\n")
-    assert main(["encode", "--config", str(path), "1"]) == 2
-    assert f"error: {path}: missing key 'M1'" in capsys.readouterr().err
     path.write_text("\n".join(line for line in lines if not line.startswith("codebook=")))
     with pytest.raises(ValueError, match="missing key 'codebook'"):
         load_scheme(path)
-    # a malformed value and an unknown key name the file and the key
-    for text, message in [
-        ("\n".join(lines).replace("M1=4.0", "M1=abc"),
-         "key 'M1': could not convert string to float: 'abc'"),
-        ("\n".join(lines + ["M_b=0.5"]), "unknown key 'M_b'"),
-    ]:
-        path.write_text(text + "\n")
-        assert main(["encode", "--config", str(path), "1"]) == 2
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_desk_scheme_buffer_variant():

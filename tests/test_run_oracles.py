@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from delchan.channels import RngStream, apply_copy_counts
 from delchan import harness
-from delchan.cli import main
 from delchan.harness import (
     _BLOCK_TRIALS,
     desk_scheme,
@@ -45,7 +44,6 @@ from delchan.scheme import (
     classify,
     lay_out,
     merge_runs,
-    save_scheme,
     threshold_decode,
     threshold_text,
     window_spans,
@@ -604,14 +602,9 @@ def test_single_codeword_blocks_match_per_trial_loop(schemes, name, monkeypatch)
 
 
 @pytest.mark.parametrize("junk", ["2", "10a1", "1 0", "01\n", "é", "1١"])
-def test_decode_rejects_non_binary(bdc_desk, junk, tmp_path, capsys):
+def test_decode_rejects_non_binary(bdc_desk, junk):
     with pytest.raises(ValueError, match="^received string must be binary$"):
         bdc_desk.decode(junk)
-    bdc_desk.inner_cb.save(tmp_path / "cb.txt")
-    bdc_desk.outer.save(tmp_path / "oc.txt")
-    save_scheme(bdc_desk, tmp_path / "scheme.txt", "cb.txt", "oc.txt", 2024)
-    assert main(["decode", "--config", str(tmp_path / "scheme.txt"), junk]) == 2
-    assert capsys.readouterr().err == "error: received string must be binary\n"
 
 
 @pytest.mark.parametrize("name", SCHEMES)

@@ -221,7 +221,7 @@ def test_single_block_scheme_has_no_buffers():
     inner_cb = cached_inner_codebook(params.inner).truncate(4)
     scheme = Scheme(params, inner_cb, construct_outer(params.outer, 3))
     bits = scheme.encode(0)
-    assert len(bits) == scheme.block_length
+    assert len(bits) == 13 * scheme.N1 + 6 * scheme.N2
     assert "0" * scheme.B not in bits
 
 
@@ -256,7 +256,7 @@ def test_decode_survives_one_deleted_buffer(bdc_scheme):
     s = bdc_scheme
     msg = 90
     bits = s.encode(msg)
-    block, B = s.block_length, s.B
+    block, B = 13 * s.N1 + 6 * s.N2, s.B
     start = 3 * block + 2 * B  # third buffer
     corrupted = bits[:start] + bits[start + B:]
     assert s.decode(corrupted) == msg
