@@ -163,7 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        name = getattr(exc, "filename", None)  # an OSError's file, named as in every refusal
+        print("error:", exc if name is None else f"{name}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -51,11 +51,6 @@ class InnerCodebook:
         """Measured rate log2|C| / m."""
         return log2(len(self.codewords)) / self.params.m
 
-    def encode(self, symbol: int) -> str:
-        if not 0 <= symbol < len(self.codewords):
-            raise ValueError(f"symbol {symbol} out of range [0, {len(self.codewords)})")
-        return self.codewords[symbol]
-
     def decode(self, window: str) -> int:
         """Index of a nearest codeword in edit distance (all codewords have length
         m, so the longest LCS); ties take the smallest index. One pass of the

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import floor_snapped
-from .strings import first_close_pair, greedy, lane_masks, lcs_lanes, read_code_file
+from .strings import first_close_pair, greedy, lane_masks, lcs_rows, read_code_file
 
 # Chunks of q**k candidates (candidates per message) drawn before giving up.
 _CANDIDATE_FACTOR = 200
@@ -100,7 +100,7 @@ class OuterCode:
         received = tuple(received)
         if received in self._message_of:  # at distance 0 from that codeword alone
             return self._message_of[received]
-        lcs = lcs_lanes(received, self._masks, self.spec.n)
+        lcs = lcs_rows(np.array([received], np.int64), self._masks, self.spec.n)[0]
         return int(np.argmin(self.spec.n + len(received) - 2 * lcs))
 
     def validate(self) -> None:

@@ -236,8 +236,8 @@ class Layout:
     [starts[i], starts[i] + lengths[i]), lengths[i] = run_lengths[orig[i]] of
     the scheme's (B, N1, N2), both built when read. Runs alternate in bit,
     from 1 if the first run is a codeword's, or 0 for a buffer. A block holds
-    a transmission per row of orig, buffers at the same runs in every row, and
-    takes one channel word per run, in run order; symbols is as given."""
+    a transmission per row of orig, so orig == 0 marks its buffers, at the same
+    runs in every row; one channel word per run, in run order; symbols as given."""
 
     symbols: np.ndarray | tuple
     orig: np.ndarray
@@ -260,11 +260,6 @@ class Layout:
         """Each run's bit: one row, broadcast (read-only) over a block's rows."""
         row = (np.arange(self.orig.shape[-1]) & 1) ^ (self.orig.size and self.orig.flat[0] > 0)
         return np.broadcast_to(row.astype(np.uint8), self.orig.shape)
-
-    @property
-    def buffers(self) -> np.ndarray:
-        """Flat run indices of the buffers."""
-        return np.flatnonzero(self.orig == 0)
 
     def bits(self) -> str:
         """The transmitted string."""
@@ -436,6 +431,8 @@ def params_from_fields(f: dict) -> SchemeParams:
 
 def save_scheme(scheme: Scheme, path: str | Path, codebook_path: str, outer_path: str,
                 seed: int) -> None:
+    if seed != scheme.outer.seed:  # load_scheme would refuse the descriptor
+        raise ValueError(f"seed={seed} but the outer code was built with seed={scheme.outer.seed}")
     fields = params_to_fields(scheme.params)
     fields.update(seed=seed, codebook=codebook_path, outercode=outer_path)
     Path(path).write_text("".join(f"{key}={value}\n" for key, value in fields.items()))

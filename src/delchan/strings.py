@@ -58,7 +58,7 @@ def bit_runs(s: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lane_masks(rows: np.ndarray, q: int) -> np.ndarray:
-    """Match masks for lcs_lanes of a (count, n) array of symbols in [0, q):
+    """Match masks for lcs_rows of a (count, n) array of symbols in [0, q):
     bit i of masks[s, j] is set iff rows[j, i] == s. Lanes of n <= 32
     symbols take one uint32 word, longer lanes uint64 words, bit i % 64 of
     word i // 64."""
@@ -99,11 +99,6 @@ def lcs_rows(rows: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
         v ^= p
         v |= s
     return n - np.bitwise_count(v & full).sum(axis=1, dtype=np.int64).reshape(len(rows), lanes)
-
-
-def lcs_lanes(a, masks: np.ndarray, n: int) -> np.ndarray:
-    """lcs_rows of the one symbol sequence a."""
-    return lcs_rows(np.asarray(a, np.int64).reshape(1, -1), masks, n)[0]
 
 
 def greedy(rows: np.ndarray, q: int, threshold: int) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Slow reference implementations the package no longer runs, kept for the
-tests to compare its fast paths against, the insertion/deletion ball
+tests to compare its fast paths against, each written once here: edit
+distance on strings and symbol sequences, a run's survivors from per-bit
+counts, one survivors draw per run, the pairwise greedy loop, the scalar
+inner decode and the run-by-run family. Also the insertion/deletion ball
 machinery (embed_all, deletion_ball_bound) that only the tests use, and a
 stand-in generator that feeds chosen words to the channel's draws."""
 
@@ -41,9 +44,21 @@ def scalar_inner_decode(codewords, window: str) -> int:
     return lcs.index(max(lcs))
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Insertion/deletion edit distance: |a| + |b| - 2*LCS(a, b)."""
-    return len(a) + len(b) - 2 * lcs_len(a, b)
+def edit_distance(a, b) -> int:
+    """Insertion/deletion edit distance of two strings or symbol sequences:
+    |a| + |b| - 2*LCS(a, b)."""
+    return len(a) + len(b) - 2 * sequence_lcs_len(a, b)
+
+
+def per_run(layout, counts) -> np.ndarray:
+    """The survivors of each run of a one-row layout, given per-bit copy counts."""
+    return np.add.reduceat(counts, layout.starts)
+
+
+def draws_per_run(channel, lengths, rng) -> np.ndarray:
+    """Oracle for the channel's draws: one survivors call per run of each of
+    lengths, in order, as int32."""
+    return np.array([channel.survivors(n, 1, rng)[0] for n in lengths], np.int32)
 
 
 def window_key(window: str):

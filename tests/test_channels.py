@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from delchan.channels import ChannelModel, RngStream, _survivor_table, apply_copy_counts
 from delchan.outer import OuterSpec, construct_outer
 from delchan.scheme import Layout, Scheme, lay_out, run_table
-from oracles import fed
+from oracles import draws_per_run, fed
 
 
 def test_stream_reproducibility_and_independence():
@@ -110,7 +110,7 @@ def masked_loop(bits, lam, rng):
     """The PRC output of bits, one survivors call per run, in string order,
     as transmit draws them."""
     runs = [(m.group()[0], len(m.group())) for m in re.finditer("0+|1+", bits)]
-    counts = [int(ChannelModel("prc", lam).survivors(n, 1, rng)[0]) for _, n in runs]
+    counts = draws_per_run(ChannelModel("prc", lam), [n for _, n in runs], rng).tolist()
     return "".join(bit * count for (bit, _), count in zip(runs, counts))
 
 
@@ -239,14 +239,6 @@ def test_count_at_most_at_the_thresholds(law):
             int((z <= t).sum()) for t in ts]
 
 
-def _per_run_loop(channel, layout, rng):
-    """copy_counts' oracle: one survivors call per run of a layout, row by
-    row, each row in run order."""
-    lengths = layout.lengths.reshape(-1).tolist()
-    return np.array([channel.survivors(n, 1, rng)[0] for n in lengths],
-                    np.int32).reshape(layout.orig.shape)
-
-
 def _twin_stream_layouts(bdc_desk, prc_desk):
     """Block layouts: encode_block blocks of 0, 1 and 32 rows on the desk
     BDC and of 256 rows on the desk PRC (with a 4-symbol outer code, to keep
@@ -274,7 +266,8 @@ def test_copy_counts_match_one_draw_per_run(bdc_desk, prc_desk):
         drawn, looped = RngStream(15, index).generator(), RngStream(15, index).generator()
         counts = channel.copy_counts(layout, drawn)
         assert counts.dtype == np.int32 and counts.shape == layout.orig.shape
-        assert np.array_equal(counts, _per_run_loop(channel, layout, looped)), index
+        looped_counts = draws_per_run(channel, layout.lengths.reshape(-1).tolist(), looped)
+        assert np.array_equal(counts, looped_counts.reshape(layout.orig.shape)), index
         assert drawn.bit_generator.state == looped.bit_generator.state
 
 

@@ -390,7 +390,8 @@ _CODEWORD_0 = "1001001001001001001010101"  # the first of codebook.txt's 4 codew
 # Every input the CLI refuses: (id, command, file, edit, exit code, message). A text
 # `edit` is written to `file`; a function rewrites the text of one of the saved desk
 # scheme's files; a row without a file writes none. Stderr is "error: " and `message`,
-# which names the file at fault, or no file when the fault is in the command line.
+# which names the file at fault, or no file when the fault is in the command line. The
+# command's own --out, or else "out", must not be written.
 REFUSALS = [
     # config keys and values, named with the key
     ("simulate-unknown-key", SIMULATE, "exp.cfg", "mode=transition\ntrails=50\n", 2,
@@ -505,9 +506,12 @@ REFUSALS = [
     ("encode-outer-mismatch", ENCODE, "scheme.txt", _set("dout", 0.25), 2,
      "scheme.txt: outer code does not match the declared parameters"),
     ("decode-missing", ("decode", "--config", "missing.txt", "1"), None, None, 2,
-     "[Errno 2] No such file or directory: 'missing.txt'"),
+     "missing.txt: No such file or directory"),
     ("decode-missing-bits", ("decode", "--config", "missing.txt", "abc"), None, None, 2,
-     "[Errno 2] No such file or directory: 'missing.txt'"),
+     "missing.txt: No such file or directory"),
+    # a report with nowhere to go, refused once the run is done
+    ("simulate-out-nodir", ("simulate", "--trials", "2", "--out", "nodir/r.json"), None, None,
+     2, "nodir/r.json: No such file or directory"),
     # inner code files: header, line count, codewords outside S, validation
     ("codebook-empty", ENCODE, "codebook.txt", "", 2, "codebook.txt: empty code file"),
     ("codebook-no-d", ENCODE, "codebook.txt", _sub(" d=2", ""), 2,
@@ -575,11 +579,12 @@ def test_cli_refuses_hostile_configs(tmp_path, monkeypatch, capsys, saved_desk,
         (tmp_path / file).write_text(edit((tmp_path / file).read_text()))
     elif edit is not None:
         (tmp_path / file).write_text(edit)
+    out = command[command.index("--out") + 1] if "--out" in command else "out"
     start = time.perf_counter()
-    assert main([*command, "--out", "out"]) == code
+    assert main([*command, "--out", out]) == code
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / out).exists()
 
 
 def test_cli_simulate_deterministic(tmp_path):

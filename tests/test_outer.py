@@ -13,7 +13,7 @@ import delchan.outer
 import delchan.strings
 from delchan.cli import main
 from delchan.outer import _CANDIDATE_FACTOR, OuterCode, OuterSpec, construct_outer
-from delchan.strings import sequence_lcs_len
+from oracles import edit_distance
 
 
 SPEC = OuterSpec(q=4, n=32, k=4, delta_out=0.125)
@@ -27,14 +27,10 @@ def code():
 # The one-pair-at-a-time loops the bit-parallel code replaced, kept as oracles.
 
 
-def sequence_edit_distance(a, b):
-    return len(a) + len(b) - 2 * sequence_lcs_len(a, b)
-
-
 def scalar_decode(code, received):
     best, best_d = 0, None
     for i, c in enumerate(code.codewords):
-        d = sequence_edit_distance(c, tuple(received))
+        d = edit_distance(c, tuple(received))
         if best_d is None or d < best_d:
             best, best_d = i, d
     return best
@@ -46,7 +42,7 @@ def scalar_construct(spec, seed):
     accepted = []
     for _ in range(_CANDIDATE_FACTOR * spec.num_messages):
         cand = tuple(int(s) for s in rng.integers(0, spec.q, size=spec.n))
-        if all(sequence_edit_distance(cand, c) > threshold for c in accepted):
+        if all(edit_distance(cand, c) > threshold for c in accepted):
             accepted.append(cand)
             if len(accepted) == spec.num_messages:
                 break
@@ -57,7 +53,7 @@ def scalar_validate_error(code):
     threshold = 2.0 * code.spec.delta_out * code.spec.n
     for i, c in enumerate(code.codewords):
         for j in range(i + 1, len(code.codewords)):
-            if sequence_edit_distance(c, code.codewords[j]) <= threshold:
+            if edit_distance(c, code.codewords[j]) <= threshold:
                 return f"codewords {i} and {j} too close"
     return None
 
@@ -87,7 +83,7 @@ def test_decode_ties_and_degenerate_receptions(code):
             assert target.decode(received) == scalar_decode(target, received)
     assert code.decode([]) == 0
     # the checks above meet ties: several codewords are nearest to [1]
-    dists = [sequence_edit_distance(c, (1,)) for c in TIES.codewords]
+    dists = [edit_distance(c, (1,)) for c in TIES.codewords]
     assert dists.count(min(dists)) > 1
 
 
@@ -174,7 +170,7 @@ def test_construction_and_distance(code):
     threshold = 2 * SPEC.delta_out * SPEC.n
     for i in range(0, 256, 37):
         for j in range(i + 1, 256, 41):
-            assert sequence_edit_distance(code.codewords[i], code.codewords[j]) > threshold
+            assert edit_distance(code.codewords[i], code.codewords[j]) > threshold
 
 
 def test_encode_bounds(code):

@@ -9,11 +9,12 @@ decoded in one block, and classify on any block of transmissions. Both
 harness modes are checked, across block edges, against per-trial string
 decodes and the frozen per-trial classify loop, on the draws the harness
 makes per block; and each row of a block layout against encode_with_layout.
-The outer codeword lookup is checked against the bare lcs_lanes argmin, the
-inner symbols looked up by run-pattern key against the scalar inner decode,
-merge_runs against the reduceat merge it replaced, and the inner-decode memo
-against its cap, against the windows the string path would put in it and
-against a second decode of a block, which thresholds no run.
+The outer codeword lookup is checked against the bare argmin of a one-row
+lcs_rows pass, the inner symbols looked up by run-pattern key against the
+scalar inner decode, merge_runs against the reduceat merge it replaced, and
+the inner-decode memo against its cap, against the windows the string path
+would put in it and against a second decode of a block, which thresholds no
+run.
 """
 
 import random
@@ -48,8 +49,8 @@ from delchan.scheme import (
     threshold_text,
     window_spans,
 )
-from delchan.strings import lcs_lanes, runs_of
-from oracles import fed, window_key
+from delchan.strings import lcs_rows, runs_of
+from oracles import fed, per_run, window_key
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,7 @@ SCHEMES = ["bdc", "prc", "bdc_M_B=0.5"]
 def string_encode(scheme, message):
     blocks = [
         "".join(str(b) * (scheme.N1 if ln == 1 else scheme.N2) for b, ln in runs_of(codeword))
-        for codeword in map(scheme.inner_cb.encode, scheme.outer.encode(message))
+        for codeword in map(scheme.inner_cb.codewords.__getitem__, scheme.outer.encode(message))
     ]
     return ("0" * scheme.B).join(blocks)
 
@@ -130,11 +131,6 @@ def copy_counts(kind, seed, layout):
 
 
 KINDS = st.sampled_from(["deletion", "repeat", "zero", "large", "runs"])
-
-
-def per_run(layout, counts):
-    """The survivors of each run, given per-bit copy counts."""
-    return np.add.reduceat(counts, layout.starts)
 
 
 def per_bit(layout, survivors):
@@ -394,7 +390,7 @@ def test_first_block_does_not_depend_on_the_trial_count(bdc_desk, monkeypatch):
 
 
 def lane_argmin(code, received):
-    lcs = lcs_lanes(tuple(received), code._masks, code.spec.n)
+    lcs = lcs_rows(np.array([received], np.int64), code._masks, code.spec.n)[0]
     return int(np.argmin(code.spec.n + len(received) - 2 * lcs))
 
 
@@ -520,7 +516,7 @@ def test_blocks_of_no_rows(bdc_desk):
         (s.encode_block(np.arange(0)), s.encode_with_layout(0)),
     ):
         assert block.lengths.shape == block.orig.shape == block.run_bits.shape == (0, one.orig.size)
-        assert len(block) == 0 and block.buffers.size == 0
+        assert len(block) == 0 and np.flatnonzero(block.orig == 0).size == 0
         counts = s.params.channel.copy_counts(block, RngStream(1, 0).generator())
         assert counts.shape == block.lengths.shape
         assert s.decode_block(block.run_bits, counts) == []
@@ -561,7 +557,7 @@ def frozen_single_codeword_loop(scheme, trials, master_seed):
             (x,), trial_events = string_classify(scheme, layout, per_bit(layout, survivors))
             xs.append(x)
             events.update(trial_events)
-            buffers += len(layout.buffers)
+            buffers += len(np.flatnonzero(layout.orig == 0))
     x_var = float(statistics.variance(xs))  # exact on integers, rounded once
     probs = scheme.probs
     m = scheme.params.inner.m

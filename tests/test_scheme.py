@@ -25,7 +25,7 @@ from delchan.scheme import (
     window_spans,
 )
 from delchan.strings import SProfile, runs_of
-from oracles import window_key
+from oracles import per_run, window_key
 
 
 def test_snapped_rounding():
@@ -43,7 +43,7 @@ def test_snapped_rounding():
 def _blow_up(codeword, N1, N2):
     """A one-codeword layout without buffers: just the blown-up runs."""
     layout = lay_out((0,), run_table([codeword], 7, N1, N2))
-    assert layout.buffers.size == 0
+    assert np.flatnonzero(layout.orig == 0).size == 0
     return layout.bits()
 
 
@@ -68,10 +68,10 @@ def test_blow_up_examples():
     assert layout.lengths.tolist() == [3, 1, 1, 2, 1, 1, 3]
     assert layout.orig.tolist() == [2, 1, 1, 0, 1, 1, 2]
     assert layout.run_bits.tolist() == [1, 0, 1, 0, 1, 0, 1]
-    assert layout.buffers.tolist() == [3]
+    assert np.flatnonzero(layout.orig == 0).tolist() == [3]
     edged = lay_out((1, 0), table, edge_buffers=True)
     assert edged.bits() == "00" + layout.bits() + "00"
-    assert edged.starts[edged.buffers].tolist() == [0, 7, 14]
+    assert edged.starts[np.flatnonzero(edged.orig == 0)].tolist() == [0, 7, 14]
 
 
 def test_identify_buffers_examples():
@@ -151,31 +151,19 @@ def _delete_run(layout, i):
     return counts
 
 
-def _per_run(layout, counts):
-    """The survivors of each run, given per-bit copy counts."""
-    return np.add.reduceat(counts, layout.starts)
+def test_blowup_factors(bdc_desk):
+    assert (bdc_desk.N1, bdc_desk.N2) == (6, 20)
+    assert bdc_desk.B == ceil_snapped(2.5 * 25 / 0.7)
 
 
-@pytest.fixture(scope="module")
-def bdc_scheme():
-    params = desk_params("bdc")
-    inner_cb = cached_inner_codebook(params.inner).truncate(params.outer.q)
-    return Scheme(params, inner_cb, construct_outer(params.outer, 2024))
-
-
-def test_blowup_factors(bdc_scheme):
-    assert (bdc_scheme.N1, bdc_scheme.N2) == (6, 20)
-    assert bdc_scheme.B == ceil_snapped(2.5 * 25 / 0.7)
-
-
-def test_alphabet_guard(bdc_scheme):
+def test_alphabet_guard(bdc_desk):
     with pytest.raises(ValueError, match="outer alphabet 4 exceeds inner codebook size 3"):
-        Scheme(bdc_scheme.params, bdc_scheme.inner_cb.truncate(3), bdc_scheme.outer)
+        Scheme(bdc_desk.params, bdc_desk.inner_cb.truncate(3), bdc_desk.outer)
     with pytest.raises(ValueError, match="outer code does not match the declared parameters"):
         Scheme(
-            replace(bdc_scheme.params, outer=OuterSpec(200, 32, 4, 0.125)),
-            bdc_scheme.inner_cb,
-            bdc_scheme.outer,
+            replace(bdc_desk.params, outer=OuterSpec(200, 32, 4, 0.125)),
+            bdc_desk.inner_cb,
+            bdc_desk.outer,
         )
 
 
@@ -184,23 +172,23 @@ def test_alphabet_guard(bdc_scheme):
     {"M_B": 1e8},  # B = 3.6e9 bits
     {"M_B": 2e6},  # B = 71.4e6 bits: a row of 32 codewords holds 2.36e9 bits
 ])
-def test_run_lengths_must_fit_int32(bdc_scheme, changes):
+def test_run_lengths_must_fit_int32(bdc_desk, changes):
     with pytest.raises(ValueError, match=r"must stay below 2\*\*31"):  # the parameters alone
-        replace(bdc_scheme.params, **changes)
-    assert bdc_scheme.encode_with_layout(0).lengths.dtype == np.int32
+        replace(bdc_desk.params, **changes)
+    assert bdc_desk.encode_with_layout(0).lengths.dtype == np.int32
 
 
-def test_encode_length_formula(bdc_scheme):
-    s = bdc_scheme
+def test_encode_length_formula(bdc_desk):
+    s = bdc_desk
     n = s.outer.spec.n
     expected = n * (13 * s.N1 + 6 * s.N2) + (n - 1) * s.B
     for msg in (0, 1, 255):
         assert len(s.encode(msg)) == expected
 
 
-def test_layout_classes_have_one_length(bdc_scheme):
+def test_layout_classes_have_one_length(bdc_desk):
     # the channel draws the survivors of each class of runs at one length
-    s = bdc_scheme
+    s = bdc_desk
     layouts = [s.encode_with_layout(msg) for msg in (0, 90, 255)]
     layouts += [_single_codeword(s, symbol) for symbol in range(len(s.inner_cb))]
     for layout in layouts:
@@ -208,10 +196,10 @@ def test_layout_classes_have_one_length(bdc_scheme):
             assert set(layout.lengths[layout.orig == orig].tolist()) == {length}
 
 
-def test_encode_injective(bdc_scheme):
+def test_encode_injective(bdc_desk):
     rnd = random.Random(11)
     msgs = rnd.sample(range(256), 40)
-    encodings = {bdc_scheme.encode(m) for m in msgs}
+    encodings = {bdc_desk.encode(m) for m in msgs}
     assert len(encodings) == len(msgs)
 
 
@@ -225,35 +213,35 @@ def test_single_block_scheme_has_no_buffers():
     assert "0" * scheme.B not in bits
 
 
-def test_composition_identity(bdc_scheme):
+def test_composition_identity(bdc_desk):
     # clean encoding splits into one window per inner codeword, and any
     # threshold in [N1, N2) maps each window back to its codeword exactly
-    s = bdc_scheme
+    s = bdc_desk
     bits = s.encode(201)
     windows = [bits[a:b] for a, b in window_spans(bits, s.params.buffer_threshold)]
     symbols = s.outer.encode(201)
     assert len(windows) == len(symbols)
     for T in (s.N1, (s.N1 + s.N2) // 2, s.N2 - 1):
         for win, sym in zip(windows, symbols):
-            assert threshold_decode(win, T) == s.inner_cb.encode(sym)
+            assert threshold_decode(win, T) == s.inner_cb.codewords[sym]
 
 
-def test_decode_clean(bdc_scheme):
+def test_decode_clean(bdc_desk):
     for msg in (0, 77, 200):
-        assert bdc_scheme.decode(bdc_scheme.encode(msg)) == msg
+        assert bdc_desk.decode(bdc_desk.encode(msg)) == msg
 
 
-def test_decode_totality_fuzz(bdc_scheme):
+def test_decode_totality_fuzz(bdc_desk):
     rnd = random.Random(13)
     for _ in range(25):
         junk = "".join(rnd.choice("01") for _ in range(rnd.randrange(0, 400)))
-        assert 0 <= bdc_scheme.decode(junk) < 256
+        assert 0 <= bdc_desk.decode(junk) < 256
 
 
-def test_decode_survives_one_deleted_buffer(bdc_scheme):
+def test_decode_survives_one_deleted_buffer(bdc_desk):
     # removing a buffer merges two codeword windows: at most 2 symbol
     # deletions plus 1 insertion, inside the outer decoding radius of 4
-    s = bdc_scheme
+    s = bdc_desk
     msg = 90
     bits = s.encode(msg)
     block, B = 13 * s.N1 + 6 * s.N2, s.B
@@ -262,8 +250,8 @@ def test_decode_survives_one_deleted_buffer(bdc_scheme):
     assert s.decode(corrupted) == msg
 
 
-def test_trace_clean_channel(bdc_scheme):
-    s = bdc_scheme
+def test_trace_clean_channel(bdc_desk):
+    s = bdc_desk
     layout = s.encode_with_layout(42)
     enc = layout.bits()
     assert enc == s.encode(42)
@@ -271,43 +259,44 @@ def test_trace_clean_channel(bdc_scheme):
     assert msg == 42
     assert len(trace.window_boundaries) == 32
     symbols = list(s.outer.encode(42))
-    assert trace.per_window_threshold_outputs == [s.inner_cb.encode(c) for c in symbols]
+    assert trace.per_window_threshold_outputs == [s.inner_cb.codewords[c] for c in symbols]
     assert trace.per_window_inner_symbols == symbols
-    xs, events = classify(s, layout, _per_run(layout, np.ones(len(enc), dtype=np.int64)))
+    xs, events = classify(s, layout, per_run(layout, np.ones(len(enc), dtype=np.int64)))
     assert events == {
         "deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0,
     }
     assert xs == [0] * 32
 
 
-def test_trace_x_for_vanished_run(bdc_scheme):
+def test_trace_x_for_vanished_run(bdc_desk):
     # wipe out a blown-up 1-run that precedes a 2-run: X = 1 + 2 = 3
-    s = bdc_scheme
+    s = bdc_desk
     layout = _single_codeword(s, 2)
     orig = layout.orig.tolist()
     j = next(i for i in range(len(orig) - 1) if orig[i] == 1 and orig[i + 1] == 2)
-    xs, _ = classify(s, layout, _per_run(layout, _delete_run(layout, j)))
+    xs, _ = classify(s, layout, per_run(layout, _delete_run(layout, j)))
     assert xs == [3]
 
 
-def test_trace_x_for_vanished_last_run(bdc_scheme):
+def test_trace_x_for_vanished_last_run(bdc_desk):
     # the final run vanishing costs its own length plus 2
-    s = bdc_scheme
+    s = bdc_desk
     layout = _single_codeword(s, 1)
-    last = layout.buffers[-1] - 1
-    xs, _ = classify(s, layout, _per_run(layout, _delete_run(layout, last)))
+    last = np.flatnonzero(layout.orig == 0)[-1] - 1
+    xs, _ = classify(s, layout, per_run(layout, _delete_run(layout, last)))
     assert xs == [layout.orig[last] + 2]
 
 
-def test_trace_deleted_buffer_flagged(bdc_scheme):
-    s = bdc_scheme
+def test_trace_deleted_buffer_flagged(bdc_desk):
+    s = bdc_desk
     layout = _single_codeword(s, 0)
-    _, events = classify(s, layout, _per_run(layout, _delete_run(layout, layout.buffers[0])))
+    first_buffer = np.flatnonzero(layout.orig == 0)[0]
+    _, events = classify(s, layout, per_run(layout, _delete_run(layout, first_buffer)))
     assert events["deleted_buffer"] == 1
 
 
-def test_scheme_serialization_roundtrip(tmp_path, bdc_scheme):
-    s = bdc_scheme
+def test_scheme_serialization_roundtrip(tmp_path, bdc_desk):
+    s = bdc_desk
     s.inner_cb.save(tmp_path / "cb.txt")
     s.outer.save(tmp_path / "oc.txt")
     save_scheme(s, tmp_path / "scheme.txt", "cb.txt", "oc.txt", 2024)
@@ -316,6 +305,13 @@ def test_scheme_serialization_roundtrip(tmp_path, bdc_scheme):
     assert loaded.inner_cb.codewords == s.inner_cb.codewords
     assert loaded.outer.codewords == s.outer.codewords
     assert loaded.decode(s.encode(9)) == 9
+
+
+def test_save_scheme_refuses_another_seed(tmp_path, bdc_desk):
+    # load_scheme refuses a descriptor whose seed is not the outer code's, so none is written
+    with pytest.raises(ValueError, match="^seed=5 but the outer code was built with seed=2024$"):
+        save_scheme(bdc_desk, tmp_path / "scheme.txt", "cb.txt", "oc.txt", 5)
+    assert not (tmp_path / "scheme.txt").exists()
 
 
 def test_inner_decode_takes_first_of_duplicate_codewords(bdc_desk):

@@ -20,7 +20,6 @@ from delchan.strings import (
     enumerate_S,
     greedy,
     in_S,
-    lcs_lanes,
     lcs_len,
     lcs_rows,
     lane_masks,
@@ -85,6 +84,12 @@ def int_lane_masks(lanes, q, n):
     return lane_masks(np.array(lanes, np.int64).reshape(len(lanes), n), q)
 
 
+def one_row_lcs(seq, masks, n):
+    """lcs_rows of the one symbol sequence seq: its one-row case, which ANDs
+    each symbol's plane and gathers none."""
+    return lcs_rows(np.array([seq], np.int64), masks, n)[0]
+
+
 @st.composite
 def lane_cases(draw):
     """Equal-length lanes over [0, q) and a sequence that may hold symbols
@@ -104,7 +109,7 @@ def lane_cases(draw):
 @given(lane_cases())
 def test_lcs_lanes_matches_scalar_oracles(case):
     n, q, lanes, a = case
-    got = lcs_lanes(a, int_lane_masks(lanes, q, n), n)
+    got = one_row_lcs(a, int_lane_masks(lanes, q, n), n)
     assert got.tolist() == [lcs_dp(a, lane) for lane in lanes]
     assert got.tolist() == [sequence_lcs_len(a, lane) for lane in lanes]
 
@@ -130,11 +135,14 @@ def row_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(row_cases())
+# one row, its symbols inside and outside [0, q)
+@example((3, 2, [[0, 1, 1], [1, 0, 0]], [[-2, 1, 3, 0, 2, 1]], np.array([[-2, 1, 3, 0, 2, 1]])))
 def test_lcs_rows_matches_scalar_oracle(case):
     n, q, lanes, seqs, rows = case
     got = lcs_rows(rows, int_lane_masks(lanes, q, n), n)
     assert got.shape == (len(seqs), len(lanes))
     assert got.tolist() == [[sequence_lcs_len(seq, lane) for lane in lanes] for seq in seqs]
+    assert got.tolist() == [[lcs_dp(seq, lane) for lane in lanes] for seq in seqs]
 
 
 @st.composite
@@ -177,7 +185,7 @@ def test_lcs_at_the_word_width_boundaries(n):
         rows = np.array([seq + [q] * (width - len(seq)) for seq in seqs], np.int64)
         expected = [[sequence_lcs_len(seq, lane) for lane in lanes] for seq in seqs]
         assert lcs_rows(rows, masks, n).tolist() == expected
-        assert [lcs_lanes(seq, masks, n).tolist() for seq in seqs] == expected
+        assert [one_row_lcs(seq, masks, n).tolist() for seq in seqs] == expected
 
 
 @st.composite
@@ -246,14 +254,15 @@ def test_bit_runs():
 
 @pytest.mark.parametrize("n", [1, 8, 31, 32, 33, 63, 64, 65, 128, 130])
 def test_lcs_lanes_edge_cases(n):
+    # one codeword a lane, through lcs_rows' one-row case
     rnd = random.Random(n)
     lane = [rnd.randrange(2) for _ in range(n)]
     masks = int_lane_masks([lane], 2, n)
     assert masks.shape == (2, 1, -(-n // 64))
-    assert lcs_lanes([], masks, n).tolist() == [0]
-    assert lcs_lanes([2, -1, 7] * n, masks, n).tolist() == [0]
-    assert lcs_lanes(lane, masks, n).tolist() == [n]
-    assert lcs_lanes([1] * (n + 3), masks, n).tolist() == [sum(lane)]
+    assert one_row_lcs([], masks, n).tolist() == [0]
+    assert one_row_lcs([2, -1, 7] * n, masks, n).tolist() == [0]
+    assert one_row_lcs(lane, masks, n).tolist() == [n]
+    assert one_row_lcs([1] * (n + 3), masks, n).tolist() == [sum(lane)]
     # bit i of word w stands for position 64 * w + i
     ones = int("".join(map(str, lane))[::-1], 2)
     for sym, pattern in enumerate([ones ^ ((1 << n) - 1), ones]):
@@ -262,9 +271,9 @@ def test_lcs_lanes_edge_cases(n):
     # a carry out of word 0 passes through an all-ones word 1 into word 2
     block = [0] * 64 + [1] * 64 + [0] * (n - 128)
     if n > 128:
-        assert lcs_lanes([0], int_lane_masks([block], 2, n), n).tolist() == [1]
+        assert one_row_lcs([0], int_lane_masks([block], 2, n), n).tolist() == [1]
     # no lanes: an empty answer
-    assert lcs_lanes(lane, lane_masks(np.zeros((0, n), np.int64), 2), n).shape == (0,)
+    assert one_row_lcs(lane, lane_masks(np.zeros((0, n), np.int64), 2), n).shape == (0,)
 
 
 def test_edit_distance_is_a_metric_on_samples():
