@@ -42,6 +42,16 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _check_out(out: str | None) -> None:
+    """Raises the OSError that writing out would, before a long run makes its
+    text; a file the check creates is removed, so a refused run writes nothing."""
+    if out is not None:
+        existed = Path(out).exists()
+        Path(out).open("a").close()
+        if not existed:
+            Path(out).unlink()
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     fields = {**params_to_fields(desk_params("bdc")), "seed": DESK_SEED}
     if args.config:
@@ -88,6 +98,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = replace(config, trials=args.trials)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
+    _check_out(args.out)
     start = time.perf_counter()
     report = run_experiment(config)
     elapsed = time.perf_counter() - start

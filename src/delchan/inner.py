@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .strings import SProfile, bit_rows, enumerate_S, first_close_pair, greedy, read_code_file
+from .strings import (SProfile, bit_rows, enumerate_S, first_close_pair, greedy, lane_masks,
+                      lane_symbols, read_code_file)
 from .strings import lcs_len  # noqa: F401  (the benchmark's tracer wraps it here)
 
 # Greedy construction refuses larger candidate sets, before enumerating them.
@@ -109,7 +110,7 @@ class InnerCodebook:
                 raise ValueError(f"codeword {c} has wrong profile")
         if list(self.codewords) != sorted(self.codewords):
             raise ValueError("codewords not in lexicographic order")
-        pair = first_close_pair(bit_rows(self.codewords, p.m), 2, p.m - p.d)
+        pair = first_close_pair(lane_masks(bit_rows(self.codewords, p.m), 2), p.m, p.m - p.d)
         if pair:
             raise ValueError("codewords too close: " + " ".join(self.codewords[k] for k in pair))
 
@@ -127,9 +128,10 @@ def construct_inner(params: InnerParams) -> InnerCodebook:
         if size > MAX_CANDIDATES:
             raise ValueError(f"S({profile.m}, {profile.r1}, {profile.r2}) has more than"
                              f" {MAX_CANDIDATES} candidates")
-    rows = enumerate_S(profile)
-    by = greedy(rows, 2, params.m - params.d)
-    kept = rows[by == np.arange(by.size)] + 48  # the kept rows' characters
+    masks = lane_masks(enumerate_S(profile), 2)  # the rows go once packed
+    by = greedy(masks, params.m, params.m - params.d)
+    kept = lane_symbols(np.compress(by == np.arange(by.size), masks, axis=1), params.m)
+    kept = kept.astype(np.uint8) + 48  # the kept rows' characters
     return InnerCodebook(params, tuple(bytes(row).decode() for row in kept))
 
 

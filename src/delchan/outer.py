@@ -112,7 +112,7 @@ class OuterCode:
         for i, c in enumerate(self.codewords):
             if len(c) != spec.n or any(not 0 <= s < spec.q for s in c):
                 raise ValueError(f"codeword {i} malformed")
-        pair = first_close_pair(self.table, spec.q, spec.n - spec.radius)
+        pair = first_close_pair(self._masks, spec.n, spec.n - spec.radius)
         if pair:
             raise ValueError("codewords {} and {} too close".format(*pair))
 
@@ -171,7 +171,8 @@ def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
     accepted = np.empty((0, spec.n), np.int64)
     for _ in range(_CANDIDATE_FACTOR):
         rows = np.concatenate([accepted, rng.integers(0, spec.q, size=(needed, spec.n))])
-        accepted = rows[greedy(rows, spec.q, spec.n - spec.radius) == np.arange(len(rows))]
+        by = greedy(lane_masks(rows, spec.q), spec.n, spec.n - spec.radius)
+        accepted = rows[by == np.arange(len(rows))]
         if len(accepted) >= needed:
             return OuterCode(spec, tuple(map(tuple, accepted[:needed].tolist())), seed)
     raise ValueError(

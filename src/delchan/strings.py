@@ -2,9 +2,9 @@
 family, enumerated as rows of bits in lexicographic order; LCS kernels on
 integer symbol arrays (a code is a (count, n) array of symbols in [0, q)),
 their match masks (a uint32 word a lane of up to 32 symbols, uint64 words
-above) and the one greedy pass, a group of rows per rows x lanes LCS pass,
-which builds and validates both codes; and the one key=value reader behind
-descriptors, configs and code-file headers."""
+above) and the one greedy pass over a code's masks alone, a group of rows
+per rows x lanes LCS pass, which builds and validates both codes; and the
+one key=value reader behind descriptors, configs and code-file headers."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 _PAIRS = 1 << 12  # rows x lanes of one lcs_rows pass in greedy
+_PACK_SYMBOLS = 1 << 16  # row symbols compared at a time in lane_masks
 
 # A run is a (bit, length) pair; adjacent runs alternate bits, length >= 1.
 Run = tuple[int, int]
@@ -61,13 +62,26 @@ def lane_masks(rows: np.ndarray, q: int) -> np.ndarray:
     """Match masks for lcs_rows of a (count, n) array of symbols in [0, q):
     bit i of masks[s, j] is set iff rows[j, i] == s. Lanes of n <= 32
     symbols take one uint32 word, longer lanes uint64 words, bit i % 64 of
-    word i // 64."""
+    word i // 64. Rows are compared _PACK_SYMBOLS symbols at a time, so no
+    (count, n) boolean is built beside the result; lane_symbols reads the
+    rows back."""
     count, n = rows.shape
     size = 4 if n <= 32 else 8 * -(-n // 64)  # bytes of one lane
     packed = np.zeros((q, count, size), np.uint8)
-    for s in range(q):
-        packed[s, :, : -(-n // 8)] = np.packbits(rows == s, axis=1, bitorder="little")
+    step = max(1, _PACK_SYMBOLS // n)
+    for lo in range(0, count, step):
+        chunk = rows[lo : lo + step]
+        for s in range(q):
+            packed[s, lo : lo + len(chunk), : -(-n // 8)] = np.packbits(
+                chunk == s, axis=1, bitorder="little")
     return packed.view("<u4" if n <= 32 else "<u8")
+
+
+def lane_symbols(masks: np.ndarray, n: int) -> np.ndarray:
+    """The (count, n) symbols whose lane_masks are masks: at each position,
+    the one plane whose bit is set. It unpacks q * count * n bytes, at most
+    8 times the masks."""
+    return np.unpackbits(masks.view(np.uint8), axis=2, count=n, bitorder="little").argmax(axis=0)
 
 
 def lcs_rows(rows: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
@@ -98,33 +112,47 @@ def lcs_rows(rows: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
                 carry[:, w] |= carry[:, w - 1] & (s[:, w] == 0)
         v ^= p
         v |= s
-    return n - np.bitwise_count(v & full).sum(axis=1, dtype=np.int64).reshape(len(rows), lanes)
+    del p, s  # the count below holds v and a lane's total alone
+    v &= full
+    left = np.bitwise_count(v).sum(axis=1, dtype=np.int64)
+    return np.subtract(n, left, out=left).reshape(len(rows), lanes)
 
 
-def greedy(rows: np.ndarray, q: int, threshold: int) -> np.ndarray:
-    """The greedy pass over a (count, n) array of symbols in [0, q): a row is
-    kept unless its LCS with a kept row reaches threshold. For each row, the
-    kept row that first dropped it, or the row itself if it was kept. Each
-    lcs_rows pass takes the first g alive rows, g <= max(1, _PAIRS / alive),
-    doubled after a group kept whole, else 1: neighbours often drop each other."""
-    masks, by, index = lane_masks(rows, q), np.arange(len(rows)), np.arange(len(rows))
-    grow = 1
+def greedy(masks: np.ndarray, n: int, threshold: int) -> np.ndarray:
+    """The greedy pass over a code of length-n rows, given as its lane_masks:
+    a row is kept unless its LCS with a kept row reaches threshold. For each
+    row, the kept row that first dropped it, or the row itself if it was
+    kept. Each lcs_rows pass reads back the first g alive rows from their
+    masks, g <= max(1, _PAIRS / alive), doubled after a group kept whole,
+    else 1: neighbours often drop each other. masks is not changed."""
+    by = np.arange(masks.shape[1], dtype=np.int32)
+    index, grow = by.copy(), 1
     while index.size:
         g = max(1, min(index.size, grow, _PAIRS // index.size))
-        close = lcs_rows(rows[index[:g]], masks, rows.shape[1]) >= threshold
+        close = lcs_rows(lane_symbols(masks[:, :g], n), masks, n) >= threshold
         for i in range(g):  # row j is alive while by[j] == j
             if by[index[i]] == index[i]:  # kept: it drops the later alive rows close to it
                 later = index[i + 1 :][close[i, i + 1 :]]
                 by[later[by[later] == later]] = index[i]
         grow = 2 * grow if (by[index[:g]] == index[:g]).all() else 1
         alive = ~close[by[index[:g]] == index[:g], g:].any(axis=0)  # no kept row is close
-        index, masks = index[g:][alive], np.compress(alive, masks[:, g:], axis=1)
+        index, masks = index[g:][alive], _alive_lanes(masks[:, g:], alive)
     return by
 
 
-def first_close_pair(rows: np.ndarray, q: int, threshold: int) -> tuple[int, int] | None:
-    """(i, j): the first kept row of greedy's pass to drop rows, and the first it drops; or None."""
-    by = greedy(rows, q, threshold).tolist()
+def _alive_lanes(masks: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """masks[:, alive], each lane one void element picked by a boolean of
+    one byte a lane and plane: np.compress builds an intp index a lane, as
+    large as the masks, and was slower on the mostly alive lanes of greedy."""
+    lanes = masks.view(f"V{masks.shape[2] * masks.itemsize}")[..., 0]
+    kept = lanes[np.tile(alive, (len(lanes), 1))].view(masks.dtype)
+    return kept.reshape(len(masks), -1, masks.shape[2])
+
+
+def first_close_pair(masks: np.ndarray, n: int, threshold: int) -> tuple[int, int] | None:
+    """(i, j): the first kept row of greedy's pass over the code of length-n
+    rows with lane_masks masks to drop rows, and the first it drops; or None."""
+    by = greedy(masks, n, threshold).tolist()
     i = min((k for j, k in enumerate(by) if k != j), default=None)
     return None if i is None else (i, by.index(i, i + 1))
 

@@ -509,9 +509,9 @@ REFUSALS = [
      "missing.txt: No such file or directory"),
     ("decode-missing-bits", ("decode", "--config", "missing.txt", "abc"), None, None, 2,
      "missing.txt: No such file or directory"),
-    # a report with nowhere to go, refused once the run is done
-    ("simulate-out-nodir", ("simulate", "--trials", "2", "--out", "nodir/r.json"), None, None,
-     2, "nodir/r.json: No such file or directory"),
+    # a report with nowhere to go, refused before a run of seconds
+    ("simulate-out-nodir", (*SIMULATE, "--out", "nodir/r.json"), "exp.cfg",
+     "desk=prc\ntrials=30000\n", 2, "nodir/r.json: No such file or directory"),
     # inner code files: header, line count, codewords outside S, validation
     ("codebook-empty", ENCODE, "codebook.txt", "", 2, "codebook.txt: empty code file"),
     ("codebook-no-d", ENCODE, "codebook.txt", _sub(" d=2", ""), 2,

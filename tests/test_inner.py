@@ -1,5 +1,6 @@
 """Inner codebook construction, rate formula, and embedding machinery."""
 
+import tracemalloc
 from math import comb, isclose
 
 import pytest
@@ -78,6 +79,21 @@ def test_construct_matches_scalar_greedy(profile, d):
     by = greedy_by_pairs(family, params.m - params.d)
     assert cb.codewords == tuple(s for i, s in enumerate(family) if by[i] == i)
     cb.validate()
+
+
+def test_construct_memory_is_about_its_candidates():
+    # the rows go once packed into lane masks, and greedy reads its groups
+    # back from the masks: about 40 traced bytes a candidate at m = 27 (85
+    # while the rows and an intp index a lane stayed beside the masks)
+    profile = SProfile(27, 15, 6)
+    tracemalloc.start()
+    try:
+        cb = construct_inner(InnerParams(profile, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (profile.count, len(cb)) == (54_264, 117)
+    assert peak <= 60 * profile.count
 
 
 def test_validate_reports_first_close_pair(m25_codebook):

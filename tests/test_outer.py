@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import delchan.cli
 import delchan.outer
-import delchan.strings
 from delchan.cli import main
 from delchan.outer import _CANDIDATE_FACTOR, OuterCode, OuterSpec, construct_outer
 from oracles import edit_distance
@@ -117,8 +116,7 @@ def test_validate_rejects_malformed_row_before_building_masks(code, monkeypatch)
     def no_masks(*args):
         raise AssertionError("masks built for a malformed code")
 
-    for module in (delchan.strings, delchan.outer):  # greedy's masks and decode's
-        monkeypatch.setattr(module, "lane_masks", no_masks)
+    monkeypatch.setattr(delchan.outer, "lane_masks", no_masks)  # validate's masks are decode's
     for row in [(4,) * 32, (0,) * 31, (0,) * 33, (-1,) * 32]:
         bad = replace(code, codewords=code.codewords[:3] + (row,) + code.codewords[4:])
         with pytest.raises(ValueError, match=r"^codeword 3 malformed$"):

@@ -23,6 +23,7 @@ from delchan.strings import (
     lcs_len,
     lcs_rows,
     lane_masks,
+    lane_symbols,
     runs_of,
     sequence_lcs_len,
 )
@@ -165,6 +166,23 @@ def test_lane_masks_match_row_by_row_oracle(case):
     assert np.array_equal(got, expected)
 
 
+@st.composite
+def symbol_rows(draw):
+    """0-4 rows of n in [1, 70] symbols in [0, q), q in [2, 300]: across the
+    uint32/uint64 lane switch at n = 32 and the word boundary at 64."""
+    q, n = draw(st.integers(2, 300)), draw(st.integers(1, 70))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), max_size=4))
+    return np.array(rows, np.int64).reshape(len(rows), n), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(symbol_rows())
+def test_lane_symbols_read_back_lane_masks(case):
+    rows, q = case
+    got = lane_symbols(lane_masks(rows, q), rows.shape[1])
+    assert got.shape == rows.shape and np.array_equal(got, rows)
+
+
 def test_lane_masks_of_the_desk_family():
     rows = enumerate_S(SProfile(25, 13, 6))
     assert np.array_equal(lane_masks(rows, 2), lane_masks_by_row(rows, 2))
@@ -210,7 +228,8 @@ def greedy_cases(draw):
 @example((np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]]), 2, 2))
 def test_greedy_matches_pairwise_loop(case):
     rows, q, threshold = case
-    assert greedy(rows, q, threshold).tolist() == greedy_by_pairs(rows.tolist(), threshold)
+    by = greedy(lane_masks(rows, q), rows.shape[1], threshold)
+    assert by.tolist() == greedy_by_pairs(rows.tolist(), threshold)
 
 
 def test_greedy_groups_match_pairwise_loop(monkeypatch):
@@ -231,7 +250,7 @@ def test_greedy_groups_match_pairwise_loop(monkeypatch):
         return lcs_rows(group, masks, n)
 
     monkeypatch.setattr(delchan.strings, "lcs_rows", spy)
-    by = greedy(rows, 4, 28).tolist()
+    by = greedy(lane_masks(rows, 4), 32, 28).tolist()
     assert by == greedy_by_pairs(rows.tolist(), 28)
     assert by[15:20] == [15, 15, 17, 18, 15]
     assert any({15, 17, 19} <= {j for j, row in enumerate(rows) if (row == group).all(1).any()}
