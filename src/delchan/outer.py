@@ -110,7 +110,7 @@ class OuterCode:
                 f"expected {spec.num_messages} codewords, found {len(self.codewords)}"
             )
         for i, c in enumerate(self.codewords):
-            if len(c) != spec.n or any(not 0 <= s < spec.q for s in c):
+            if len(c) != spec.n or min(c) < 0 or max(c) >= spec.q:
                 raise ValueError(f"codeword {i} malformed")
         pair = first_close_pair(self._masks, spec.n, spec.n - spec.radius)
         if pair:
@@ -134,7 +134,7 @@ class OuterCode:
             if den == 0:
                 raise ValueError("dout_den must be nonzero")
             spec = OuterSpec(q, n, k, num / den)
-            _refuse_oversized(spec)  # validate's greedy pass costs what construct's does
+            _refuse_oversized(spec)  # validate's scan compares no more pairs than greedy
             if len(lines) != spec.num_messages:
                 raise ValueError(f"header says q**k={spec.num_messages}, found {len(lines)} lines")
             code = cls(spec, tuple(tuple(map(int, line.split())) for line in lines), seed)

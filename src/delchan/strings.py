@@ -2,8 +2,9 @@
 family, enumerated as rows of bits in lexicographic order; LCS kernels on
 integer symbol arrays (a code is a (count, n) array of symbols in [0, q)),
 their match masks (a uint32 word a lane of up to 32 symbols, uint64 words
-above) and the one greedy pass over a code's masks alone, a group of rows
-per rows x lanes LCS pass, which builds and validates both codes; and the
+above); the one greedy pass over a code's masks alone, a group of rows per
+rows x lanes LCS pass, which builds both codes, and the scan for a code's
+first close pair, a block of rows per pass, which validates them; and the
 one key=value reader behind descriptors, configs and code-file headers."""
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 _PAIRS = 1 << 12  # rows x lanes of one lcs_rows pass in greedy
+_SCAN = 1 << 14  # rows x lanes of one lcs_rows pass in first_close_pair
 _PACK_SYMBOLS = 1 << 16  # row symbols compared at a time in lane_masks
 
 # A run is a (bit, length) pair; adjacent runs alternate bits, length >= 1.
@@ -150,11 +152,22 @@ def _alive_lanes(masks: np.ndarray, alive: np.ndarray) -> np.ndarray:
 
 
 def first_close_pair(masks: np.ndarray, n: int, threshold: int) -> tuple[int, int] | None:
-    """(i, j): the first kept row of greedy's pass over the code of length-n
-    rows with lane_masks masks to drop rows, and the first it drops; or None."""
-    by = greedy(masks, n, threshold).tolist()
-    i = min((k for j, k in enumerate(by) if k != j), default=None)
-    return None if i is None else (i, by.index(i, i + 1))
+    """(i, j): the first row of the code of length-n rows with lane_masks masks
+    whose LCS with a later row reaches threshold, and the first such row; or
+    None. As no row before i is close to a later row, greedy keeps i and j
+    is the first row it drops. Each lcs_rows pass runs a block of rows, read
+    back from the masks, against the lanes from its first row on, within
+    _SCAN pairs (at least one row)."""
+    lo, lanes = 0, masks.shape[1]
+    while lo < lanes:
+        g = max(1, min(lanes - lo, _SCAN // (lanes - lo)))
+        close = lcs_rows(lane_symbols(masks[:, lo : lo + g], n), masks[:, lo:], n) >= threshold
+        close[:, :g] = np.triu(close[:, :g], 1)  # no row with itself or an earlier row
+        if close.any():
+            i = int(close.any(axis=1).argmax())
+            return lo + i, lo + int(close[i].argmax())
+        lo += g
+    return None
 
 
 def in_S(s: str) -> bool:
@@ -192,12 +205,12 @@ class SProfile:
 
     @classmethod
     def of(cls, s: str) -> "SProfile":
-        """Profile of a string already in S."""
+        """Profile of a string already in S, where each "00" or "11" is a
+        2-run and each "01" or "10" starts a run."""
         if not in_S(s):
             raise ValueError(f"{s!r} is not in S")
-        runs = runs_of(s)
-        r1 = sum(1 for _, ln in runs if ln == 1)
-        return cls(len(s), r1, len(runs) - r1)
+        r2 = s.count("00") + s.count("11")
+        return cls(len(s), 1 + s.count("01") + s.count("10") - r2, r2)
 
 
 def enumerate_S(profile: SProfile) -> np.ndarray:

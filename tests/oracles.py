@@ -1,8 +1,9 @@
 """Slow reference implementations the package no longer runs, kept for the
 tests to compare its fast paths against, each written once here: edit
 distance on strings and symbol sequences, a run's survivors from per-bit
-counts, one survivors draw per run, the pairwise greedy loop, the scalar
-inner decode and the run-by-run family. Also the insertion/deletion ball
+counts, one survivors draw per run, the pairwise greedy loop, the first
+close pair by a whole greedy pass, the scalar inner decode and the
+run-by-run family. Also the insertion/deletion ball
 machinery (embed_all, deletion_ball_bound) that only the tests use, and a
 stand-in generator that feeds chosen words to the channel's draws."""
 
@@ -17,6 +18,7 @@ from delchan.scheme import _KEY_BITS
 from delchan.strings import (
     Run,
     SProfile,
+    greedy,
     in_S,
     lcs_len,
     runs_of,
@@ -112,6 +114,15 @@ def greedy_by_pairs(rows, threshold: int) -> list[int]:
         kept = (j for j, k in enumerate(by) if j == k)
         by.append(next((j for j in kept if sequence_lcs_len(rows[j], row) >= threshold), i))
     return by
+
+
+def first_close_pair_by_greedy(masks: np.ndarray, n: int, threshold: int):
+    """Oracle for strings.first_close_pair: (i, j), the first kept row of
+    greedy's pass over the code of length-n rows with lane_masks masks to
+    drop rows, and the first it drops; or None."""
+    by = greedy(masks, n, threshold).tolist()
+    i = min((k for j, k in enumerate(by) if k != j), default=None)
+    return None if i is None else (i, by.index(i, i + 1))
 
 
 def enumerate_S_by_runs(profile: SProfile) -> list[str]:

@@ -481,6 +481,9 @@ REFUSALS = [
      "exp.cfg: S(2000001, 1000001, 500000) has more than 10000000 candidates"),
     ("construct-profile-large", CONSTRUCT, "exp.cfg", "m=6001\nr1=3001\nr2=1500\n", 2,
      "exp.cfg: S(6001, 3001, 1500) has more than 10000000 candidates"),
+    # 100,001 candidates, under that cap, but rows of 100002 bytes each: 10 GB of candidates
+    ("construct-profile-wide", CONSTRUCT, "exp.cfg", "m=100002\nr1=100000\nr2=1\n", 2,
+     "exp.cfg: S(100002, 100000, 1) takes 10000300002 bytes of candidates, over 640000000"),
     # a verification failure: the desk profile has 77 codewords
     ("construct-q100", CONSTRUCT, "exp.cfg", "q=100\nk=1\n", 1,
      "exp.cfg: inner codebook has 77 codewords, need 100"),

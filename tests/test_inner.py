@@ -1,5 +1,6 @@
 """Inner codebook construction, rate formula, and embedding machinery."""
 
+import re
 import tracemalloc
 from math import comb, isclose
 
@@ -52,6 +53,12 @@ def test_construct_refuses_too_many_candidates_before_enumerating(monkeypatch):
     assert SProfile(37, 17, 10).count <= MAX_CANDIDATES
     with pytest.raises(AssertionError, match="enumerated a profile"):
         construct_inner(InnerParams(SProfile(37, 17, 10), 2))
+    # rows of m bytes: 25,299 * 25,300 and 25,297 * 25,298 bytes straddle 64 * 10^7
+    with pytest.raises(ValueError, match=r"^S\(25300, 25298, 1\) takes 640064700 bytes of"
+                                         r" candidates, over 640000000$"):
+        construct_inner(InnerParams(SProfile(25300, 25298, 1), 2))
+    with pytest.raises(AssertionError, match="enumerated a profile"):
+        construct_inner(InnerParams(SProfile(25298, 25296, 1), 2))
 
 
 def test_pairwise_separation_m7_exhaustive():
@@ -108,6 +115,29 @@ def test_validate_reports_first_close_pair(m25_codebook):
     bad = InnerCodebook(cb.params, tuple(sorted(kept + tuple(near))))
     with pytest.raises(ValueError, match=f"^codewords too close: {kept[5]} {near[0]}$"):
         bad.validate()
+
+
+def test_load_names_the_first_close_pair_of_two(tmp_path, m25_codebook):
+    """Codewords 0-40 and two strings that sort after them, one close to
+    codeword 5 alone and one to codeword 20 alone: the file names codeword
+    5's pair, whether its string sorts first or last of the two."""
+    cb = m25_codebook
+    kept = cb.codewords[:41]
+    threshold = cb.params.m - cb.params.d
+    family = [s for s in enumerate_S_by_runs(cb.params.profile) if s > kept[-1]]
+
+    def near(k):  # at edit distance 2 from codeword k, and close to no other
+        return [s for s in family if lcs_len(s, kept[k]) == cb.params.m - 1
+                and sum(lcs_len(s, c) >= threshold for c in kept) == 1]
+
+    near5, near20 = near(5), near(20)
+    path = tmp_path / "cb.txt"
+    for s5, s20 in ((near5[0], near20[-1]), (near5[-1], near20[0])):
+        assert (s5 < s20) == (s5 == near5[0])  # the two later rows in both orders
+        InnerCodebook(cb.params, tuple(sorted(kept + (s5, s20)))).save(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: codewords too close:"
+                                             f" {kept[5]} {s5}$"):
+            InnerCodebook.load(path)
 
 
 def test_construct_m25(m25_codebook):

@@ -1,6 +1,7 @@
 """Outer code: greedy construction, distance guarantee, decoding."""
 
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,23 @@ def test_validate_reports_first_close_pair(code):
     assert scalar_validate_error(bad) == "codewords 7 and 100 too close"
     with pytest.raises(ValueError, match=r"^codewords 7 and 100 too close$"):
         bad.validate()
+
+
+@pytest.mark.parametrize("near, pair", [
+    ({100: 7, 50: 20}, (7, 100)),  # the first row decides, not the first later row
+    ({50: 7, 100: 20}, (7, 50)),
+])
+def test_load_names_the_first_close_pair_of_two(tmp_path, code, near, pair):
+    words = list(code.codewords)
+    for row, source in near.items():  # a near-copy: the last symbol changed
+        words[row] = words[source][:-1] + ((words[source][-1] + 1) % 4,)
+    bad = replace(code, codewords=tuple(words))
+    message = "codewords {} and {} too close".format(*pair)
+    assert scalar_validate_error(bad) == message
+    path = tmp_path / "oc.txt"
+    bad.save(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        OuterCode.load(path)
 
 
 def test_validate_rejects_malformed_row_before_building_masks(code, monkeypatch):

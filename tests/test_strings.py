@@ -18,6 +18,7 @@ from delchan.strings import (
     bit_rows,
     bit_runs,
     enumerate_S,
+    first_close_pair,
     greedy,
     in_S,
     lcs_len,
@@ -31,6 +32,7 @@ from oracles import (
     bits_of,
     edit_distance,
     enumerate_S_by_runs,
+    first_close_pair_by_greedy,
     greedy_by_pairs,
     is_subsequence,
     lane_masks_by_row,
@@ -262,6 +264,66 @@ def test_greedy_groups_match_pairwise_loop(monkeypatch):
     assert any(len(np.unique(group, axis=0)) < len(group) for group, _ in groups)
 
 
+@st.composite
+def close_pair_cases(draw):
+    """0-40 seeded rows of n symbols in [0, q), copies and near-copies (up to
+    3 symbols changed) of drawn rows planted at drawn rows, a threshold from
+    0 to n + 1 (often within 3 of n) and a scan budget in pairs."""
+    q, n = draw(st.integers(2, 80)), draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, q, size=(draw(st.integers(0, 40)), n))
+    for _ in range(draw(st.integers(0, 4)) if len(rows) else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))].copy()
+        changed = rng.integers(0, n, draw(st.integers(0, 3)))
+        row[changed] = (row[changed] + 1) % q
+        rows[draw(st.integers(0, len(rows) - 1))] = row
+    threshold = draw(st.one_of(st.integers(max(0, n - 3), n + 1), st.integers(0, n + 1)))
+    return rows, q, threshold, draw(st.sampled_from([1, 2, 5, delchan.strings._SCAN]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(close_pair_cases())
+def test_first_close_pair_matches_greedy_pass(case):
+    rows, q, threshold, budget = case
+    masks = lane_masks(rows, q)
+    expected = first_close_pair_by_greedy(masks, rows.shape[1], threshold)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delchan.strings, "_SCAN", budget)
+        assert first_close_pair(masks, rows.shape[1], threshold) == expected
+
+
+# 8 far-apart rows with copies planted ({row: the row it copies}); a budget of 20
+# pairs reads blocks of rows 0-1, 2-4 and 5-7, and one of 1, 2 or 5 one row a block
+# (5 pairs: rows 6-7 together)
+@pytest.mark.parametrize("copies, pair, blocks", [
+    ({4: 2}, (2, 4), [2, 3]),  # both rows in one block
+    ({3: 1}, (1, 3), [2]),  # from the first block into the second
+    ({6: 4}, (4, 6), [2, 3]),  # from a block's last row
+    ({7: 6}, (6, 7), [2, 3, 3]),  # both rows in the last block
+    ({6: 1, 3: 2}, (1, 6), [2]),  # the first row decides, not the first later row
+    ({}, None, [2, 3, 3]),
+])
+def test_first_close_pair_across_blocks(monkeypatch, copies, pair, blocks):
+    rows = np.random.default_rng(3).integers(0, 4, size=(8, 32))
+    assert first_close_pair(lane_masks(rows, 4), 32, 28) is None
+    for row, source in copies.items():
+        rows[row] = rows[source]
+    masks = lane_masks(rows, 4)
+    assert first_close_pair_by_greedy(masks, 32, 28) == pair
+    read = []
+
+    def spy(block, lanes, n):
+        read.append(len(block))
+        return lcs_rows(block, lanes, n)
+
+    monkeypatch.setattr(delchan.strings, "lcs_rows", spy)
+    for budget in (1, 2, 5, 20):
+        monkeypatch.setattr(delchan.strings, "_SCAN", budget)
+        read.clear()
+        assert first_close_pair(masks, 32, 28) == pair
+    assert read == blocks
+
+
 def test_bit_runs():
     bits, lengths = bit_runs("0111001")
     assert bits.tolist() == [0, 1, 0, 1] and lengths.tolist() == [1, 3, 2, 1]
@@ -349,6 +411,9 @@ def test_profile_validation():
 
 def test_profile_of():
     assert SProfile.of("1011011") == SProfile(7, 3, 2)
+    assert SProfile.of("1") == SProfile(1, 1, 0) and SProfile.of("11") == SProfile(2, 0, 1)
+    for profile in (SProfile(7, 3, 2), SProfile(12, 6, 3), SProfile(13, 1, 6)):
+        assert {SProfile.of(s) for s in enumerate_S_by_runs(profile)} == {profile}
     with pytest.raises(ValueError):
         SProfile.of("111")
 
