@@ -14,10 +14,11 @@ from .strings import (SProfile, bit_rows, enumerate_S, first_close_pair, greedy,
                       lane_symbols, read_code_file)
 from .strings import lcs_len  # noqa: F401  (the benchmark's tracer wraps it here)
 
-# Greedy construction refuses larger candidate sets, before enumerating them, and
-# families whose (count, m) uint8 rows take more bytes than 64 a candidate at that cap.
+# Greedy construction refuses larger candidate sets, before enumerating them, and families
+# whose first pass (m columns over count lanes of ceil(m / 64) words) takes more word steps
+# than 64 a candidate at that cap, which also bounds their (count, m) uint8 rows' bytes.
 MAX_CANDIDATES = 10**7
-MAX_CANDIDATE_BYTES = 64 * MAX_CANDIDATES
+MAX_FIRST_PASS_STEPS = 64 * MAX_CANDIDATES
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,10 @@ def construct_inner(params: InnerParams) -> InnerCodebook:
         if size > MAX_CANDIDATES:
             raise ValueError(f"S({profile.m}, {profile.r1}, {profile.r2}) has more than"
                              f" {MAX_CANDIDATES} candidates")
-    if size * profile.m > MAX_CANDIDATE_BYTES:  # size is now the family's count
-        raise ValueError(f"S({profile.m}, {profile.r1}, {profile.r2}) takes {size * profile.m}"
-                         f" bytes of candidates, over {MAX_CANDIDATE_BYTES}")
+    steps = size * -(-profile.m // 64) * profile.m  # size is now the family's count
+    if steps > MAX_FIRST_PASS_STEPS:
+        raise ValueError(f"S({profile.m}, {profile.r1}, {profile.r2}) takes {steps} word steps"
+                         f" in its first greedy pass, over {MAX_FIRST_PASS_STEPS}")
     masks = lane_masks(enumerate_S(profile), 2)  # the rows go once packed
     by = greedy(masks, params.m, params.m - params.d)
     kept = lane_symbols(np.compress(by == np.arange(by.size), masks, axis=1), params.m)

@@ -3,9 +3,9 @@
 Codewords are length-n symbol sequences whose pairwise symbol-level edit
 distance exceeds 2 * radius, radius = floor(delta_out * n), so a
 nearest-codeword decoder corrects any combination of up to radius symbol
-insertions and deletions. The construction is the inner code's greedy pass
-(strings.greedy, a group of rows per LCS pass) over seeded pseudorandom
-candidates; a stand-in with any stronger construction's interface and bound.
+insertions and deletions. The inner code's greedy pass (strings.greedy)
+builds it from seeded pseudorandom candidates and, stopped at its first drop,
+validates it; a stand-in with any stronger construction's interface and bound.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class OuterCode:
             if den == 0:
                 raise ValueError("dout_den must be nonzero")
             spec = OuterSpec(q, n, k, num / den)
-            _refuse_oversized(spec)  # validate's scan compares no more pairs than greedy
+            _refuse_oversized(spec)  # validate runs the greedy pass a build runs
             if len(lines) != spec.num_messages:
                 raise ValueError(f"header says q**k={spec.num_messages}, found {len(lines)} lines")
             code = cls(spec, tuple(tuple(map(int, line.split())) for line in lines), seed)

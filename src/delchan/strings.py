@@ -2,10 +2,10 @@
 family, enumerated as rows of bits in lexicographic order; LCS kernels on
 integer symbol arrays (a code is a (count, n) array of symbols in [0, q)),
 their match masks (a uint32 word a lane of up to 32 symbols, uint64 words
-above); the one greedy pass over a code's masks alone, a group of rows per
-rows x lanes LCS pass, which builds both codes, and the scan for a code's
-first close pair, a block of rows per pass, which validates them; and the
-one key=value reader behind descriptors, configs and code-file headers."""
+above); the one greedy pass over a code's masks alone, a block of rows per
+rows x lanes LCS pass, which builds both codes and, stopped at its first
+drop, validates them; and the one key=value reader behind descriptors,
+configs and code-file headers."""
 
 from __future__ import annotations
 
@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-_PAIRS = 1 << 12  # rows x lanes of one lcs_rows pass in greedy
-_SCAN = 1 << 14  # rows x lanes of one lcs_rows pass in first_close_pair
+_PAIRS = 1 << 14  # rows x lanes of one lcs_rows pass in the greedy pass
 _PACK_SYMBOLS = 1 << 16  # row symbols compared at a time in lane_masks
 
 # A run is a (bit, length) pair; adjacent runs alternate bits, length >= 1.
@@ -121,25 +120,42 @@ def lcs_rows(rows: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
 
 
 def greedy(masks: np.ndarray, n: int, threshold: int) -> np.ndarray:
-    """The greedy pass over a code of length-n rows, given as its lane_masks:
-    a row is kept unless its LCS with a kept row reaches threshold. For each
-    row, the kept row that first dropped it, or the row itself if it was
-    kept. Each lcs_rows pass reads back the first g alive rows from their
-    masks, g <= max(1, _PAIRS / alive), doubled after a group kept whole,
-    else 1: neighbours often drop each other. masks is not changed."""
+    """The greedy pass over a code of length-n rows, given as its lane_masks
+    (not changed): a row is kept unless its LCS with a kept row reaches
+    threshold. For each row, the kept row that first dropped it, or itself."""
     by = np.arange(masks.shape[1], dtype=np.int32)
-    index, grow = by.copy(), 1
-    while index.size:
-        g = max(1, min(index.size, grow, _PAIRS // index.size))
-        close = lcs_rows(lane_symbols(masks[:, :g], n), masks, n) >= threshold
-        for i in range(g):  # row j is alive while by[j] == j
-            if by[index[i]] == index[i]:  # kept: it drops the later alive rows close to it
-                later = index[i + 1 :][close[i, i + 1 :]]
-                by[later[by[later] == later]] = index[i]
-        grow = 2 * grow if (by[index[:g]] == index[:g]).all() else 1
-        alive = ~close[by[index[:g]] == index[:g], g:].any(axis=0)  # no kept row is close
-        index, masks = index[g:][alive], _alive_lanes(masks[:, g:], alive)
+    for i, dropped in _drops(masks, n, threshold):
+        by[dropped] = i
     return by
+
+
+def first_close_pair(masks: np.ndarray, n: int, threshold: int) -> tuple[int, int] | None:
+    """(i, j): the first row of the code of length-n rows with lane_masks masks
+    whose LCS with a later row reaches threshold, and the first such row; or
+    None. No row before i is close to a later row, so greedy keeps i and j is
+    the first row it drops: the pass stops there."""
+    return next(((int(i), int(rows[0])) for i, rows in _drops(masks, n, threshold)), None)
+
+
+def _drops(masks: np.ndarray, n: int, threshold: int):
+    """greedy's pass: each kept row close to a later row and the rows it drops
+    (one or more at the first), in row order. Each lcs_rows pass runs the first
+    max(1, _PAIRS / alive) alive rows, read from their masks, on the alive lanes."""
+    index = np.arange(masks.shape[1], dtype=np.int32)  # the row of each alive lane
+    while index.size:
+        g = min(index.size, max(1, _PAIRS // index.size))
+        close = lcs_rows(lane_symbols(masks[:, :g], n), masks, n) >= threshold
+        close[:, :g] = np.triu(close[:, :g], 1)  # no row with itself or an earlier row
+        if not close.any():  # no row dropped: a view of the later lanes
+            index, masks = index[g:], masks[:, g:]
+            continue
+        alive = np.ones(index.size, bool)
+        for i in np.flatnonzero(close.any(axis=1)):  # the rows close to a later row
+            if alive[i]:  # kept: it drops the alive rows close to it, if any are left
+                dropped = np.flatnonzero(close[i] & alive)
+                alive[dropped] = False
+                yield index[i], index[dropped]
+        index, masks = index[g:][alive[g:]], _alive_lanes(masks[:, g:], alive[g:])
 
 
 def _alive_lanes(masks: np.ndarray, alive: np.ndarray) -> np.ndarray:
@@ -149,25 +165,6 @@ def _alive_lanes(masks: np.ndarray, alive: np.ndarray) -> np.ndarray:
     lanes = masks.view(f"V{masks.shape[2] * masks.itemsize}")[..., 0]
     kept = lanes[np.tile(alive, (len(lanes), 1))].view(masks.dtype)
     return kept.reshape(len(masks), -1, masks.shape[2])
-
-
-def first_close_pair(masks: np.ndarray, n: int, threshold: int) -> tuple[int, int] | None:
-    """(i, j): the first row of the code of length-n rows with lane_masks masks
-    whose LCS with a later row reaches threshold, and the first such row; or
-    None. As no row before i is close to a later row, greedy keeps i and j
-    is the first row it drops. Each lcs_rows pass runs a block of rows, read
-    back from the masks, against the lanes from its first row on, within
-    _SCAN pairs (at least one row)."""
-    lo, lanes = 0, masks.shape[1]
-    while lo < lanes:
-        g = max(1, min(lanes - lo, _SCAN // (lanes - lo)))
-        close = lcs_rows(lane_symbols(masks[:, lo : lo + g], n), masks[:, lo:], n) >= threshold
-        close[:, :g] = np.triu(close[:, :g], 1)  # no row with itself or an earlier row
-        if close.any():
-            i = int(close.any(axis=1).argmax())
-            return lo + i, lo + int(close[i].argmax())
-        lo += g
-    return None
 
 
 def in_S(s: str) -> bool:

@@ -1,8 +1,8 @@
 """Slow reference implementations the package no longer runs, kept for the
 tests to compare its fast paths against, each written once here: edit
 distance on strings and symbol sequences, a run's survivors from per-bit
-counts, one survivors draw per run, the pairwise greedy loop, the first
-close pair by a whole greedy pass, the scalar inner decode and the
+counts, one survivors draw per run, the pairwise greedy loop and the
+first close pair it drops, the scalar inner decode and the
 run-by-run family. Also the insertion/deletion ball
 machinery (embed_all, deletion_ball_bound) that only the tests use, and a
 stand-in generator that feeds chosen words to the channel's draws."""
@@ -18,7 +18,6 @@ from delchan.scheme import _KEY_BITS
 from delchan.strings import (
     Run,
     SProfile,
-    greedy,
     in_S,
     lcs_len,
     runs_of,
@@ -116,11 +115,10 @@ def greedy_by_pairs(rows, threshold: int) -> list[int]:
     return by
 
 
-def first_close_pair_by_greedy(masks: np.ndarray, n: int, threshold: int):
-    """Oracle for strings.first_close_pair: (i, j), the first kept row of
-    greedy's pass over the code of length-n rows with lane_masks masks to
-    drop rows, and the first it drops; or None."""
-    by = greedy(masks, n, threshold).tolist()
+def first_close_pair_by_pairs(rows, threshold: int):
+    """Oracle for strings.first_close_pair: (i, j), the first kept row of the
+    pairwise greedy loop to drop rows, and the first it drops; or None."""
+    by = greedy_by_pairs(rows, threshold)
     i = min((k for j, k in enumerate(by) if k != j), default=None)
     return None if i is None else (i, by.index(i, i + 1))
 

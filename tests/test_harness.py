@@ -350,7 +350,11 @@ def test_cli_construct_encode_decode(tmp_path, capsys, bdc_desk, prc_desk):
      {"outercode.txt": "7b7ceccbfe8170189f6b6df4193399e4e73f9f641940f122b2cbd901cc7630d3"}, 200),
     (LONG, {"codebook.txt": "cdbb2443db17558cf17cfe22cccd9f93bb30fb4285279deeab22075757b98309"},
      42),
-], ids=["desk", "m27", "m29", "m67", "q100", "multi", "two_word", "long"])
+    # 5,929 codewords behind the desk inner code, one chunk kept whole: 1,246 passes, none
+    # of which drops a row
+    ("q=77\nn=8\nk=2\n",
+     {"outercode.txt": "512c790df84eba4023459c773325c006ad020e639cb5d15f5364466d77541828"}, 5000),
+], ids=["desk", "m27", "m29", "m67", "q100", "multi", "two_word", "long", "q77"])
 def test_construct_output_is_pinned(capsys, built, text, digests, message):
     directory = built(text)
     assert {name: _sha256(directory / name) for name in digests} == digests
@@ -481,9 +485,15 @@ REFUSALS = [
      "exp.cfg: S(2000001, 1000001, 500000) has more than 10000000 candidates"),
     ("construct-profile-large", CONSTRUCT, "exp.cfg", "m=6001\nr1=3001\nr2=1500\n", 2,
      "exp.cfg: S(6001, 3001, 1500) has more than 10000000 candidates"),
-    # 100,001 candidates, under that cap, but rows of 100002 bytes each: 10 GB of candidates
+    # 100,001 candidates, under that cap, but a first greedy pass of 100,002 columns over
+    # 100,001 lanes of 1,563 words each (rows of 100,002 bytes: 10 GB of candidates)
     ("construct-profile-wide", CONSTRUCT, "exp.cfg", "m=100002\nr1=100000\nr2=1\n", 2,
-     "exp.cfg: S(100002, 100000, 1) takes 10000300002 bytes of candidates, over 640000000"),
+     "exp.cfg: S(100002, 100000, 1) takes 15630468903126 word steps in its first greedy pass,"
+     " over 640000000"),
+    # 25,297 candidates in 0.64 GB, but their first pass takes tens of minutes
+    ("construct-profile-pass", CONSTRUCT, "exp.cfg", "m=25298\nr1=25296\nr2=1\n", 2,
+     "exp.cfg: S(25298, 25296, 1) takes 253425548376 word steps in its first greedy pass,"
+     " over 640000000"),
     # a verification failure: the desk profile has 77 codewords
     ("construct-q100", CONSTRUCT, "exp.cfg", "q=100\nk=1\n", 1,
      "exp.cfg: inner codebook has 77 codewords, need 100"),

@@ -53,11 +53,15 @@ def test_construct_refuses_too_many_candidates_before_enumerating(monkeypatch):
     assert SProfile(37, 17, 10).count <= MAX_CANDIDATES
     with pytest.raises(AssertionError, match="enumerated a profile"):
         construct_inner(InnerParams(SProfile(37, 17, 10), 2))
-    # rows of m bytes: 25,299 * 25,300 and 25,297 * 25,298 bytes straddle 64 * 10^7
-    with pytest.raises(ValueError, match=r"^S\(25300, 25298, 1\) takes 640064700 bytes of"
-                                         r" candidates, over 640000000$"):
-        construct_inner(InnerParams(SProfile(25300, 25298, 1), 2))
+    # the first greedy pass: m columns over count lanes of ceil(m / 64) words, so
+    # 3,443 * 54 * 3,444 and 3,441 * 54 * 3,442 word steps straddle 64 * 10^7
+    with pytest.raises(ValueError, match=r"^S\(3444, 3442, 1\) takes 640315368 word steps"
+                                         r" in its first greedy pass, over 640000000$"):
+        construct_inner(InnerParams(SProfile(3444, 3442, 1), 2))
     with pytest.raises(AssertionError, match="enumerated a profile"):
+        construct_inner(InnerParams(SProfile(3442, 3440, 1), 2))
+    # 25,297 candidates of 25,298 bytes fit under 64 * 10^7 bytes, but not their pass
+    with pytest.raises(ValueError, match=r"^S\(25298, 25296, 1\) takes 253425548376 word"):
         construct_inner(InnerParams(SProfile(25298, 25296, 1), 2))
 
 

@@ -32,7 +32,7 @@ from oracles import (
     bits_of,
     edit_distance,
     enumerate_S_by_runs,
-    first_close_pair_by_greedy,
+    first_close_pair_by_pairs,
     greedy_by_pairs,
     is_subsequence,
     lane_masks_by_row,
@@ -224,19 +224,25 @@ def greedy_cases(draw):
     return np.array(rows, np.int64), q, draw(st.integers(0, n + 1))
 
 
+# pass budgets in pairs: 1, 2 and 5 read one or a few rows a pass, 2**14 is _PAIRS
+BUDGETS = st.sampled_from([1, 2, 5, 1 << 14])
+
+
 @settings(max_examples=100, deadline=None)
-@given(greedy_cases())
+@given(greedy_cases(), BUDGETS)
 # rows 0 and 1 are kept; row 2 is close to both, and row 3 repeats row 1
-@example((np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]]), 2, 2))
-def test_greedy_matches_pairwise_loop(case):
+@example((np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]]), 2, 2), 1 << 14)
+def test_greedy_matches_pairwise_loop(case, budget):
     rows, q, threshold = case
-    by = greedy(lane_masks(rows, q), rows.shape[1], threshold)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delchan.strings, "_PAIRS", budget)
+        by = greedy(lane_masks(rows, q), rows.shape[1], threshold)
     assert by.tolist() == greedy_by_pairs(rows.tolist(), threshold)
 
 
 def test_greedy_groups_match_pairwise_loop(monkeypatch):
-    """300 far-apart rows: kept rows grow the groups, _PAIRS caps them, and
-    copies put a row and the row that drops it in one group."""
+    """300 far-apart rows: _PAIRS caps the rows of a pass, and copies put a
+    row and the row that drops it in one pass."""
     rows = np.random.default_rng(7).integers(0, 4, size=(300, 32))
     for i in (15, 33, 150, 290):
         rows[i + 1] = rows[i]
@@ -267,8 +273,8 @@ def test_greedy_groups_match_pairwise_loop(monkeypatch):
 @st.composite
 def close_pair_cases(draw):
     """0-40 seeded rows of n symbols in [0, q), copies and near-copies (up to
-    3 symbols changed) of drawn rows planted at drawn rows, a threshold from
-    0 to n + 1 (often within 3 of n) and a scan budget in pairs."""
+    3 symbols changed) of drawn rows planted at drawn rows, and a threshold
+    from 0 to n + 1 (often within 3 of n)."""
     q, n = draw(st.integers(2, 80)), draw(st.integers(1, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.integers(0, q, size=(draw(st.integers(0, 40)), n))
@@ -278,50 +284,55 @@ def close_pair_cases(draw):
         row[changed] = (row[changed] + 1) % q
         rows[draw(st.integers(0, len(rows) - 1))] = row
     threshold = draw(st.one_of(st.integers(max(0, n - 3), n + 1), st.integers(0, n + 1)))
-    return rows, q, threshold, draw(st.sampled_from([1, 2, 5, delchan.strings._SCAN]))
+    return rows, q, threshold
 
 
 @settings(max_examples=150, deadline=None)
-@given(close_pair_cases())
-def test_first_close_pair_matches_greedy_pass(case):
-    rows, q, threshold, budget = case
-    masks = lane_masks(rows, q)
-    expected = first_close_pair_by_greedy(masks, rows.shape[1], threshold)
+@given(close_pair_cases(), BUDGETS)
+def test_first_close_pair_matches_greedy_pass(case, budget):
+    rows, q, threshold = case
+    expected = first_close_pair_by_pairs(rows.tolist(), threshold)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(delchan.strings, "_SCAN", budget)
-        assert first_close_pair(masks, rows.shape[1], threshold) == expected
+        patch.setattr(delchan.strings, "_PAIRS", budget)
+        assert first_close_pair(lane_masks(rows, q), rows.shape[1], threshold) == expected
 
 
-# 8 far-apart rows with copies planted ({row: the row it copies}); a budget of 20
-# pairs reads blocks of rows 0-1, 2-4 and 5-7, and one of 1, 2 or 5 one row a block
-# (5 pairs: rows 6-7 together)
+# 8 far-apart rows with copies planted ({row: the row it copies}). With _PAIRS = 20
+# a pass reads max(1, 20 // alive) rows: rows 0-1 against 8 lanes, and so on. Each
+# pass of greedy is (rows read, lanes, whether the lanes are a view of the pass
+# before's): a pass that drops no row keeps a view, and one that drops compacts them.
+# first_close_pair runs greedy's passes up to the one that finds its pair.
 @pytest.mark.parametrize("copies, pair, blocks", [
-    ({4: 2}, (2, 4), [2, 3]),  # both rows in one block
-    ({3: 1}, (1, 3), [2]),  # from the first block into the second
-    ({6: 4}, (4, 6), [2, 3]),  # from a block's last row
-    ({7: 6}, (6, 7), [2, 3, 3]),  # both rows in the last block
-    ({6: 1, 3: 2}, (1, 6), [2]),  # the first row decides, not the first later row
-    ({}, None, [2, 3, 3]),
+    ({4: 2}, (2, 4), [(2, 8, True), (3, 6, True), (3, 3, False)]),  # both rows in one pass
+    ({3: 1}, (1, 3), [(2, 8, True), (4, 5, False), (1, 1, True)]),  # one pass finds it
+    ({6: 4}, (4, 6), [(2, 8, True), (3, 6, True), (2, 2, False)]),  # from a pass's last row
+    ({7: 6}, (6, 7), [(2, 8, True), (3, 6, True), (3, 3, True)]),  # both rows in the last pass
+    ({6: 1, 3: 2}, (1, 6), [(2, 8, True), (4, 5, False), (1, 1, False)]),  # the first row decides
+    ({}, None, [(2, 8, True), (3, 6, True), (3, 3, True)]),
 ])
 def test_first_close_pair_across_blocks(monkeypatch, copies, pair, blocks):
     rows = np.random.default_rng(3).integers(0, 4, size=(8, 32))
     assert first_close_pair(lane_masks(rows, 4), 32, 28) is None
     for row, source in copies.items():
         rows[row] = rows[source]
+    assert first_close_pair_by_pairs(rows.tolist(), 28) == pair
     masks = lane_masks(rows, 4)
-    assert first_close_pair_by_greedy(masks, 32, 28) == pair
-    read = []
+    passes, before = [], [masks]
 
     def spy(block, lanes, n):
-        read.append(len(block))
+        passes.append((len(block), lanes.shape[1], np.shares_memory(lanes, before[-1])))
+        before.append(lanes)
         return lcs_rows(block, lanes, n)
 
     monkeypatch.setattr(delchan.strings, "lcs_rows", spy)
-    for budget in (1, 2, 5, 20):
-        monkeypatch.setattr(delchan.strings, "_SCAN", budget)
-        read.clear()
-        assert first_close_pair(masks, 32, 28) == pair
-    assert read == blocks
+    monkeypatch.setattr(delchan.strings, "_PAIRS", 20)
+    assert greedy(masks, 32, 28).tolist() == greedy_by_pairs(rows.tolist(), 28)
+    assert passes == blocks
+    passes[:], before[:] = [], [masks]
+    assert first_close_pair(masks, 32, 28) == pair
+    # no row is dropped before the pair's pass, so the passes read rows 0, 1, ... in turn
+    read = np.cumsum([rows_read for rows_read, _, _ in blocks])
+    assert passes == blocks[: len(blocks) if pair is None else 1 + (read <= pair[0]).sum()]
 
 
 def test_bit_runs():
