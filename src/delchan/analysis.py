@@ -13,7 +13,6 @@ parameter sets with a verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
 
 from .channels import ChannelModel, ceil_snapped
 from .inner import inner_rate_formula
@@ -101,9 +100,8 @@ def uniform_bounds(
     if worst is None:
         if T > M2 - 1:
             raise ValueError(f"T = {T} above M2 - 1 = {M2 - 1}; bound invalid")
-        p10 = exp(-M1)
-        p21 = ChannelModel("prc", M2).at_most(1, T)
-        p20 = exp(-M2)
+        one, two = ChannelModel("prc", M1), ChannelModel("prc", M2)
+        p10, p21, p20 = one.none_left(1), two.at_most(1, T), two.none_left(1)
     else:
         if 1.0 - p_eval > width + 1e-12:
             raise ValueError(f"p_eval outside the regime {{p : 1 - p <= {width}}}")
@@ -249,6 +247,7 @@ class PresetVerification:
     report: ProbReport
     R_in: float
     rate: float
+    rel_err: float | None  # |rate - expected_rate| / expected_rate; None without expected_rate
     failures: tuple[str, ...]
 
 
@@ -267,7 +266,7 @@ def verify_preset(preset: Preset) -> PresetVerification:
             f"R_in formula {r_in:.6f} vs expected {preset.expected_R_in:.6f}"
             f" (|diff| {abs(r_in - preset.expected_R_in):.2e} > 2e-3)"
         )
-    rate = preset.computed_rate()
+    rate, rel = preset.computed_rate(), None
     if preset.expected_rate is not None:
         rel = abs(rate - preset.expected_rate) / preset.expected_rate
         if rel > 0.01:
@@ -283,4 +282,4 @@ def verify_preset(preset: Preset) -> PresetVerification:
         floor_rate = preset.p_or_lam / 17.0
         if rate <= floor_rate:
             failures.append(f"rate {rate:.6g} <= lambda/17 = {floor_rate:.6g}")
-    return PresetVerification(report, r_in, rate, tuple(failures))
+    return PresetVerification(report, r_in, rate, rel, tuple(failures))

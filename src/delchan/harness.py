@@ -269,17 +269,13 @@ def analyze_csv() -> tuple[str, int]:
         r = v.report
         if v.failures:
             failures += 1
-        paper_rate = preset.expected_rate
-        rel = (
-            abs(v.rate - paper_rate) / paper_rate if paper_rate is not None else ""
-        )
+        paper_rate = "" if preset.expected_rate is None else preset.expected_rate
         lines.append(
             f"{preset.name},{preset.p_or_lam},{r.p12:.6e},{r.p10:.6e},"
             f"{r.p21:.6e},{r.p20:.6e},{r.gamma:.6e},{r.xi:.6e},"
             f"{preset.delta_in},{int(r.gamma < preset.delta_in)},"
-            f"{v.R_in:.6f},{v.rate:.6e},"
-            f"{paper_rate if paper_rate is not None else ''},"
-            f"{rel if rel == '' else f'{rel:.3e}'}"
+            f"{v.R_in:.6f},{v.rate:.6e},{paper_rate},"
+            f"{'' if v.rel_err is None else f'{v.rel_err:.3e}'}"
         )
     return "\n".join(lines) + "\n", failures
 

@@ -113,14 +113,19 @@ class InnerCodebook:
                 raise ValueError(f"codeword {c} has wrong profile")
         if list(self.codewords) != sorted(self.codewords):
             raise ValueError("codewords not in lexicographic order")
-        pair = first_close_pair(lane_masks(bit_rows(self.codewords, p.m), 2), p.m, p.m - p.d)
+        if p.d == 0:  # only equal rows are close, and a sorted repeat follows its first copy
+            cw = self.codewords
+            pair = next(((k - 1, k) for k in range(1, len(cw)) if cw[k - 1] == cw[k]), None)
+        else:
+            pair = first_close_pair(lane_masks(bit_rows(self.codewords, p.m), 2), p.m, p.m - p.d)
         if pair:
             raise ValueError("codewords too close: " + " ".join(self.codewords[k] for k in pair))
 
 
 def construct_inner(params: InnerParams) -> InnerCodebook:
     """Greedy construction: accept a candidate iff its LCS with every accepted
-    codeword is < m - d (equivalently, pairwise edit distance > 2*d)."""
+    codeword is < m - d (equivalently, pairwise edit distance > 2*d); at d = 0
+    that keeps the whole family, so no pass runs."""
     profile = params.profile
     # comb(runs, j) as comb(runs - j + i, i) for i = 1..j: each factor is at least 1,
     # so the cap is refused at the first partial product past it, not at a huge binomial
@@ -135,9 +140,12 @@ def construct_inner(params: InnerParams) -> InnerCodebook:
     if steps > MAX_FIRST_PASS_STEPS:
         raise ValueError(f"S({profile.m}, {profile.r1}, {profile.r2}) takes {steps} word steps"
                          f" in its first greedy pass, over {MAX_FIRST_PASS_STEPS}")
-    masks = lane_masks(enumerate_S(profile), 2)  # the rows go once packed
-    by = greedy(masks, params.m, params.m - params.d)
-    kept = lane_symbols(np.compress(by == np.arange(by.size), masks, axis=1), params.m)
+    if params.d == 0:  # only equal rows are close, and the family's rows are distinct
+        kept = enumerate_S(profile)
+    else:
+        masks = lane_masks(enumerate_S(profile), 2)  # the rows go once packed
+        by = greedy(masks, params.m, params.m - params.d)
+        kept = lane_symbols(np.compress(by == np.arange(by.size), masks, axis=1), params.m)
     kept = kept.astype(np.uint8) + 48  # the kept rows' characters
     return InnerCodebook(params, tuple(bytes(row).decode() for row in kept))
 

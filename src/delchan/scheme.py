@@ -19,9 +19,10 @@ symbol (inner_symbols) from one memo. It is keyed by a window's run pattern
 thresholded string past _KEY_BITS runs; only a window whose key it lacks is
 thresholded to a string and decoded by InnerCodebook.decode. Each row's
 symbols (however many) go to the outer decoder, which looks codewords up
-first. decode() and decode_with_trace() read a string into runs and decode
-it as a block of one; only decode_with_trace builds a DecodeTrace.
-window_spans and threshold_decode are the string reference of its first steps.
+first. decode() and decode_with_trace() read a string into runs (bit_runs,
+the one run reader) and decode it as a block of one; only decode_with_trace
+builds a DecodeTrace. window_spans and threshold_decode, which reads its
+window with bit_runs too, are the string reference of its first steps.
 
 Classification is separate from decoding: classify() scores a block Layout
 (one gather from the scheme's run_table) straight from its run arrays and
@@ -48,7 +49,7 @@ from .analysis import ProbReport, transition_probs
 from .channels import RUN_DTYPE, ChannelModel, floor_snapped
 from .inner import InnerCodebook, InnerParams
 from .outer import OuterCode, OuterSpec
-from .strings import SProfile, bit_runs, in_S, nonnegative, read_fields, runs_of
+from .strings import SProfile, bit_runs, in_S, nonnegative, read_fields
 
 # Windows one scheme's inner-decode memo holds at most, to bound its memory.
 _MEMO_CAP = 1 << 12
@@ -323,7 +324,7 @@ def run_table(codewords, B: int, N1: int, N2: int) -> tuple[np.ndarray, tuple[in
     for codeword in codewords:
         if not in_S(codeword):  # runs must alternate from 1 to 1 across buffers
             raise ValueError(f"{codeword!r} is not in S")
-    return np.array([[0, *(ln for _, ln in runs_of(c))] for c in codewords], np.int8), (B, N1, N2)
+    return np.array([[0, *bit_runs(c)[1].tolist()] for c in codewords], np.int8), (B, N1, N2)
 
 
 def lay_out(symbols, table, *, edge_buffers: bool = False) -> Layout:
@@ -396,10 +397,12 @@ def window_spans(bits: str, threshold: int) -> list[tuple[int, int]]:
 
 
 def threshold_decode(window: str, T: int) -> str:
-    """Map each run to a 2-run if longer than T, else a 1-run."""
+    """Map each run to a 2-run if longer than T, else a 1-run; a non-binary
+    window is refused, as Scheme.decode refuses it."""
     if T < 1:
         raise ValueError("threshold T must be at least 1")
-    return "".join(str(b) * (2 if ln > T else 1) for b, ln in runs_of(window))
+    runs = zip(*(a.tolist() for a in bit_runs(window)))
+    return "".join(str(b) * (2 if ln > T else 1) for b, ln in runs)
 
 
 # The old builder's name, still called by the benchmark's set-up.

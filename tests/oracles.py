@@ -1,13 +1,13 @@
 """Slow reference implementations the package no longer runs, kept for the
-tests to compare its fast paths against, each written once here: edit
-distance on strings and symbol sequences, a run's survivors from per-bit
-counts, one survivors draw per run, the pairwise greedy loop and the
-first close pair it drops, the scalar inner decode and the
-run-by-run family. Also the insertion/deletion ball
-machinery (embed_all, deletion_ball_bound) that only the tests use, and a
-stand-in generator that feeds chosen words to the channel's draws."""
+tests to compare its fast paths against, each written once here: a
+string's runs as a list and their inverse, edit distance on strings and
+symbol sequences, a run's survivors from per-bit counts, one survivors draw
+per run, the pairwise greedy loop and the first close pair it drops, the
+scalar inner decode and the run-by-run family. Also the insertion/deletion
+ball machinery (embed_all, deletion_ball_bound) that only the tests use,
+and a stand-in generator that feeds chosen words to the channel's draws."""
 
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 from types import SimpleNamespace
 
@@ -15,14 +15,7 @@ import numpy as np
 
 from delchan.inner import InnerParams
 from delchan.scheme import _KEY_BITS
-from delchan.strings import (
-    Run,
-    SProfile,
-    in_S,
-    lcs_len,
-    runs_of,
-    sequence_lcs_len,
-)
+from delchan.strings import SProfile, in_S, lcs_len, sequence_lcs_len
 
 _WORD = (1 << 64) - 1
 
@@ -31,6 +24,16 @@ def fed(words: np.ndarray) -> SimpleNamespace:
     """A stand-in generator whose bit_generator.random_raw returns words,
     whatever size it is asked for."""
     return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda size: words))
+
+
+# A run is a (bit, length) pair; adjacent runs alternate bits, length >= 1.
+Run = tuple[int, int]
+
+
+def runs_of(s: str) -> list[Run]:
+    """Decompose a binary string into its maximal runs of equal bits: the
+    list form of strings.bit_runs."""
+    return [(int(c), len(list(group))) for c, group in groupby(s)]
 
 
 def bits_of(runs: list[Run]) -> str:

@@ -15,7 +15,7 @@ import pytest
 
 from delchan import harness as harness_module
 from delchan import scheme as scheme_module
-from delchan.analysis import presets, transition_probs
+from delchan.analysis import presets, transition_probs, verify_preset
 from delchan.channels import ChannelModel
 from delchan.cli import main
 from delchan.harness import (
@@ -261,6 +261,19 @@ def test_analyze_csv_structure():
     assert failures == 0
     col = lines[0].split(",").index("gamma_lt_delta")
     assert all(line.split(",")[col] == "1" for line in lines[1:])
+
+
+def test_analyze_csv_prints_the_verified_rel_err():
+    # verify_preset computes each rate error once; the table prints that field
+    rows = [line.split(",") for line in analyze_csv()[0].strip().splitlines()]
+    col = rows[0].index("rel_err")
+    for preset, row in zip(presets(), rows[1:], strict=True):
+        v = verify_preset(preset)
+        rel = v.rel_err
+        assert (rel is None) == (preset.expected_rate is None), preset.name
+        assert row[col] == ("" if rel is None else f"{rel:.3e}"), preset.name
+        if rel is not None:  # the error is the rate's, relative to the printed rate
+            assert rel == abs(v.rate - preset.expected_rate) / preset.expected_rate, preset.name
 
 
 def test_sweep_csv_structure():

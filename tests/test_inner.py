@@ -23,6 +23,7 @@ from oracles import (
     edit_distance,
     embed_all,
     enumerate_S_by_runs,
+    first_close_pair_by_pairs,
     greedy_by_pairs,
     insertion_ball_bruteforce,
     scalar_inner_decode,
@@ -81,6 +82,8 @@ def test_pairwise_separation_m7_exhaustive():
     (SProfile(66, 64, 1), 1),
     (SProfile(67, 63, 2), 1),
     (SProfile(132, 130, 1), 0),
+    (SProfile(11, 3, 4), 0),
+    (SProfile(15, 7, 4), 0),
 ])
 def test_construct_matches_scalar_greedy(profile, d):
     params = InnerParams(profile, d)
@@ -105,6 +108,29 @@ def test_construct_memory_is_about_its_candidates():
         tracemalloc.stop()
     assert (profile.count, len(cb)) == (54_264, 117)
     assert peak <= 60 * profile.count
+
+
+def test_d0_runs_no_lcs_pass(monkeypatch, tmp_path):
+    """At d = 0 only equal rows are close: the build keeps the whole family,
+    and a load refuses a repeated line with the scan's message, for the pair
+    the pairwise greedy loop drops first, all without an lcs_rows call."""
+    calls = []
+    monkeypatch.setattr(delchan.strings, "lcs_rows", lambda *a: calls.append(a))
+    params = InnerParams(SProfile(11, 3, 4), 0)
+    family = tuple(enumerate_S_by_runs(params.profile))
+    cb = construct_inner(params)
+    assert cb.codewords == family
+    cb.validate()
+    path = tmp_path / "cb.txt"
+    for repeats in ((0,), (34,), (20, 3), (7, 7, 9)):  # each an extra copy of that codeword
+        lines = tuple(sorted(family + tuple(family[k] for k in repeats)))
+        i, j = first_close_pair_by_pairs(lines, params.m)
+        assert lines[i] == lines[j] == family[min(repeats)]
+        InnerCodebook(params, lines).save(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: codewords too close:"
+                                             f" {lines[i]} {lines[j]}$"):
+            InnerCodebook.load(path)
+    assert calls == []
 
 
 def test_validate_reports_first_close_pair(m25_codebook):

@@ -1,9 +1,9 @@
 """The run-level signal path against the bit-string path it replaced.
 
 The string oracles below expand a transmission bit by bit and walk the
-received string character by character: window_spans, threshold_decode, the
-scalar inner decode and the outer decode; and classify as it was written on
-strings. The run-level path must give the same answers on any per-bit copy
+received string: window_spans and the scalar inner and outer decodes
+character by character, threshold_decode run by run with its own length
+test; and classify as it was written on strings. The run-level path must give the same answers on any per-bit copy
 counts, including all-zero and large ones, also when several receptions are
 decoded in one block, and classify on any block of transmissions. Both
 harness modes are checked, across block edges, against per-trial string
@@ -49,8 +49,8 @@ from delchan.scheme import (
     threshold_text,
     window_spans,
 )
-from delchan.strings import lcs_rows, runs_of
-from oracles import fed, per_run, window_key
+from delchan.strings import lcs_rows
+from oracles import fed, per_run, runs_of, window_key
 
 
 @pytest.fixture(scope="module")
@@ -601,6 +601,8 @@ def test_single_codeword_blocks_match_per_trial_loop(schemes, name, monkeypatch)
 def test_decode_rejects_non_binary(bdc_desk, junk):
     with pytest.raises(ValueError, match="^received string must be binary$"):
         bdc_desk.decode(junk)
+    with pytest.raises(ValueError, match="^received string must be binary$"):
+        threshold_decode(junk, bdc_desk.params.T)  # the string reference reads runs alike
 
 
 @pytest.mark.parametrize("name", SCHEMES)

@@ -24,8 +24,8 @@ from delchan.scheme import (
     threshold_decode,
     window_spans,
 )
-from delchan.strings import SProfile, runs_of
-from oracles import per_run, window_key
+from delchan.strings import SProfile
+from oracles import per_run, runs_of, window_key
 
 
 def test_snapped_rounding():
@@ -124,6 +124,7 @@ def test_window_spans_matches_scan(bits, threshold):
 def test_threshold_decode_examples():
     assert threshold_decode("1111000011", 3) == "11001"
     assert threshold_decode("101", 3) == "101"
+    assert threshold_decode("0001111", 3) == "011"  # a run of exactly T stays a 1-run
     assert threshold_decode("", 3) == ""
     with pytest.raises(ValueError):
         threshold_decode("1", 0)

@@ -25,7 +25,6 @@ from delchan.strings import (
     lcs_rows,
     lane_masks,
     lane_symbols,
-    runs_of,
     sequence_lcs_len,
 )
 from oracles import (
@@ -36,6 +35,7 @@ from oracles import (
     greedy_by_pairs,
     is_subsequence,
     lane_masks_by_row,
+    runs_of,
 )
 
 
@@ -54,6 +54,8 @@ def test_runs_roundtrip():
     assert runs_of("0111001") == [(0, 1), (1, 3), (0, 2), (1, 1)]
     assert bits_of(runs_of("0111001")) == "0111001"
     assert runs_of("") == []
+    for s in ("", "0", "1", "0111001", "1100100011", "01" * 40, "1" * 70):
+        assert list(zip(*(a.tolist() for a in bit_runs(s)))) == runs_of(s)
 
 
 def test_lcs_known_values():
