@@ -17,15 +17,16 @@ cached: the word's top 12 bits pick a cell of a guide table, which gives the
 value at once unless a step of the CDF falls inside the cell; those few
 words are resolved by a binary search of the 64-bit thresholds. A block of
 runs of a few lengths takes its words in one call, with those laws' guides
-stacked. Each threshold is Pr[Z <= k] summed exactly from the log-pmf and
-rounded to a multiple of 2**-64, from below up to the median and as 1 -
-Pr[Z > k] above it, so both tails keep their relative accuracy; every
-value's probability is within 2**-63 of the pmf's, but for the one where the
-two sums meet, which also takes up the pmf's own rounding. The table spans
-only the values beyond which less than 2**-64 of the mass lies, so its width
-follows the standard deviation, not n. The inverse is monotone, so
-count_at_most counts the runs of at most t survivors as the words below the
-threshold Pr[Z <= t], with no survivor drawn.
+stacked once per (channel, run lengths) and cached. Each threshold is
+Pr[Z <= k] summed exactly from the log-pmf and rounded to a multiple of
+2**-64, from below up to the median and as 1 - Pr[Z > k] above it, so both
+tails keep their relative accuracy; every value's probability is within
+2**-63 of the pmf's, but for the one where the two sums meet, which also
+takes up the pmf's own rounding. The table spans only the values beyond
+which less than 2**-64 of the mass lies, so its width follows the standard
+deviation, not n. The inverse is monotone, so count_at_most counts the runs
+of at most t survivors as the words below the threshold Pr[Z <= t], with no
+survivor drawn.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ _MAX_TABLE = 1 << 16
 # The top _GUIDE_BITS bits of a word pick its cell of the guide table.
 _GUIDE_BITS = 12
 _CELL_SHIFT = 64 - _GUIDE_BITS
-# Tables kept at once, one per (channel, run length).
+# Tables kept at once, one per (channel, run length), and stacks of their
+# guides, one per (channel, run lengths) of a draw.
 _TABLES_KEPT = 256
+_STACKS_KEPT = 16
 # Run lengths and survivor counts, in the channel's draws and a block's arrays.
 RUN_DTYPE = np.int32
 
@@ -178,23 +181,26 @@ class ChannelModel:
         bits, one word per run, in run order, the distinct lengths as classes."""
         bits, lengths = bit_runs(bits)
         distinct, classes = np.unique(lengths, return_inverse=True)
-        counts = self._draw(distinct.tolist(), classes, rng)
+        counts = self._draw(tuple(distinct.tolist()), classes, rng)
         return apply_copy_counts((bits + 48).tobytes().decode(), counts)
 
-    def _draw(self, lengths, classes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _draw(self, lengths: tuple[int, ...], classes: np.ndarray,
+              rng: np.random.Generator) -> np.ndarray:
         """Survivors of runs of lengths[classes.flat[i]] bits, run i from word
         i of one call: its cell class << _GUIDE_BITS | word >> _CELL_SHIFT of
         the laws' guides stacked, or a search of its own law's thresholds."""
-        tables = [_survivor_table(self, n) for n in lengths]  # a refused law draws nothing
+        tables, guides = _stacked_tables(self, lengths)  # a refused law draws nothing
         flat = classes.reshape(-1)
         words = rng.bit_generator.random_raw(flat.size)
         cells = (words >> _CELL_SHIFT).view(np.int64)  # signed indices gather faster
         np.bitwise_or(cells, np.left_shift(flat, _GUIDE_BITS, dtype=np.int32), out=cells)
-        z = np.array([table.guide for table in tables], RUN_DTYPE).take(cells)
-        hard = np.flatnonzero(z < 0)
+        z = guides.take(cells)
+        hard = (z < 0).nonzero()[0]
+        hard_class = flat[hard]
         for c, table in enumerate(tables):
-            at = hard[flat[hard] == c]
-            z[at] = table.lo + np.searchsorted(table.thresholds, words[at], "right")
+            at = hard[hard_class == c]
+            if at.size:  # a search of this law's thresholds
+                z[at] = table.lo + table.thresholds.searchsorted(words[at], "right")
         return z.reshape(classes.shape)
 
     def _law(self, n: int) -> tuple[Callable[[int], float], int, float, int | None]:
@@ -252,6 +258,16 @@ def _survivor_table(channel: ChannelModel, n: int) -> _SurvivorTable:
     at_end = np.searchsorted(thresholds, starts | ((1 << _CELL_SHIFT) - 1), "right")
     guide = np.where(at_start == at_end, lo + first + at_start, -1).astype(RUN_DTYPE)
     return _SurvivorTable(lo + first, thresholds, guide)
+
+
+@lru_cache(maxsize=_STACKS_KEPT)
+def _stacked_tables(channel: ChannelModel,
+                    lengths: tuple[int, ...]) -> tuple[list[_SurvivorTable], np.ndarray]:
+    """The survivor table of each of lengths, and their guides stacked (read-only)."""
+    tables = [_survivor_table(channel, n) for n in lengths]
+    guides = np.array([table.guide for table in tables], RUN_DTYPE)
+    guides.setflags(write=False)
+    return tables, guides
 
 
 def _edge(log_pmf, mode: int, step: int, end: int | None) -> int:

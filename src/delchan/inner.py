@@ -16,9 +16,10 @@ from .strings import lcs_len  # noqa: F401  (the benchmark's tracer wraps it her
 
 # Greedy construction refuses larger candidate sets, before enumerating them, and families
 # whose first pass (m columns over count lanes of ceil(m / 64) words) takes more word steps
-# than 64 a candidate at that cap, which also bounds their (count, m) uint8 rows' bytes.
+# than 64 a candidate at that cap, which also bounds their (count, m) uint8 rows' bytes. At
+# d = 0, where no pass runs, it refuses families whose rows take more bytes than that.
 MAX_CANDIDATES = 10**7
-MAX_FIRST_PASS_STEPS = 64 * MAX_CANDIDATES
+MAX_FIRST_PASS_STEPS = MAX_ROW_BYTES = 64 * MAX_CANDIDATES
 
 
 @dataclass(frozen=True)
@@ -107,19 +108,25 @@ class InnerCodebook:
         return cb
 
     def validate(self) -> None:
-        p = self.params
-        for c in self.codewords:
-            if SProfile.of(c) != p.profile:
-                raise ValueError(f"codeword {c} has wrong profile")
-        if list(self.codewords) != sorted(self.codewords):
+        p, cw = self.params, self.codewords
+        misfits = (np.fromiter(map(len, cw), np.int64, len(cw)) != p.m).nonzero()[0]
+        sized = int(misfits[0]) if misfits.size else len(cw)
+        rows = bit_rows(cw[:sized], p.m)  # the codewords before the first of another length
+        pairs = rows[:, 1:] == rows[:, :-1]  # in S, each pair of equal neighbours is a 2-run
+        bad = ((rows.max(axis=1) > 1) | (rows[:, 0] != 1) | (rows[:, -1] != 1)
+               | (pairs[:, 1:] & pairs[:, :-1]).any(axis=1) | (pairs.sum(axis=1) != p.profile.r2))
+        first = int(bad.argmax()) if bad.any() else sized
+        if first < len(cw):  # the first codeword out of S or of another profile
+            SProfile.of(cw[first])  # raises if it is not in S
+            raise ValueError(f"codeword {cw[first]} has wrong profile")
+        if list(cw) != sorted(cw):
             raise ValueError("codewords not in lexicographic order")
         if p.d == 0:  # only equal rows are close, and a sorted repeat follows its first copy
-            cw = self.codewords
             pair = next(((k - 1, k) for k in range(1, len(cw)) if cw[k - 1] == cw[k]), None)
         else:
-            pair = first_close_pair(lane_masks(bit_rows(self.codewords, p.m), 2), p.m, p.m - p.d)
+            pair = first_close_pair(lane_masks(rows, 2), p.m, p.m - p.d)
         if pair:
-            raise ValueError("codewords too close: " + " ".join(self.codewords[k] for k in pair))
+            raise ValueError("codewords too close: " + " ".join(cw[k] for k in pair))
 
 
 def construct_inner(params: InnerParams) -> InnerCodebook:
@@ -127,6 +134,7 @@ def construct_inner(params: InnerParams) -> InnerCodebook:
     codeword is < m - d (equivalently, pairwise edit distance > 2*d); at d = 0
     that keeps the whole family, so no pass runs."""
     profile = params.profile
+    name = f"S({profile.m}, {profile.r1}, {profile.r2})"
     # comb(runs, j) as comb(runs - j + i, i) for i = 1..j: each factor is at least 1,
     # so the cap is refused at the first partial product past it, not at a huge binomial
     runs, j = profile.num_runs, min(profile.r1, profile.r2)
@@ -134,15 +142,17 @@ def construct_inner(params: InnerParams) -> InnerCodebook:
     for i in range(1, j + 1):
         size = size * (runs - j + i) // i
         if size > MAX_CANDIDATES:
-            raise ValueError(f"S({profile.m}, {profile.r1}, {profile.r2}) has more than"
-                             f" {MAX_CANDIDATES} candidates")
-    steps = size * -(-profile.m // 64) * profile.m  # size is now the family's count
-    if steps > MAX_FIRST_PASS_STEPS:
-        raise ValueError(f"S({profile.m}, {profile.r1}, {profile.r2}) takes {steps} word steps"
-                         f" in its first greedy pass, over {MAX_FIRST_PASS_STEPS}")
+            raise ValueError(f"{name} has more than {MAX_CANDIDATES} candidates")
+    # size is now the family's count
     if params.d == 0:  # only equal rows are close, and the family's rows are distinct
+        if size * profile.m > MAX_ROW_BYTES:
+            raise ValueError(f"{name} takes {size * profile.m} bytes of rows, over {MAX_ROW_BYTES}")
         kept = enumerate_S(profile)
     else:
+        steps = size * -(-profile.m // 64) * profile.m
+        if steps > MAX_FIRST_PASS_STEPS:
+            raise ValueError(f"{name} takes {steps} word steps in its first greedy pass,"
+                             f" over {MAX_FIRST_PASS_STEPS}")
         masks = lane_masks(enumerate_S(profile), 2)  # the rows go once packed
         by = greedy(masks, params.m, params.m - params.d)
         kept = lane_symbols(np.compress(by == np.arange(by.size), masks, axis=1), params.m)

@@ -16,7 +16,9 @@ add the few runs that then follow a run of their own bit into it, split on
 zero runs longer than the buffer threshold, and give each window its inner
 symbol (inner_symbols) from one memo. It is keyed by a window's run pattern
 (`length > T` of each run, its run count and first bit), or by its
-thresholded string past _KEY_BITS runs; only a window whose key it lacks is
+thresholded string past _KEY_BITS runs, and a block's run keys are searched
+for at once in a sorted index of the memo's run keys, read again from the
+memo each time it doubles; only a window whose key the memo lacks is
 thresholded to a string and decoded by InnerCodebook.decode. Each row's
 symbols (however many) go to the outer decoder, which looks codewords up
 first. decode() and decode_with_trace() read a string into runs (bit_runs,
@@ -56,6 +58,8 @@ _MEMO_CAP = 1 << 12
 # Runs a run-pattern key covers: a key is read as one 64-bit word from the
 # byte holding its first bit, which may be that byte's bit 7.
 _KEY_BITS = 57
+# The memo index's last key, above every run key, so a search always lands in it.
+_SENTINEL = 2**64 - 1
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -145,10 +149,10 @@ class Scheme:
         return run_table(self.inner_cb.codewords, self.B, self.N1, self.N2)
 
     @cached_property
-    def _memo(self) -> dict[int | str, int]:
+    def _memo(self) -> "_Memo":
         """Each window key's inner symbol (see inner_symbols), for the windows
         decoded so far, in the order they were decoded."""
-        return {}
+        return _Memo()
 
     def encode(self, message: int) -> str:
         return self.encode_with_layout(message).bits()
@@ -197,37 +201,60 @@ class Scheme:
                       last: np.ndarray) -> np.ndarray:
         """The inner symbol of each window [first[i], last[i]) of runs of
         alternating bits, or -1 for an empty window. A window of at most
-        _KEY_BITS runs is keyed by its run pattern (run_keys), a longer one by
-        its thresholded string, and each distinct key is looked up in the memo
-        once. Only the windows whose keys it lacks are thresholded, and
-        decoded by inner_cb.decode in window order; each decoded window joins
-        the memo while it holds fewer than _MEMO_CAP windows."""
+        _KEY_BITS runs is keyed by its run pattern (run_keys) and looked up in
+        the memo's sorted index with one searchsorted; a key the index lacks
+        is looked up in the memo itself. A longer window is keyed by its
+        thresholded string. Only the windows whose keys the memo lacks are
+        thresholded, and decoded by inner_cb.decode in window order; each
+        decoded window joins the memo while it holds fewer than _MEMO_CAP windows."""
         symbols = np.full(first.size, -1, np.int64)
-        nonempty = np.flatnonzero(last > first)
+        nonempty = (last > first).nonzero()[0]
         at, size = first[nonempty], last[nonempty] - first[nonempty]
-        keys = run_keys(lengths > self.params.T, at, size.clip(max=_KEY_BITS), bits[at])
-        long = size > _KEY_BITS  # each is its own stand-in key: no run key has bit 62
-        keys[long] = nonempty[long] | 1 << 62
-        keys, inverse = np.unique(keys, return_inverse=True)
-        keys = keys.tolist()
-        found = list(map(self._memo.get, keys))
-        window = np.flatnonzero(np.array([symbol is None for symbol in found], bool)[inverse])
-        if window.size:  # else the memo knew every key
-            sizes = size[window]
+        keys = run_keys(lengths > self.params.T, at, np.minimum(size, _KEY_BITS), bits[at])
+        long = size > _KEY_BITS
+        keys[long] = 1 << 62  # in no index and no memo: no run key has bit 62
+        found, missed = self._memo.find(keys)
+        if missed.size:  # keys the index lacks: the memo's later keys, or new ones
+            found[missed] = [self._memo.get(key, -1) for key in keys[missed].tolist()]
+            missed = missed[found[missed] < 0]
+        if missed.size:  # windows whose keys the memo lacks
+            sizes = size[missed]
             ends = np.cumsum(sizes)
-            runs = np.repeat(last[nonempty[window]] - ends, sizes)  # each run of those windows
+            runs = np.repeat(last[nonempty[missed]] - ends, sizes)  # each run of those windows
             runs += np.arange(runs.size)
             text, offsets = threshold_text(bits[runs], lengths[runs], self.params.T)
-            cuts = offsets[np.append(0, ends)].tolist()
-            for i, a, b in zip(inverse[window].tolist(), cuts, cuts[1:]):
-                key = text[a:b] if keys[i] >> 62 == 1 else keys[i]
-                found[i] = self._memo.get(key)  # an earlier window's, or a longer window's string
-                if found[i] is None:
-                    found[i] = self.inner_cb.decode(text[a:b])
+            cuts = offsets[ends].tolist()
+            for i, key, stretch, a, b in zip(missed.tolist(), keys[missed].tolist(),
+                                              long[missed].tolist(), [0, *cuts], cuts):
+                key = text[a:b] if stretch else key
+                symbol = self._memo.get(key)  # an earlier window's, or a longer window's string
+                if symbol is None:
+                    symbol = self.inner_cb.decode(text[a:b])
                     if len(self._memo) < _MEMO_CAP:
-                        self._memo[key] = found[i]
-        symbols[nonempty] = np.array(found, np.int64)[inverse]
+                        self._memo[key] = symbol
+                found[i] = symbol
+        symbols[nonempty] = found
         return symbols
+
+
+class _Memo(dict):
+    """A scheme's inner-decode memo (see Scheme.inner_symbols) and a sorted
+    index of its run keys, read again from it once it has doubled since, or
+    has reached _MEMO_CAP: the index then holds every key it will hold."""
+
+    _indexed = 0  # windows in the memo when the index was read
+    _keys, _symbols = np.array([_SENTINEL], np.uint64), np.array([-1], np.int64)  # none yet
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The symbols of the run keys found in the index (-1 elsewhere), and
+        the positions of the others."""
+        if len(self) > self._indexed and (len(self) >= 2 * self._indexed or len(self) == _MEMO_CAP):
+            indexed = sorted(key for key in self if isinstance(key, int))
+            self._keys = np.array([*indexed, _SENTINEL], np.uint64)
+            self._symbols = np.array([*map(self.get, indexed), -1], np.int64)
+            self._indexed = len(self)
+        at = self._keys.searchsorted(keys)
+        return self._symbols[at], (self._keys[at] != keys).nonzero()[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,9 +285,14 @@ class Layout:
 
     @cached_property
     def run_bits(self) -> np.ndarray:
-        """Each run's bit: one row, broadcast (read-only) over a block's rows."""
-        row = (np.arange(self.orig.shape[-1]) & 1) ^ (self.orig.size and self.orig.flat[0] > 0)
-        return np.broadcast_to(row.astype(np.uint8), self.orig.shape)
+        """Each run's bit: one row, a read-only view over a block's rows."""
+        lead = self.orig.size and self.orig.item(0) > 0
+        row = np.empty(self.orig.shape[-1], np.uint8)
+        row[::2], row[1::2] = lead, 1 - lead
+        strides = (0,) * (self.orig.ndim - 1) + (1,)
+        view = np.ndarray(self.orig.shape, np.uint8, row, strides=strides)
+        view.setflags(write=False)
+        return view
 
     def bits(self) -> str:
         """The transmitted string."""
@@ -277,12 +309,13 @@ class DecodeTrace:
 
 
 def classify(scheme: Scheme, layout: Layout,
-             counts: np.ndarray) -> tuple[list[int], dict[str, int]]:
-    """Every codeword's distortion X, in row order, and the summed error-event
-    counts of a block of transmissions: its layout (one transmission is a
-    block of one row) and the survivors of each run (counts[i, j] bits of run
-    j of row i reached the receiver), the ground truth a decoder never sees.
-    The rows share their buffer runs, so row 0 shows which runs are codewords'.
+             counts: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
+    """Every codeword's distortion X, in row order (an int64 array), and the
+    summed error-event counts of a block of transmissions: its layout (one
+    transmission is a block of one row) and the survivors of each run
+    (counts[i, j] bits of run j of row i reached the receiver), the ground
+    truth a decoder never sees. The rows share their buffer runs, so row 0
+    shows which runs are codewords'.
 
     X for a codeword sums, over its runs: 0 if the thresholded run matches
     the original length; 1 if survivors > 0 but it does not; the original
@@ -300,20 +333,23 @@ def classify(scheme: Scheme, layout: Layout,
     coded = orig[:1].any(axis=0)  # the runs of codewords, not buffers (none if no rows)
     o = orig[:, coded].reshape(-1, p.inner.profile.r1 + p.inner.profile.r2)  # a codeword a row
     zc = z[:, coded].reshape(o.shape)
-    after = np.append(o[:, 1:], np.full((len(o), 1), 2), axis=1)  # then a buffer or nothing
-    cost = np.where(zc == 0, o + after, 1 + (zc > p.T) != o)
-    events["deleted_buffer"] = int((z[:, ~coded] <= p.buffer_threshold).sum())
+    after = np.empty_like(o)  # the next run, then a buffer or nothing
+    after[:, :-1], after[:, -1] = o[:, 1:], 2
+    cost = np.where(zc == 0, o + after, (zc > p.T) != (o == 2))
+    events["deleted_buffer"] = int(np.count_nonzero(z[:, ~coded] <= p.buffer_threshold))
     bits = np.atleast_2d(layout.run_bits)[:, coded].reshape(-1)
-    w_bits, w_lengths, owner = merge_runs(bits, zc.reshape(-1), np.arange(zc.size) // o.shape[1])
+    owner = np.arange(len(o)).repeat(o.shape[1])
+    w_bits, w_lengths, owner = merge_runs(bits, zc.reshape(-1), owner)
     cut = owner[1:] != owner[:-1]
     keep = w_bits == 1  # each codeword's edge zeros stripped: a 0 stays only inside
     keep[1:-1] |= ~(cut[:-1] | cut[1:])
     w_bits, w_lengths, owner = w_bits[keep], w_lengths[keep], owner[keep]
-    events["spurious_buffer"] = int(((w_bits == 0) & (w_lengths > p.buffer_threshold)).sum())
+    spurious = (w_bits == 0) & (w_lengths > p.buffer_threshold)
+    events["spurious_buffer"] = int(np.count_nonzero(spurious))
     cuts = np.searchsorted(owner, np.arange(len(o) + 1))
     found = scheme.inner_symbols(w_bits, w_lengths, cuts[:-1], cuts[1:])
-    events["wrong_inner_decode"] = int((found != np.ravel(layout.symbols)).sum())
-    return cost.sum(axis=1).tolist(), events
+    events["wrong_inner_decode"] = int(np.count_nonzero(found != np.ravel(layout.symbols)))
+    return cost.sum(axis=1, dtype=np.int64), events
 
 
 def run_table(codewords, B: int, N1: int, N2: int) -> tuple[np.ndarray, tuple[int, int, int]]:
@@ -346,12 +382,16 @@ def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray):
     their own bit are added into the run that heads their chain."""
     keep = lengths > 0
     bits, lengths, owner = bits[keep], lengths[keep], owner[keep]
-    later = np.flatnonzero((bits[1:] == bits[:-1]) & (owner[1:] == owner[:-1])) + 1
+    later = ((bits[1:] == bits[:-1]) & (owner[1:] == owner[:-1])).nonzero()[0] + 1
+    if not later.size:
+        return bits, lengths, owner
     # a chain of later runs is headed by the run just before its first one
-    head = np.maximum.accumulate(np.where(np.diff(later, prepend=-1) > 1, later - 1, 0))
+    head = later - 1
+    head[1:][head[1:] == later[:-1]] = 0
+    np.maximum.accumulate(head, out=head)
     np.add.at(lengths, head, lengths[later])
-    alone = np.ones(bits.size, bool)
-    alone[later] = False
+    lengths[later] = 0  # added into their heads
+    alone = lengths > 0
     return bits[alone], lengths[alone], owner[alone]
 
 
@@ -370,7 +410,7 @@ def run_keys(flags: np.ndarray, first: np.ndarray, size: np.ndarray, lead) -> np
     from run first[i], whose first bit is lead[i]: bit j set where
     flags[first[i] + j] (run j is a 2-run), bit size[i] set, and bit 63 set
     where lead[i] is 1."""
-    packed = np.append(np.packbits(flags, bitorder="little"), np.zeros(8, np.uint8))
+    packed = np.concatenate((np.packbits(flags, bitorder="little"), np.zeros(8, np.uint8)))
     words = np.ndarray(packed.size - 7, "<u8", packed, strides=(1,))  # one at each byte
     top = np.uint64(1) << np.asarray(size, np.uint64)
     keys = (words[first >> 3] >> (first & 7).astype(np.uint64)) & (top - np.uint64(1))

@@ -36,8 +36,10 @@ lcs_len = sequence_lcs_len  # binary strings are sequences of "0" and "1"
 
 
 def bit_rows(strings, n: int) -> np.ndarray:
-    """The bits of length-n binary strings as one (count, n) array."""
-    return (np.frombuffer("".join(strings).encode("ascii"), np.uint8) - 48).reshape(-1, n)
+    """The bits of length-n binary strings as one (count, n) array; a character
+    other than 0 and 1 reads as a value above 1."""
+    return (np.frombuffer("".join(strings).encode("ascii", "replace"), np.uint8)
+            - 48).reshape(-1, n)
 
 
 def bit_runs(s: str) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delchan.channels import ChannelModel, RngStream, _survivor_table, apply_copy_counts
+from delchan.channels import (ChannelModel, RngStream, _stacked_tables, _survivor_table,
+                              apply_copy_counts)
 from delchan.outer import OuterSpec, construct_outer
 from delchan.scheme import Layout, Scheme, lay_out, run_table
 from oracles import draws_per_run, fed
@@ -269,6 +270,38 @@ def test_copy_counts_match_one_draw_per_run(bdc_desk, prc_desk):
         looped_counts = draws_per_run(channel, layout.lengths.reshape(-1).tolist(), looped)
         assert np.array_equal(counts, looped_counts.reshape(layout.orig.shape)), index
         assert drawn.bit_generator.state == looped.bit_generator.state
+
+
+
+def test_a_refused_law_in_a_block_draws_nothing(prc_desk):
+    # a Layout whose 2-runs have a law too wide to tabulate is refused before
+    # any word is drawn, after its other classes' tables were cached, and a
+    # refused stack is not cached: the same draw is refused again
+    rng = RngStream(6, 0).generator()
+    good = lay_out(np.zeros((3, 1), np.int64), prc_desk.run_table, edge_buffers=True)
+    wide = Layout(good.symbols, good.orig, (prc_desk.B, prc_desk.N1, 10**15))
+    state = rng.bit_generator.state
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too wide to tabulate"):
+            prc_desk.params.channel.copy_counts(wide, rng)
+        assert rng.bit_generator.state == state
+    assert prc_desk.params.channel.copy_counts(good, rng).shape == good.orig.shape
+
+
+def test_cached_draw_tables_are_read_only(bdc_desk):
+    # every draw of one (channel, run lengths) reads the same cached guides
+    # and thresholds, so no caller may write to them
+    channel, run_lengths = bdc_desk.params.channel, (bdc_desk.B, bdc_desk.N1, bdc_desk.N2)
+    channel.copy_counts(bdc_desk.encode_block(np.arange(2)), RngStream(3, 0).generator())
+    tables, guides = _stacked_tables(channel, run_lengths)
+    assert _stacked_tables(channel, run_lengths)[1] is guides
+    assert guides.shape == (3, 4096)
+    for table, row in zip(tables, guides):
+        assert np.array_equal(row, table.guide)
+        for shared in (guides, table.guide, table.thresholds):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0
 
 
 @pytest.mark.parametrize("law, run_lengths", [

@@ -507,6 +507,9 @@ REFUSALS = [
     ("construct-profile-pass", CONSTRUCT, "exp.cfg", "m=25298\nr1=25296\nr2=1\n", 2,
      "exp.cfg: S(25298, 25296, 1) takes 253425548376 word steps in its first greedy pass,"
      " over 640000000"),
+    # at d = 0 no pass runs, but the same rows take 10 GB
+    ("construct-profile-wide-d0", CONSTRUCT, "exp.cfg", "m=100002\nr1=100000\nr2=1\nd=0\n", 2,
+     "exp.cfg: S(100002, 100000, 1) takes 10000300002 bytes of rows, over 640000000"),
     # a verification failure: the desk profile has 77 codewords
     ("construct-q100", CONSTRUCT, "exp.cfg", "q=100\nk=1\n", 1,
      "exp.cfg: inner codebook has 77 codewords, need 100"),

@@ -66,6 +66,73 @@ def test_construct_refuses_too_many_candidates_before_enumerating(monkeypatch):
         construct_inner(InnerParams(SProfile(25298, 25296, 1), 2))
 
 
+
+def test_d0_caps_the_rows_bytes_not_a_pass(monkeypatch):
+    # at d = 0 no greedy pass runs, so S(3444, 3442, 1), refused at d = 2 for
+    # its first pass, builds its 3,443 rows of 3,444 bytes; the rows' bytes
+    # are capped instead: 25,299 * 25,300 and 25,297 * 25,298 straddle 64 * 10^7
+    cb = construct_inner(InnerParams(SProfile(3444, 3442, 1), 0))
+    assert len(cb) == 3443 and {len(c) for c in cb.codewords} == {3444}
+
+    def no_enumeration(profile):
+        raise AssertionError("enumerated a profile")
+
+    monkeypatch.setattr(delchan.inner, "enumerate_S", no_enumeration)
+    with pytest.raises(ValueError, match=r"^S\(25300, 25298, 1\) takes 640064700 bytes of rows,"
+                                         r" over 640000000$"):
+        construct_inner(InnerParams(SProfile(25300, 25298, 1), 0))
+    with pytest.raises(AssertionError, match="enumerated a profile"):
+        construct_inner(InnerParams(SProfile(25298, 25296, 1), 0))
+
+
+def scalar_profile_check(cb):
+    """InnerCodebook.validate's profile check as a loop over the strings."""
+    for c in cb.codewords:
+        if SProfile.of(c) != cb.params.profile:
+            raise ValueError(f"codeword {c} has wrong profile")
+
+
+# a string of S(25, 9, 8): the desk's length, another profile
+OTHER_PROFILE = "1100110011001100101010101"
+EDIT = st.tuples(st.integers(0, 76), st.integers(-1, 25),
+                 st.sampled_from(["0", "1", "00", "11", "", "2", "x", "/", "\u00e9", "\n",
+                                  OTHER_PROFILE]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(EDIT, max_size=3))
+@example(edits=[])
+@example(edits=[(3, 0, "0")])  # starts with a 0
+@example(edits=[(3, 2, "11")])  # three 1s in a row, and one character more
+@example(edits=[(9, 1, "")])  # a 2-run cut to a 1-run: in S, of length 24
+@example(edits=[(40, 30, "1")])  # a 1 appended: in S, of length 26
+@example(edits=[(70, 5, "\u00e9"), (2, 7, "2")])  # the later codeword is not ASCII
+@example(edits=[(4, -1, OTHER_PROFILE)])  # in S, of length m, with r2 = 8
+def test_validate_refuses_the_first_misfit_as_the_loop_did(m25_codebook, edits):
+    # each edit puts a string in place of character j of codeword i (a 1- or
+    # 2-run, a dropped character, a non-binary or non-ASCII one), or of the
+    # whole codeword if j is -1: validate refuses the first codeword out of S
+    # or of the profile with the loop's message, and none if the loop refuses none
+    codewords = list(m25_codebook.codewords)
+    for i, j, text in edits:
+        codewords[i] = text if j < 0 else codewords[i][:j] + text + codewords[i][j + 1:]
+    cb = InnerCodebook(m25_codebook.params, tuple(codewords))
+    try:
+        scalar_profile_check(cb)
+        expected = None
+    except ValueError as exc:
+        expected = str(exc)
+    try:
+        cb.validate()
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    if expected is None:  # a later check may refuse the code: the order, or a close pair
+        assert message is None or " has wrong profile" not in message and "not in S" not in message
+    else:
+        assert message == expected
+
+
 def test_pairwise_separation_m7_exhaustive():
     cb = construct_inner(M7)
     for i, a in enumerate(cb.codewords):

@@ -13,14 +13,15 @@ The outer codeword lookup is checked against the bare argmin of a one-row
 lcs_rows pass, the inner symbols looked up by run-pattern key against the
 scalar inner decode, merge_runs against the reduceat merge it replaced, and
 the inner-decode memo against its cap, against the windows the string path
-would put in it and against a second decode of a block, which thresholds no
-run.
+would put in it, against a second decode of a block, which thresholds no
+run, and with its sorted index just before and after a read.
 """
 
 import random
 import statistics
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 from math import exp, sqrt
 
 import numpy as np
@@ -41,6 +42,7 @@ from delchan import scheme as scheme_module
 from delchan.scheme import (
     _MEMO_CAP,
     DecodeTrace,
+    Layout,
     Scheme,
     classify,
     lay_out,
@@ -428,6 +430,50 @@ def test_inner_memo_stops_at_its_cap(bdc_desk):
     assert len(s._memo) == codewords + _MEMO_CAP
 
 
+
+@lru_cache(maxsize=1)
+def memo_pool(T):
+    """More distinct windows than _MEMO_CAP, each of 8 to 30 runs of 1 or T + 1
+    bits, and the key of each thresholded window."""
+    rnd = random.Random(5)
+    pool = list(dict.fromkeys((rnd.randint(0, 1), tuple(rnd.choices((1, T + 1),
+                                                                    k=rnd.randint(8, 30))))
+                              for _ in range(_MEMO_CAP + 500)))
+    return pool, [window_key(w) for w in thresholded(pool, T)]
+
+
+@pytest.mark.parametrize("state", ["empty", "below", "above", "cap"])
+@settings(max_examples=10, deadline=None)
+@given(specs=st.lists(WINDOW, max_size=6), picks=st.lists(st.integers(0, 2**16), max_size=6))
+def test_memo_index_agrees_with_scalar_decode(bdc_desk, state, specs, picks):
+    # a block looked up with an empty memo, with a memo one window short of
+    # its index's next read ("below"), with the index just read ("above"), and
+    # at _MEMO_CAP; the block mixes new windows with windows the memo holds,
+    # some only past its index. The symbols are the scalar decodes, and the
+    # memo holds the new keys in window order, as a fresh memo fed every
+    # window in one block does
+    s, T = replace(bdc_desk), bdc_desk.params.T  # a fresh memo
+    pool, pool_keys = memo_pool(T)
+    sizes = {"empty": [], "below": [40, 39], "above": [40, 40], "cap": [1400] * 3}[state]
+    for a, b in zip(np.cumsum([0, *sizes]).tolist(), np.cumsum(sizes).tolist()):
+        s.inner_symbols(*window_arrays(pool[a:b]))
+    s.inner_symbols(*window_arrays([]))  # reads the index if the memo has doubled
+    assert list(s._memo) == pool_keys[:min(sum(sizes), _MEMO_CAP)]
+    known = sum(sizes) + 10  # the windows fed, and 10 more
+    block = [window_runs(s, spec) for spec in specs] + [pool[i % known] for i in picks]
+    symbols = s.inner_symbols(*window_arrays(block))
+    strings = thresholded(block, T)
+    assert symbols.tolist() == [s.inner_cb.decode(w) if w else -1 for w in strings]
+    expected = dict.fromkeys(pool_keys[:sum(sizes)])
+    for key in (window_key(w) for w in strings if w):
+        if len(expected) < _MEMO_CAP:
+            expected.setdefault(key)
+    assert list(s._memo) == list(expected)[:_MEMO_CAP]
+    one_block = replace(bdc_desk)
+    one_block.inner_symbols(*window_arrays(pool[:sum(sizes)] + block))
+    assert list(s._memo) == list(one_block._memo)
+
+
 @pytest.mark.parametrize("name", ["bdc", "prc"])
 def test_second_decode_of_a_block_thresholds_no_run(schemes, name, monkeypatch):
     # a warm memo answers every window of at most _KEY_BITS runs by its key;
@@ -465,7 +511,8 @@ def transmission(s, message, single, kind, seed):
 def test_classify_matches_string_classify(schemes, name, message, single, kind, seed):
     s = schemes[name]
     layout, counts = transmission(s, message, single, kind, seed)
-    assert classify(s, layout, per_run(layout, counts)) == string_classify(s, layout, counts)
+    xs, events = classify(s, layout, per_run(layout, counts))
+    assert (xs.tolist(), events) == string_classify(s, layout, counts)
 
 
 EVENTS = ("deleted_buffer", "spurious_buffer", "wrong_inner_decode")
@@ -496,14 +543,15 @@ def test_block_classify_matches_string_classify(schemes, name, specs):
             xs += one_xs
             events = {key: events[key] + one_events[key] for key in events}
             survivors.append(per_run(layout, counts))
-        assert classify(s, block, np.array(survivors)) == (xs, events)
+        block_xs, block_events = classify(s, block, np.array(survivors))
+        assert (block_xs.tolist(), block_events) == (xs, events)
 
 
 def test_classify_of_no_transmissions(bdc_desk):
     for block in (lay_out(np.zeros((0, 1), np.int64), bdc_desk.run_table, edge_buffers=True),
                   bdc_desk.encode_block(np.zeros(0, np.int64))):
-        assert classify(bdc_desk, block, np.zeros(block.lengths.shape, np.int64)) == (
-            [], dict.fromkeys(EVENTS, 0))
+        xs, events = classify(bdc_desk, block, np.zeros(block.lengths.shape, np.int64))
+        assert (xs.tolist(), events) == ([], dict.fromkeys(EVENTS, 0))
 
 
 def test_blocks_of_no_rows(bdc_desk):
@@ -520,6 +568,28 @@ def test_blocks_of_no_rows(bdc_desk):
         counts = s.params.channel.copy_counts(block, RngStream(1, 0).generator())
         assert counts.shape == block.lengths.shape
         assert s.decode_block(block.run_bits, counts) == []
+
+
+
+def test_run_bits_is_one_read_only_row(bdc_desk):
+    # zero-row, zero-run and one-row layouts: each row holds the bits of the
+    # runs of the string path's transmission, from one row that no caller may write
+    s = bdc_desk
+    one, edged = s.encode_with_layout(5), lay_out((2,), s.run_table, edge_buffers=True)
+    expected = [bit for bit, _ in runs_of(string_encode(s, 5))]
+    edged_expected = [0, *(bit for bit, _ in runs_of(s.inner_cb.codewords[2])), 0]
+    block = s.encode_block(np.array([5]))
+    cases = [(one, (one.orig.size,), expected), (block, (1, one.orig.size), [expected]),
+             (edged, (edged.orig.size,), edged_expected),
+             (s.encode_block(np.arange(0)), (0, one.orig.size), []),
+             (Layout((), np.zeros((3, 0), np.int8), one.run_lengths), (3, 0), [[], [], []]),
+             (Layout((), np.zeros(0, np.int8), one.run_lengths), (0,), [])]
+    for layout, shape, bits in cases:
+        assert layout.run_bits.shape == shape and layout.run_bits.dtype == np.uint8
+        assert layout.run_bits.tolist() == bits
+        assert not layout.run_bits.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        block.run_bits[0, 0] = 0
 
 
 def test_decode_block_of_no_receptions(bdc_desk):

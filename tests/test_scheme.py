@@ -266,7 +266,7 @@ def test_trace_clean_channel(bdc_desk):
     assert events == {
         "deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0,
     }
-    assert xs == [0] * 32
+    assert xs.tolist() == [0] * 32
 
 
 def test_trace_x_for_vanished_run(bdc_desk):
@@ -276,7 +276,7 @@ def test_trace_x_for_vanished_run(bdc_desk):
     orig = layout.orig.tolist()
     j = next(i for i in range(len(orig) - 1) if orig[i] == 1 and orig[i + 1] == 2)
     xs, _ = classify(s, layout, per_run(layout, _delete_run(layout, j)))
-    assert xs == [3]
+    assert xs.tolist() == [3]
 
 
 def test_trace_x_for_vanished_last_run(bdc_desk):
@@ -285,7 +285,7 @@ def test_trace_x_for_vanished_last_run(bdc_desk):
     layout = _single_codeword(s, 1)
     last = np.flatnonzero(layout.orig == 0)[-1] - 1
     xs, _ = classify(s, layout, per_run(layout, _delete_run(layout, last)))
-    assert xs == [layout.orig[last] + 2]
+    assert xs.tolist() == [layout.orig[last] + 2]
 
 
 def test_trace_deleted_buffer_flagged(bdc_desk):
