@@ -12,17 +12,17 @@ Randomness comes from named streams split off a single master seed, so every
 experiment is reproducible and streams are independent of call order.
 
 A draw takes one 64-bit word of the stream per run, in run order, and
-inverts the law's CDF through a table built once per (channel, n) and
-cached: the word's top 12 bits pick a cell of a guide table, which gives the
-value at once unless a step of the CDF falls inside the cell; those few
-words are resolved by a binary search of the 64-bit thresholds. A block of
-runs of a few lengths takes its words in one call, with those laws' guides
-stacked once per (channel, run lengths) and cached. Each threshold is
-Pr[Z <= k] summed exactly from the log-pmf and rounded to a multiple of
-2**-64, from below up to the median and as 1 - Pr[Z > k] above it, so both
-tails keep their relative accuracy; every value's probability is within
-2**-63 of the pmf's, but for the one where the two sums meet, which also
-takes up the pmf's own rounding. The table spans only the values beyond
+inverts the law's CDF through a table of each run length: the word's top 12
+bits pick a cell of a guide table, which gives the value at once unless a
+step of the CDF falls inside the cell; those few words are resolved by a
+binary search of the 64-bit thresholds. A block of runs of a few lengths
+takes its words in one call, with those laws' tables and guides stacked once
+per (channel, run lengths); one cache keeps the 16 stacks used last. Each
+threshold is Pr[Z <= k] summed exactly from the log-pmf and rounded to a
+multiple of 2**-64, from below up to the median and as 1 - Pr[Z > k] above
+it, so both tails keep their relative accuracy; every value's probability is
+within 2**-63 of the pmf's, but for the one where the two sums meet, which
+also takes up the pmf's own rounding. The table spans only the values beyond
 which less than 2**-64 of the mass lies, so its width follows the standard
 deviation, not n. The inverse is monotone, so count_at_most counts the runs
 of at most t survivors as the words below the threshold Pr[Z <= t], with no
@@ -53,9 +53,7 @@ _MAX_TABLE = 1 << 16
 # The top _GUIDE_BITS bits of a word pick its cell of the guide table.
 _GUIDE_BITS = 12
 _CELL_SHIFT = 64 - _GUIDE_BITS
-# Tables kept at once, one per (channel, run length), and stacks of their
-# guides, one per (channel, run lengths) of a draw.
-_TABLES_KEPT = 256
+# Stacks of survivor tables kept at once, one per (channel, run lengths) of a draw.
 _STACKS_KEPT = 16
 # Run lengths and survivor counts, in the channel's draws and a block's arrays.
 RUN_DTYPE = np.int32
@@ -166,7 +164,7 @@ class ChannelModel:
                       rng: np.random.Generator) -> list[int]:
         """For each t of ts, how many of size runs of n bits keep at most t
         survivors: the words of survivors(n, size, rng) below the threshold Pr[Z <= t]."""
-        table = _survivor_table(self, n)
+        table = _stacked_tables(self, (n,))[0][0]
         words, edges = rng.bit_generator.random_raw(size), table.thresholds
         return [0 if t < table.lo else size if t - table.lo >= edges.size
                 else int(np.count_nonzero(words < edges[t - table.lo])) for t in ts]
@@ -233,7 +231,6 @@ class _SurvivorTable:
         for shared in (self.thresholds, self.guide):  # every caller gets the cached table
             shared.setflags(write=False)
 
-@lru_cache(maxsize=_TABLES_KEPT)
 def _survivor_table(channel: ChannelModel, n: int) -> _SurvivorTable:
     log_pmf, mode, variance, top = channel._law(n)
     if 19 * sqrt(variance) > _MAX_TABLE:

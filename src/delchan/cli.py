@@ -32,7 +32,7 @@ from .scheme import (
     params_to_fields,
     save_scheme,
 )
-from .strings import nonnegative, read_fields
+from .strings import naming, nonnegative, read_fields
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -57,12 +57,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.config:
         fields.update(read_fields(args.config, {**PARAM_KEYS, "seed": nonnegative}))
     seed = args.seed if args.seed is not None else fields["seed"]
-    try:  # the desk defaults are valid, so a fault lies in the config
+    with naming(args.config):  # the desk defaults are valid, so a fault lies in the config
         params = params_from_fields(fields)
         outer = construct_outer(params.outer, seed)  # its work cap first: it needs no inner code
         inner_cb = construct_inner(params.inner)
-    except ValueError as exc:
-        raise ValueError(f"{args.config}: {exc}") from None
     if len(inner_cb) < params.outer.q:
         print(f"error: {args.config}: inner codebook has {len(inner_cb)} codewords,"
               f" need {params.outer.q}", file=sys.stderr)

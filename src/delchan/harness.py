@@ -34,12 +34,12 @@ from .channels import apply_copy_counts  # noqa: F401  (the benchmark's tracer w
 from .inner import InnerParams, construct_inner
 from .outer import OuterSpec, construct_outer
 from .scheme import Layout, Scheme, SchemeParams, classify, lay_out, load_scheme
-from .strings import SProfile, nonnegative, read_fields
+from .strings import SProfile, naming, nonnegative, read_fields
 
 
 @lru_cache(maxsize=None)
 def cached_inner_codebook(params: InnerParams):
-    """Inner construction is the slow step; memoize it per parameter set."""
+    """construct_inner, memoized for the tests' in-process runs (the desk code takes 22 ms)."""
     return construct_inner(params)
 
 
@@ -214,13 +214,11 @@ _CONFIG_KEYS = {"mode": ("mode", str), "trials": ("trials", int),
 def load_config(path: str | Path) -> ExperimentConfig:
     """An experiment config from a key=value file; absent keys keep their defaults."""
     fields = read_fields(path, {key: kind for key, (_, kind) in _CONFIG_KEYS.items()})
-    for key in ("desk", "M_B"):
-        if "scheme" in fields and key in fields:
-            raise ValueError(f"{path}: {key} is ignored when scheme is given")
-    try:
+    with naming(path):
+        for key in ("desk", "M_B"):
+            if "scheme" in fields and key in fields:
+                raise ValueError(f"{key} is ignored when scheme is given")
         return ExperimentConfig(**{_CONFIG_KEYS[key][0]: value for key, value in fields.items()})
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .strings import (SProfile, bit_rows, enumerate_S, first_close_pair, greedy, lane_masks,
-                      lane_symbols, read_code_file)
+from .strings import (MAX_STEPS, SProfile, bit_rows, enumerate_S, first_close_pair, greedy,
+                      lane_masks, lane_symbols, naming, read_code_file)
 from .strings import lcs_len  # noqa: F401  (the benchmark's tracer wraps it here)
 
 # Greedy construction refuses larger candidate sets, before enumerating them, and families
@@ -98,13 +98,11 @@ class InnerCodebook:
     @classmethod
     def load(cls, path: str | Path) -> "InnerCodebook":
         (m, r1, r2, d, count), lines = read_code_file(path, ("m", "r1", "r2", "d", "count"))
-        try:
+        with naming(path):
             if len(lines) != count:
                 raise ValueError(f"header says count={count}, found {len(lines)} lines")
             cb = cls(InnerParams(SProfile(m, r1, r2), d), tuple(lines))
             cb.validate()
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
         return cb
 
     def validate(self) -> None:
@@ -123,7 +121,11 @@ class InnerCodebook:
             raise ValueError("codewords not in lexicographic order")
         if p.d == 0:  # only equal rows are close, and a sorted repeat follows its first copy
             pair = next(((k - 1, k) for k in range(1, len(cw)) if cw[k - 1] == cw[k]), None)
-        else:
+        else:  # the word steps of the greedy pass, to its end on a valid code, and of the masks
+            steps = len(cw) * p.m * (len(cw) * -(-p.m // 64) + 2)
+            if steps > MAX_STEPS:
+                raise ValueError(f"{len(cw)} codewords of {p.m} bits take about {steps:.3g} word"
+                                 f" steps to validate, over {MAX_STEPS:.3g}")
             pair = first_close_pair(lane_masks(rows, 2), p.m, p.m - p.d)
         if pair:
             raise ValueError("codewords too close: " + " ".join(cw[k] for k in pair))

@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .channels import floor_snapped
-from .strings import first_close_pair, greedy, lane_masks, lcs_rows, read_code_file
+from .strings import (MAX_STEPS, first_close_pair, greedy, lane_masks, lcs_rows, naming,
+                      read_code_file)
 
 # Chunks of q**k candidates (candidates per message) drawn before giving up.
 _CANDIDATE_FACTOR = 200
-_MAX_STEPS = 1 << 32  # word steps of one chunk's pass (about 5 s on a 2-core x86 host)
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class OuterCode:
     def load(cls, path: str | Path) -> "OuterCode":
         (q, n, k, num, den, seed), lines = read_code_file(
             path, ("q", "n", "k", "dout_num", "dout_den", "seed"))
-        try:
+        with naming(path):
             if den == 0:
                 raise ValueError("dout_den must be nonzero")
             spec = OuterSpec(q, n, k, num / den)
@@ -139,19 +139,17 @@ class OuterCode:
                 raise ValueError(f"header says q**k={spec.num_messages}, found {len(lines)} lines")
             code = cls(spec, tuple(tuple(map(int, line.split())) for line in lines), seed)
             code.validate()
-        except (ValueError, OverflowError) as exc:  # num / den may not fit a float
-            raise ValueError(f"{path}: {exc}") from None
         return code
 
 
 def _refuse_oversized(spec: OuterSpec) -> None:
-    """Raises if one greedy pass over q**k codewords takes over _MAX_STEPS word steps."""
+    """Raises if one greedy pass over q**k codewords takes over MAX_STEPS word steps."""
     needed = spec.num_messages
     steps = needed * spec.n * (needed * -(-spec.n // 64) + spec.q)  # greedy and mask planes
-    if steps > _MAX_STEPS:
+    if steps > MAX_STEPS:
         raise ValueError(f"{needed} codewords of {spec.n} symbols take about {steps:.3g} word"
                          f" steps a chunk ({needed * spec.n / 2**27:.3g} GiB of candidates), over"
-                         f" {_MAX_STEPS:.3g}; lower k or n")
+                         f" {MAX_STEPS:.3g}; lower k or n")
 
 
 def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
@@ -162,7 +160,7 @@ def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
     2 * radius. Candidates come q**k at a time, each chunk run through
     strings.greedy behind the accepted codewords; as greedy keeps a row on
     the rows before it alone, this accepts what a one-by-one pass would.
-    Raises if a chunk takes over _MAX_STEPS, and if _CANDIDATE_FACTOR chunks
+    Raises if a chunk takes over MAX_STEPS, and if _CANDIDATE_FACTOR chunks
     run out before q**k codewords are found, reporting how many were achieved.
     """
     _refuse_oversized(spec)

@@ -51,7 +51,7 @@ from .analysis import ProbReport, transition_probs
 from .channels import RUN_DTYPE, ChannelModel, floor_snapped
 from .inner import InnerCodebook, InnerParams
 from .outer import OuterCode, OuterSpec
-from .strings import SProfile, bit_runs, in_S, nonnegative, read_fields
+from .strings import SProfile, bit_runs, in_S, naming, nonnegative, read_fields
 
 # Windows one scheme's inner-decode memo holds at most, to bound its memory.
 _MEMO_CAP = 1 << 12
@@ -260,9 +260,9 @@ class _Memo(dict):
 @dataclass(frozen=True, eq=False)
 class Layout:
     """A transmission as run classes: run i was a run of orig[i] (1 or 2) bits
-    before the blow-up, or is a buffer if orig[i] is 0; it covers the bits
-    [starts[i], starts[i] + lengths[i]), lengths[i] = run_lengths[orig[i]] of
-    the scheme's (B, N1, N2), both built when read. Runs alternate in bit,
+    before the blow-up, or is a buffer if orig[i] is 0; its lengths[i] =
+    run_lengths[orig[i]] bits of the scheme's (B, N1, N2), built when read,
+    follow those of run i - 1. Runs alternate in bit,
     from 1 if the first run is a codeword's, or 0 for a buffer. A block holds
     a transmission per row of orig, so orig == 0 marks its buffers, at the same
     runs in every row; one channel word per run, in run order; symbols as given."""
@@ -278,10 +278,6 @@ class Layout:
     @cached_property
     def lengths(self) -> np.ndarray:
         return np.asarray(self.run_lengths, RUN_DTYPE)[self.orig]
-
-    @cached_property
-    def starts(self) -> np.ndarray:
-        return np.cumsum(self.lengths, axis=-1) - self.lengths
 
     @cached_property
     def run_bits(self) -> np.ndarray:
@@ -485,13 +481,11 @@ def load_scheme(path: str | Path) -> Scheme:
     base = Path(path).parent
     kinds = {**PARAM_KEYS, "seed": nonnegative, "codebook": str, "outercode": str}
     fields = read_fields(path, kinds)
-    values = {key: fields[key] for key in PARAM_KEYS}  # a missing key already names the file
+    values = {key: fields[key] for key in (*PARAM_KEYS, "seed")}  # a missing key names the file
     inner_cb = InnerCodebook.load(base / fields["codebook"])
     outer = OuterCode.load(base / fields["outercode"])
-    try:  # the descriptor's parameters, and their agreement with the code files' headers
-        if fields["seed"] != outer.seed:
-            raise ValueError(f"seed={fields['seed']} but the outer code was built"
+    with naming(path):  # the descriptor's parameters, and their agreement with the code files
+        if values["seed"] != outer.seed:
+            raise ValueError(f"seed={values['seed']} but the outer code was built"
                              f" with seed={outer.seed}")
         return Scheme(params_from_fields(values), inner_cb.truncate(values["q"]), outer)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

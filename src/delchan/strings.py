@@ -4,11 +4,12 @@ integer symbol arrays (a code is a (count, n) array of symbols in [0, q)),
 their match masks (a uint32 word a lane of up to 32 symbols, uint64 words
 above); the one greedy pass over a code's masks alone, a block of rows per
 rows x lanes LCS pass, which builds both codes and, stopped at its first
-drop, validates them; and the one key=value reader behind descriptors,
-configs and code-file headers."""
+drop, validates them; the one key=value reader behind descriptors, configs
+and code-file headers; and naming, the one rule by which a refusal names its file."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -17,6 +18,7 @@ import numpy as np
 
 _PAIRS = 1 << 14  # rows x lanes of one lcs_rows pass in the greedy pass
 _PACK_SYMBOLS = 1 << 16  # row symbols compared at a time in lane_masks
+MAX_STEPS = 1 << 32  # word steps of a code load's pass or an outer chunk's (~5 s, 2-core x86)
 
 def sequence_lcs_len(a, b) -> int:
     """LCS length of two sequences of hashable symbols, via bit-parallel DP."""
@@ -278,11 +280,19 @@ def read_fields(path: str | Path, kinds: dict, pairs=None) -> Fields:
             raise ValueError(f"{path}: expected key=value, got {pair!r}")
         if key not in kinds:
             raise ValueError(f"{path}: unknown key {key!r}")
-        try:
+        with naming(f"{path}: key {key!r}"):
             fields[key] = kinds[key](value)
-        except ValueError as exc:
-            raise ValueError(f"{path}: key {key!r}: {exc}") from None
     return fields
+
+
+@contextmanager
+def naming(path: str | Path):
+    """Re-raises a ValueError or OverflowError (a value past a float's range) of its
+    block as a ValueError that names path, the file at fault."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_code_file(path: str | Path, keys: tuple[str, ...]) -> tuple[list[int], list[str]]:

@@ -54,9 +54,14 @@ def edit_distance(a, b) -> int:
     return len(a) + len(b) - 2 * sequence_lcs_len(a, b)
 
 
+def starts(layout) -> np.ndarray:
+    """The first bit of each run of a scheme.Layout, row by row over a block."""
+    return np.cumsum(layout.lengths, axis=-1) - layout.lengths
+
+
 def per_run(layout, counts) -> np.ndarray:
     """The survivors of each run of a one-row layout, given per-bit copy counts."""
-    return np.add.reduceat(counts, layout.starts)
+    return np.add.reduceat(counts, starts(layout))
 
 
 def draws_per_run(channel, lengths, rng) -> np.ndarray:

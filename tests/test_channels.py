@@ -304,6 +304,20 @@ def test_cached_draw_tables_are_read_only(bdc_desk):
                 shared[0] = 0
 
 
+def test_count_at_most_reads_the_cached_draw_table():
+    # one cache holds the survivor tables: count_at_most builds and reads the
+    # stack kept for draws of (n,), so its thresholds are that table's array,
+    # which survivors(n) reads too
+    channel, n = ChannelModel("bdc", 0.3), 541
+    _stacked_tables.cache_clear()
+    channel.count_at_most(n, [378], 4, RngStream(5, 0).generator())
+    assert _stacked_tables.cache_info()[:2] == (0, 1)  # (hits, misses)
+    (table,), _ = _stacked_tables(channel, (n,))
+    channel.survivors(n, 4, RngStream(5, 0).generator())
+    assert _stacked_tables.cache_info()[:2] == (2, 1)
+    assert _stacked_tables(channel, (n,))[0][0].thresholds is table.thresholds
+
+
 @pytest.mark.parametrize("law, run_lengths", [
     (("bdc", 0.3), (90, 6, 20)), (("prc", 0.5), (125, 8, 27)),
     (("bdc", 0.99), (225, 541, 2280)), (("bdc", 0.0), (7, 1, 2)), (("prc", 1e-6), (0, 1, 6))])

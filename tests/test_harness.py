@@ -403,6 +403,19 @@ ENCODE = ("encode", "--config", "scheme.txt", "1")
 DECODE = ("decode", "--config", "scheme.txt", "1")
 _ROW_TOO_LONG = "N2 and a row's bits must stay below 2**31"
 _CODEWORD_0 = "1001001001001001001010101"  # the first of codebook.txt's 4 codewords
+_HUGE = 10**400  # past a float's range
+
+
+def _sampled_codebook(count):
+    """A codebook.txt of count distinct S(101, 53, 24) strings at d = 1, sorted, their
+    2-runs drawn at random: a code whose validation pass grows as count squared."""
+    rng, words = np.random.default_rng(0), set()
+    while len(words) < count:
+        two = np.zeros(77, bool)
+        two[rng.choice(77, 24, replace=False)] = True
+        words.add("".join("10"[i % 2] * (1 + t) for i, t in enumerate(two.tolist())))
+    return f"innercode v1 m=101 r1=53 r2=24 d=1 count={count}\n" + "\n".join(sorted(words))
+
 
 # Every input the CLI refuses: (id, command, file, edit, exit code, message). A text
 # `edit` is written to `file`; a function rewrites the text of one of the saved desk
@@ -510,6 +523,18 @@ REFUSALS = [
     # at d = 0 no pass runs, but the same rows take 10 GB
     ("construct-profile-wide-d0", CONSTRUCT, "exp.cfg", "m=100002\nr1=100000\nr2=1\nd=0\n", 2,
      "exp.cfg: S(100002, 100000, 1) takes 10000300002 bytes of rows, over 640000000"),
+    # a value past a float's range in each file a command loads: exit 2 naming that file,
+    # also where a float conversion overflows (the first row once gave a traceback)
+    ("construct-q-huge", CONSTRUCT, "exp.cfg", f"q={_HUGE}\nk=0\n", 2,
+     "exp.cfg: int too large to convert to float"),
+    ("simulate-M_B-digits", SIMULATE, "exp.cfg", f"M_B={_HUGE}\n", 2,
+     "exp.cfg: M_B=inf must be positive and finite"),
+    ("encode-q-huge", ENCODE, "scheme.txt", lambda text: _set("k", 0)(_set("q", _HUGE)(text)), 2,
+     f"scheme.txt: cannot truncate to {_HUGE} > |C| = 4"),
+    ("codebook-count-huge", ENCODE, "codebook.txt", _sub(" count=4", f" count={_HUGE}"), 2,
+     f"codebook.txt: header says count={_HUGE}, found 4 lines"),
+    ("outercode-q-huge", ENCODE, "outercode.txt", _sub(" q=4 n=32 k=4 ", f" q={_HUGE} n=32 k=0 "),
+     2, "outercode.txt: int too large to convert to float"),
     # a verification failure: the desk profile has 77 codewords
     ("construct-q100", CONSTRUCT, "exp.cfg", "q=100\nk=1\n", 1,
      "exp.cfg: inner codebook has 77 codewords, need 100"),
@@ -518,6 +543,9 @@ REFUSALS = [
      "scheme.txt: expected key=value, got 'M1 4.0'"),
     ("encode-missing-key", ENCODE, "scheme.txt", _sub("M1=4.0\n", ""), 2,
      "scheme.txt: missing key 'M1'"),
+    # seed, read with the code files' headers, once named the file twice
+    ("encode-missing-seed", ENCODE, "scheme.txt", _sub("seed=2024\n", ""), 2,
+     "scheme.txt: missing key 'seed'"),
     ("encode-M1-word", ENCODE, "scheme.txt", _set("M1", "abc"), 2,
      "scheme.txt: key 'M1': could not convert string to float: 'abc'"),
     ("encode-unknown-key", ENCODE, "scheme.txt", lambda text: text + "M_b=0.5\n", 2,
@@ -559,6 +587,10 @@ REFUSALS = [
      f"codebook.txt: '{_CODEWORD_0[:-3]}2{_CODEWORD_0[-2:]}' is not in S"),
     ("codebook-m", ENCODE, "codebook.txt", _sub("m=25", "m=26"), 2,
      "codebook.txt: m=26 != r1 + 2*r2 = 25"),
+    # its pass would take over 10 s (3,000 such codewords take 4 s), so it is refused first
+    ("codebook-pass-cap", ENCODE, "codebook.txt", lambda text: _sampled_codebook(6000), 2,
+     "codebook.txt: 6000 codewords of 101 bits take about 7.27e+09 word steps to validate,"
+     " over 4.29e+09"),
     # outer code files: header, line count, symbols, validation, work cap
     ("outercode-empty", ENCODE, "outercode.txt", "", 2, "outercode.txt: empty code file"),
     ("outercode-dout_den-0", ENCODE, "outercode.txt", _sub("dout_den=8", "dout_den=0"), 2,

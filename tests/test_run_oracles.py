@@ -52,7 +52,7 @@ from delchan.scheme import (
     window_spans,
 )
 from delchan.strings import lcs_rows
-from oracles import fed, per_run, runs_of, window_key
+from oracles import fed, per_run, runs_of, starts, window_key
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +87,8 @@ def string_classify(scheme, layout, counts):
     before = [0, *np.cumsum(counts).tolist()]  # survivors of bits [0, i)
     events = {"deleted_buffer": 0, "spurious_buffer": 0, "wrong_inner_decode": 0}
     codeword_runs = [[]]
-    ends = (layout.starts + layout.lengths).tolist()
-    for start, end, bit, orig in zip(layout.starts.tolist(), ends,
+    ends = (starts(layout) + layout.lengths).tolist()
+    for start, end, bit, orig in zip(starts(layout).tolist(), ends,
                                      layout.run_bits.tolist(), layout.orig.tolist()):
         if orig == 0:
             events["deleted_buffer"] += before[end] - before[start] <= threshold
@@ -138,7 +138,7 @@ KINDS = st.sampled_from(["deletion", "repeat", "zero", "large", "runs"])
 def per_bit(layout, survivors):
     """Per-bit copy counts that put each run's survivors on its first bit."""
     counts = np.zeros(len(layout), np.int64)
-    counts[layout.starts] = survivors
+    counts[starts(layout)] = survivors
     return counts
 
 
@@ -177,7 +177,7 @@ def test_block_decoder_matches_string_decoder(schemes, name, receptions):
         if lose_first:
             counts[: layout.lengths[0]] = 0
         if lose_last:
-            counts[layout.starts[-1]:] = 0
+            counts[starts(layout)[-1]:] = 0
         bits.append(layout.run_bits)
         survivors.append(per_run(layout, counts))
         received = apply_copy_counts(layout.bits(), counts)

@@ -25,7 +25,7 @@ from delchan.scheme import (
     window_spans,
 )
 from delchan.strings import SProfile
-from oracles import per_run, runs_of, window_key
+from oracles import per_run, runs_of, starts, window_key
 
 
 def test_snapped_rounding():
@@ -64,14 +64,14 @@ def test_blow_up_examples():
     assert layout.bits() == "11101" + "00" + "10111"
     assert len(layout) == 12
     assert layout.symbols == (1, 0)
-    assert layout.starts.tolist() == [0, 3, 4, 5, 7, 8, 9]
+    assert starts(layout).tolist() == [0, 3, 4, 5, 7, 8, 9]
     assert layout.lengths.tolist() == [3, 1, 1, 2, 1, 1, 3]
     assert layout.orig.tolist() == [2, 1, 1, 0, 1, 1, 2]
     assert layout.run_bits.tolist() == [1, 0, 1, 0, 1, 0, 1]
     assert np.flatnonzero(layout.orig == 0).tolist() == [3]
     edged = lay_out((1, 0), table, edge_buffers=True)
     assert edged.bits() == "00" + layout.bits() + "00"
-    assert edged.starts[np.flatnonzero(edged.orig == 0)].tolist() == [0, 7, 14]
+    assert starts(edged)[np.flatnonzero(edged.orig == 0)].tolist() == [0, 7, 14]
 
 
 def test_identify_buffers_examples():
@@ -148,7 +148,7 @@ def _single_codeword(s, symbol):
 def _delete_run(layout, i):
     """Per-bit copy counts that delete run i of a layout and keep every other bit."""
     counts = np.ones(len(layout), dtype=np.int64)
-    counts[layout.starts[i]:layout.starts[i] + layout.lengths[i]] = 0
+    counts[starts(layout)[i]:starts(layout)[i] + layout.lengths[i]] = 0
     return counts
 
 
