@@ -56,6 +56,8 @@ _BLOCK_TRIALS = 256
 # Runs whose words one count_at_most call takes in run_transition, to bound
 # its memory; the words taken do not depend on it.
 _TRANSITION_CHUNK = 1 << 16
+# The most trials a config may ask for: about a day of transition trials.
+MAX_TRIALS = 10**12
 _GRID_STEP = 0.01  # spacing of sweep_csv's p grid
 
 
@@ -155,12 +157,14 @@ def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
     T = scheme.params.T
     rng = RngStream(master_seed, 0).generator()
 
-    def tally(n: int) -> list[int]:
+    def tally(n: int) -> tuple[int, int]:
         """Of trials runs of n bits: how many keep at most T survivors, and none."""
-        chunks = [scheme.params.channel.count_at_most(
-                      n, (T, 0), min(_TRANSITION_CHUNK, trials - start), rng)
-                  for start in range(0, trials, _TRANSITION_CHUNK)]
-        return [sum(counts) for counts in zip(*chunks)]
+        short = vanished = 0
+        for start in range(0, trials, _TRANSITION_CHUNK):
+            size = min(_TRANSITION_CHUNK, trials - start)
+            chunk_short, chunk_vanished = scheme.params.channel.count_at_most(n, (T, 0), size, rng)
+            short, vanished = short + chunk_short, vanished + chunk_vanished
+        return short, vanished
 
     (short1, vanished1), (short2, vanished2) = tally(scheme.N1), tally(scheme.N2)
     probs = scheme.probs
@@ -200,6 +204,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}")
         if self.mode == "single_codeword" and self.trials < 2:
             raise ValueError("single_codeword needs at least 2 trials for a variance")
         desk_params(self.desk, M_B=self.M_B)  # rejects an unknown desk and a bad M_B

@@ -14,12 +14,12 @@ Decoding (decode_block: the (trials, runs) arrays of a block of receptions
 in one pass, returning the decoded messages only): drop vanished runs and
 add the few runs that then follow a run of their own bit into it, split on
 zero runs longer than the buffer threshold, and give each window its inner
-symbol (inner_symbols) from one memo. It is keyed by a window's run pattern
-(`length > T` of each run, its run count and first bit), or by its
-thresholded string past _KEY_BITS runs, and a block's run keys are searched
-for at once in a sorted index of the memo's run keys, read again from the
-memo each time it doubles; only a window whose key the memo lacks is
-thresholded to a string and decoded by InnerCodebook.decode. Each row's
+symbol (inner_symbols) from one memo: a sorted table of run keys, each a
+window's run pattern (`length > T` of each run, its run count and first
+bit), and their symbols. A block's run keys are searched for in it at once;
+only a window whose key the table lacks, or of more than _KEY_BITS runs
+(which has no run key and is never held), is thresholded to a string and
+decoded by InnerCodebook.decode. Each row's
 symbols (however many) go to the outer decoder, which looks codewords up
 first. decode() and decode_with_trace() read a string into runs (bit_runs,
 the one run reader) and decode it as a block of one; only decode_with_trace
@@ -58,7 +58,7 @@ _MEMO_CAP = 1 << 12
 # Runs a run-pattern key covers: a key is read as one 64-bit word from the
 # byte holding its first bit, which may be that byte's bit 7.
 _KEY_BITS = 57
-# The memo index's last key, above every run key, so a search always lands in it.
+# The memo's last key, above every run key, so a search always lands in it.
 _SENTINEL = 2**64 - 1
 
 @dataclass(frozen=True)
@@ -149,10 +149,10 @@ class Scheme:
         return run_table(self.inner_cb.codewords, self.B, self.N1, self.N2)
 
     @cached_property
-    def _memo(self) -> "_Memo":
-        """Each window key's inner symbol (see inner_symbols), for the windows
-        decoded so far, in the order they were decoded."""
-        return _Memo()
+    def _memo(self) -> list[np.ndarray]:
+        """The run keys whose inner symbols are held (see inner_symbols), in
+        ascending order and ending in _SENTINEL, and those symbols."""
+        return [np.array([_SENTINEL], np.uint64), np.array([-1], np.int64)]
 
     def encode(self, message: int) -> str:
         return self.encode_with_layout(message).bits()
@@ -202,59 +202,41 @@ class Scheme:
         """The inner symbol of each window [first[i], last[i]) of runs of
         alternating bits, or -1 for an empty window. A window of at most
         _KEY_BITS runs is keyed by its run pattern (run_keys) and looked up in
-        the memo's sorted index with one searchsorted; a key the index lacks
-        is looked up in the memo itself. A longer window is keyed by its
-        thresholded string. Only the windows whose keys the memo lacks are
-        thresholded, and decoded by inner_cb.decode in window order; each
-        decoded window joins the memo while it holds fewer than _MEMO_CAP windows."""
+        the memo's sorted keys with one searchsorted. Only the windows whose
+        keys the memo lacks, and the longer windows, are thresholded; each
+        distinct key among them, and each longer window, is decoded by
+        inner_cb.decode once, in window order. The first new run keys join
+        the memo while it holds fewer than _MEMO_CAP keys; a longer window
+        never does."""
         symbols = np.full(first.size, -1, np.int64)
         nonempty = (last > first).nonzero()[0]
         at, size = first[nonempty], last[nonempty] - first[nonempty]
         keys = run_keys(lengths > self.params.T, at, np.minimum(size, _KEY_BITS), bits[at])
-        long = size > _KEY_BITS
-        keys[long] = 1 << 62  # in no index and no memo: no run key has bit 62
-        found, missed = self._memo.find(keys)
-        if missed.size:  # keys the index lacks: the memo's later keys, or new ones
-            found[missed] = [self._memo.get(key, -1) for key in keys[missed].tolist()]
-            missed = missed[found[missed] < 0]
-        if missed.size:  # windows whose keys the memo lacks
+        keys[size > _KEY_BITS] = 1 << 62  # in no memo: no run key has bit 62
+        held, held_symbols = self._memo
+        place = held.searchsorted(keys)
+        found = held_symbols[place]
+        missed = (held[place] != keys).nonzero()[0]
+        if missed.size:  # the windows of keys the memo lacks, and every longer window
             sizes = size[missed]
             ends = np.cumsum(sizes)
             runs = np.repeat(last[nonempty[missed]] - ends, sizes)  # each run of those windows
             runs += np.arange(runs.size)
             text, offsets = threshold_text(bits[runs], lengths[runs], self.params.T)
             cuts = offsets[ends].tolist()
-            for i, key, stretch, a, b in zip(missed.tolist(), keys[missed].tolist(),
-                                              long[missed].tolist(), [0, *cuts], cuts):
-                key = text[a:b] if stretch else key
-                symbol = self._memo.get(key)  # an earlier window's, or a longer window's string
-                if symbol is None:
-                    symbol = self.inner_cb.decode(text[a:b])
-                    if len(self._memo) < _MEMO_CAP:
-                        self._memo[key] = symbol
-                found[i] = symbol
+            new = {}  # each distinct key's symbol, in window order
+            for i, key, a, b in zip(missed.tolist(), keys[missed].tolist(), [0, *cuts], cuts):
+                if key not in new or key == 1 << 62:  # a longer window is decoded every time
+                    new[key] = self.inner_cb.decode(text[a:b])
+                found[i] = new[key]
+            new.pop(1 << 62, None)  # and never held
+            join = sorted(list(new)[:_MEMO_CAP + 1 - held.size])
+            if join:  # the first new run keys, while the memo has room
+                spots = held.searchsorted(np.array(join, np.uint64))  # int64 would compare as float
+                self._memo[:] = (np.insert(held, spots, join),
+                                 np.insert(held_symbols, spots, [new[key] for key in join]))
         symbols[nonempty] = found
         return symbols
-
-
-class _Memo(dict):
-    """A scheme's inner-decode memo (see Scheme.inner_symbols) and a sorted
-    index of its run keys, read again from it once it has doubled since, or
-    has reached _MEMO_CAP: the index then holds every key it will hold."""
-
-    _indexed = 0  # windows in the memo when the index was read
-    _keys, _symbols = np.array([_SENTINEL], np.uint64), np.array([-1], np.int64)  # none yet
-
-    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The symbols of the run keys found in the index (-1 elsewhere), and
-        the positions of the others."""
-        if len(self) > self._indexed and (len(self) >= 2 * self._indexed or len(self) == _MEMO_CAP):
-            indexed = sorted(key for key in self if isinstance(key, int))
-            self._keys = np.array([*indexed, _SENTINEL], np.uint64)
-            self._symbols = np.array([*map(self.get, indexed), -1], np.int64)
-            self._indexed = len(self)
-        at = self._keys.searchsorted(keys)
-        return self._symbols[at], (self._keys[at] != keys).nonzero()[0]
 
 
 @dataclass(frozen=True, eq=False)

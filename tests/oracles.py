@@ -3,9 +3,10 @@ tests to compare its fast paths against, each written once here: a
 string's runs as a list and their inverse, edit distance on strings and
 symbol sequences, a run's survivors from per-bit counts, one survivors draw
 per run, the pairwise greedy loop and the first close pair it drops, the
-scalar inner decode and the run-by-run family. Also the insertion/deletion
-ball machinery (embed_all, deletion_ball_bound) that only the tests use,
-and a stand-in generator that feeds chosen words to the channel's draws."""
+scalar inner decode, a window's run key and the run-by-run family. Also the
+insertion/deletion ball machinery (embed_all, deletion_ball_bound) that only
+the tests use, a reader of a scheme's inner-decode memo, and a stand-in
+generator that feeds chosen words to the channel's draws."""
 
 from itertools import combinations, groupby
 from math import comb
@@ -79,6 +80,13 @@ def window_key(window: str):
         return window
     pattern = sum(1 << j for j, length in enumerate(runs) if length == 2)
     return pattern | 1 << len(runs) | int(window[0]) << 63
+
+
+def held(scheme) -> dict:
+    """The run keys a scheme's inner-decode memo holds, in ascending order,
+    and their symbols; its _SENTINEL end left out."""
+    keys, symbols = scheme._memo
+    return dict(zip(keys[:-1].tolist(), symbols[:-1].tolist()))
 
 
 def is_subsequence(sub: str, s: str) -> bool:

@@ -234,6 +234,19 @@ def test_single_codeword_memory_does_not_grow_with_trials(prc_desk):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+def test_transition_memory_does_not_grow_with_trials(bdc_desk):
+    # the counts are two running totals, not one entry a chunk of runs: 32
+    # times the trials peak within 2 KiB
+    run_transition(bdc_desk, 1 << 17, 5)  # builds the draw tables and probabilities first
+    peaks = []
+    for trials in (1 << 17, 1 << 22):
+        tracemalloc.start()
+        run_transition(bdc_desk, trials, 5)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2048, peaks
+
+
 def test_single_codeword_lays_out_each_block_once(prc_desk, monkeypatch):
     # run_single_codeword makes one gather per block of 256 trials, and row i
     # of a block is symbol i's codeword alone between two buffers
@@ -441,6 +454,11 @@ REFUSALS = [
     ("simulate-mode", SIMULATE, "exp.cfg", "mode=foo\n", 2, "exp.cfg: unknown mode 'foo'"),
     ("simulate-trials-0", SIMULATE, "exp.cfg", "trials=0\n", 2,
      "exp.cfg: trials must be at least 1"),
+    # a run of more trials than MAX_TRIALS (about a day) would not finish
+    ("simulate-trials-huge", SIMULATE, "exp.cfg", f"mode=transition\ntrials={_HUGE}\n", 2,
+     "exp.cfg: trials must be at most 1000000000000"),
+    ("simulate-trials-huge-flag", (*SIMULATE, "--trials", str(_HUGE)), "exp.cfg",
+     "mode=transition\n", 2, "trials must be at most 1000000000000"),
     ("simulate-desk", SIMULATE, "exp.cfg", "desk=xyz\n", 2,
      "exp.cfg: desk must be bdc or prc, got 'xyz'"),
     # a mistyped desk must not fall back to the PRC scheme

@@ -14,7 +14,7 @@ lcs_rows pass, the inner symbols looked up by run-pattern key against the
 scalar inner decode, merge_runs against the reduceat merge it replaced, and
 the inner-decode memo against its cap, against the windows the string path
 would put in it, against a second decode of a block, which thresholds no
-run, and with its sorted index just before and after a read.
+run, and as a sorted table after any sequence of blocks.
 """
 
 import random
@@ -39,8 +39,11 @@ from delchan.harness import (
     run_single_codeword,
 )
 from delchan import scheme as scheme_module
+from delchan.inner import InnerCodebook
 from delchan.scheme import (
+    _KEY_BITS,
     _MEMO_CAP,
+    _SENTINEL,
     DecodeTrace,
     Layout,
     Scheme,
@@ -52,7 +55,7 @@ from delchan.scheme import (
     window_spans,
 )
 from delchan.strings import lcs_rows
-from oracles import fed, per_run, runs_of, starts, window_key
+from oracles import fed, held, per_run, runs_of, starts, window_key
 
 
 @pytest.fixture(scope="module")
@@ -201,15 +204,15 @@ def test_block_decodes_as_its_rows_alone(schemes, name):
     rows = [alone.decode_block(bits[None], z[None]) for bits, z in zip(layout.run_bits, counts)]
     assert s.decode_block(layout.run_bits, counts) == [decoded for row in rows for decoded in row]
     assert rows[5] == rows[23] == [s.decode("")] == [0]
-    assert list(s._memo) == list(alone._memo)  # the same windows, in the same order
+    assert held(s) == held(alone)  # the same keys and symbols
 
 
 @pytest.mark.parametrize("name", ["bdc", "prc"])
 def test_memo_holds_the_string_paths_windows(schemes, name):
-    # a fresh memo is empty, and the key of each nonempty window joins it in
-    # the order the string path first meets the window
+    # a fresh memo is empty, and the key of each nonempty window the string
+    # path meets joins it, with the window's inner symbol
     s = replace(schemes[name])  # a fresh memo
-    assert s._memo == {}
+    assert held(s) == {}
     rng = RngStream(29, 0).generator()
     layout = s.encode_block(rng.integers(0, s.outer.spec.num_messages, 64))
     counts = s.params.channel.copy_counts(layout, rng)
@@ -219,9 +222,9 @@ def test_memo_holds_the_string_paths_windows(schemes, name):
         received = apply_copy_counts("".join(map(str, bits)), z)
         windows += [threshold_decode(received[a:b], s.params.T)
                     for a, b in window_spans(received, s.params.buffer_threshold)]
-    expected = list(dict.fromkeys(map(window_key, windows)))
+    expected = {window_key(w): s.inner_cb.decode(w) for w in windows}
     assert 0 < len(expected) < _MEMO_CAP
-    assert list(s._memo) == expected
+    assert held(s) == expected
 
 
 def window_runs(s, spec):
@@ -278,8 +281,10 @@ def test_inner_symbols_match_scalar_decode(bdc_desk, specs):
     symbols = s.inner_symbols(*window_arrays(windows))
     strings = thresholded(windows, s.params.T)
     assert symbols.tolist() == [s.inner_cb.decode(w) if w else -1 for w in strings]
-    # the memo holds the key of each nonempty window, no more
-    assert set(s._memo) == {window_key(w) for w in strings if w}
+    # the memo holds the run key of each nonempty window, no more; a window
+    # past _KEY_BITS runs has none, and nothing of it is held
+    keys = {window_key(w) for w in strings if w}
+    assert set(held(s)) == {key for key in keys if not isinstance(key, str)}
 
 
 def reduceat_merge_runs(bits, lengths, owner):
@@ -414,9 +419,9 @@ def test_outer_lookup_matches_lane_argmin(bdc_desk):
 def test_inner_memo_stops_at_its_cap(bdc_desk):
     # distinct windows of 10 to 40 runs, each run 1 or T + 1 bits long, a
     # few hundred to a call: past _MEMO_CAP decoded windows the memo stops
-    # growing, and the windows it drops still decode
+    # growing, holding the first _MEMO_CAP keys, and the windows it drops
+    # still decode
     s = replace(bdc_desk)  # a fresh memo
-    codewords = len(s._memo)
     rnd = random.Random(3)
     windows = list(dict.fromkeys((rnd.randint(0, 1), tuple(rnd.choices((1, s.params.T + 1),
                                                                      k=rnd.randint(10, 40))))
@@ -426,8 +431,9 @@ def test_inner_memo_stops_at_its_cap(bdc_desk):
         block = windows[chunk:chunk + 400]
         symbols = s.inner_symbols(*window_arrays(block))
         assert symbols.tolist() == [s.inner_cb.decode(w) for w in thresholded(block, s.params.T)]
-        assert len(s._memo) <= codewords + _MEMO_CAP
-    assert len(s._memo) == codewords + _MEMO_CAP
+        assert len(held(s)) <= _MEMO_CAP
+    keys = [window_key(w) for w in thresholded(windows, s.params.T)]
+    assert set(held(s)) == set(keys[:_MEMO_CAP])
 
 
 
@@ -446,19 +452,18 @@ def memo_pool(T):
 @settings(max_examples=10, deadline=None)
 @given(specs=st.lists(WINDOW, max_size=6), picks=st.lists(st.integers(0, 2**16), max_size=6))
 def test_memo_index_agrees_with_scalar_decode(bdc_desk, state, specs, picks):
-    # a block looked up with an empty memo, with a memo one window short of
-    # its index's next read ("below"), with the index just read ("above"), and
-    # at _MEMO_CAP; the block mixes new windows with windows the memo holds,
-    # some only past its index. The symbols are the scalar decodes, and the
-    # memo holds the new keys in window order, as a fresh memo fed every
-    # window in one block does
+    # a block looked up with an empty memo, with 79 and 80 keys held in two
+    # blocks ("below", "above"), and at _MEMO_CAP; the block mixes new
+    # windows with windows the memo holds. The symbols are the scalar
+    # decodes, and the memo holds the first _MEMO_CAP run keys in window
+    # order, as a fresh memo fed every window in one block does
     s, T = replace(bdc_desk), bdc_desk.params.T  # a fresh memo
     pool, pool_keys = memo_pool(T)
     sizes = {"empty": [], "below": [40, 39], "above": [40, 40], "cap": [1400] * 3}[state]
     for a, b in zip(np.cumsum([0, *sizes]).tolist(), np.cumsum(sizes).tolist()):
         s.inner_symbols(*window_arrays(pool[a:b]))
-    s.inner_symbols(*window_arrays([]))  # reads the index if the memo has doubled
-    assert list(s._memo) == pool_keys[:min(sum(sizes), _MEMO_CAP)]
+    s.inner_symbols(*window_arrays([]))  # an empty block changes nothing
+    assert list(held(s)) == sorted(pool_keys[:min(sum(sizes), _MEMO_CAP)])
     known = sum(sizes) + 10  # the windows fed, and 10 more
     block = [window_runs(s, spec) for spec in specs] + [pool[i % known] for i in picks]
     symbols = s.inner_symbols(*window_arrays(block))
@@ -466,12 +471,51 @@ def test_memo_index_agrees_with_scalar_decode(bdc_desk, state, specs, picks):
     assert symbols.tolist() == [s.inner_cb.decode(w) if w else -1 for w in strings]
     expected = dict.fromkeys(pool_keys[:sum(sizes)])
     for key in (window_key(w) for w in strings if w):
-        if len(expected) < _MEMO_CAP:
+        if len(expected) < _MEMO_CAP and not isinstance(key, str):
             expected.setdefault(key)
-    assert list(s._memo) == list(expected)[:_MEMO_CAP]
+    assert set(held(s)) == set(list(expected)[:_MEMO_CAP])
     one_block = replace(bdc_desk)
     one_block.inner_symbols(*window_arrays(pool[:sum(sizes)] + block))
-    assert list(s._memo) == list(one_block._memo)
+    assert held(s) == held(one_block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=st.lists(st.lists(WINDOW, max_size=6), max_size=5),
+       cap=st.sampled_from([2, 5, _MEMO_CAP]))
+def test_memo_is_a_sorted_table_of_the_first_run_keys(bdc_desk, blocks, cap):
+    # after any sequence of blocks, at any cap, the memo's keys ascend
+    # strictly to _SENTINEL, and it holds the first cap distinct run keys in
+    # window order, each with the scalar decode of its window
+    s = replace(bdc_desk)  # a fresh memo
+    first = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheme_module, "_MEMO_CAP", cap)
+        for specs in blocks:
+            windows = [window_runs(s, spec) for spec in specs]
+            s.inner_symbols(*window_arrays(windows))
+            for w in thresholded(windows, s.params.T):
+                if w and not isinstance(window_key(w), str):
+                    first.setdefault(window_key(w), s.inner_cb.decode(w))
+    keys = s._memo[0]
+    assert (keys[1:] > keys[:-1]).all() and keys[-1] == _SENTINEL
+    assert held(s) == dict(list(first.items())[:cap])
+
+
+def test_window_past_a_run_key_is_decoded_every_call_never_held(bdc_desk, monkeypatch):
+    # a window of _KEY_BITS + 1 runs has no run key: each copy of it reaches
+    # the scalar decode on every call, and the memo never holds it; a window
+    # of a codeword's runs beside it is decoded once and held
+    s = replace(bdc_desk)  # a fresh memo
+    long, short = (1, [1] * (_KEY_BITS + 1)), window_runs(s, ("codeword", 1, 1, []))
+    long_text, short_text = thresholded([long, short], s.params.T)
+    decode, decoded = InnerCodebook.decode, []
+    monkeypatch.setattr(InnerCodebook, "decode", lambda cb, w: decoded.append(w) or decode(cb, w))
+    expected = [decode(s.inner_cb, w) for w in (long_text, short_text, long_text)]
+    for call in range(3):
+        decoded.clear()
+        assert s.inner_symbols(*window_arrays([long, short, long])).tolist() == expected
+        assert decoded == ([long_text, short_text, long_text] if call == 0 else [long_text] * 2)
+        assert held(s) == {window_key(short_text): expected[1]}
 
 
 @pytest.mark.parametrize("name", ["bdc", "prc"])

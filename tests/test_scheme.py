@@ -25,7 +25,7 @@ from delchan.scheme import (
     window_spans,
 )
 from delchan.strings import SProfile
-from oracles import per_run, runs_of, starts, window_key
+from oracles import held, per_run, runs_of, starts, window_key
 
 
 def test_snapped_rounding():
@@ -321,13 +321,13 @@ def test_inner_decode_takes_first_of_duplicate_codewords(bdc_desk):
     # the duplicate's window decodes to the first copy, and joins the memo at it
     window = lay_out((2,), s.run_table).bits()
     assert s.decode_with_trace(window)[1].per_window_inner_symbols == [1]
-    assert s._memo == {window_key(c[1]): 1}
+    assert held(s) == {window_key(c[1]): 1}
     assert s.inner_cb.decode(c[1]) == 1
 
 
 def test_codewords_of_too_many_runs_for_a_key_decode_as_strings(bdc_desk):
     # 59 alternating runs, two of them 2-runs: no codeword has a run key, so
-    # the memo, empty at first, holds each decoded codeword as its string
+    # each window is decoded from its string, and the memo stays empty
     def codeword(i, j):
         return "".join(str(1 - k % 2) * (1 + (k in (i, j))) for k in range(59))
 
@@ -335,9 +335,9 @@ def test_codewords_of_too_many_runs_for_a_key_decode_as_strings(bdc_desk):
     codewords = sorted(codeword(i, j) for i, j in ((0, 58), (5, 50), (10, 40), (20, 30)))
     s = Scheme(replace(bdc_desk.params, inner=inner), InnerCodebook(inner, tuple(codewords)),
                bdc_desk.outer)
-    assert s._memo == {}
+    assert held(s) == {}
     for message in (0, 77, 255):
         layout = s.encode_with_layout(message)
         assert s.decode_block(layout.run_bits[None], layout.lengths[None]) == [message]
         assert s.decode(layout.bits()) == message
-    assert s._memo == {c: i for i, c in enumerate(codewords)}
+    assert held(s) == {}
