@@ -79,7 +79,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     scheme = load_scheme(args.config)
-    _write_out(scheme.encode(int(args.message)) + "\n", args.out)
+    _write_out(scheme.encode(args.message) + "\n", args.out)
     return 0
 
 
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode a message with a built scheme")
     p.add_argument("--config", required=True, help="scheme descriptor path")
     p.add_argument("--out")
-    p.add_argument("message", help="message index")
+    p.add_argument("message", type=int, help="message index")
     p.set_defaults(fn=_cmd_encode)
 
     p = sub.add_parser("decode", help="decode a received bit string")

@@ -1,5 +1,5 @@
-"""Greedy inner codebook over the 1-/2-run family and its rate formula. A
-decode is one bit-parallel LCS pass over the window, each codeword a lane."""
+"""Greedy inner codebook over the 1-/2-run family, kept in a strings code file, and its
+rate formula. A decode is one bit-parallel LCS pass over the window, each codeword a lane."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .strings import (MAX_STEPS, SProfile, bit_rows, enumerate_S, first_close_pair, greedy,
-                      lane_masks, lane_symbols, naming, read_code_file)
+from .strings import (SProfile, bit_rows, enumerate_S, first_close_pair, greedy, lane_masks,
+                      lane_symbols, naming, read_code_file, refuse_long_pass, write_code_file)
 from .strings import lcs_len  # noqa: F401  (the benchmark's tracer wraps it here)
 
 # Greedy construction refuses larger candidate sets, before enumerating them, and families
@@ -20,6 +20,7 @@ from .strings import lcs_len  # noqa: F401  (the benchmark's tracer wraps it her
 # d = 0, where no pass runs, it refuses families whose rows take more bytes than that.
 MAX_CANDIDATES = 10**7
 MAX_FIRST_PASS_STEPS = MAX_ROW_BYTES = 64 * MAX_CANDIDATES
+_TAG = "innercode v1"  # the kind and version of a codebook file
 
 
 @dataclass(frozen=True)
@@ -89,19 +90,19 @@ class InnerCodebook:
 
     def save(self, path: str | Path) -> None:
         p = self.params
-        header = (
-            f"innercode v1 m={p.m} r1={p.profile.r1} r2={p.profile.r2}"
-            f" d={p.d} count={len(self.codewords)}\n"
-        )
-        Path(path).write_text(header + "".join(c + "\n" for c in self.codewords))
+        write_code_file(path, _TAG, {"m": p.m, "r1": p.profile.r1, "r2": p.profile.r2, "d": p.d,
+                                     "count": len(self.codewords)}, self.codewords)
 
     @classmethod
     def load(cls, path: str | Path) -> "InnerCodebook":
-        (m, r1, r2, d, count), lines = read_code_file(path, ("m", "r1", "r2", "d", "count"))
+        (m, r1, r2, d, count), lines = read_code_file(path, _TAG, ("m", "r1", "r2", "d", "count"))
         with naming(path):
+            params = InnerParams(SProfile(m, r1, r2), d)
+            if d:  # validate runs the greedy pass; at d = 0 none runs
+                refuse_long_pass(count, m, 2)
             if len(lines) != count:
                 raise ValueError(f"header says count={count}, found {len(lines)} lines")
-            cb = cls(InnerParams(SProfile(m, r1, r2), d), tuple(lines))
+            cb = cls(params, tuple(lines))
             cb.validate()
         return cb
 
@@ -121,11 +122,7 @@ class InnerCodebook:
             raise ValueError("codewords not in lexicographic order")
         if p.d == 0:  # only equal rows are close, and a sorted repeat follows its first copy
             pair = next(((k - 1, k) for k in range(1, len(cw)) if cw[k - 1] == cw[k]), None)
-        else:  # the word steps of the greedy pass, to its end on a valid code, and of the masks
-            steps = len(cw) * p.m * (len(cw) * -(-p.m // 64) + 2)
-            if steps > MAX_STEPS:
-                raise ValueError(f"{len(cw)} codewords of {p.m} bits take about {steps:.3g} word"
-                                 f" steps to validate, over {MAX_STEPS:.3g}")
+        else:
             pair = first_close_pair(lane_masks(rows, 2), p.m, p.m - p.d)
         if pair:
             raise ValueError("codewords too close: " + " ".join(cw[k] for k in pair))

@@ -3,10 +3,10 @@
 Codewords are length-n symbol sequences whose pairwise symbol-level edit
 distance exceeds 2 * radius, radius = floor(delta_out * n), so a
 nearest-codeword decoder corrects any combination of up to radius symbol
-insertions and deletions. The inner code's greedy pass (strings.greedy)
-builds it from seeded pseudorandom candidates and, stopped at its first drop,
-validates it; a stand-in with any stronger construction's interface and bound.
-"""
+insertions and deletions. The inner code's greedy pass (strings.greedy, bounded by
+strings.refuse_long_pass) builds it from seeded candidates and, stopped at its first
+drop, validates it, also on load from a strings code file; a stand-in with any stronger
+construction's interface and bound."""
 
 from __future__ import annotations
 
@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .channels import floor_snapped
-from .strings import (MAX_STEPS, first_close_pair, greedy, lane_masks, lcs_rows, naming,
-                      read_code_file)
+from .strings import (first_close_pair, greedy, lane_masks, lcs_rows, naming, read_code_file,
+                      refuse_long_pass, write_code_file)
 
 # Chunks of q**k candidates (candidates per message) drawn before giving up.
 _CANDIDATE_FACTOR = 200
+_TAG = "outercode v1"  # the kind and version of an outer code file
 
 
 @dataclass(frozen=True)
@@ -119,37 +120,24 @@ class OuterCode:
     def save(self, path: str | Path) -> None:
         spec = self.spec
         num, den = spec.delta_out.as_integer_ratio()
-        lines = [
-            f"outercode v1 q={spec.q} n={spec.n} k={spec.k}"
-            f" dout_num={num} dout_den={den} seed={self.seed}"
-        ]
-        lines.extend(" ".join(str(s) for s in c) for c in self.codewords)
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_code_file(path, _TAG, {"q": spec.q, "n": spec.n, "k": spec.k, "dout_num": num,
+                                     "dout_den": den, "seed": self.seed},
+                        (" ".join(map(str, c)) for c in self.codewords))
 
     @classmethod
     def load(cls, path: str | Path) -> "OuterCode":
         (q, n, k, num, den, seed), lines = read_code_file(
-            path, ("q", "n", "k", "dout_num", "dout_den", "seed"))
+            path, _TAG, ("q", "n", "k", "dout_num", "dout_den", "seed"))
         with naming(path):
             if den == 0:
                 raise ValueError("dout_den must be nonzero")
             spec = OuterSpec(q, n, k, num / den)
-            _refuse_oversized(spec)  # validate runs the greedy pass a build runs
+            refuse_long_pass(spec.num_messages, n, q)  # validate runs the greedy pass
             if len(lines) != spec.num_messages:
                 raise ValueError(f"header says q**k={spec.num_messages}, found {len(lines)} lines")
             code = cls(spec, tuple(tuple(map(int, line.split())) for line in lines), seed)
             code.validate()
         return code
-
-
-def _refuse_oversized(spec: OuterSpec) -> None:
-    """Raises if one greedy pass over q**k codewords takes over MAX_STEPS word steps."""
-    needed = spec.num_messages
-    steps = needed * spec.n * (needed * -(-spec.n // 64) + spec.q)  # greedy and mask planes
-    if steps > MAX_STEPS:
-        raise ValueError(f"{needed} codewords of {spec.n} symbols take about {steps:.3g} word"
-                         f" steps a chunk ({needed * spec.n / 2**27:.3g} GiB of candidates), over"
-                         f" {MAX_STEPS:.3g}; lower k or n")
 
 
 def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
@@ -160,11 +148,12 @@ def construct_outer(spec: OuterSpec, seed: int) -> OuterCode:
     2 * radius. Candidates come q**k at a time, each chunk run through
     strings.greedy behind the accepted codewords; as greedy keeps a row on
     the rows before it alone, this accepts what a one-by-one pass would.
-    Raises if a chunk takes over MAX_STEPS, and if _CANDIDATE_FACTOR chunks
+    Raises if a pass over q**k codewords takes over strings.MAX_STEPS word
+    steps (strings.refuse_long_pass), and if _CANDIDATE_FACTOR chunks
     run out before q**k codewords are found, reporting how many were achieved.
     """
-    _refuse_oversized(spec)
     needed = spec.num_messages
+    refuse_long_pass(needed, spec.n, spec.q)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     accepted = np.empty((0, spec.n), np.int64)
     for _ in range(_CANDIDATE_FACTOR):

@@ -361,8 +361,6 @@ def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray):
     keep = lengths > 0
     bits, lengths, owner = bits[keep], lengths[keep], owner[keep]
     later = ((bits[1:] == bits[:-1]) & (owner[1:] == owner[:-1])).nonzero()[0] + 1
-    if not later.size:
-        return bits, lengths, owner
     # a chain of later runs is headed by the run just before its first one
     head = later - 1
     head[1:][head[1:] == later[:-1]] = 0

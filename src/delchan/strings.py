@@ -1,11 +1,11 @@
-"""The one run reader of binary strings (bit_runs); the constrained 1-/2-run
-family, enumerated as rows of bits in lexicographic order; LCS kernels on
-integer symbol arrays (a code is a (count, n) array of symbols in [0, q)),
-their match masks (a uint32 word a lane of up to 32 symbols, uint64 words
-above); the one greedy pass over a code's masks alone, a block of rows per
-rows x lanes LCS pass, which builds both codes and, stopped at its first
-drop, validates them; the one key=value reader behind descriptors, configs
-and code-file headers; and naming, the one rule by which a refusal names its file."""
+"""The one run reader of binary strings (bit_runs); the constrained 1-/2-run family,
+enumerated as rows of bits in lexicographic order; LCS kernels on integer symbol arrays
+(a code is a (count, n) array of symbols in [0, q)), their match masks (a uint32 word a
+lane of up to 32 symbols, uint64 words above); the one greedy pass over a code's masks
+alone, a block of rows per rows x lanes LCS pass, which builds both codes and, stopped at
+its first drop, validates them, and its one work bound; the one key=value reader, behind
+descriptors, configs and the code files, whose tagged headers it writes and checks; and
+naming, the one rule by which a refusal names its file."""
 
 from __future__ import annotations
 
@@ -295,12 +295,27 @@ def naming(path: str | Path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def read_code_file(path: str | Path, keys: tuple[str, ...]) -> tuple[list[int], list[str]]:
-    """The integer value of each of keys, in order, from a code file's header
-    line (key=value pairs after its two-word tag, e.g. "innercode v1"), and
-    the lines after it."""
+def refuse_long_pass(count: int, n: int, q: int) -> None:
+    """Raises if a greedy pass over count codewords of n symbols in [0, q) passes MAX_STEPS."""
+    steps = count * n * (count * -(-n // 64) + q)  # full pass: n columns x count lanes, q planes
+    if steps > MAX_STEPS:
+        raise ValueError(f"{count} codewords of {n} symbols take about {steps:.3g} word steps"
+                         f" in a greedy pass, over {MAX_STEPS:.3g}")
+
+
+def write_code_file(path: str | Path, tag: str, fields: dict[str, int], lines) -> None:
+    """A code file: a header line of tag (its kind and version, e.g.
+    "innercode v1") and the key=value fields, then one line each of lines."""
+    header = " ".join([tag, *(f"{key}={value}" for key, value in fields.items())])
+    Path(path).write_text("".join(line + "\n" for line in [header, *lines]))
+
+
+def read_code_file(path: str | Path, tag: str, keys: tuple) -> tuple[list[int], list[str]]:
+    """Each of keys' integer value, in order, from the header of a code file written with
+    tag, and the lines after it; a header that does not start with tag is refused."""
     lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty code file")
-    fields = read_fields(path, dict.fromkeys(keys, int), lines[0].split()[2:])
+    words = lines[0].split() if lines else []  # an empty file has no tag
+    if words[:2] != tag.split():
+        raise ValueError(f"{path}: header must start with {tag!r}, got {' '.join(words[:2])!r}")
+    fields = read_fields(path, dict.fromkeys(keys, int), words[2:])
     return [fields[key] for key in keys], lines[1:]

@@ -417,6 +417,7 @@ DECODE = ("decode", "--config", "scheme.txt", "1")
 _ROW_TOO_LONG = "N2 and a row's bits must stay below 2**31"
 _CODEWORD_0 = "1001001001001001001010101"  # the first of codebook.txt's 4 codewords
 _HUGE = 10**400  # past a float's range
+_PASS_CAP = " word steps in a greedy pass, over 4.29e+09"  # the tail of strings.refuse_long_pass
 
 
 def _sampled_codebook(count):
@@ -508,17 +509,13 @@ REFUSALS = [
      "exp.cfg: run length M / mean_copies = 4.0 / 1e-320 is not finite"),
     # outer codes past the work cap or int64 messages, refused before any inner code
     ("construct-k-cap", CONSTRUCT, "exp.cfg", "k=20\n", 2,
-     "exp.cfg: 1099511627776 codewords of 32 symbols take about 3.87e+25 word steps a chunk"
-     " (2.62e+05 GiB of candidates), over 4.29e+09; lower k or n"),
+     "exp.cfg: 1099511627776 codewords of 32 symbols take about 3.87e+25" + _PASS_CAP),
     ("construct-n-cap", CONSTRUCT, "exp.cfg", "n=1000000\n", 2,
-     "exp.cfg: 256 codewords of 1000000 symbols take about 1.02e+15 word steps a chunk"
-     " (1.91 GiB of candidates), over 4.29e+09; lower k or n"),
+     "exp.cfg: 256 codewords of 1000000 symbols take about 1.02e+15" + _PASS_CAP),
     ("construct-n64-k9-cap", CONSTRUCT, "exp.cfg", "q=4\nn=64\nk=9\n", 2,
-     "exp.cfg: 262144 codewords of 64 symbols take about 4.4e+12 word steps a chunk"
-     " (0.125 GiB of candidates), over 4.29e+09; lower k or n"),
+     "exp.cfg: 262144 codewords of 64 symbols take about 4.4e+12" + _PASS_CAP),
     ("construct-m29-k-cap", CONSTRUCT, "exp.cfg", "m=29\nr1=17\nr2=6\nk=20\n", 2,
-     "exp.cfg: 1099511627776 codewords of 32 symbols take about 3.87e+25 word steps a chunk"
-     " (2.62e+05 GiB of candidates), over 4.29e+09; lower k or n"),
+     "exp.cfg: 1099511627776 codewords of 32 symbols take about 3.87e+25" + _PASS_CAP),
     # q**k is never computed for such a k
     ("construct-k-int64", CONSTRUCT, "exp.cfg", "k=100000\n", 2,
      "exp.cfg: q**k messages must stay below 2**63, got q=4, k=100000"),
@@ -549,8 +546,9 @@ REFUSALS = [
      "exp.cfg: M_B=inf must be positive and finite"),
     ("encode-q-huge", ENCODE, "scheme.txt", lambda text: _set("k", 0)(_set("q", _HUGE)(text)), 2,
      f"scheme.txt: cannot truncate to {_HUGE} > |C| = 4"),
+    # the pass bound, read from the header before the line count, overflows its float estimate
     ("codebook-count-huge", ENCODE, "codebook.txt", _sub(" count=4", f" count={_HUGE}"), 2,
-     f"codebook.txt: header says count={_HUGE}, found 4 lines"),
+     "codebook.txt: int too large to convert to float"),
     ("outercode-q-huge", ENCODE, "outercode.txt", _sub(" q=4 n=32 k=4 ", f" q={_HUGE} n=32 k=0 "),
      2, "outercode.txt: int too large to convert to float"),
     # a verification failure: the desk profile has 77 codewords
@@ -588,7 +586,13 @@ REFUSALS = [
     ("simulate-out-nodir", (*SIMULATE, "--out", "nodir/r.json"), "exp.cfg",
      "desk=prc\ntrials=30000\n", 2, "nodir/r.json: No such file or directory"),
     # inner code files: header, line count, codewords outside S, validation
-    ("codebook-empty", ENCODE, "codebook.txt", "", 2, "codebook.txt: empty code file"),
+    ("codebook-empty", ENCODE, "codebook.txt", "", 2,
+     "codebook.txt: header must start with 'innercode v1', got ''"),
+    # a file of the other kind, or of another version, is refused by its header's tag
+    ("codebook-outer-tag", ENCODE, "codebook.txt", _sub("innercode v1", "outercode v1"), 2,
+     "codebook.txt: header must start with 'innercode v1', got 'outercode v1'"),
+    ("codebook-v2", ENCODE, "codebook.txt", _sub("innercode v1", "innercode v2"), 2,
+     "codebook.txt: header must start with 'innercode v1', got 'innercode v2'"),
     ("codebook-no-d", ENCODE, "codebook.txt", _sub(" d=2", ""), 2,
      "codebook.txt: missing key 'd'"),
     ("codebook-no-equals", ENCODE, "codebook.txt", _sub("d=2", "d2"), 2,
@@ -605,12 +609,20 @@ REFUSALS = [
      f"codebook.txt: '{_CODEWORD_0[:-3]}2{_CODEWORD_0[-2:]}' is not in S"),
     ("codebook-m", ENCODE, "codebook.txt", _sub("m=25", "m=26"), 2,
      "codebook.txt: m=26 != r1 + 2*r2 = 25"),
-    # its pass would take over 10 s (3,000 such codewords take 4 s), so it is refused first
+    # its pass would take over 10 s (3,000 such codewords take 4 s), so it is refused first,
+    # from the header, before any codeword line is read: the header alone is refused the same
     ("codebook-pass-cap", ENCODE, "codebook.txt", lambda text: _sampled_codebook(6000), 2,
-     "codebook.txt: 6000 codewords of 101 bits take about 7.27e+09 word steps to validate,"
-     " over 4.29e+09"),
+     "codebook.txt: 6000 codewords of 101 symbols take about 7.27e+09" + _PASS_CAP),
+    ("codebook-header-pass-cap", ENCODE, "codebook.txt",
+     "innercode v1 m=101 r1=53 r2=24 d=1 count=6000\n", 2,
+     "codebook.txt: 6000 codewords of 101 symbols take about 7.27e+09" + _PASS_CAP),
     # outer code files: header, line count, symbols, validation, work cap
-    ("outercode-empty", ENCODE, "outercode.txt", "", 2, "outercode.txt: empty code file"),
+    ("outercode-empty", ENCODE, "outercode.txt", "", 2,
+     "outercode.txt: header must start with 'outercode v1', got ''"),
+    ("outercode-inner-tag", ENCODE, "outercode.txt", _sub("outercode v1", "innercode v1"), 2,
+     "outercode.txt: header must start with 'outercode v1', got 'innercode v1'"),
+    ("outercode-v2", ENCODE, "outercode.txt", _sub("outercode v1", "outercode v2"), 2,
+     "outercode.txt: header must start with 'outercode v1', got 'outercode v2'"),
     ("outercode-dout_den-0", ENCODE, "outercode.txt", _sub("dout_den=8", "dout_den=0"), 2,
      "outercode.txt: dout_den must be nonzero"),
     ("outercode-no-seed", ENCODE, "outercode.txt", _sub(" seed=2024", ""), 2,
@@ -636,8 +648,7 @@ REFUSALS = [
      f"outercode.txt: q**k messages must stay below 2**63, got q=4, k={10**18}"),
     # construct refuses k = 13 at n = 64; a valid file of it would take seconds to validate
     ("outercode-k-cap", ENCODE, "outercode.txt", _sub(" q=4 n=32 k=4 ", " q=2 n=64 k=13 "), 2,
-     "outercode.txt: 8192 codewords of 64 symbols take about 4.3e+09 word steps a chunk"
-     " (0.00391 GiB of candidates), over 4.29e+09; lower k or n"),
+     "outercode.txt: 8192 codewords of 64 symbols take about 4.3e+09" + _PASS_CAP),
     # received strings that are not binary
     *[(f"decode-bits-{name}", ("decode", "--config", "scheme.txt", bits), None, None, 2,
        "received string must be binary")
@@ -682,6 +693,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     for command in ("simulate", "construct"):
         assert main([command, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
         assert "argument --seed: invalid nonnegative value: '-1'" in capsys.readouterr().err
+    # a message that is not an integer is refused before the scheme is read
+    assert main(["encode", "--config", str(tmp_path / "missing.txt"), "1e3"]) == 2
+    assert "argument message: invalid int value: '1e3'" in capsys.readouterr().err
 
 
 def test_single_codeword_needs_two_trials(bdc_desk):

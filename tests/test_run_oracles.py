@@ -302,6 +302,8 @@ RUN = st.tuples(st.integers(0, 1), st.sampled_from([0, 0, 0, 1, 2, 7]), st.boole
 @given(st.lists(RUN, max_size=60))
 @example([(1, 0, False), (0, 0, False), (1, 3, False), (0, 0, False), (1, 2, False),
           (0, 0, True), (1, 0, False), (1, 4, False), (0, 1, False), (1, 0, False)])
+# no run merges: a vanished run and owner boundaries between same-bit runs
+@example([(1, 2, False), (0, 0, False), (0, 1, False), (1, 3, True), (1, 1, True)])
 def test_merge_runs_matches_reduceat(runs):
     # chains of vanished runs, same-bit neighbours and owner boundaries
     bits = np.array([bit for bit, _, _ in runs], np.uint8)
