@@ -43,11 +43,31 @@ class InnerParams:
 class InnerCodebook:
     """Greedily constructed code with pairwise edit distance > 2*d.
 
-    Codewords are in lexicographic order; symbol i maps to codewords[i].
+    Codewords are in lexicographic order; symbol i maps to codewords[i]. However it
+    is made, a codebook refuses the first codeword, in index order, of another length
+    than m, out of S (0s and 1s, 1 at both ends, runs of 1 or 2) or of another profile.
     """
 
     params: InnerParams
     codewords: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        p, cw = self.params, self.codewords
+        misfits = (np.fromiter(map(len, cw), np.int64, len(cw)) != p.m).nonzero()[0]
+        sized = int(misfits[0]) if misfits.size else len(cw)
+        rows = bit_rows(cw[:sized], p.m)  # the codewords before the first of another length
+        pairs = rows[:, 1:] == rows[:, :-1]  # in S, each pair of equal neighbours is a 2-run
+        out = ((rows.max(axis=1) > 1) | (rows[:, 0] != 1) | (rows[:, -1] != 1)
+               | (pairs[:, 1:] & pairs[:, :-1]).any(axis=1))
+        bad = out | (pairs.sum(axis=1) != p.profile.r2)
+        first = int(bad.argmax()) if bad.any() else sized
+        if first < len(cw):
+            c = cw[first]
+            if first == sized:
+                raise ValueError(f"codeword {c!r} has {len(c)} characters, not m={p.m}")
+            if out[first]:
+                raise ValueError(f"{c!r} is not in S")
+            raise ValueError(f"codeword {c} has wrong profile")
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -74,8 +94,6 @@ class InnerCodebook:
         """Codeword j as bits [j(m+1), j(m+1) + m) of one int, bit i set where
         its character i is 1, under a zero guard bit where carries stop: the
         words of 1s and of 0s, their mask, each lane's shift and a lane's mask."""
-        if any(len(c) != self.params.m for c in self.codewords):
-            raise ValueError(f"codewords must have length m={self.params.m} to decode")
         lane, step = (1 << self.params.m) - 1, self.params.m + 1
         shifts = range(0, len(self.codewords) * step, step)
         mask = sum(lane << shift for shift in shifts)
@@ -107,23 +125,15 @@ class InnerCodebook:
         return cb
 
     def validate(self) -> None:
+        """Refuses codewords out of lexicographic order, and the first close pair
+        (within 2d edits) that the greedy pass would drop."""
         p, cw = self.params, self.codewords
-        misfits = (np.fromiter(map(len, cw), np.int64, len(cw)) != p.m).nonzero()[0]
-        sized = int(misfits[0]) if misfits.size else len(cw)
-        rows = bit_rows(cw[:sized], p.m)  # the codewords before the first of another length
-        pairs = rows[:, 1:] == rows[:, :-1]  # in S, each pair of equal neighbours is a 2-run
-        bad = ((rows.max(axis=1) > 1) | (rows[:, 0] != 1) | (rows[:, -1] != 1)
-               | (pairs[:, 1:] & pairs[:, :-1]).any(axis=1) | (pairs.sum(axis=1) != p.profile.r2))
-        first = int(bad.argmax()) if bad.any() else sized
-        if first < len(cw):  # the first codeword out of S or of another profile
-            SProfile.of(cw[first])  # raises if it is not in S
-            raise ValueError(f"codeword {cw[first]} has wrong profile")
         if list(cw) != sorted(cw):
             raise ValueError("codewords not in lexicographic order")
         if p.d == 0:  # only equal rows are close, and a sorted repeat follows its first copy
             pair = next(((k - 1, k) for k in range(1, len(cw)) if cw[k - 1] == cw[k]), None)
         else:
-            pair = first_close_pair(lane_masks(rows, 2), p.m, p.m - p.d)
+            pair = first_close_pair(lane_masks(bit_rows(cw, p.m), 2), p.m, p.m - p.d)
         if pair:
             raise ValueError("codewords too close: " + " ".join(cw[k] for k in pair))
 

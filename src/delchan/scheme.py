@@ -51,7 +51,7 @@ from .analysis import ProbReport, transition_probs
 from .channels import RUN_DTYPE, ChannelModel, floor_snapped
 from .inner import InnerCodebook, InnerParams
 from .outer import OuterCode, OuterSpec
-from .strings import SProfile, bit_runs, in_S, naming, nonnegative, read_fields
+from .strings import SProfile, bit_runs, naming, nonnegative, read_fields
 
 # Windows one scheme's inner-decode memo holds at most, to bound its memory.
 _MEMO_CAP = 1 << 12
@@ -331,13 +331,10 @@ def classify(scheme: Scheme, layout: Layout,
 
 
 def run_table(codewords, B: int, N1: int, N2: int) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """What lay_out gathers from: row s holds a buffer's 0 and then the
-    original lengths (1 or 2) of the runs of the codeword of s (all have one
-    run count), as int8; and the run lengths after the blow-up, (B, N1, N2),
-    of a buffer, a 1-run and a 2-run."""
-    for codeword in codewords:
-        if not in_S(codeword):  # runs must alternate from 1 to 1 across buffers
-            raise ValueError(f"{codeword!r} is not in S")
+    """What lay_out gathers from an InnerCodebook's codewords (in S, so their runs
+    alternate from 1 to 1 across buffers, all of one run count): row s holds a buffer's 0
+    and the original lengths (1 or 2) of the runs of codeword s, as int8; and the run
+    lengths after the blow-up, (B, N1, N2), of a buffer, a 1-run and a 2-run."""
     return np.array([[0, *bit_runs(c)[1].tolist()] for c in codewords], np.int8), (B, N1, N2)
 
 

@@ -1,5 +1,6 @@
-"""The one run reader of binary strings (bit_runs); the constrained 1-/2-run family,
-enumerated as rows of bits in lexicographic order; LCS kernels on integer symbol arrays
+"""The one run reader of binary strings (bit_runs); the constrained 1-/2-run family's
+profile, enumerated as rows of bits in lexicographic order (inner.InnerCodebook holds the
+one check of a string against it); LCS kernels on integer symbol arrays
 (a code is a (count, n) array of symbols in [0, q)), their match masks (a uint32 word a
 lane of up to 32 symbols, uint64 words above); the one greedy pass over a code's masks
 alone, a block of rows per rows x lanes LCS pass, which builds both codes and, stopped at
@@ -162,11 +163,6 @@ def _alive_lanes(masks: np.ndarray, alive: np.ndarray) -> np.ndarray:
     return kept.reshape(len(masks), -1, masks.shape[2])
 
 
-def in_S(s: str) -> bool:
-    """Membership in S: binary, starts and ends with 1, runs of length 1 or 2 only."""
-    return s[:1] == s[-1:] == "1" and set(s) <= {"0", "1"} and "000" not in s and "111" not in s
-
-
 @dataclass(frozen=True)
 class SProfile:
     """Shape of a string in the constrained family: length m with exactly
@@ -194,15 +190,6 @@ class SProfile:
     def count(self) -> int:
         """Size of the family: choose which runs have length 2."""
         return comb(self.num_runs, self.r1)
-
-    @classmethod
-    def of(cls, s: str) -> "SProfile":
-        """Profile of a string already in S, where each "00" or "11" is a
-        2-run and each "01" or "10" starts a run."""
-        if not in_S(s):
-            raise ValueError(f"{s!r} is not in S")
-        r2 = s.count("00") + s.count("11")
-        return cls(len(s), 1 + s.count("01") + s.count("10") - r2, r2)
 
 
 def enumerate_S(profile: SProfile) -> np.ndarray:
@@ -298,8 +285,9 @@ def naming(path: str | Path):
 def refuse_long_pass(count: int, n: int, q: int) -> None:
     """Raises if a greedy pass over count codewords of n symbols in [0, q) passes MAX_STEPS."""
     steps = count * n * (count * -(-n // 64) + q)  # full pass: n columns x count lanes, q planes
-    if steps > MAX_STEPS:
-        raise ValueError(f"{count} codewords of {n} symbols take about {steps:.3g} word steps"
+    if steps > MAX_STEPS:  # past a float's range, the estimate is the power of 2 at or below it
+        about = f"{steps:.3g}" if steps.bit_length() < 1024 else f"2**{steps.bit_length() - 1}"
+        raise ValueError(f"{count} codewords of {n} symbols take about {about} word steps"
                          f" in a greedy pass, over {MAX_STEPS:.3g}")
 
 

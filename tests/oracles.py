@@ -1,12 +1,14 @@
 """Slow reference implementations the package no longer runs, kept for the
 tests to compare its fast paths against, each written once here: a
-string's runs as a list and their inverse, edit distance on strings and
-symbol sequences, a run's survivors from per-bit counts, one survivors draw
-per run, the pairwise greedy loop and the first close pair it drops, the
-scalar inner decode, a window's run key and the run-by-run family. Also the
-insertion/deletion ball machinery (embed_all, deletion_ball_bound) that only
-the tests use, a reader of a scheme's inner-decode memo, and a stand-in
-generator that feeds chosen words to the channel's draws."""
+string's runs as a list and their inverse, membership in S and a string's
+profile (InnerCodebook checks both on its bit rows), edit distance on
+strings and symbol sequences, a run's survivors from per-bit counts, one
+survivors draw per run, the pairwise greedy loop and the first close pair
+it drops, the scalar inner decode, a window's run key and the run-by-run
+family. Also the insertion/deletion ball machinery (embed_all,
+deletion_ball_bound) that only the tests use, a reader of a scheme's
+inner-decode memo, and a stand-in generator that feeds chosen words to
+the channel's draws."""
 
 from itertools import combinations, groupby
 from math import comb
@@ -16,7 +18,7 @@ import numpy as np
 
 from delchan.inner import InnerParams
 from delchan.scheme import _KEY_BITS
-from delchan.strings import SProfile, in_S, lcs_len, sequence_lcs_len
+from delchan.strings import SProfile, lcs_len, sequence_lcs_len
 
 _WORD = (1 << 64) - 1
 
@@ -40,6 +42,20 @@ def runs_of(s: str) -> list[Run]:
 def bits_of(runs: list[Run]) -> str:
     """Inverse of runs_of."""
     return "".join(str(b) * ln for b, ln in runs)
+
+
+def in_S(s: str) -> bool:
+    """Membership in S: binary, starts and ends with 1, runs of length 1 or 2 only."""
+    return s[:1] == s[-1:] == "1" and set(s) <= {"0", "1"} and "000" not in s and "111" not in s
+
+
+def profile_of(s: str) -> SProfile:
+    """Profile of a string in S, where each "00" or "11" is a 2-run and each
+    "01" or "10" starts a run."""
+    if not in_S(s):
+        raise ValueError(f"{s!r} is not in S")
+    r2 = s.count("00") + s.count("11")
+    return SProfile(len(s), 1 + s.count("01") + s.count("10") - r2, r2)
 
 
 def scalar_inner_decode(codewords, window: str) -> int:

@@ -539,18 +539,19 @@ REFUSALS = [
     ("construct-profile-wide-d0", CONSTRUCT, "exp.cfg", "m=100002\nr1=100000\nr2=1\nd=0\n", 2,
      "exp.cfg: S(100002, 100000, 1) takes 10000300002 bytes of rows, over 640000000"),
     # a value past a float's range in each file a command loads: exit 2 naming that file,
-    # also where a float conversion overflows (the first row once gave a traceback)
+    # also where a float conversion overflows (the first row once gave a traceback); past
+    # that range the pass bound's estimate is the power of 2 at or below it
     ("construct-q-huge", CONSTRUCT, "exp.cfg", f"q={_HUGE}\nk=0\n", 2,
-     "exp.cfg: int too large to convert to float"),
+     "exp.cfg: 1 codewords of 32 symbols take about 2**1333" + _PASS_CAP),
     ("simulate-M_B-digits", SIMULATE, "exp.cfg", f"M_B={_HUGE}\n", 2,
      "exp.cfg: M_B=inf must be positive and finite"),
     ("encode-q-huge", ENCODE, "scheme.txt", lambda text: _set("k", 0)(_set("q", _HUGE)(text)), 2,
      f"scheme.txt: cannot truncate to {_HUGE} > |C| = 4"),
-    # the pass bound, read from the header before the line count, overflows its float estimate
+    # the pass bound, read from the header before the line count, past a float's range
     ("codebook-count-huge", ENCODE, "codebook.txt", _sub(" count=4", f" count={_HUGE}"), 2,
-     "codebook.txt: int too large to convert to float"),
+     f"codebook.txt: {_HUGE} codewords of 25 symbols take about 2**2662" + _PASS_CAP),
     ("outercode-q-huge", ENCODE, "outercode.txt", _sub(" q=4 n=32 k=4 ", f" q={_HUGE} n=32 k=0 "),
-     2, "outercode.txt: int too large to convert to float"),
+     2, "outercode.txt: 1 codewords of 32 symbols take about 2**1333" + _PASS_CAP),
     # a verification failure: the desk profile has 77 codewords
     ("construct-q100", CONSTRUCT, "exp.cfg", "q=100\nk=1\n", 1,
      "exp.cfg: inner codebook has 77 codewords, need 100"),

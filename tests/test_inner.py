@@ -26,6 +26,7 @@ from oracles import (
     first_close_pair_by_pairs,
     greedy_by_pairs,
     insertion_ball_bruteforce,
+    profile_of,
     scalar_inner_decode,
 )
 
@@ -85,10 +86,13 @@ def test_d0_caps_the_rows_bytes_not_a_pass(monkeypatch):
         construct_inner(InnerParams(SProfile(25298, 25296, 1), 0))
 
 
-def scalar_profile_check(cb):
-    """InnerCodebook.validate's profile check as a loop over the strings."""
-    for c in cb.codewords:
-        if SProfile.of(c) != cb.params.profile:
+def scalar_profile_check(params, codewords):
+    """InnerCodebook's shape check as a loop over the strings: each codeword's
+    length, then its membership in S, then its profile."""
+    for c in codewords:
+        if len(c) != params.m:
+            raise ValueError(f"codeword {c!r} has {len(c)} characters, not m={params.m}")
+        if profile_of(c) != params.profile:
             raise ValueError(f"codeword {c} has wrong profile")
 
 
@@ -111,26 +115,67 @@ EDIT = st.tuples(st.integers(0, 76), st.integers(-1, 25),
 def test_validate_refuses_the_first_misfit_as_the_loop_did(m25_codebook, edits):
     # each edit puts a string in place of character j of codeword i (a 1- or
     # 2-run, a dropped character, a non-binary or non-ASCII one), or of the
-    # whole codeword if j is -1: validate refuses the first codeword out of S
-    # or of the profile with the loop's message, and none if the loop refuses none
+    # whole codeword if j is -1: the codebook refuses, when it is made, the first
+    # codeword of another length, out of S or of another profile with the loop's
+    # message, and validate refuses none of those if the loop refuses none
     codewords = list(m25_codebook.codewords)
     for i, j, text in edits:
         codewords[i] = text if j < 0 else codewords[i][:j] + text + codewords[i][j + 1:]
-    cb = InnerCodebook(m25_codebook.params, tuple(codewords))
     try:
-        scalar_profile_check(cb)
+        scalar_profile_check(m25_codebook.params, codewords)
         expected = None
     except ValueError as exc:
         expected = str(exc)
     try:
-        cb.validate()
+        InnerCodebook(m25_codebook.params, tuple(codewords)).validate()
         message = None
     except ValueError as exc:
         message = str(exc)
     if expected is None:  # a later check may refuse the code: the order, or a close pair
-        assert message is None or " has wrong profile" not in message and "not in S" not in message
+        assert message is None or message.startswith("codewords ")
     else:
         assert message == expected
+
+
+# small profiles, whose families random strings hit often
+PROFILES = [SProfile(1, 1, 0), SProfile(2, 0, 1), SProfile(5, 1, 2), SProfile(5, 5, 0),
+            SProfile(7, 3, 2), SProfile(8, 2, 3)]
+
+
+@st.composite
+def shaped_books(draw):
+    """A small profile's params and up to 5 codewords: strings of length 0 to m + 2
+    over "01", or over "01" with "2", "x" and "\u00e9", or strings of the profile's family."""
+    profile = draw(st.sampled_from(PROFILES))
+    texts = [st.text(chars, max_size=profile.m + 2) for chars in ("01", "012x\u00e9")]
+    word = st.one_of(*texts, st.sampled_from(enumerate_S_by_runs(profile)))
+    return InnerParams(profile, 0), draw(st.lists(word, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(book=shaped_books())
+@example(book=(InnerParams(SProfile(5, 1, 2), 0), ["", "1", "11011"]))
+@example(book=(InnerParams(SProfile(5, 1, 2), 0), ["11011", "1", "2", "x", "\u00e9"]))
+@example(book=(InnerParams(SProfile(1, 1, 0), 0), ["1", "", "0"]))
+@example(book=(InnerParams(SProfile(5, 1, 2), 0), ["11001", "10101", "11101"]))
+@example(book=(InnerParams(SProfile(7, 3, 2), 0), ["1011011", "101101\u00e9", "10110111"]))
+@example(book=(InnerParams(SProfile(8, 2, 3), 0), enumerate_S_by_runs(SProfile(8, 2, 3))[::-1] * 2))
+def test_codebook_refuses_what_the_oracles_refuse(book):
+    # the first codeword the loop refuses (its length, then in_S, then its profile)
+    # is the one the codebook refuses when it is made, with the same message; and a
+    # codebook of strings of its profile alone, in any order and with repeats, is made
+    params, codewords = book
+    try:
+        scalar_profile_check(params, codewords)
+        expected = None
+    except ValueError as exc:
+        expected = str(exc)
+    try:
+        InnerCodebook(params, tuple(codewords))
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    assert message == expected
 
 
 def test_pairwise_separation_m7_exhaustive():
@@ -296,9 +341,10 @@ def test_decode_tie_breaks_to_smallest_index():
 
 
 def test_decode_refuses_codewords_not_of_length_m():
-    # the packed lanes are m bits wide: a shorter codeword would read as padded with 0s
-    with pytest.raises(ValueError, match="^codewords must have length m=7 to decode$"):
-        InnerCodebook(M7, ("1001001", "101")).decode("101")
+    # the packed lanes are m bits wide: a shorter codeword would read as padded with 0s,
+    # so the codebook refuses it when it is made, before any decode
+    with pytest.raises(ValueError, match="^codeword '101' has 3 characters, not m=7$"):
+        InnerCodebook(M7, ("1001001", "101"))
 
 
 def books(full):

@@ -51,13 +51,11 @@ def test_blow_up_examples():
     assert _blow_up("1101", 3, 5) == "11111000111"
     assert _blow_up("1", 2, 2) == "11"
     assert _blow_up("10011", 3, 5) == "111" + "00000" + "11111"
-    # runs of 3 never reach the builder: codebook validation rejects them
-    with pytest.raises(ValueError):
-        InnerCodebook(InnerParams(SProfile(5, 1, 2), 0), ("11101",)).validate()
-    with pytest.raises(ValueError):
-        run_table(["11101"], 7, 3, 5)
-    with pytest.raises(ValueError, match="is not in S"):
-        run_table(["10121"], 7, 3, 5)  # not binary
+    # runs of 3 and non-bits never reach run_table: an inner codebook refuses them
+    # when it is made, and run_table takes only an inner codebook's codewords
+    for codeword in ("11101", "10121"):
+        with pytest.raises(ValueError, match=f"^'{codeword}' is not in S$"):
+            InnerCodebook(InnerParams(SProfile(5, 1, 2), 0), (codeword,))
     # two blocks: spans of every run and buffer, with and without edge buffers
     table = run_table(("1011", "1101"), 2, 1, 3)
     layout = lay_out((1, 0), table)

@@ -2,6 +2,7 @@
 independent dynamic-programming oracles."""
 
 import random
+import re
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -14,17 +15,18 @@ from hypothesis import strategies as st
 import delchan.strings
 from delchan.strings import (
     _PAIRS,
+    MAX_STEPS,
     SProfile,
     bit_rows,
     bit_runs,
     enumerate_S,
     first_close_pair,
     greedy,
-    in_S,
     lcs_len,
     lcs_rows,
     lane_masks,
     lane_symbols,
+    refuse_long_pass,
     sequence_lcs_len,
 )
 from oracles import (
@@ -33,8 +35,10 @@ from oracles import (
     enumerate_S_by_runs,
     first_close_pair_by_pairs,
     greedy_by_pairs,
+    in_S,
     is_subsequence,
     lane_masks_by_row,
+    profile_of,
     runs_of,
 )
 
@@ -407,7 +411,7 @@ def test_in_S():
     for s in ("121", "1a1", "1 01", "1\n1", "1001001001001001001210101"):
         assert not in_S(s)
         with pytest.raises(ValueError, match="is not in S"):
-            SProfile.of(s)
+            profile_of(s)
 
 
 def test_profile_validation():
@@ -423,12 +427,12 @@ def test_profile_validation():
 
 
 def test_profile_of():
-    assert SProfile.of("1011011") == SProfile(7, 3, 2)
-    assert SProfile.of("1") == SProfile(1, 1, 0) and SProfile.of("11") == SProfile(2, 0, 1)
+    assert profile_of("1011011") == SProfile(7, 3, 2)
+    assert profile_of("1") == SProfile(1, 1, 0) and profile_of("11") == SProfile(2, 0, 1)
     for profile in (SProfile(7, 3, 2), SProfile(12, 6, 3), SProfile(13, 1, 6)):
-        assert {SProfile.of(s) for s in enumerate_S_by_runs(profile)} == {profile}
+        assert {profile_of(s) for s in enumerate_S_by_runs(profile)} == {profile}
     with pytest.raises(ValueError):
-        SProfile.of("111")
+        profile_of("111")
 
 
 def test_enumerate_S():
@@ -439,7 +443,7 @@ def test_enumerate_S():
     assert family == sorted(family)
     assert len(set(family)) == len(family)
     for s in family:
-        assert SProfile.of(s) == prof
+        assert profile_of(s) == prof
     # smallest profile: the single alternating string
     assert enumerate_S(SProfile(3, 3, 0)).tolist() == [[1, 0, 1]]
 
@@ -467,3 +471,14 @@ def test_enumerate_S_memory_is_about_its_result():
         tracemalloc.stop()
     assert rows.shape == (27_132, 25)
     assert peak <= 2 * rows.nbytes
+
+
+def test_refuse_long_pass_names_an_estimate_past_a_float():
+    # steps = count * n * (count * ceil(n / 64) + q) = 1 + q at count = n = 1: an estimate a
+    # float holds keeps :.3g, and from 2**1023 on it is the power of 2 at or below it
+    refuse_long_pass(1, 1, MAX_STEPS - 1)
+    for q, about in ((MAX_STEPS, "4.29e+09"), (2**1023 - 2, "8.99e+307"),
+                     (2**1023 - 1, "2**1023"), (10**5000, "2**16609")):
+        message = f"1 codewords of 1 symbols take about {about} word steps in a greedy pass"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, over 4.29e\\+09$"):
+            refuse_long_pass(1, 1, q)
