@@ -95,7 +95,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials is not None:
         config = replace(config, trials=args.trials)
     if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
+        config = replace(config, seed=args.seed)
     _check_out(args.out)
     start = time.perf_counter()
     report = run_experiment(config)

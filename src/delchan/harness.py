@@ -45,10 +45,9 @@ def cached_inner_codebook(params: InnerParams):
 
 # Desk-scale reference configuration: small enough that every analytic bound
 # exercised against it is numerically nontrivial, large enough to decode
-# reliably. The buffer scale M_B is deliberately generous; the tighter
-# M_B = 0.5 variant below exists to measure buffer-loss frequency against
-# its analytic bound, which is only meaningful when losses are observable.
-DESK_M_B = 2.5
+# reliably. The buffer scale M_B = 2.5 is deliberately generous; a tighter one,
+# where buffer losses are observable against their analytic bound, is a scheme
+# that construct builds (say with M_B=0.5), run with scheme=.
 DESK_SEED = 2024
 # Trials drawn from one stream and decoded or classified together; a fixed
 # constant, since every report depends on it. Bounds a block's memory.
@@ -61,25 +60,35 @@ MAX_TRIALS = 10**12
 _GRID_STEP = 0.01  # spacing of sweep_csv's p grid
 
 
-def desk_params(kind: str, *, M_B: float = DESK_M_B) -> SchemeParams:
+def desk_params(kind: str) -> SchemeParams:
     if kind not in ("bdc", "prc"):
         raise ValueError(f"desk must be bdc or prc, got {kind!r}")
     return SchemeParams(
         channel=ChannelModel("bdc", 0.3) if kind == "bdc" else ChannelModel("prc", 0.5),
         M1=4.0,
         M2=13.5,
-        M_B=M_B,
+        M_B=2.5,
         T=8,
         inner=InnerParams(SProfile(25, 13, 6), 2),
         outer=OuterSpec(q=4, n=32, k=4, delta_out=0.125),
     )
 
 
-def desk_scheme(kind: str, *, M_B: float = DESK_M_B) -> Scheme:
-    params = desk_params(kind, M_B=M_B)
+def desk_scheme(kind: str) -> Scheme:
+    params = desk_params(kind)
     inner_cb = cached_inner_codebook(params.inner).truncate(params.outer.q)
     outer = construct_outer(params.outer, DESK_SEED)
     return Scheme(params, inner_cb, outer)
+
+
+def refuse_trials(mode: str, trials: int) -> None:
+    """The one trial-count rule of a config and of each runner."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}")
+    if mode == "single_codeword" and trials < 2:
+        raise ValueError("single_codeword needs at least 2 trials for a variance")
 
 
 def _blocks(scheme: Scheme, trials: int, master_seed: int, values: int,
@@ -96,8 +105,7 @@ def _blocks(scheme: Scheme, trials: int, master_seed: int, values: int,
 def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
     """Transmit isolated codewords; classify each block from its run arrays
     (no decoding); count X per value, and the error events."""
-    if trials < 2:
-        raise ValueError("single_codeword needs at least 2 trials for a variance")
+    refuse_trials("single_codeword", trials)
     # x_counts[v]: codewords of X = v <= 2m + 1 (a run costs at most its and the next's length)
     x_counts = np.zeros(2 * scheme.params.inner.m + 2, np.int64)
     events: Counter[str] = Counter()
@@ -130,8 +138,7 @@ def run_single_codeword(scheme: Scheme, trials: int, master_seed: int) -> dict:
 
 def run_end_to_end(scheme: Scheme, trials: int, master_seed: int) -> dict:
     """Encode random messages, transmit, decode; count exact recoveries."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    refuse_trials("end_to_end", trials)
     successes = 0
     for messages, layout, counts in _blocks(scheme, trials, master_seed,
                                             scheme.outer.spec.num_messages, scheme.encode_block):
@@ -152,8 +159,7 @@ def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
     The words of all trials' N1-runs, then of their N2-runs, are compared with
     the table's thresholds _TRANSITION_CHUNK runs at a time; no survivor count is built.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    refuse_trials("transition", trials)
     T = scheme.params.T
     rng = RngStream(master_seed, 0).generator()
 
@@ -189,59 +195,47 @@ def run_transition(scheme: Scheme, trials: int, master_seed: int) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What to run: a scheme (by descriptor path or desk default), a mode,
-    a trial count, and a master seed."""
+    """What to run: a mode, a trial count, a master seed, and a scheme by
+    descriptor path or else a desk scheme. Each field is a config key."""
 
     mode: str = "end_to_end"
     trials: int = 100
-    master_seed: int = 0
-    scheme_path: str | None = None
+    seed: int = 0
+    scheme: str | None = None
     desk: str = "bdc"
-    M_B: float = DESK_M_B
 
     def __post_init__(self) -> None:
         if self.mode not in ("single_codeword", "end_to_end", "transition"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.trials > MAX_TRIALS:
-            raise ValueError(f"trials must be at most {MAX_TRIALS}")
-        if self.mode == "single_codeword" and self.trials < 2:
-            raise ValueError("single_codeword needs at least 2 trials for a variance")
-        desk_params(self.desk, M_B=self.M_B)  # rejects an unknown desk and a bad M_B
+        refuse_trials(self.mode, self.trials)
+        desk_params(self.desk)  # rejects an unknown desk
 
 
-# Each key of an experiment config: its ExperimentConfig field and type.
-_CONFIG_KEYS = {"mode": ("mode", str), "trials": ("trials", int),
-                "seed": ("master_seed", nonnegative), "scheme": ("scheme_path", str),
-                "desk": ("desk", str), "M_B": ("M_B", float)}
+# The type of each key of an experiment config, an ExperimentConfig field.
+_CONFIG_KEYS = {"mode": str, "trials": int, "seed": nonnegative, "scheme": str, "desk": str}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """An experiment config from a key=value file; absent keys keep their defaults."""
-    fields = read_fields(path, {key: kind for key, (_, kind) in _CONFIG_KEYS.items()})
+    fields = read_fields(path, _CONFIG_KEYS)
     with naming(path):
-        for key in ("desk", "M_B"):
-            if "scheme" in fields and key in fields:
-                raise ValueError(f"{key} is ignored when scheme is given")
-        return ExperimentConfig(**{_CONFIG_KEYS[key][0]: value for key, value in fields.items()})
+        if "scheme" in fields and "desk" in fields:
+            raise ValueError("desk is ignored when scheme is given")
+        return ExperimentConfig(**fields)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    if config.scheme_path is not None:
-        scheme = load_scheme(config.scheme_path)
-    else:
-        scheme = desk_scheme(config.desk, M_B=config.M_B)
+    scheme = desk_scheme(config.desk) if config.scheme is None else load_scheme(config.scheme)
     runner = {
         "single_codeword": run_single_codeword,
         "end_to_end": run_end_to_end,
         "transition": run_transition,
     }[config.mode]
-    report = runner(scheme, config.trials, config.master_seed)
+    report = runner(scheme, config.trials, config.seed)
     report["config"] = {
         "mode": config.mode,
         "trials": config.trials,
-        "seed": config.master_seed,
+        "seed": config.seed,
         "channel": scheme.params.channel.kind,
         "channel_param": scheme.params.channel.parameter,
         "N1": scheme.N1,

@@ -7,20 +7,29 @@ survivors draw per run, the pairwise greedy loop and the first close pair
 it drops, the scalar inner decode, a window's run key and the run-by-run
 family. Also the insertion/deletion ball machinery (embed_all,
 deletion_ball_bound) that only the tests use, a reader of a scheme's
-inner-decode memo, and a stand-in generator that feeds chosen words to
-the channel's draws."""
+inner-decode memo, a stand-in generator that feeds chosen words to
+the channel's draws, and the desk scheme at a tight buffer scale."""
 
+from dataclasses import replace
 from itertools import combinations, groupby
 from math import comb
 from types import SimpleNamespace
 
 import numpy as np
 
+from delchan.harness import desk_scheme
 from delchan.inner import InnerParams
-from delchan.scheme import _KEY_BITS
+from delchan.scheme import _KEY_BITS, Scheme
 from delchan.strings import SProfile, lcs_len, sequence_lcs_len
 
 _WORD = (1 << 64) - 1
+
+
+def tight_desk(kind: str) -> Scheme:
+    """The desk scheme of kind at buffer scale M_B = 0.5, where buffer losses are
+    observable: for the BDC desk, the scheme construct builds from M_B=0.5."""
+    desk = desk_scheme(kind)
+    return Scheme(replace(desk.params, M_B=0.5), desk.inner_cb, desk.outer)
 
 
 def fed(words: np.ndarray) -> SimpleNamespace:

@@ -21,7 +21,6 @@ from delchan.cli import main
 from delchan.harness import (
     cached_inner_codebook,
     desk_params,
-    desk_scheme,
     run_end_to_end,
     run_single_codeword,
     run_transition,
@@ -37,6 +36,7 @@ from oracles import (
     enumerate_S_by_runs,
     insertion_ball_bruteforce,
     is_subsequence,
+    tight_desk,
 )
 
 
@@ -229,7 +229,7 @@ def test_criterion_08_transition_probability_agreement(announce, bdc_desk, prc_d
 
 def test_criterion_09_buffer_error_bound(announce):
     failures = []
-    scheme = desk_scheme("bdc", M_B=0.5)
+    scheme = tight_desk("bdc")
     rep = run_single_codeword(scheme, 10_000, 303)
     freq = rep["deleted_buffer_frequency"]
     bound = exp(-0.5 * 25 / 8.0)
@@ -249,7 +249,7 @@ BUFFER_LOSS = {"bdc": 0.00143, "prc": 0.034567}
 def test_buffer_loss_matches_exact_probability(desk):
     # criterion 9 checks only a loose bound; a buffer of B bits is lost
     # exactly when at most buffer_threshold of its zeros survive
-    scheme = desk_scheme(desk, M_B=0.5)
+    scheme = tight_desk(desk)
     rep = run_single_codeword(scheme, 50_000, 304)
     exact = scheme.params.channel.at_most(scheme.B, scheme.params.buffer_threshold)
     assert abs(exact - BUFFER_LOSS[desk]) < 5e-6

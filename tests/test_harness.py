@@ -6,7 +6,7 @@ import re
 import shutil
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
 from math import exp
 
@@ -19,11 +19,11 @@ from delchan.analysis import presets, transition_probs, verify_preset
 from delchan.channels import ChannelModel
 from delchan.cli import main
 from delchan.harness import (
-    DESK_M_B,
+    _CONFIG_KEYS,
+    MAX_TRIALS,
     ExperimentConfig,
     analyze_csv,
     desk_params,
-    desk_scheme,
     load_config,
     report_json,
     run_end_to_end,
@@ -33,13 +33,20 @@ from delchan.harness import (
     sweep_csv,
 )
 from delchan.scheme import lay_out, load_scheme, save_scheme
+from oracles import tight_desk
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(mode="nonsense", trials=10, master_seed=0)
+        ExperimentConfig(mode="nonsense", trials=10, seed=0)
     with pytest.raises(ValueError):
-        ExperimentConfig(mode="end_to_end", trials=0, master_seed=0)
+        ExperimentConfig(mode="end_to_end", trials=0, seed=0)
+
+
+def test_config_keys_are_the_config_fields():
+    # each setting has one name, in a config file and on ExperimentConfig
+    assert list(_CONFIG_KEYS) == [field.name for field in fields(ExperimentConfig)]
+    assert set(_CONFIG_KEYS) == {"mode", "trials", "seed", "scheme", "desk"}
 
 
 def test_load_config(tmp_path):
@@ -48,17 +55,15 @@ def test_load_config(tmp_path):
     cfg = load_config(path)
     assert cfg.mode == "single_codeword"
     assert cfg.trials == 50
-    assert cfg.master_seed == 9
+    assert cfg.seed == 9
     assert cfg.desk == "prc"
 
 
 def test_load_config_rejects_unknown_keys_and_bad_numbers(tmp_path):
-    # a mistyped key must not fall back to a default; M_B is checked at load, not at run
+    # a mistyped key must not fall back to a default; M_B is construct's key, not simulate's
     config = tmp_path / "exp.cfg"
     for text, message in [("mode=transition\ntrails=50\n", "unknown key 'trails'"),
-                          ("mode=transition\nM_B=inf\n", "M_B=inf must be positive and finite"),
-                          ("mode=transition\nM_B=nan\n", "M_B=nan must be positive and finite"),
-                          ("mode=transition\nM_B=-1\n", "M_B=-1.0 must be positive and finite")]:
+                          ("mode=transition\nM_B=0.5\n", "unknown key 'M_B'")]:
         config.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{config}: {message}')}$"):
             load_config(config)
@@ -88,7 +93,7 @@ def test_transition_report(bdc_desk):
 
 
 def test_report_json_deterministic():
-    cfg = ExperimentConfig(mode="end_to_end", trials=15, master_seed=42)
+    cfg = ExperimentConfig(mode="end_to_end", trials=15, seed=42)
     assert report_json(run_experiment(cfg)) == report_json(run_experiment(cfg))
 
 
@@ -117,9 +122,10 @@ def built(tmp_path_factory):
     return build
 
 
-# sha256 of `delchan simulate`'s report at seed 7 on a desk scheme or on LONG's. M_B = 0.5
-# loses a buffer with the exact probability 0.00143, so its 3,000 trials (6,000 buffers) see
-# no loss with probability about 2e-4; 300 trials miss it 42% of the time.
+# sha256 of `delchan simulate`'s report at seed 7 on a desk scheme, on LONG's, or on the BDC
+# desk at another buffer scale M_B, built by construct. M_B = 0.5 loses a buffer with the exact
+# probability 0.00143, so its 3,000 trials (6,000 buffers) see no loss with probability about
+# 2e-4; 300 trials miss it 42% of the time.
 PINNED_REPORTS = [
     ("end_to_end", "bdc", 2.5, 12,
      "8ce50b9487eb480c28633fbc775d2fc0602d5d7d990a0001d8db2c337ad73a03"),
@@ -154,10 +160,10 @@ PINNED_REPORTS = [
 
 @pytest.mark.parametrize("mode,desk,M_B,trials,digest", PINNED_REPORTS)
 def test_reports_are_pinned(tmp_path, built, mode, desk, M_B, trials, digest):
-    source = f"scheme={built(LONG) / 'scheme.txt'}" if desk == "long" else f"desk={desk}"
-    buffer = "" if M_B == DESK_M_B else f"M_B={M_B}\n"
+    text = LONG if desk == "long" else None if M_B == 2.5 else f"M_B={M_B}\n"
+    source = f"desk={desk}" if text is None else f"scheme={built(text) / 'scheme.txt'}"
     config, report = tmp_path / "exp.cfg", tmp_path / "report.json"
-    config.write_text(f"mode={mode}\n{source}\n{buffer}trials={trials}\nseed=7\n")
+    config.write_text(f"mode={mode}\n{source}\ntrials={trials}\nseed=7\n")
     assert main(["simulate", "--config", str(config), "--out", str(report)]) == 0
     if M_B == 0.5:
         assert json.loads(report.read_text())["error_events"]["deleted_buffer"] > 0
@@ -167,7 +173,7 @@ def test_reports_are_pinned(tmp_path, built, mode, desk, M_B, trials, digest):
 def _assert_transition_pins() -> None:
     for mode, desk, M_B, trials, digest in PINNED_REPORTS:
         if mode == "transition" and trials == 2000:  # 150,000 trials are 42,858 chunks of 7 runs
-            config = ExperimentConfig(mode=mode, trials=trials, master_seed=7, desk=desk, M_B=M_B)
+            config = ExperimentConfig(mode=mode, trials=trials, seed=7, desk=desk)
             text = report_json(run_experiment(config))
             assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -442,10 +448,13 @@ REFUSALS = [
      "exp.cfg: unknown key 'trails'"),
     ("simulate-trials-word", SIMULATE, "exp.cfg", "mode=transition\ntrials=abc\n", 2,
      "exp.cfg: key 'trials': invalid literal for int() with base 10: 'abc'"),
-    ("simulate-M_B-word", SIMULATE, "exp.cfg", "seed=7\nM_B=wide\n", 2,
-     "exp.cfg: key 'M_B': could not convert string to float: 'wide'"),
     ("construct-unknown-key", CONSTRUCT, "exp.cfg", "M_b=0.5\nseeed=3\n", 2,
      "exp.cfg: unknown key 'M_b'"),
+    # the buffer scale is a scheme parameter, which construct takes and simulate does not
+    ("construct-M_B-word", CONSTRUCT, "exp.cfg", "seed=7\nM_B=wide\n", 2,
+     "exp.cfg: key 'M_B': could not convert string to float: 'wide'"),
+    ("simulate-M_B", SIMULATE, "exp.cfg", "mode=end_to_end\ntrials=2\nM_B=0.5\n", 2,
+     "exp.cfg: unknown key 'M_B'"),
     ("construct-seed-word", CONSTRUCT, "exp.cfg", "seed=x\n", 2,
      "exp.cfg: key 'seed': invalid literal for int() with base 10: 'x'"),
     ("simulate-seed-negative", SIMULATE, "exp.cfg", "seed=-1\n", 2,
@@ -468,9 +477,6 @@ REFUSALS = [
     ("simulate-scheme-desk", SIMULATE, "exp.cfg",
      "mode=end_to_end\ntrials=2\nscheme=scheme.txt\ndesk=prc\n", 2,
      "exp.cfg: desk is ignored when scheme is given"),
-    ("simulate-scheme-M_B", SIMULATE, "exp.cfg",
-     "mode=end_to_end\ntrials=2\nscheme=scheme.txt\nM_B=0.5\n", 2,
-     "exp.cfg: M_B is ignored when scheme is given"),
     ("single-one-trial", SIMULATE, "exp.cfg", "mode=single_codeword\ntrials=1\n", 2,
      "exp.cfg: single_codeword needs at least 2 trials for a variance"),
     ("single-one-trial-flag", (*SIMULATE, "--trials", "1"), "exp.cfg", "mode=single_codeword\n",
@@ -490,17 +496,15 @@ REFUSALS = [
      "exp.cfg: repeat mean inf must be positive and finite"),
     ("construct-bdc-nan", CONSTRUCT, "exp.cfg", "param=nan\n", 2,
      "exp.cfg: deletion probability nan outside [0, 1)"),
-    ("simulate-M_B-inf", SIMULATE, "exp.cfg", "mode=transition\nM_B=inf\n", 2,
-     "exp.cfg: M_B=inf must be positive and finite"),
-    ("simulate-M_B-nan", SIMULATE, "exp.cfg", "mode=transition\nM_B=nan\n", 2,
+    ("construct-M_B-nan", CONSTRUCT, "exp.cfg", "M_B=nan\n", 2,
      "exp.cfg: M_B=nan must be positive and finite"),
-    ("simulate-M_B-negative", SIMULATE, "exp.cfg", "mode=transition\nM_B=-1\n", 2,
+    ("construct-M_B-negative", CONSTRUCT, "exp.cfg", "M_B=-1\n", 2,
      "exp.cfg: M_B=-1.0 must be positive and finite"),
-    ("simulate-M_B-tiny", SIMULATE, "exp.cfg", "M_B=1e-300\n", 2,
+    ("construct-M_B-tiny", CONSTRUCT, "exp.cfg", "M_B=1e-300\n", 2,
      "exp.cfg: buffer length must be at least 1"),
-    ("simulate-M_B-huge", SIMULATE, "exp.cfg", "M_B=1e300\n", 2,  # a buffer of ~300 digits
+    ("construct-M_B-huge", CONSTRUCT, "exp.cfg", "M_B=1e300\n", 2,  # a buffer of ~300 digits
      f"exp.cfg: {_ROW_TOO_LONG}"),
-    ("simulate-M_B-overflow", SIMULATE, "exp.cfg", "M_B=1e308\n", 2,
+    ("construct-M_B-overflow", CONSTRUCT, "exp.cfg", "M_B=1e308\n", 2,
      "exp.cfg: run length M / mean_copies = inf / 0.7 is not finite"),
     ("construct-p-near-1", CONSTRUCT, "exp.cfg", "param=0.9999999999\n", 2,  # N2 = 1.35e11
      f"exp.cfg: {_ROW_TOO_LONG}"),
@@ -543,7 +547,7 @@ REFUSALS = [
     # that range the pass bound's estimate is the power of 2 at or below it
     ("construct-q-huge", CONSTRUCT, "exp.cfg", f"q={_HUGE}\nk=0\n", 2,
      "exp.cfg: 1 codewords of 32 symbols take about 2**1333" + _PASS_CAP),
-    ("simulate-M_B-digits", SIMULATE, "exp.cfg", f"M_B={_HUGE}\n", 2,
+    ("construct-M_B-digits", CONSTRUCT, "exp.cfg", f"M_B={_HUGE}\n", 2,
      "exp.cfg: M_B=inf must be positive and finite"),
     ("encode-q-huge", ENCODE, "scheme.txt", lambda text: _set("k", 0)(_set("q", _HUGE)(text)), 2,
      f"scheme.txt: cannot truncate to {_HUGE} > |C| = 4"),
@@ -714,7 +718,7 @@ def test_simulate_rejects_an_unknown_desk():
         ExperimentConfig(desk="BDC")
 
 
-@pytest.mark.parametrize("key", ["desk=prc", "M_B=0.5"])
+@pytest.mark.parametrize("key", ["desk=prc"])
 def test_simulate_rejects_desk_keys_next_to_a_scheme(tmp_path, bdc_desk, key):
     scheme_path = _saved_scheme(tmp_path, bdc_desk)
     config = tmp_path / "exp.cfg"
@@ -732,6 +736,17 @@ def test_runs_need_a_trial(bdc_desk, runner):
         runner(bdc_desk, 0, 0)
 
 
+@pytest.mark.parametrize("runner", [run_single_codeword, run_end_to_end, run_transition])
+def test_runs_refuse_more_than_max_trials_before_a_draw(bdc_desk, monkeypatch, runner):
+    # a runner called directly keeps the config's bound: it refuses at once, not after a day
+    def refuse(*args):
+        raise AssertionError("a run drew before refusing its trial count")
+
+    monkeypatch.setattr(harness_module, "RngStream", refuse)
+    with pytest.raises(ValueError, match="^trials must be at most 1000000000000$"):
+        runner(bdc_desk, MAX_TRIALS + 1, 0)
+
+
 def test_descriptor_format(tmp_path, bdc_desk):
     path = _saved_scheme(tmp_path, bdc_desk)
     lines = path.read_text().splitlines()
@@ -744,7 +759,8 @@ def test_descriptor_format(tmp_path, bdc_desk):
         load_scheme(path)
 
 
-def test_desk_scheme_buffer_variant():
-    tight = desk_scheme("bdc", M_B=0.5)
+def test_desk_scheme_buffer_variant(built):
+    tight = tight_desk("bdc")
     assert tight.params.buffer_threshold == 6
     assert tight.B == 18
+    assert tight == load_scheme(built("M_B=0.5\n") / "scheme.txt")  # the tests' tight desk

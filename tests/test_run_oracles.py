@@ -33,7 +33,6 @@ from delchan.channels import RngStream, apply_copy_counts
 from delchan import harness
 from delchan.harness import (
     _BLOCK_TRIALS,
-    desk_scheme,
     report_json,
     run_end_to_end,
     run_single_codeword,
@@ -55,12 +54,12 @@ from delchan.scheme import (
     window_spans,
 )
 from delchan.strings import lcs_rows
-from oracles import fed, held, per_run, runs_of, starts, window_key
+from oracles import fed, held, per_run, runs_of, starts, tight_desk, window_key
 
 
 @pytest.fixture(scope="module")
 def schemes(bdc_desk, prc_desk):
-    return {"bdc": bdc_desk, "prc": prc_desk, "bdc_M_B=0.5": desk_scheme("bdc", M_B=0.5)}
+    return {"bdc": bdc_desk, "prc": prc_desk, "bdc_M_B=0.5": tight_desk("bdc")}
 
 
 SCHEMES = ["bdc", "prc", "bdc_M_B=0.5"]
