@@ -104,6 +104,12 @@ class OuterCode:
         lcs = lcs_rows(np.array([received], np.int64), self._masks, self.spec.n)[0]
         return int(np.argmin(self.spec.n + len(received) - 2 * lcs))
 
+    def decode_rows(self, rows: list[tuple[int, ...]] | list[list[int]]) -> list[int]:
+        """decode of each row: every row is looked up among the codewords,
+        and only the rows that are none go to decode."""
+        get = self._message_of.get
+        return [self.decode(row) if (m := get(tuple(row))) is None else m for row in rows]
+
     def validate(self) -> None:
         spec = self.spec
         if len(self.codewords) != spec.num_messages:

@@ -10,26 +10,29 @@ before the blow-up) and the three run lengths: codewords start and end with
 1 and buffers are 0, so runs alternate. The channel draws one survivor count
 per run of the Layout, from one word per run, in run order.
 
-Decoding (decode_block: the (trials, runs) arrays of a block of receptions
-in one pass, returning the decoded messages only): drop vanished runs and
-add the few runs that then follow a run of their own bit into it, split on
-zero runs longer than the buffer threshold, and give each window its inner
-symbol (inner_symbols) from one memo: a sorted table of run keys, each a
-window's run pattern (`length > T` of each run, its run count and first
-bit), and their symbols. A block's run keys are searched for in it at once;
-only a window whose key the table lacks, or of more than _KEY_BITS runs
-(which has no run key and is never held), is thresholded to a string and
-decoded by InnerCodebook.decode. Each row's
-symbols (however many) go to the outer decoder, which looks codewords up
-first. decode() and decode_with_trace() read a string into runs (bit_runs,
-the one run reader) and decode it as a block of one; only decode_with_trace
-builds a DecodeTrace. window_spans and threshold_decode, which reads its
-window with bit_runs too, are the string reference of its first steps.
+Decoding (decode_block: the (trials, runs) arrays of a block of receptions,
+in one pass, returning the decoded messages only): put a separator run after
+each row (separated; bits are 0 and 1, and 2 and 3 mark separators only),
+drop vanished runs and add the few runs that then follow a run of their own
+bit into it, split on separators and on zero runs longer than the buffer
+threshold, and give each window its inner symbol (inner_symbols) from one
+memo: a sorted table of run keys, each a window's run pattern (`length > T`
+of each run, its run count and first bit), and their symbols. A block's run
+keys are searched for in it at once; only a window whose key the table lacks,
+or of more than _KEY_BITS runs (which has no run key and is never held), is
+thresholded to a string and decoded by InnerCodebook.decode. Each row's
+symbols (however many) go to OuterCode.decode_rows, which decodes only the
+rows that are no codeword. decode() and decode_with_trace() read a string
+into runs (bit_runs, the one run reader, which like a Layout gives bits 0 and
+1 only) and decode it as a block of one; only decode_with_trace builds a
+DecodeTrace. window_spans and threshold_decode, which reads its window with
+bit_runs too, are the string reference of its first steps.
 
 Classification is separate from decoding: classify() scores a block Layout
 (one gather from the scheme's run_table) straight from its run arrays and
 per-run survivors, the ground truth a decoder never sees, and returns each
-codeword's distortion X and the summed error-event counts.
+codeword's distortion X and the summed error-event counts; its codewords'
+runs are separated as a block's rows are.
 
 A descriptor (save_scheme, load_scheme) holds the PARAM_KEYS, the seed and
 the two code-file names, one key=value per line, read by strings.read_fields.
@@ -168,7 +171,7 @@ class Scheme:
         return self.decode_block(*(a[None] for a in bit_runs(received)))[0]
 
     def decode_with_trace(self, received: str) -> tuple[int, "DecodeTrace"]:
-        bits, lengths, _, first, last = self._windows(*(a[None] for a in bit_runs(received)))
+        bits, lengths, first, last = self._windows(*(a[None] for a in bit_runs(received)))
         symbols = self.inner_symbols(bits, lengths, first, last).tolist()
         text, offsets = threshold_text(bits, lengths, self.params.T)
         pos = np.concatenate(([0], np.cumsum(lengths)))
@@ -178,24 +181,25 @@ class Scheme:
 
     def decode_block(self, bits: np.ndarray, lengths: np.ndarray) -> list[int]:
         """The decoded message of each row of a block of receptions: row i of
-        the (trials, runs) arrays holds lengths[i, j] copies of bits[i, j] for
-        each run j (runs of length 0 and same-bit neighbours may occur). One
-        pass over all their runs: runs of two rows never merge, and no window
-        spans two."""
-        trials = len(lengths)
-        bits, lengths, owner, first, last = self._windows(bits, lengths)
-        symbols = self.inner_symbols(bits, lengths, first, last).tolist()
-        cuts = np.searchsorted(owner[first], np.arange(trials + 1)).tolist()
-        return [self.outer.decode(symbols[a:b]) for a, b in zip(cuts, cuts[1:])]
+        the (trials, runs) arrays holds lengths[i, j] copies of bits[i, j] (0
+        or 1) for each run j (runs of length 0 and same-bit neighbours may
+        occur). One pass over all their runs, with a separator run after each
+        row (separated), so runs of two rows never merge and no window spans
+        two; each row's windows end at its separator."""
+        bits, lengths, first, last = self._windows(bits, lengths)
+        symbols = tuple(self.inner_symbols(bits, lengths, first, last).tolist())
+        ends = first.searchsorted((bits > 1).nonzero()[0]).tolist()  # windows before each separator
+        return self.outer.decode_rows([symbols[a:b] for a, b in zip([0, *ends], ends)])
 
     def _windows(self, bits: np.ndarray, lengths: np.ndarray):
-        """The merged runs of a block of receptions (see decode_block), their
-        rows, and [first, last) of each window: a stretch of runs between zero
-        runs longer than the buffer threshold."""
-        owner = np.repeat(np.arange(len(lengths), dtype=RUN_DTYPE), lengths.shape[1])
-        bits, lengths, owner = merge_runs(bits.reshape(-1), lengths.reshape(-1), owner)
-        first, last = segments((bits == 1) | (lengths <= self.params.buffer_threshold), owner)
-        return bits, lengths, owner, first, last
+        """The merged runs of a block of receptions (see decode_block), each
+        row's followed by its separator, and [first, last) of each window: a
+        stretch of runs between zero runs longer than the buffer threshold
+        and separators."""
+        threshold = self.params.buffer_threshold
+        bits, lengths = merge_runs(*separated(bits, lengths, threshold))
+        first, last = segments((bits != 1) & (lengths > threshold))
+        return bits, lengths, first, last
 
     def inner_symbols(self, bits: np.ndarray, lengths: np.ndarray, first: np.ndarray,
                       last: np.ndarray) -> np.ndarray:
@@ -315,17 +319,17 @@ def classify(scheme: Scheme, layout: Layout,
     after[:, :-1], after[:, -1] = o[:, 1:], 2
     cost = np.where(zc == 0, o + after, (zc > p.T) != (o == 2))
     events["deleted_buffer"] = int(np.count_nonzero(z[:, ~coded] <= p.buffer_threshold))
-    bits = np.atleast_2d(layout.run_bits)[:, coded].reshape(-1)
-    owner = np.arange(len(o)).repeat(o.shape[1])
-    w_bits, w_lengths, owner = merge_runs(bits, zc.reshape(-1), owner)
-    cut = owner[1:] != owner[:-1]
-    keep = w_bits == 1  # each codeword's edge zeros stripped: a 0 stays only inside
-    keep[1:-1] |= ~(cut[:-1] | cut[1:])
-    w_bits, w_lengths, owner = w_bits[keep], w_lengths[keep], owner[keep]
+    bits = np.atleast_2d(layout.run_bits)[:, coded].reshape(o.shape)
+    w_bits, w_lengths = merge_runs(*separated(bits, zc, p.buffer_threshold))
+    edge = w_bits > 1  # the separator after each codeword's runs
+    keep = w_bits != 0  # each codeword's edge zeros stripped: a 0 stays only inside
+    keep[1:-1] |= ~(edge[:-2] | edge[2:])
+    w_bits, w_lengths = w_bits[keep], w_lengths[keep]
     spurious = (w_bits == 0) & (w_lengths > p.buffer_threshold)
     events["spurious_buffer"] = int(np.count_nonzero(spurious))
-    cuts = np.searchsorted(owner, np.arange(len(o) + 1))
-    found = scheme.inner_symbols(w_bits, w_lengths, cuts[:-1], cuts[1:])
+    last = (w_bits > 1).nonzero()[0]  # a codeword's runs end at its separator
+    first = np.concatenate(([0], last + 1))[:-1]
+    found = scheme.inner_symbols(w_bits, w_lengths, first, last)
     events["wrong_inner_decode"] = int(np.count_nonzero(found != np.ravel(layout.symbols)))
     return cost.sum(axis=1, dtype=np.int64), events
 
@@ -350,14 +354,31 @@ def lay_out(symbols, table, *, edge_buffers: bool = False) -> Layout:
     return Layout(symbols, runs, run_lengths)
 
 
-def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray):
+def separated(bits: np.ndarray, lengths: np.ndarray, threshold: int):
+    """The runs of a block's rows, given as (rows, runs) arrays of bits 0 and
+    1 and their lengths, back to back, each row followed by a separator run:
+    of bit 2 or 3, in turn, so that no two separators merge, and threshold + 1
+    long, so that no separator joins a window split at the buffer threshold."""
+    rows, runs = lengths.shape
+    out_bits = np.empty((rows, runs + 1), bits.dtype)
+    out_bits[:, :-1] = bits
+    out_bits[::2, -1], out_bits[1::2, -1] = 2, 3
+    out_lengths = np.empty(out_bits.shape,
+                           np.promote_types(lengths.dtype, np.min_scalar_type(threshold + 1)))
+    out_lengths[:, :-1] = lengths
+    out_lengths[:, -1] = threshold + 1
+    return out_bits.reshape(-1), out_lengths.reshape(-1)
+
+
+def merge_runs(bits: np.ndarray, lengths: np.ndarray):
     """Drop the runs of length 0 and merge the same-bit neighbours they leave;
-    return the merged bits, lengths and owners. Runs of two owners (two
-    receptions, say) never merge. Only the few runs that follow a run of
-    their own bit are added into the run that heads their chain."""
+    return the merged bits and lengths. Bits are 0 and 1, or 2 and 3 for the
+    separators between rows (separated), which never merge. Only the few
+    runs that follow a run of their own bit are added into the run that
+    heads their chain."""
     keep = lengths > 0
-    bits, lengths, owner = bits[keep], lengths[keep], owner[keep]
-    later = ((bits[1:] == bits[:-1]) & (owner[1:] == owner[:-1])).nonzero()[0] + 1
+    bits, lengths = bits[keep], lengths[keep]
+    later = (bits[1:] == bits[:-1]).nonzero()[0] + 1
     # a chain of later runs is headed by the run just before its first one
     head = later - 1
     head[1:][head[1:] == later[:-1]] = 0
@@ -365,17 +386,16 @@ def merge_runs(bits: np.ndarray, lengths: np.ndarray, owner: np.ndarray):
     np.add.at(lengths, head, lengths[later])
     lengths[later] = 0  # added into their heads
     alone = lengths > 0
-    return bits[alone], lengths[alone], owner[alone]
+    return bits[alone], lengths[alone]
 
 
-def segments(mask: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[first, last) of each maximal stretch of True in mask; a stretch also
-    ends where the owner changes."""
-    cut = owner[1:] != owner[:-1]
-    opens, closes = mask.copy(), mask.copy()
-    opens[1:] &= ~mask[:-1] | cut
-    closes[:-1] &= ~mask[1:] | cut
-    return np.flatnonzero(opens), np.flatnonzero(closes) + 1
+def segments(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[first, last) of each nonempty stretch between the True items of
+    breaks, whose last item is True (a separator's, say)."""
+    last = breaks.nonzero()[0]
+    first = np.concatenate(([0], last + 1))[:-1]
+    nonempty = last > first
+    return first[nonempty], last[nonempty]
 
 
 def run_keys(flags: np.ndarray, first: np.ndarray, size: np.ndarray, lead) -> np.ndarray:

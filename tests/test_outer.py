@@ -87,6 +87,43 @@ def test_decode_ties_and_degenerate_receptions(code):
     assert dists.count(min(dists)) > 1
 
 
+# TIES with message 3 a copy of message 1: that codeword's rows take message 1
+DUPLICATED = replace(TIES, codewords=TIES.codewords[:3] + TIES.codewords[1:2])
+
+
+def near_miss(codeword, at, symbol, edit):
+    """The codeword with its symbol at `at` (mod its length) deleted or
+    replaced by symbol, or with symbol inserted before it."""
+    at %= len(codeword)
+    new = (symbol,) if edit != "delete" else ()
+    return codeword[:at] + new + codeword[at + (edit != "insert"):]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decode_rows_matches_decode(code, data):
+    # ragged rows, empty rows, rows holding -1 (an empty window's symbol) or
+    # q, exact codewords, duplicated ones, and near misses, as lists or tuples
+    target = data.draw(st.sampled_from([code, TIES, DUPLICATED]))
+    q, n = target.spec.q, target.spec.n
+    row = st.one_of(
+        st.lists(st.integers(0, q - 1), max_size=2 * n),
+        st.lists(st.integers(-1, q), max_size=3),
+        st.sampled_from(target.codewords),
+        st.builds(near_miss, st.sampled_from(target.codewords), st.integers(0, n),
+                  st.integers(-1, q - 1), st.sampled_from(["delete", "replace", "insert"])),
+    )
+    rows = data.draw(st.lists(row, max_size=8))
+    expected = [scalar_decode(target, r) for r in rows]
+    assert target.decode_rows(rows) == [target.decode(r) for r in rows] == expected
+
+
+def test_decode_rows_ties_take_the_smallest_message():
+    twins = DUPLICATED.codewords[1], list(DUPLICATED.codewords[3])
+    assert DUPLICATED.decode_rows(twins) == [1, 1]
+    assert DUPLICATED.decode_rows([]) == []
+
+
 @pytest.mark.parametrize("spec, seed", [
     (OuterSpec(q=4, n=16, k=2, delta_out=0.125), 1),
     (OuterSpec(q=2, n=8, k=3, delta_out=0.2), 2),  # two chunks of q**k candidates

@@ -5,13 +5,15 @@ received string: window_spans and the scalar inner and outer decodes
 character by character, threshold_decode run by run with its own length
 test; and classify as it was written on strings. The run-level path must give the same answers on any per-bit copy
 counts, including all-zero and large ones, also when several receptions are
-decoded in one block, and classify on any block of transmissions. Both
+decoded in one block, where a row of any runs of 0s and 1s decodes as it
+does alone, and classify on any block of transmissions. Both
 harness modes are checked, across block edges, against per-trial string
 decodes and the frozen per-trial classify loop, on the draws the harness
 makes per block; and each row of a block layout against encode_with_layout.
 The outer codeword lookup is checked against the bare argmin of a one-row
 lcs_rows pass, the inner symbols looked up by run-pattern key against the
-scalar inner decode, merge_runs against the reduceat merge it replaced, and
+scalar inner decode, merge_runs, whose separator runs stand for the owner
+changes, against the reduceat merge it replaced, and
 the inner-decode memo against its cap, against the windows the string path
 would put in it, against a second decode of a block, which thresholds no
 run, and as a sorted table after any sequence of blocks.
@@ -23,6 +25,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from math import exp, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from delchan.harness import (
 )
 from delchan import scheme as scheme_module
 from delchan.inner import InnerCodebook
+from delchan.outer import OuterCode
 from delchan.scheme import (
     _KEY_BITS,
     _MEMO_CAP,
@@ -206,6 +210,40 @@ def test_block_decodes_as_its_rows_alone(schemes, name):
     assert held(s) == held(alone)  # the same keys and symbols
 
 
+# a run of either bit, of a length about T (8) or a buffer threshold (31, or 6 at M_B=0.5)
+FREE_RUN = st.tuples(st.integers(0, 1), st.sampled_from([0, 0, 1, 2, 6, 7, 8, 9, 31, 32, 90]))
+FREE_BLOCK = st.integers(0, 24).flatmap(lambda runs: st.tuples(
+    st.just(runs), st.lists(st.lists(FREE_RUN, min_size=runs, max_size=runs), max_size=5)))
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+@settings(max_examples=60, deadline=None)
+@given(block=FREE_BLOCK)
+@example(block=(4, []))
+@example(block=(0, [[], []]))
+# same-bit neighbours, zero-length runs at either end, an empty row, an
+# all-zero row, and rows that end in the bit the next row starts with
+@example(block=(4, [[(0, 0), (1, 3), (1, 9), (0, 40)], [(0, 0), (1, 0), (0, 0), (1, 0)],
+                    [(0, 5), (0, 40), (0, 2), (0, 0)], [(0, 2), (1, 1), (0, 1), (1, 9)],
+                    [(1, 4), (0, 2), (1, 8), (0, 0)]]))
+def test_block_of_free_rows_decodes_as_its_rows_alone(schemes, name, block):
+    # rows of any runs of 0s and 1s, not only encodings, which alternate from
+    # a 1-run: each row of a block hands the outer decoder its string's window
+    # symbols, and decodes as it does alone and as its string does
+    s = schemes[name]
+    runs, rows = block
+    bits = np.array([[bit for bit, _ in row] for row in rows], np.uint8).reshape(len(rows), runs)
+    lengths = np.array([[n for _, n in row] for row in rows], np.int32).reshape(len(rows), runs)
+    expected = [string_decode(s, "".join(str(bit) * n for bit, n in row)) for row in rows]
+    with mock.patch.object(OuterCode, "decode_rows", autospec=True,
+                           side_effect=OuterCode.decode_rows) as outer:
+        decoded = s.decode_block(bits, lengths)
+    symbols = [trace.per_window_inner_symbols for _, trace in expected]
+    assert [list(row) for row in outer.call_args.args[1]] == symbols
+    alone = [s.decode_block(b[None], z[None]) for b, z in zip(bits, lengths)]
+    assert decoded == [message for row in alone for message in row] == [m for m, _ in expected]
+
+
 @pytest.mark.parametrize("name", ["bdc", "prc"])
 def test_memo_holds_the_string_paths_windows(schemes, name):
     # a fresh memo is empty, and the key of each nonempty window the string
@@ -304,15 +342,25 @@ RUN = st.tuples(st.integers(0, 1), st.sampled_from([0, 0, 0, 1, 2, 7]), st.boole
 # no run merges: a vanished run and owner boundaries between same-bit runs
 @example([(1, 2, False), (0, 0, False), (0, 1, False), (1, 3, True), (1, 1, True)])
 def test_merge_runs_matches_reduceat(runs):
-    # chains of vanished runs, same-bit neighbours and owner boundaries
+    # chains of vanished runs, same-bit neighbours and owner boundaries; an
+    # owner boundary is a separator run of bit 2 or 3, in turn, for merge_runs
     bits = np.array([bit for bit, _, _ in runs], np.uint8)
     lengths = np.array([n for _, n, _ in runs], np.int64)
     owner = np.cumsum([new for _, _, new in runs], dtype=np.int64)
-    given_lengths = lengths.copy()
-    merged = merge_runs(bits, lengths, owner)
-    for got, expected in zip(merged, reduceat_merge_runs(bits, lengths, owner)):
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
-    assert np.array_equal(lengths, given_lengths)
+    changes = (owner[1:] != owner[:-1]).nonzero()[0] + 1
+    marks = 2 + np.arange(changes.size) % 2
+    separated_bits = np.insert(bits, changes, marks)
+    separated_lengths = np.insert(lengths, changes, 1)
+    given_lengths = separated_lengths.copy()
+    got_bits, got_lengths = merge_runs(separated_bits, separated_lengths)
+    rows = got_bits < 2
+    got_owner = owner[:1].sum() + np.cumsum(got_bits > 1)[rows]  # first owner + separators before
+    expected = reduceat_merge_runs(bits, lengths, owner)
+    for got, want in zip((got_bits[rows], got_lengths[rows]), expected):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(got_owner, expected[2])
+    assert np.count_nonzero(~rows) == changes.size  # no separator merges or vanishes
+    assert np.array_equal(separated_lengths, given_lengths)
 
 
 def block_survivors(s, origs, rng):
